@@ -21,7 +21,7 @@ import numpy as np
 from . import evaluation
 from .envs.base import Environment
 from .envs.space import DEFAULT_STATE_GUARD, StateSpace
-from .errors import EnumerationGuardError, NumericError, SnapshotError, UnsupportedLossError
+from .errors import NumericError, SnapshotError, UnsupportedLossError
 from .losses import ab_loss_batch
 from .nn import AdamWState, ParamGroup, adamw_step
 from .policy import (
@@ -33,6 +33,7 @@ from .policy import (
     sample_batch,
     save_snapshot,
 )
+from .train import build_space
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,14 @@ def aggregate_ab(
     snapshots: list[bytes],
     cfg: AggregateConfig,
     eval_target: evaluation.DistributionTable | None = None,
+    space: StateSpace | None = None,
 ) -> AggregateResult:
     """Train a fresh global policy by minimizing the aggregating-balance loss
     over trajectory pairs from the exploration mixture. Local rewards are
-    never evaluated; `eval_target`, if given, only feeds the L1 probes."""
-    try:
-        space = StateSpace.enumerated(env, cfg.state_guard)
-    except EnumerationGuardError:
-        if cfg.backend == "tabular":
-            raise
-        space = StateSpace(env, guard=cfg.state_guard)
+    never evaluated; `eval_target`, if given, only feeds the L1 probes.
+    `space`, if given, is the env's state space (or a complete one of the
+    same DAG) and is used instead of enumerating again."""
+    space = build_space(env, cfg) if space is None else space.for_env(env)
     locals_ = load_local_policies(env, snapshots, space)
     if cfg.weights is not None and len(cfg.weights) != len(locals_):
         raise ValueError("need one pooling weight per snapshot")

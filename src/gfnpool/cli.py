@@ -22,7 +22,7 @@ from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
 from .losses import LossSpec
 from .policy import balanced_tabular_policy, load_snapshot
-from .train import derive_seed, train_clients, train_local
+from .train import build_space, derive_seed, train_clients, train_local
 
 
 def write_metrics_csv(path: Path, rows: list[dict]) -> None:
@@ -63,10 +63,11 @@ def _read_manifest(path: Path) -> tuple[list[bytes], list[float]]:
     return blobs, weights
 
 
-def _product_target(run: RunConfig, envs, space) -> evaluation.DistributionTable | None:
-    if not space.complete:
+def _probe_target(envs, space, cfg) -> evaluation.DistributionTable | None:
+    """The product target, built only when aggregation probes will read it."""
+    if cfg.eval_every <= 0 or not space.complete:
         return None
-    return evaluation.reward_table(envs, space, run.loss_spec.weights)
+    return evaluation.reward_table(envs, space, cfg.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def cmd_train_clients(args) -> int:
     run = _load_run(args)
     envs = run.client_envs()
     cfgs = run.client_train_configs()
-    results = train_clients(list(zip(envs, cfgs)), parallelism=args.parallelism)
+    results = train_clients(list(zip(envs, cfgs, strict=True)), parallelism=args.parallelism)
     out = run.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     failed = []
@@ -129,14 +130,9 @@ def cmd_aggregate(args) -> int:
         cfg = replace(cfg, weights=parsed)
     elif cfg.weights is None and any(w != 1.0 for w in weights):
         cfg = replace(cfg, weights=tuple(weights))
-    try:
-        space = StateSpace.enumerated(envs[0], cfg.state_guard)
-    except EnumerationGuardError:
-        space = StateSpace(envs[0], guard=cfg.state_guard)
-    target = (
-        evaluation.reward_table(envs, space, cfg.weights) if space.complete else None
-    )
-    res = agg.aggregate_ab(envs[0], blobs, cfg, eval_target=target)
+    space = build_space(envs[0], cfg)
+    target = _probe_target(envs, space, cfg)
+    res = agg.aggregate_ab(envs[0], blobs, cfg, eval_target=target, space=space)
     out.mkdir(parents=True, exist_ok=True)
     (out / "global.gfnpolicy").write_bytes(res.snapshot)
     write_metrics_csv(out / "global.metrics.csv", res.metrics)
@@ -151,7 +147,10 @@ def cmd_evaluate(args) -> int:
     envs = run.client_envs()
     out = run.out_dir()
     space = StateSpace.enumerated(envs[0], run.train_template().state_guard)
-    target = _product_target(run, envs, space)
+    # each client's rewards are computed once and feed every figure below
+    own = [evaluation.terminal_log_rewards(e, space) for e in envs]
+    log_r = evaluation.pooled_log_rewards(space, own, run.loss_spec.weights)
+    target = evaluation.target_table(space, log_r)
     report: dict = {
         "experiment": run.name,
         "env_fingerprint": envs[0].fingerprint(),
@@ -160,7 +159,6 @@ def cmd_evaluate(args) -> int:
         "guards": {"n_states": space.n_states, "exact": space.complete},
         "models": {},
     }
-    log_r = evaluation.product_log_rewards(envs, space, run.loss_spec.weights)
     k = run.eval_topk()
     for name, path in [("global", out / "global.gfnpolicy")] + [
         (f"client{i}", _snapshot_path(out, i)) for i in range(len(envs))
@@ -171,15 +169,14 @@ def cmd_evaluate(args) -> int:
         table = evaluation.exact_pT(policy, space)
         row = {"provenance": table.provenance, "meta": meta}
         if name.startswith("client"):
-            own = evaluation.reward_table([envs[int(name[6:])]], space)
-            row["l1_local"] = evaluation.l1(table, own)
-        if target is not None:
-            row["l1"] = evaluation.l1(table, target)
-            row["kl"] = evaluation.kl(target, table)
-            row["jeffrey"] = evaluation.jeffrey(target, table)
-            row[f"top{k}"] = evaluation.topk_avg_log_reward(
-                table, space, log_r, k, run.eval_sample_budget()
-            )
+            local = evaluation.pooled_log_rewards(space, [own[int(name[6:])]])
+            row["l1_local"] = evaluation.l1(table, evaluation.target_table(space, local))
+        row["l1"] = evaluation.l1(table, target)
+        row["kl"] = evaluation.kl(target, table)
+        row["jeffrey"] = evaluation.jeffrey(target, table)
+        row[f"top{k}"] = evaluation.topk_avg_log_reward(
+            table, space, log_r, k, run.eval_sample_budget()
+        )
         report["models"][name] = row
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -193,7 +190,7 @@ def cmd_baselines(args) -> int:
     envs = run.client_envs()
     out = run.out_dir()
     space = StateSpace.enumerated(envs[0], run.train_template().state_guard)
-    target = _product_target(run, envs, space)
+    target = evaluation.reward_table(envs, space, run.loss_spec.weights)
     blobs = [(_snapshot_path(out, k)).read_bytes() for k in range(len(envs))]
     locals_ = agg.load_local_policies(envs[0], blobs, space)
     report: dict = {"experiment": run.name, "baselines": {}}
@@ -231,7 +228,7 @@ def cmd_baselines(args) -> int:
 def _pipeline_final_l1(run: RunConfig, envs, agg_seed_salt: int = 0) -> tuple[list[dict], float]:
     """Train clients, aggregate, return aggregation metrics and final L1."""
     cfgs = run.client_train_configs()
-    results = train_clients(list(zip(envs, cfgs)), parallelism=1)
+    results = train_clients(list(zip(envs, cfgs, strict=True)), parallelism=1)
     bad = [r for r in results if not r.ok]
     if bad:
         raise NumericError(f"client failure during sweep: {bad[0].error}")
@@ -239,8 +236,8 @@ def _pipeline_final_l1(run: RunConfig, envs, agg_seed_salt: int = 0) -> tuple[li
     if agg_seed_salt:
         cfg = replace(cfg, seed=derive_seed(cfg.seed, agg_seed_salt))
     space = StateSpace.enumerated(envs[0], cfg.state_guard)
-    target = evaluation.reward_table(envs, space, cfg.weights)
-    res = agg.aggregate_ab(envs[0], [r.snapshot for r in results], cfg, eval_target=target)
+    target = _probe_target(envs, space, cfg)
+    res = agg.aggregate_ab(envs[0], [r.snapshot for r in results], cfg, eval_target=target, space=space)
     finals = [r["l1"] for r in res.metrics if np.isfinite(r["l1"])]
     return res.metrics, finals[-1] if finals else float("nan")
 
@@ -260,13 +257,16 @@ def cmd_sweep(args) -> int:
             try:
                 doc = json.loads(json.dumps(run.doc))  # deep copy
                 doc["seed"] = seed
+                if axis == "clients":
+                    if run.env_kind == "grid":
+                        raise ConfigError("sweep.axis", "client sweep needs seeded rewards, not beacon lists")
+                    # set the count before RunConfig derives configs and weights from it
+                    doc.setdefault("clients", {})["n"] = int(value)
+                    if "clients" in doc["env"].get("phylo", {}):
+                        doc["env"]["phylo"]["clients"] = int(value)
                 cell_run = RunConfig(doc, path=run.path)
                 if axis == "clients":
-                    if cell_run.env_kind == "grid":
-                        raise ConfigError("sweep.axis", "client sweep needs seeded rewards, not beacon lists")
-                    envs = cell_run.client_envs(n=int(value))
-                    doc.setdefault("clients", {})["n"] = int(value)
-                    metrics, _ = _pipeline_final_l1(cell_run, envs)
+                    metrics, _ = _pipeline_final_l1(cell_run, cell_run.client_envs())
                 elif axis == "noise":
                     envs = cell_run.client_envs()
                     noisy = [
@@ -326,8 +326,7 @@ def cmd_identity_checks(args) -> int:
         space = StateSpace.enumerated(envs[0])
         pols = []
         for e in envs:
-            es = StateSpace.enumerated(e)
-            base = balanced_tabular_policy(es)
+            base = balanced_tabular_policy(space.for_env(e))
             noisy = base.table + rng.normal(0, 0.3, base.table.shape)
             pols.append(TabularPolicy(space, noisy))
         chk = evaluation.robustness_bound_check(pols, envs, space)

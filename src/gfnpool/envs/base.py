@@ -53,16 +53,45 @@ class Environment(ABC):
     def validate_key(self, s: StateKey) -> None:
         """Raise MalformedStateError if `s` is not a reachable state."""
 
-    @abstractmethod
+    # The public methods below validate their key once and then call the
+    # unchecked `_` form, which environments implement. Callers that only
+    # hold keys the env produced itself (the state space) call the unchecked
+    # forms directly. A wrapper may override the public forms instead; the
+    # inherited unchecked forms then go through its overrides.
+
     def children(self, s: StateKey) -> list:
         """All legal transitions from `s` as (action_id, child, is_stop)."""
+        self.validate_key(s)
+        return self._children(s)
+
+    def is_terminal(self, s: StateKey) -> bool:
+        self.validate_key(s)
+        return self._is_terminal(s)
+
+    def featurize(self, s: StateKey) -> np.ndarray:
+        self.validate_key(s)
+        return self._featurize(s)
+
+    def _children(self, s: StateKey) -> list:
+        if type(self).children is Environment.children:
+            raise NotImplementedError(f"{type(self).__name__} implements neither children nor _children")
+        return self.children(s)
+
+    def _is_terminal(self, s: StateKey) -> bool:
+        if type(self).is_terminal is Environment.is_terminal:
+            raise NotImplementedError(f"{type(self).__name__} implements neither is_terminal nor _is_terminal")
+        return self.is_terminal(s)
+
+    def _featurize(self, s: StateKey) -> np.ndarray:
+        if type(self).featurize is Environment.featurize:
+            raise UnsupportedFeaturizationError(
+                f"{self.kind} environment has no feature encoding; use the tabular backend"
+            )
+        return self.featurize(s)
 
     @abstractmethod
     def parents(self, s: StateKey) -> list:
         """Exact inverse of children: all (parent, action_id) into `s`."""
-
-    @abstractmethod
-    def is_terminal(self, s: StateKey) -> bool: ...
 
     @abstractmethod
     def log_reward(self, s: StateKey) -> float: ...
@@ -71,11 +100,6 @@ class Environment(ABC):
     def feature_dim(self) -> int | None:
         """Feature vector length, or None if the env has no featurization."""
         return None
-
-    def featurize(self, s: StateKey) -> np.ndarray:
-        raise UnsupportedFeaturizationError(
-            f"{self.kind} environment has no feature encoding; use the tabular backend"
-        )
 
     @abstractmethod
     def n_states_estimate(self) -> int:

@@ -52,8 +52,7 @@ class GridEnv(Environment):
         ):
             raise MalformedStateError(f"not a grid cell: {s!r}")
 
-    def children(self, s: StateKey) -> list:
-        self.validate_key(s)
+    def _children(self, s: StateKey) -> list:
         x, y = s
         out = []
         if x + 1 < self.side:
@@ -75,8 +74,7 @@ class GridEnv(Environment):
             out.append(((x, y - 1), UP))
         return out
 
-    def is_terminal(self, s: StateKey) -> bool:
-        self.validate_key(s)
+    def _is_terminal(self, s: StateKey) -> bool:
         return True
 
     def log_reward(self, s: StateKey) -> float:
@@ -89,8 +87,7 @@ class GridEnv(Environment):
     def feature_dim(self) -> int:
         return 2
 
-    def featurize(self, s: StateKey) -> np.ndarray:
-        self.validate_key(s)
+    def _featurize(self, s: StateKey) -> np.ndarray:
         return np.array([s[0] / self.side, s[1] / self.side])
 
     def n_states_estimate(self) -> int:

@@ -51,8 +51,7 @@ class MultisetEnv(Environment):
         ):
             raise MalformedStateError(f"not a multiset count vector: {s!r}")
 
-    def children(self, s: StateKey) -> list:
-        self.validate_key(s)
+    def _children(self, s: StateKey) -> list:
         if sum(s) == self.target_size:
             return [(self.stop_action, None, True)]
         return [
@@ -69,8 +68,7 @@ class MultisetEnv(Environment):
             if s[u] > 0
         ]
 
-    def is_terminal(self, s: StateKey) -> bool:
-        self.validate_key(s)
+    def _is_terminal(self, s: StateKey) -> bool:
         return sum(s) == self.target_size
 
     def log_reward(self, s: StateKey) -> float:
@@ -82,8 +80,7 @@ class MultisetEnv(Environment):
     def feature_dim(self) -> int:
         return self.dict_size
 
-    def featurize(self, s: StateKey) -> np.ndarray:
-        self.validate_key(s)
+    def _featurize(self, s: StateKey) -> np.ndarray:
         return np.asarray(s, dtype=np.float64) / self.target_size
 
     def n_states_estimate(self) -> int:

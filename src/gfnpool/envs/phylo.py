@@ -217,8 +217,7 @@ class PhyloEnv(Environment):
         if seen != set(range(self.n_leaves)):
             raise MalformedStateError(f"forest does not cover all leaves: {s!r}")
 
-    def children(self, s: StateKey) -> list:
-        self.validate_key(s)
+    def _children(self, s: StateKey) -> list:
         k = len(s)
         if k == 1:
             return [(self.stop_action, None, True)]
@@ -247,8 +246,7 @@ class PhyloEnv(Environment):
             out.append((parent, pair_action_id(i, j, self.n_leaves)))
         return out
 
-    def is_terminal(self, s: StateKey) -> bool:
-        self.validate_key(s)
+    def _is_terminal(self, s: StateKey) -> bool:
         return len(s) == 1
 
     def site_loglik(self, s: StateKey, site: np.ndarray) -> float:

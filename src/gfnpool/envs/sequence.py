@@ -54,8 +54,7 @@ class SequenceEnv(Environment):
         ):
             raise MalformedStateError(f"not a token sequence: {s!r}")
 
-    def children(self, s: StateKey) -> list:
-        self.validate_key(s)
+    def _children(self, s: StateKey) -> list:
         out = []
         if len(s) < self.max_len:
             out.extend((u, s + (u,), False) for u in range(self.num_tokens))
@@ -68,8 +67,7 @@ class SequenceEnv(Environment):
             raise NoParentsError("empty sequence has no parents")
         return [(s[:-1], s[-1])]
 
-    def is_terminal(self, s: StateKey) -> bool:
-        self.validate_key(s)
+    def _is_terminal(self, s: StateKey) -> bool:
         return True
 
     def log_reward(self, s: StateKey) -> float:
@@ -81,8 +79,7 @@ class SequenceEnv(Environment):
         # per-position one-hot over tokens plus a blank symbol, then length
         return self.max_len * (self.num_tokens + 1) + 1
 
-    def featurize(self, s: StateKey) -> np.ndarray:
-        self.validate_key(s)
+    def _featurize(self, s: StateKey) -> np.ndarray:
         width = self.num_tokens + 1
         out = np.zeros(self.feature_dim)
         for i in range(self.max_len):

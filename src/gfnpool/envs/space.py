@@ -12,9 +12,11 @@ environment is a graded DAG, discovery order is then a topological order
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
-from ..errors import EnumerationGuardError
+from ..errors import EnumerationGuardError, FingerprintMismatchError
 from .base import Environment, StateKey
 
 CHILD_ILLEGAL = -1
@@ -39,6 +41,7 @@ class StateSpace:
         self._logr = np.full(cap, np.nan)
         fd = env.feature_dim
         self._feats = np.zeros((cap, fd)) if fd else None
+        self._featurized = np.zeros(cap, dtype=bool)
         self.complete = False
         self._initial = env.initial_key()
         self.root = self._register(self._initial, depth=0)
@@ -59,10 +62,12 @@ class StateSpace:
         self._terminal = np.concatenate([self._terminal, np.zeros(pad, dtype=bool)])
         self._depth = np.concatenate([self._depth, np.zeros(pad, dtype=np.int64)])
         self._logr = np.concatenate([self._logr, np.full(pad, np.nan)])
+        self._featurized = np.concatenate([self._featurized, np.zeros(pad, dtype=bool)])
         if self._feats is not None:
             self._feats = np.concatenate([self._feats, np.zeros((pad, self._feats.shape[1]))])
 
     def _register(self, key: StateKey, depth: int) -> int:
+        """Add a key the env produced, or one `lookup` has validated."""
         idx = self.index.get(key)
         if idx is not None:
             return idx
@@ -75,10 +80,8 @@ class StateSpace:
         self.keys.append(key)
         self.index[key] = idx
         self._nparents[idx] = 0 if key == self._initial else len(self.env.parents(key))
-        self._terminal[idx] = self.env.is_terminal(key)
+        self._terminal[idx] = self.env._is_terminal(key)
         self._depth[idx] = depth
-        if self._feats is not None:
-            self._feats[idx] = self.env.featurize(key)
         return idx
 
     def lookup(self, key: StateKey) -> int:
@@ -99,7 +102,7 @@ class StateSpace:
 
     def _expand(self, idx: int) -> None:
         depth = int(self._depth[idx]) + 1
-        for action, child, is_stop in self.env.children(self.keys[idx]):
+        for action, child, is_stop in self.env._children(self.keys[idx]):
             self._children[idx, action] = (
                 CHILD_STOP if is_stop else self._register(child, depth)
             )
@@ -128,8 +131,14 @@ class StateSpace:
         return self._depth[idx]
 
     def features(self, idx) -> np.ndarray:
+        """Feature rows, each computed on first use."""
         if self._feats is None:
             return self.env.featurize(self.keys[0])  # raises the env's error
+        idx = np.asarray(idx)
+        missing = idx[~self._featurized[idx]]
+        for i in np.unique(missing):
+            self._feats[i] = self.env._featurize(self.keys[int(i)])
+        self._featurized[missing] = True
         return self._feats[idx]
 
     def log_rewards(self, idx: np.ndarray) -> np.ndarray:
@@ -143,18 +152,78 @@ class StateSpace:
 
     @classmethod
     def enumerated(cls, env: Environment, guard: int = DEFAULT_STATE_GUARD) -> "StateSpace":
+        """Breadth-first enumeration of the whole DAG.
+
+        Every key it visits comes from `env._children`, so it calls the
+        env's unchecked forms; parent counts are in-degrees of the finished
+        child table.
+        """
         est = env.n_states_estimate()
         if est > guard:
             raise EnumerationGuardError(
                 f"{env.kind} has ~{est} states, above the guard of {guard}"
             )
         space = cls(env, guard=guard)
+        keys, index, depth = space.keys, space.index, [0]
+        src: list[int] = []
+        slot: list[int] = []
+        code: list[int] = []
+        children, find = env._children, index.get
         i = 0
-        while i < space.n_states:
-            space._expand(i)
+        while i < len(keys):
+            for action, child, is_stop in children(keys[i]):
+                if is_stop:
+                    c = CHILD_STOP
+                else:
+                    c = find(child)
+                    if c is None:
+                        c = len(keys)
+                        if c >= space.guard:
+                            raise EnumerationGuardError(
+                                f"{env.kind} state space exceeds guard of {space.guard}"
+                            )
+                        keys.append(child)
+                        index[child] = c
+                        depth.append(depth[i] + 1)
+                src.append(i)
+                slot.append(action)
+                code.append(c)
             i += 1
+        n = len(keys)
+        codes = np.array(code, dtype=np.int64)
+        space._children = np.full((n, space.arity), CHILD_ILLEGAL, dtype=np.int64)
+        space._children[src, slot] = codes
+        space._expanded = np.ones(n, dtype=bool)
+        space._nparents = np.bincount(codes[codes >= 0], minlength=n)
+        is_terminal = env._is_terminal
+        space._terminal = np.fromiter((is_terminal(k) for k in keys), dtype=bool, count=n)
+        space._depth = np.array(depth, dtype=np.int64)
+        space._logr = np.full(n, np.nan)
+        if space._feats is not None:
+            space._feats = np.zeros((n, space._feats.shape[1]))
+        space._featurized = np.zeros(n, dtype=bool)
         space.complete = True
         return space
+
+    def for_env(self, env: Environment) -> "StateSpace":
+        """This space if it belongs to `env`; otherwise a view of this
+        complete space for `env`, which must have the same DAG.
+
+        A view shares keys, child table, parent counts, depths and features,
+        and keeps its own reward cache, so clients whose rewards differ can
+        share one enumeration.
+        """
+        if env is self.env:
+            return self
+        self.require_complete()
+        if env.fingerprint() != self.env.fingerprint():
+            raise FingerprintMismatchError(
+                f"space of {self.env.fingerprint()!r} cannot serve environment {env.fingerprint()!r}"
+            )
+        view = copy.copy(self)
+        view.env = env
+        view._logr = np.full(self.n_states, np.nan)
+        return view
 
     def require_complete(self) -> None:
         if not self.complete:

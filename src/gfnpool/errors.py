@@ -58,4 +58,4 @@ class SnapshotError(GfnError):
 
 
 class FingerprintMismatchError(SnapshotError):
-    """A snapshot was loaded against an environment it was not trained on."""
+    """A snapshot or state space was used with an environment of another DAG."""

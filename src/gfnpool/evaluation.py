@@ -117,26 +117,34 @@ def sampled_pT(
     )
 
 
-def product_log_rewards(
-    envs: list[Environment], space: StateSpace, weights=None
-) -> np.ndarray:
-    """Unnormalized sum_n w_n log R_n(x) per state index (nan off-support)."""
-    space.require_complete()
-    w = np.ones(len(envs)) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(envs),) or np.any(w <= 0):
+def terminal_log_rewards(env: Environment, space: StateSpace) -> np.ndarray:
+    """log R(x) of one env at every enumerated terminal, in `terminal_indices` order."""
+    return np.array([env.log_reward(space.keys[i]) for i in space.terminal_indices()])
+
+
+def pooled_log_rewards(space: StateSpace, per_client: list[np.ndarray], weights=None) -> np.ndarray:
+    """Unnormalized sum_n w_n log R_n(x) per state index (nan off-support),
+    from each client's `terminal_log_rewards`, summed in client order."""
+    w = np.ones(len(per_client)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (len(per_client),) or np.any(w <= 0):
         raise ValueError("need one positive weight per reward")
     term = space.terminal_indices()
     out = np.full(space.n_states, np.nan)
     out[term] = 0.0
-    for wn, env in zip(w, envs):
-        out[term] += wn * np.array([env.log_reward(space.keys[i]) for i in term])
+    for wn, vals in zip(w, per_client, strict=True):
+        out[term] += wn * vals
     return out
 
 
-def reward_table(envs: list[Environment], space: StateSpace, weights=None) -> DistributionTable:
-    """Normalized (weighted) product of rewards over enumerated terminals -
-    the ground-truth target for every L1 figure."""
-    log_r = product_log_rewards(envs, space, weights)
+def product_log_rewards(
+    envs: list[Environment], space: StateSpace, weights=None
+) -> np.ndarray:
+    """Unnormalized sum_n w_n log R_n(x) per state index (nan off-support)."""
+    return pooled_log_rewards(space, [terminal_log_rewards(e, space) for e in envs], weights)
+
+
+def target_table(space: StateSpace, log_r: np.ndarray) -> DistributionTable:
+    """Normalize per-state log-rewards over the enumerated terminals."""
     term = space.terminal_indices()
     vals = log_r[term]
     z = _logsumexp(vals)
@@ -148,6 +156,12 @@ def reward_table(envs: list[Environment], space: StateSpace, weights=None) -> Di
     return DistributionTable(
         {space.keys[i]: float(p) for i, p in zip(term, probs)}, provenance="reward-normalized"
     )
+
+
+def reward_table(envs: list[Environment], space: StateSpace, weights=None) -> DistributionTable:
+    """Normalized (weighted) product of rewards over enumerated terminals -
+    the ground-truth target for every L1 figure."""
+    return target_table(space, product_log_rewards(envs, space, weights))
 
 
 def topk_avg_log_reward(source, space: StateSpace, log_r: np.ndarray, k: int, sample_budget: int = 1_000_000) -> float:
@@ -292,11 +306,11 @@ def robustness_bound_check(
     if len(local_policies) != len(client_envs):
         raise ValueError("need one environment per local policy")
     n = len(local_policies)
+    own = [terminal_log_rewards(env, space) for env in client_envs]
     log_pi = []
     term = space.terminal_indices()
-    for env in client_envs:
+    for vals in own:
         arr = np.full(space.n_states, np.nan)
-        vals = np.array([env.log_reward(space.keys[i]) for i in term])
         arr[term] = vals - _logsumexp(vals)
         log_pi.append(arr)
     lo = np.full(n, np.inf)
@@ -312,7 +326,7 @@ def robustness_bound_check(
     betas = np.exp(hi) - 1.0
     degenerate = bool(np.any(~np.isfinite(lo)) or np.any(np.exp(lo) <= 0.0))
     bound = float("inf") if degenerate else float(np.sum(hi - lo))
-    pi = reward_table(client_envs, space)
+    pi = target_table(space, pooled_log_rewards(space, own))
     pi_hat = effective_target(local_policies, space, guard=guard)
     dj = jeffrey(pi, pi_hat)
     return BoundCheckResult(alphas, betas, dj, bound, holds=dj <= bound + 1e-9, degenerate=degenerate)
@@ -394,17 +408,17 @@ class NoisyRewardEnv(Environment):
     def validate_key(self, s):
         self.base.validate_key(s)
 
-    def children(self, s):
-        return self.base.children(s)
+    def _children(self, s):
+        return self.base._children(s)
 
     def parents(self, s):
         return self.base.parents(s)
 
-    def is_terminal(self, s):
-        return self.base.is_terminal(s)
+    def _is_terminal(self, s):
+        return self.base._is_terminal(s)
 
-    def featurize(self, s):
-        return self.base.featurize(s)
+    def _featurize(self, s):
+        return self.base._featurize(s)
 
     def n_states_estimate(self):
         return self.base.n_states_estimate()

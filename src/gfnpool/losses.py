@@ -304,7 +304,7 @@ def ab_loss_batch(policy, space, tb1, tb2, local_policies, weights=None, pair_we
     pf2, c2 = replay_log_pf(policy, space, tb2, want_cache=True)
     delta_global = (pf1 - pb1) - (pf2 - pb2)
     pooled = np.zeros(tb1.batch_size)
-    for w, local in zip(omega, local_policies):
+    for w, local in zip(omega, local_policies, strict=True):
         lf1 = replay_log_pf(local, space, tb1)
         lf2 = replay_log_pf(local, space, tb2)
         pooled += w * ((lf1 - pb1) - (lf2 - pb2))

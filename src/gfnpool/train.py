@@ -80,8 +80,9 @@ def derive_seed(master_seed: int, k: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(k)]).generate_state(1)[0])
 
 
-def build_space(env: Environment, cfg: TrainConfig) -> StateSpace:
-    """Enumerate when feasible; the tabular backend requires it."""
+def build_space(env: Environment, cfg) -> StateSpace:
+    """Enumerate when feasible; the tabular backend requires it. `cfg` is a
+    TrainConfig or an AggregateConfig."""
     try:
         return StateSpace.enumerated(env, cfg.state_guard)
     except EnumerationGuardError:
@@ -168,19 +169,24 @@ def _probe_l1(policy, space, target, mode, samples, rng) -> float:
     return evaluation.l1(approx, target)
 
 
-def train_local(env: Environment, cfg: TrainConfig) -> TrainResult:
+def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = None) -> TrainResult:
     """Run the stated number of epochs of sample -> loss -> AdamW on one
     client's reward, probing L1 against the normalized reward on the
-    configured cadence, and freeze the resulting policy into a snapshot."""
+    configured cadence, and freeze the resulting policy into a snapshot.
+
+    `space`, if given, is the env's state space or a complete one built for
+    another env of the same DAG; training uses its view for `env`.
+    """
     train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.default_rng(train_ss)
     eval_rng = np.random.default_rng(eval_ss)
-    space = build_space(env, cfg)
+    space = build_space(env, cfg) if space is None else space.for_env(env)
     policy = _make_policy(env, space, cfg, np.random.default_rng(init_ss))
     flow = _make_flow(env, space, cfg, np.random.default_rng(init_ss)) if cfg.loss.kind == "DB" else None
     logz = 0.0
     opt = _Optimizer(policy, cfg.loss.kind == "TB", flow, cfg)
-    target = evaluation.reward_table([env], space) if space.complete and cfg.eval_mode != "off" else None
+    probed = cfg.eval_every > 0 and cfg.eval_mode != "off" and space.complete
+    target = evaluation.reward_table([env], space) if probed else None
     half = cfg.batch // 2
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -221,21 +227,45 @@ def train_local(env: Environment, cfg: TrainConfig) -> TrainResult:
 
 
 def _client_worker(job) -> ClientResult:
-    env, cfg = job
+    env, cfg, space = job
     try:
-        res = train_local(env, cfg)
+        res = train_local(env, cfg, space)
         return ClientResult(True, res.snapshot, res.metrics)
     except Exception as exc:  # report per-client, never abort siblings
         return ClientResult(False, None, None, f"{type(exc).__name__}: {exc}")
 
 
+def _enumerate_or_none(env: Environment, guard: int) -> StateSpace | None:
+    """The complete space, or None past the guard; each client then builds
+    its own (lazily for MLP) or reports the guard error."""
+    try:
+        return StateSpace.enumerated(env, guard)
+    except EnumerationGuardError:
+        return None
+
+
 def train_clients(jobs: list[tuple[Environment, TrainConfig]], parallelism: int = 1) -> list[ClientResult]:
     """Train every client, fanning out across processes; output order matches
-    input order and is byte-identical at any parallelism level."""
-    if parallelism <= 1:
-        return [_client_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_client_worker, jobs))
+    input order and is byte-identical at any parallelism level.
+
+    In process, the state space is enumerated once per distinct (DAG, guard)
+    among the jobs, and each client trains on its own view of it. Worker
+    processes enumerate their own: a pickled multiset 10x8 space is ~10 MB
+    and takes a third as long to ship as to build, so shipping one per job
+    saves little.
+    """
+    if parallelism > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            return list(pool.map(_client_worker, [(env, cfg, None) for env, cfg in jobs]))
+    shared: dict[tuple[str, int], StateSpace | None] = {}
+    results = []
+    for env, cfg in jobs:
+        key = (env.fingerprint(), cfg.state_guard)
+        if key not in shared:
+            shared[key] = _enumerate_or_none(env, cfg.state_guard)
+        space = shared[key]
+        results.append(_client_worker((env, cfg, None if space is None else space.for_env(env))))
+    return results
 
 
 def client_configs(base: TrainConfig, master_seed: int, n: int) -> list[TrainConfig]:
@@ -265,11 +295,12 @@ def loss_comparison(
     """Train one model per (loss kind, seed) under otherwise equal settings
     and report epochs-to-threshold per seed."""
     out: dict[str, list[int | None]] = {}
+    space = _enumerate_or_none(env, base.state_guard)
     for kind in kinds:
         rows = []
         for seed in seeds:
             cfg = replace(base, loss=replace(base.loss, kind=kind), seed=seed)
-            res = train_local(env, cfg)
+            res = train_local(env, cfg, space)
             rows.append(epochs_to_threshold(res.metrics, threshold))
         out[kind] = rows
     return out

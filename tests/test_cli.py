@@ -2,12 +2,17 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import gfnpool.aggregate as agg_module
+import gfnpool.cli as cli_module
+from gfnpool import evaluation
 from gfnpool.cli import main
-from gfnpool.config import RunConfig, apply_overrides
+from gfnpool.config import RunConfig, apply_overrides, load_config
+from gfnpool.envs import DEFAULT_STATE_GUARD, MultisetEnv, StateSpace
 from gfnpool.errors import ConfigError
 
 TINY_GRID = {
@@ -145,6 +150,90 @@ def test_sweep_loss_axis(outroot):
     assert main(["sweep", "--config", cfg]) == 0
     rows = read_csv_rows(outroot / "out" / "tinymset" / "sweep.csv")
     assert {r["value"] for r in rows} == {"CB", "TB"}
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+SMALL_SWEEP = [
+    "train.epochs=4",
+    "train.batch=16",
+    "train.eval_every=0",
+    "aggregate.epochs=4",
+    "aggregate.batch=16",
+    "aggregate.eval_every=2",
+    "sweep.axis=clients",
+    "sweep.seeds=[1]",
+]
+
+
+@pytest.mark.parametrize(
+    "config, extra, values",
+    [
+        ("multiset.yaml", ["env.multiset.dict_size=3", "env.multiset.target_size=2"], [2, 7]),
+        ("phylo.yaml", ["env.phylo.sites=40"], [2, 4]),
+    ],
+)
+def test_sweep_clients_trains_and_pools_value_clients(outroot, monkeypatch, config, extra, values):
+    jobs_seen, snaps_seen = [], []
+    train, aggregate = cli_module.train_clients, agg_module.aggregate_ab
+
+    def counted_train(jobs, parallelism=1):
+        jobs_seen.append(len(jobs))
+        return train(jobs, parallelism=parallelism)
+
+    def counted_aggregate(env, snapshots, cfg, **kw):
+        snaps_seen.append(len(snapshots))
+        return aggregate(env, snapshots, cfg, **kw)
+
+    monkeypatch.setattr(cli_module, "train_clients", counted_train)
+    monkeypatch.setattr(agg_module, "aggregate_ab", counted_aggregate)
+    sets = SMALL_SWEEP + extra + [f"sweep.values={values}"]
+    argv = ["sweep", "--config", str(CONFIGS / config)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert jobs_seen == values and snaps_seen == values
+    out = outroot / "out" / load_config(CONFIGS / config)["name"]
+    assert not (out / "sweep_errors.json").exists()
+    assert {int(r["value"]) for r in read_csv_rows(out / "sweep.csv")} == set(values)
+
+
+def test_one_enumeration_and_one_reward_pass_per_command(outroot, monkeypatch):
+    doc = json.loads(json.dumps(TINY_MULTISET))
+    doc["train"]["eval_every"] = 0
+    doc["aggregate"]["eval_every"] = 0
+    cfg = write_cfg(outroot, doc)
+    envs = RunConfig(doc).client_envs()
+    n_terminals = StateSpace.enumerated(envs[0]).terminal_indices().size
+    counts = {"enumerated": 0, "reward_table": 0, "log_reward": 0}
+    enumerate_ = StateSpace.enumerated.__func__
+    reward_table, log_reward = evaluation.reward_table, MultisetEnv.log_reward
+
+    def counted_enumerate(cls, env, guard=DEFAULT_STATE_GUARD):
+        counts["enumerated"] += 1
+        return enumerate_(cls, env, guard)
+
+    def counted_table(*args, **kw):
+        counts["reward_table"] += 1
+        return reward_table(*args, **kw)
+
+    def counted_reward(self, s):
+        counts["log_reward"] += 1
+        return log_reward(self, s)
+
+    monkeypatch.setattr(StateSpace, "enumerated", classmethod(counted_enumerate))
+    monkeypatch.setattr(evaluation, "reward_table", counted_table)
+    monkeypatch.setattr(MultisetEnv, "log_reward", counted_reward)
+    seen = {}
+    for command in ("train-clients", "aggregate", "evaluate"):
+        counts.update(enumerated=0, reward_table=0, log_reward=0)
+        assert main([command, "--config", cfg]) == 0
+        seen[command] = dict(counts)
+    assert [seen[c]["enumerated"] for c in seen] == [1, 1, 1]
+    assert seen["train-clients"]["reward_table"] == 0
+    assert seen["aggregate"]["reward_table"] == 0
+    assert seen["aggregate"]["log_reward"] == 0
+    assert seen["evaluate"]["log_reward"] == len(envs) * n_terminals
 
 
 def test_identity_checks_pass(outroot, capsys):

@@ -12,6 +12,7 @@ from gfnpool.envs import (
 )
 from gfnpool.errors import (
     EnumerationGuardError,
+    FingerprintMismatchError,
     MalformedStateError,
     NoParentsError,
     NotTerminalError,
@@ -59,6 +60,11 @@ def test_enumeration_topological_and_unique(fixture, request):
         row = space.children_rows(np.array([i]))[0]
         for code in row[row >= 0]:
             assert space.depth(int(code)) == space.depth(i) + 1
+    # parent counts from the child table agree with the env's own parents()
+    assert space.nparents(space.root) == 0
+    for i in range(space.n_states):
+        if i != space.root:
+            assert space.nparents(i) == len(env.parents(space.keys[i]))
 
 
 @pytest.mark.parametrize("fixture", ALL_ENV_FIXTURES)
@@ -111,6 +117,59 @@ def test_grid_malformed_keys():
     for bad in [(3, 0), (0,), ("a", 1), (0, -1), [0, 0]]:
         with pytest.raises(MalformedStateError):
             env.children(bad)
+
+
+MALFORMED_KEYS = {
+    "mset33": [(0, 0), (-1, 0, 0), (2, 1, 1), [1, 0, 0], (0.5, 0, 0), "abc"],
+    "seq22": [(0, 0, 0), (2,), (-1,), [0], ("a",), 7],
+    "phylo4": [
+        ("0", "1", "2"),  # a leaf is missing
+        ("1", "0", "2", "3"),  # forest not sorted
+        ("(1,0)", "2", "3"),  # tree not canonical
+        ("0", "0", "1", "2", "3"),  # duplicated leaf
+        ("(0,1", "2", "3"),  # unbalanced
+        (),
+        ["0", "1", "2", "3"],
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MALFORMED_KEYS))
+def test_public_methods_validate_keys(fixture, request):
+    env = request.getfixturevalue(fixture)
+    for bad in MALFORMED_KEYS[fixture]:
+        for method in (env.children, env.is_terminal, env.featurize):
+            with pytest.raises(MalformedStateError):
+                method(bad)
+
+
+def test_space_views_share_structure_not_rewards():
+    a = MultisetEnv(values=(0.1, 0.5, 0.9), target_size=3)
+    b = MultisetEnv(values=(0.7, 0.2, 0.4), target_size=3)
+    space = StateSpace.enumerated(a)
+    term = space.terminal_indices()
+    view = space.for_env(b)
+    assert space.for_env(a) is space
+    assert view.keys is space.keys and view.index is space.index
+    every = np.arange(space.n_states)
+    assert np.array_equal(view.children_rows(every), space.children_rows(every))
+    assert np.array_equal(view.nparents(every), space.nparents(every))
+    got_b = view.log_rewards(term)  # fill the view's cache first
+    got_a = space.log_rewards(term)
+    assert np.array_equal(got_b, [b.log_reward(space.keys[i]) for i in term])
+    assert np.array_equal(got_a, [a.log_reward(space.keys[i]) for i in term])
+    assert not np.array_equal(got_a, got_b)
+
+
+def test_space_view_rejects_other_dag():
+    space = StateSpace.enumerated(MultisetEnv(values=(0.1, 0.5, 0.9), target_size=3))
+    with pytest.raises(FingerprintMismatchError):
+        space.for_env(MultisetEnv(values=(0.1, 0.5, 0.9), target_size=4))
+    with pytest.raises(FingerprintMismatchError):
+        space.for_env(GridEnv(side=3, beacons=((1, 1),)))
+    lazy = StateSpace(MultisetEnv(values=(0.1, 0.5, 0.9), target_size=3))
+    with pytest.raises(EnumerationGuardError):
+        lazy.for_env(MultisetEnv(values=(0.3, 0.2, 0.1), target_size=3))
 
 
 # -- multiset -----------------------------------------------------------------

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from gfnpool.envs import MultisetEnv, PhyloEnv, random_topology, simulate_sites, split_sites
+from gfnpool.envs import (
+    DEFAULT_STATE_GUARD,
+    MultisetEnv,
+    PhyloEnv,
+    StateSpace,
+    random_topology,
+    simulate_sites,
+    split_sites,
+)
 from gfnpool.evaluation import exact_pT, l1, reward_table
 from gfnpool.losses import LossSpec
 from gfnpool.policy import load_snapshot
@@ -93,6 +101,28 @@ def test_parallelism_does_not_change_bytes(mset33):
     assert [m["loss"] for r in seq for m in r.metrics] == [
         m["loss"] for r in par for m in r.metrics
     ]
+
+
+def test_clients_share_one_enumeration(monkeypatch):
+    gen = np.random.default_rng(8)
+    envs = [MultisetEnv(values=tuple(gen.uniform(0, 1, 3)), target_size=3) for _ in range(3)]
+    cfgs = client_configs(small_cfg(epochs=40), master_seed=12, n=3)
+    alone = [train_local(e, c) for e, c in zip(envs, cfgs, strict=True)]
+    enumerate_ = StateSpace.enumerated.__func__
+    calls = []
+
+    def counted(cls, env, guard=DEFAULT_STATE_GUARD):
+        calls.append(env)
+        return enumerate_(cls, env, guard)
+
+    monkeypatch.setattr(StateSpace, "enumerated", classmethod(counted))
+    jobs = list(zip(envs, cfgs, strict=True))
+    shared = train_clients(jobs, parallelism=1)
+    assert len(calls) == 1
+    pooled = train_clients(jobs, parallelism=2)
+    for a, r1, r2 in zip(alone, shared, pooled, strict=True):
+        assert r1.snapshot == r2.snapshot == a.snapshot
+        assert [m["loss"] for m in r1.metrics] == [m["loss"] for m in a.metrics]
 
 
 def test_derive_seed_deterministic_and_distinct():
