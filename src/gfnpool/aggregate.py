@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import json
-import time
 from dataclasses import dataclass
 from math import lgamma
 
@@ -21,19 +20,10 @@ import numpy as np
 from . import evaluation
 from .envs.base import Environment
 from .envs.space import DEFAULT_STATE_GUARD, StateSpace
-from .errors import NumericError, SnapshotError, UnsupportedLossError
+from .errors import SnapshotError, UnsupportedLossError
 from .losses import ab_loss_batch
-from .nn import AdamWState, ParamGroup, adamw_step
-from .policy import (
-    ForwardPolicy,
-    MlpPolicy,
-    ProductPolicy,
-    TabularPolicy,
-    load_snapshot,
-    sample_batch,
-    save_snapshot,
-)
-from .train import build_space
+from .policy import ForwardPolicy, ProductPolicy, load_snapshot, sample_batch, save_snapshot
+from .train import build_space, check_fit_settings, fit
 
 
 @dataclass(frozen=True)
@@ -50,14 +40,10 @@ class AggregateConfig:
     eval_every: int = 100
     eval_mode: str = "auto"
     eval_samples: int = 100_000
-    clip_norm: float | None = None
     state_guard: int = DEFAULT_STATE_GUARD
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch < 2:
-            raise ValueError("need epochs >= 1 and batch >= 2")
-        if self.backend not in ("tabular", "mlp"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        check_fit_settings(self)
         if self.weights is not None and any(w <= 0 for w in self.weights):
             raise ValueError("pooling weights must be positive")
 
@@ -84,53 +70,24 @@ def aggregate_ab(
     space: StateSpace | None = None,
 ) -> AggregateResult:
     """Train a fresh global policy by minimizing the aggregating-balance loss
-    over trajectory pairs from the exploration mixture. Local rewards are
-    never evaluated; `eval_target`, if given, only feeds the L1 probes.
+    over trajectory pairs from the exploration mixture, delegating the loop
+    to `fit`. Local rewards are never evaluated: batches are sampled without
+    terminal rewards, and `eval_target`, if given, only feeds the L1 probes.
     `space`, if given, is the env's state space (or a complete one of the
     same DAG) and is used instead of enumerating again."""
     space = build_space(env, cfg) if space is None else space.for_env(env)
     locals_ = load_local_policies(env, snapshots, space)
     if cfg.weights is not None and len(cfg.weights) != len(locals_):
         raise ValueError("need one pooling weight per snapshot")
-    train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng = np.random.default_rng(train_ss)
-    eval_rng = np.random.default_rng(eval_ss)
-    if cfg.backend == "tabular":
-        policy: ForwardPolicy = TabularPolicy(space)
-    else:
-        policy = MlpPolicy.create(env, cfg.hidden, np.random.default_rng(init_ss))
-    opt = AdamWState(
-        [ParamGroup("policy", policy.n_params, weight_decay=0.0 if policy.no_decay else cfg.weight_decay)],
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm,
-    )
     half = cfg.batch // 2
-    metrics: list[dict] = []
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        tb = sample_batch(policy, space, 2 * half, cfg.epsilon, rng, compute_rewards=False)
-        loss, grads = ab_loss_batch(
-            policy,
-            space,
-            tb.subset(slice(0, half)),
-            tb.subset(slice(half, 2 * half)),
-            locals_,
-            cfg.weights,
-        )
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite aggregation loss at epoch {epoch}")
-        policy.set_params(adamw_step(opt, policy.get_params(), grads["policy"]))
-        l1_val = float("nan")
-        if cfg.eval_every and eval_target is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            if cfg.eval_mode == "sampled" or (cfg.eval_mode == "auto" and not space.complete):
-                approx = evaluation.sampled_pT(policy, space, cfg.eval_samples, eval_rng)
-            else:
-                approx = evaluation.exact_pT(policy, space)
-            l1_val = evaluation.l1(approx, eval_target)
-        metrics.append(
-            {"epoch": epoch, "loss": float(loss), "l1": l1_val, "wall_ms": (time.perf_counter() - t0) * 1e3}
-        )
+
+    def ab_loss_fn(model, tb):
+        pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
+        return ab_loss_batch(model.policy, space, *pairs, locals_, cfg.weights)
+
+    model, metrics = fit(
+        env, space, cfg, ab_loss_fn, batch=2 * half, epsilon=cfg.epsilon, rewards=False, target=eval_target
+    )
     meta = {
         "role": "global",
         "n_locals": len(locals_),
@@ -138,7 +95,7 @@ def aggregate_ab(
         "epochs": cfg.epochs,
         "seed": cfg.seed,
     }
-    return AggregateResult(save_snapshot(policy, env, meta=meta), metrics, policy, space)
+    return AggregateResult(save_snapshot(model.policy, env, meta=meta), metrics, model.policy, space)
 
 
 # ---------------------------------------------------------------------------

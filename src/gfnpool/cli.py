@@ -65,7 +65,7 @@ def _read_manifest(path: Path) -> tuple[list[bytes], list[float]]:
 
 def _probe_target(envs, space, cfg) -> evaluation.DistributionTable | None:
     """The product target, built only when aggregation probes will read it."""
-    if cfg.eval_every <= 0 or not space.complete:
+    if cfg.eval_every <= 0 or cfg.eval_mode == "off" or not space.complete:
         return None
     return evaluation.reward_table(envs, space, cfg.weights)
 

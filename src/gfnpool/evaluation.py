@@ -43,8 +43,11 @@ class DistributionTable:
 
 
 def l1(p: DistributionTable, q: DistributionTable) -> float:
-    keys = set(p.probs) | set(q.probs)
-    return float(sum(abs(p.probs.get(k, 0.0) - q.probs.get(k, 0.0)) for k in keys))
+    """Summed over p's keys in insertion order, then over the keys only q
+    has, so the result does not depend on string hashing."""
+    terms = [abs(pv - q.probs.get(k, 0.0)) for k, pv in p.probs.items()]
+    terms += [abs(qv) for k, qv in q.probs.items() if k not in p.probs]
+    return float(sum(terms))
 
 
 def kl(p: DistributionTable, q: DistributionTable) -> float:

@@ -1,10 +1,11 @@
 """Dense-network substrate: flat-parameter MLPs with hand-rolled reverse-mode
 gradients, plus the AdamW update rule.
 
-Everything is float64 and functional: forward/backward never mutate inputs,
-and the optimizer returns a fresh parameter vector. Parameters live in a
-single flat array laid out layer-major (weight matrix row-major, then bias,
-for each layer in order), so snapshots and parameter averaging are trivial.
+Everything is float64. Forward/backward never mutate their inputs; the
+optimizer updates the parameter vector and its moments in place. Parameters
+live in a single flat array laid out layer-major (weight matrix row-major,
+then bias, for each layer in order), so snapshots and parameter averaging are
+trivial.
 """
 
 from __future__ import annotations
@@ -135,10 +136,10 @@ class AdamWState:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    clip_norm: float | None = None
     step: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
+    scratch: np.ndarray = field(init=False, repr=False)  # two rows of workspace for adamw_step
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -146,6 +147,7 @@ class AdamWState:
         n = sum(g.size for g in self.groups)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
+        self.scratch = np.empty((2, n))
 
     @property
     def n_params(self) -> int:
@@ -160,26 +162,38 @@ class AdamWState:
 
 
 def adamw_step(state: AdamWState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One AdamW update; mutates the moment state, returns new parameters."""
+    """One AdamW update in place: mutates the moments and `params`, and
+    returns `params`. It allocates no parameter-sized temporaries. Per group,
+    the decoupled decay is taken from the parameters before the Adam step
+    and subtracted after it."""
     if params.shape != (state.n_params,) or grad.shape != (state.n_params,):
         raise ValueError("parameter/gradient shape does not match optimizer state")
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient passed to adamw_step")
-    if state.clip_norm is not None:
-        norm = float(np.linalg.norm(grad))
-        if norm > state.clip_norm:
-            grad = grad * (state.clip_norm / norm)
     state.step += 1
     t = state.step
-    state.m = state.beta1 * state.m + (1 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
-    mhat = state.m / (1 - state.beta1**t)
-    vhat = state.v / (1 - state.beta2**t)
-    new = params.copy()
+    m, v, (a, b) = state.m, state.v, state.scratch
+    np.multiply(grad, 1 - state.beta1, out=a)
+    m *= state.beta1
+    m += a
+    np.multiply(grad, 1 - state.beta2, out=a)
+    a *= grad
+    v *= state.beta2
+    v += a
+    c1, c2 = 1 - state.beta1**t, 1 - state.beta2**t
     for g, sl in state.group_slices():
         lr = state.lr if g.lr is None else g.lr
         wd = state.weight_decay if g.weight_decay is None else g.weight_decay
-        new[sl] -= lr * mhat[sl] / (np.sqrt(vhat[sl]) + state.eps)
+        p, step, denom = params[sl], a[sl], b[sl]
+        np.divide(v[sl], c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m[sl], c1, out=step)
+        step *= lr
+        step /= denom
         if wd:
-            new[sl] -= lr * wd * params[sl]
-    return new
+            np.multiply(p, lr * wd, out=denom)
+        p -= step
+        if wd:
+            p -= denom
+    return params

@@ -1,9 +1,12 @@
-"""Local-client training: batched sampling, loss gradients, AdamW updates,
-metric logging, and the embarrassingly parallel fan-out over clients."""
+"""Training: the one `fit` loop that clients and the server share (batched
+sampling, a loss closure, in-place AdamW over one flat parameter buffer,
+metric logging), local-client training on top of it, and the embarrassingly
+parallel fan-out over clients."""
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,9 +27,22 @@ from .losses import (
     vl_loss_batch,
 )
 from .nn import AdamWState, ParamGroup, adamw_step
-from .policy import MlpPolicy, TabularPolicy, sample_batch, save_snapshot
+from .policy import MlpPolicy, TabularPolicy, TrajectoryBatch, sample_batch, save_snapshot
 
 LOCAL_LOSS_KINDS = ("TB", "DB", "DBC", "CB", "VL")
+
+
+def check_fit_settings(cfg) -> None:
+    """The settings `fit` reads, validated the same way for a TrainConfig
+    and an AggregateConfig."""
+    if cfg.epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if cfg.batch < 2:
+        raise ValueError("batch must be >= 2 (pair losses halve it)")
+    if cfg.backend not in ("tabular", "mlp"):
+        raise ValueError(f"unknown backend {cfg.backend!r}")
+    if cfg.eval_mode not in ("auto", "exact", "sampled", "off"):
+        raise ValueError(f"unknown eval mode {cfg.eval_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -42,18 +58,10 @@ class TrainConfig:
     eval_every: int = 100  # 0 disables periodic probes
     eval_mode: str = "auto"  # auto | exact | sampled | off
     eval_samples: int = 100_000
-    clip_norm: float | None = None
     state_guard: int = DEFAULT_STATE_GUARD
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch < 2:
-            raise ValueError("batch must be >= 2 (pair losses halve it)")
-        if self.backend not in ("tabular", "mlp"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.eval_mode not in ("auto", "exact", "sampled", "off"):
-            raise ValueError(f"unknown eval mode {self.eval_mode!r}")
+        check_fit_settings(self)
         if self.loss.kind not in LOCAL_LOSS_KINDS:
             raise ValueError(f"local training supports {LOCAL_LOSS_KINDS}, not {self.loss.kind}")
 
@@ -91,139 +99,132 @@ def build_space(env: Environment, cfg) -> StateSpace:
         return StateSpace(env, guard=cfg.state_guard)
 
 
-def _make_policy(env, space, cfg: TrainConfig, rng: np.random.Generator):
-    if cfg.backend == "tabular":
-        return TabularPolicy(space)
-    return MlpPolicy.create(env, cfg.hidden, rng)
+class Model:
+    """One run's trainable blocks as views into one flat parameter buffer:
+    the policy, then log Z and the flow when the loss has them, with one
+    AdamW group each. AdamW updates `params` in place, so the blocks always
+    hold the current values."""
+
+    def __init__(self, env, space, cfg, init_ss, logz_lr: float | None = None, flow: bool = False):
+        tabular = cfg.backend == "tabular"
+        if tabular:
+            policy, net = TabularPolicy(space), TabularFlow(space) if flow else None
+        else:  # each MLP block draws its weights from the start of the init stream
+            policy = MlpPolicy.create(env, cfg.hidden, np.random.default_rng(init_ss))
+            net = MlpFlow.create(env, cfg.hidden, np.random.default_rng(init_ss)) if flow else None
+
+        def decay(block):
+            return 0.0 if block.no_decay else cfg.weight_decay
+
+        self.groups = [ParamGroup("policy", policy.n_params, weight_decay=decay(policy))]
+        init = [policy.get_params()]
+        if logz_lr is not None:
+            self.groups.append(ParamGroup("logz", 1, lr=logz_lr, weight_decay=0.0))
+            init.append(np.zeros(1))
+        if net is not None:
+            self.groups.append(ParamGroup("flow", net.n_params, weight_decay=decay(net)))
+            init.append(net.get_params())
+        self.params = np.concatenate(init)
+        views = np.split(self.params, np.cumsum([g.size for g in self.groups])[:-1])
+        self._logz = views[1] if logz_lr is not None else None
+        if tabular:
+            self.policy = TabularPolicy(space, views[0].reshape(policy.table.shape))
+            self.flow = None if net is None else TabularFlow(space, views[-1])
+        else:
+            self.policy = MlpPolicy(policy.spec, views[0])
+            self.flow = None if net is None else MlpFlow(net.spec, views[-1])
+
+    @property
+    def logz(self) -> float:
+        return 0.0 if self._logz is None else float(self._logz[0])
 
 
-def _make_flow(env, space, cfg: TrainConfig, rng: np.random.Generator):
-    if cfg.backend == "tabular":
-        return TabularFlow(space)
-    return MlpFlow.create(env, cfg.hidden, rng)
+def fit(
+    env: Environment,
+    space: StateSpace,
+    cfg,
+    loss_fn: Callable[[Model, TrajectoryBatch], tuple[float, dict]],
+    *,
+    batch: int,
+    epsilon: float,
+    rewards: bool = True,
+    target: evaluation.DistributionTable | None = None,
+    logz_lr: float | None = None,
+    flow: bool = False,
+) -> tuple[Model, list[dict]]:
+    """The training loop that clients and the server share.
 
-
-class _Optimizer:
-    """Flat-vector AdamW over the trainable blocks of one model."""
-
-    def __init__(self, policy, logz_used: bool, flow, cfg: TrainConfig):
-        self.policy = policy
-        self.flow = flow
-        self.logz_used = logz_used
-        groups = [
-            ParamGroup(
-                "policy",
-                policy.n_params,
-                weight_decay=0.0 if policy.no_decay else cfg.weight_decay,
-            )
-        ]
-        if logz_used:
-            groups.append(ParamGroup("logz", 1, lr=cfg.loss.logz_lr, weight_decay=0.0))
-        if flow is not None:
-            groups.append(
-                ParamGroup(
-                    "flow",
-                    flow.n_params,
-                    weight_decay=0.0 if flow.no_decay else cfg.weight_decay,
-                )
-            )
-        self.state = AdamWState(groups, lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
-
-    def pack(self, logz: float) -> np.ndarray:
-        parts = [self.policy.get_params()]
-        if self.logz_used:
-            parts.append(np.array([logz]))
-        if self.flow is not None:
-            parts.append(self.flow.get_params())
-        return np.concatenate(parts)
-
-    def pack_grads(self, grads: dict) -> np.ndarray:
-        parts = [grads["policy"]]
-        if self.logz_used:
-            parts.append(np.array([grads.get("logz", 0.0)]))
-        if self.flow is not None:
-            parts.append(grads["flow"])
-        return np.concatenate(parts)
-
-    def step(self, logz: float, grads: dict) -> float:
-        flat = adamw_step(self.state, self.pack(logz), self.pack_grads(grads))
-        n = self.policy.n_params
-        self.policy.set_params(flat[:n])
-        if self.logz_used:
-            logz = float(flat[n])
-            n += 1
-        if self.flow is not None:
-            self.flow.set_params(flat[n:])
-        return logz
-
-
-def _probe_l1(policy, space, target, mode, samples, rng) -> float:
-    if target is None or mode == "off":
-        return float("nan")
-    if mode == "sampled" or (mode == "auto" and not space.complete):
-        if not space.complete:
-            return float("nan")
-        approx = evaluation.sampled_pT(policy, space, samples, rng)
-    else:
-        approx = evaluation.exact_pT(policy, space)
-    return evaluation.l1(approx, target)
-
-
-def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = None) -> TrainResult:
-    """Run the stated number of epochs of sample -> loss -> AdamW on one
-    client's reward, probing L1 against the normalized reward on the
-    configured cadence, and freeze the resulting policy into a snapshot.
-
-    `space`, if given, is the env's state space or a complete one built for
-    another env of the same DAG; training uses its view for `env`.
+    `cfg` is a TrainConfig or an AggregateConfig; its seed spawns the
+    training, evaluation and initialisation streams. Each epoch samples
+    `batch` trajectories from the epsilon-mixture of the current policy
+    (with terminal rewards only if `rewards`), takes `loss_fn(model, batch)`
+    -> (loss, gradient per AdamW group name), and makes one AdamW step. On
+    the `eval_every` cadence and at the last epoch it probes the L1 to
+    `target`: NaN without a target or with eval mode "off", sampled in mode
+    "sampled" or on an incomplete space, exact otherwise. `logz_lr` adds a
+    log Z group and `flow` a state-flow block. Returns the model and one
+    metrics row per epoch.
     """
     train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.default_rng(train_ss)
     eval_rng = np.random.default_rng(eval_ss)
-    space = build_space(env, cfg) if space is None else space.for_env(env)
-    policy = _make_policy(env, space, cfg, np.random.default_rng(init_ss))
-    flow = _make_flow(env, space, cfg, np.random.default_rng(init_ss)) if cfg.loss.kind == "DB" else None
-    logz = 0.0
-    opt = _Optimizer(policy, cfg.loss.kind == "TB", flow, cfg)
-    probed = cfg.eval_every > 0 and cfg.eval_mode != "off" and space.complete
-    target = evaluation.reward_table([env], space) if probed else None
-    half = cfg.batch // 2
+    model = Model(env, space, cfg, init_ss, logz_lr, flow)
+    opt = AdamWState(model.groups, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    grad = np.empty(opt.n_params)
+    probed = cfg.eval_every > 0 and cfg.eval_mode != "off" and target is not None
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        tb = sample_batch(policy, space, cfg.batch, cfg.loss.epsilon, rng)
-        kind = cfg.loss.kind
-        if kind == "TB":
-            loss, grads = tb_loss_batch(policy, space, tb, logz)
-        elif kind == "CB":
-            loss, grads = cb_loss_batch(
-                policy, space, tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
-            )
-        elif kind == "VL":
-            loss, grads = vl_loss_batch(policy, space, tb)
-        elif kind == "DB":
-            loss, grads = db_loss_batch(policy, flow, space, tb)
-        else:  # DBC
-            loss, grads = dbc_loss_batch(policy, space, tb)
+        tb = sample_batch(model.policy, space, batch, epsilon, rng, compute_rewards=rewards)
+        loss, grads = loss_fn(model, tb)
         if not np.isfinite(loss):
-            raise NumericError(
-                f"non-finite {kind} loss at epoch {epoch} (seed {cfg.seed}, env {env.fingerprint()})"
-            )
-        logz = opt.step(logz, grads)
+            raise NumericError(f"non-finite loss at epoch {epoch} (seed {cfg.seed}, env {env.fingerprint()})")
+        for g, sl in opt.group_slices():
+            grad[sl] = grads[g.name]
+        adamw_step(opt, model.params, grad)
         l1_val = float("nan")
-        if cfg.eval_every and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            l1_val = _probe_l1(policy, space, target, cfg.eval_mode, cfg.eval_samples, eval_rng)
-        metrics.append(
-            {
-                "epoch": epoch,
-                "loss": float(loss),
-                "l1": l1_val,
-                "wall_ms": (time.perf_counter() - t0) * 1e3,
-            }
-        )
-    meta = {"loss": cfg.loss.kind, "epochs": cfg.epochs, "seed": cfg.seed, "role": "client"}
-    snapshot = save_snapshot(policy, env, meta=meta)
-    return TrainResult(snapshot, metrics, policy, space, logz)
+        if probed and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+            if cfg.eval_mode == "sampled" or not space.complete:
+                approx = evaluation.sampled_pT(model.policy, space, cfg.eval_samples, eval_rng)
+            else:
+                approx = evaluation.exact_pT(model.policy, space)
+            l1_val = evaluation.l1(approx, target)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        metrics.append({"epoch": epoch, "loss": float(loss), "l1": l1_val, "wall_ms": wall_ms})
+    return model, metrics
+
+
+def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = None) -> TrainResult:
+    """Train one client's policy on its own reward with the configured local
+    loss, delegating the loop to `fit`, and freeze it into a snapshot. L1
+    probes compare against the client's normalized reward.
+
+    `space`, if given, is the env's state space or a complete one built for
+    another env of the same DAG; training uses its view for `env`.
+    """
+    space = build_space(env, cfg) if space is None else space.for_env(env)
+    probed = cfg.eval_every > 0 and cfg.eval_mode != "off" and space.complete
+    target = evaluation.reward_table([env], space) if probed else None
+    kind, half = cfg.loss.kind, cfg.batch // 2
+
+    def loss_fn(model, tb):
+        if kind == "TB":
+            return tb_loss_batch(model.policy, space, tb, model.logz)
+        if kind == "CB":
+            return cb_loss_batch(model.policy, space, tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half)))
+        if kind == "VL":
+            return vl_loss_batch(model.policy, space, tb)
+        if kind == "DB":
+            return db_loss_batch(model.policy, model.flow, space, tb)
+        return dbc_loss_batch(model.policy, space, tb)
+
+    model, metrics = fit(
+        env, space, cfg, loss_fn, batch=cfg.batch, epsilon=cfg.loss.epsilon, target=target,
+        logz_lr=cfg.loss.logz_lr if kind == "TB" else None, flow=kind == "DB",
+    )
+    meta = {"loss": kind, "epochs": cfg.epochs, "seed": cfg.seed, "role": "client"}
+    snapshot = save_snapshot(model.policy, env, meta=meta)
+    return TrainResult(snapshot, metrics, model.policy, space, model.logz)
 
 
 def _client_worker(job) -> ClientResult:

@@ -162,6 +162,25 @@ def test_aggregation_requires_snapshots_and_matching_weights(grid3, grid3_space,
         aggregate_ab(grid3, [snap], AggregateConfig(epochs=10, batch=16, seed=1, weights=(1.0, 2.0)))
 
 
+def test_aggregation_eval_mode_off_never_probes(grid3, grid3_space, rng, monkeypatch):
+    import gfnpool.evaluation as evaluation_module
+
+    calls = []
+    real = evaluation_module.exact_pT
+    monkeypatch.setattr(evaluation_module, "exact_pT", lambda *a, **k: calls.append(1) or real(*a, **k))
+    snap = save_snapshot(random_tabular(grid3_space, rng), grid3)
+    target = reward_table([grid3], grid3_space)
+    cfg = AggregateConfig(epochs=5, batch=16, seed=1, eval_every=1, eval_mode="off")
+    res = aggregate_ab(grid3, [snap], cfg, eval_target=target, space=grid3_space)
+    assert calls == []
+    assert all(np.isnan(r["l1"]) for r in res.metrics)
+
+
+def test_aggregate_config_rejects_unknown_eval_mode():
+    with pytest.raises(ValueError, match="eval mode"):
+        AggregateConfig(epochs=10, batch=16, seed=1, eval_mode="bogus")
+
+
 # -- FedAvg -------------------------------------------------------------------
 
 

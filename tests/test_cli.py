@@ -121,6 +121,15 @@ def test_weights_flag_must_match_count(outroot, capsys):
     assert main(["aggregate", "--config", cfg, "--weights", "1,2,3"]) == 2
 
 
+def test_aggregate_unknown_eval_mode_is_config_error(outroot, capsys):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    capsys.readouterr()
+    assert main(["aggregate", "--config", cfg, "--set", "aggregate.eval_mode=bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "aggregate" in err and "eval mode" in err
+
+
 def test_enumeration_guard_exit_code(outroot):
     cfg = write_cfg(outroot, TINY_MULTISET)
     rc = main(["train-local", "--config", cfg, "--client", "0", "--set", "train.state_guard=3"])

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import gfnpool
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.errors import EnumerationGuardError
@@ -346,3 +353,29 @@ def test_noisy_wrap_trains_like_an_env(rng):
     space = StateSpace.enumerated(noisy)
     pol = balanced_tabular_policy(space)
     assert l1(exact_pT(pol, space), reward_table([noisy], space)) <= 1e-10
+
+
+L1_PHYLO_SCRIPT = """
+import numpy as np
+from gfnpool.envs import PhyloEnv, StateSpace, random_topology, simulate_sites
+from gfnpool.evaluation import exact_pT, l1, reward_table
+from gfnpool.policy import TabularPolicy
+gen = np.random.default_rng(11)
+sites = simulate_sites(random_topology(5, gen), 5, 30, mu=1.0, b=0.1, rng=gen)
+env = PhyloEnv(n_leaves=5, sites=sites, branch_length=0.1, mu=1.0, gamma=1.0, n_clients=1)
+space = StateSpace.enumerated(env)
+pol = TabularPolicy(space, np.random.default_rng(0).normal(0, 1, (space.n_states, space.arity)))
+print(repr(l1(exact_pT(pol, space), reward_table([env], space))))
+"""
+
+
+def test_l1_does_not_depend_on_string_hashing():
+    # phylo keys are strings, whose hashes Python salts per process
+    src = str(Path(gfnpool.__file__).resolve().parents[1])
+    outs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        cmd = [sys.executable, "-c", L1_PHYLO_SCRIPT]
+        run = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+        outs.add(run.stdout.strip())
+    assert len(outs) == 1
