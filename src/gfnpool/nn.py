@@ -139,7 +139,7 @@ class AdamWState:
     step: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
-    scratch: np.ndarray = field(init=False, repr=False)  # two rows of workspace for adamw_step
+    workspace: np.ndarray = field(init=False, repr=False)  # two rows of temporaries for adamw_step
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -147,7 +147,7 @@ class AdamWState:
         n = sum(g.size for g in self.groups)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
-        self.scratch = np.empty((2, n))
+        self.workspace = np.empty((2, n))
 
     @property
     def n_params(self) -> int:
@@ -172,7 +172,7 @@ def adamw_step(state: AdamWState, params: np.ndarray, grad: np.ndarray) -> np.nd
         raise NumericError("non-finite gradient passed to adamw_step")
     state.step += 1
     t = state.step
-    m, v, (a, b) = state.m, state.v, state.scratch
+    m, v, (a, b) = state.m, state.v, state.workspace
     np.multiply(grad, 1 - state.beta1, out=a)
     m *= state.beta1
     m += a
