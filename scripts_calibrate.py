@@ -47,7 +47,7 @@ def pipeline(envs, tcfg, acfg, master=11, parallelism=2):
     final = [r["l1"] for r in res.metrics if np.isfinite(r["l1"])][-1]
     locals_l1 = []
     for env, r in zip(envs, results):
-        pol, _, _ = load_snapshot(r.snapshot, envs[0], space)
+        pol, _ = load_snapshot(r.snapshot, envs[0], space)
         locals_l1.append(ev.l1(ev.exact_pT(pol, space), ev.reward_table([env], space)))
     return dict(
         ep_l1=final,
@@ -84,7 +84,6 @@ acfg = AggregateConfig(epochs=5000, batch=512, seed=0, eval_every=1000)
 out = pipeline(m_envs, tcfg, acfg)
 space, target = out["space"], out["target"]
 log_r = ev.product_log_rewards(m_envs, space)
-рng = np.random.default_rng(99)
 t0 = time.perf_counter()
 table = ev.exact_pT(out["global_policy"], space)
 topk_model = ev.topk_avg_log_reward(table, space, log_r, 800, sample_budget=10**6)
@@ -97,7 +96,7 @@ topk_sampled = ev.topk_avg_log_reward(samples, space, log_r, 800)
 locals_ = load_local_policies(m_envs[0], [r.snapshot for r in out["results"]], space)
 fits = [pcvi_fit(p, space, 10**5, np.random.default_rng(42 + i)) for i, p in enumerate(locals_)]
 pcvi_l1 = ev.l1(pcvi_distribution(pcvi_pool(fits), space), target)
-avg_pol, _, _ = load_snapshot(fedavg_average([r.snapshot for r in out["results"]]), m_envs[0], space)
+avg_pol, _ = load_snapshot(fedavg_average([r.snapshot for r in out["results"]]), m_envs[0], space)
 fedavg_l1 = ev.l1(ev.exact_pT(avg_pol, space), target)
 stage("multiset", ep_l1=out["ep_l1"], locals=out["locals_l1"], pcvi=round(pcvi_l1, 4),
       fedavg=round(fedavg_l1, 4), topk_model=topk_model, topk_exact=topk_exact,
@@ -120,7 +119,7 @@ space, target = out["space"], out["target"]
 locals_ = load_local_policies(s_envs[0], [r.snapshot for r in out["results"]], space)
 fits = [pcvi_fit(p, space, 10**5, np.random.default_rng(17 + i)) for i, p in enumerate(locals_)]
 pcvi_l1 = ev.l1(pcvi_distribution(pcvi_pool(fits), space), target)
-naive_l1 = ev.l1(ev.exact_pT(naive_policy_product(locals_), space), target)
+naive_l1 = ev.l1(ev.exact_pT(naive_policy_product(locals_, space), space), target)
 stage("sequence", ep_l1=out["ep_l1"], locals=out["locals_l1"], pcvi=round(pcvi_l1, 4),
       naive=round(naive_l1, 4), t_local=out["t_local"], t_agg=out["t_agg"])
 

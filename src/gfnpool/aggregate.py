@@ -19,10 +19,10 @@ import numpy as np
 
 from . import evaluation
 from .envs.base import Environment
-from .envs.space import DEFAULT_STATE_GUARD, StateSpace
+from .envs.space import CHILD_ILLEGAL, DEFAULT_STATE_GUARD, StateSpace
 from .errors import SnapshotError, UnsupportedLossError
 from .losses import ab_loss_batch
-from .policy import ForwardPolicy, ProductPolicy, load_snapshot, sample_batch, save_snapshot
+from .policy import ForwardPolicy, TabularPolicy, load_snapshot, masked_log_softmax, sample_batch, save_snapshot
 from .train import build_space, check_fit_settings, fit
 
 
@@ -123,10 +123,19 @@ def fedavg_average(snapshots: list[bytes]) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def naive_policy_product(local_policies: list[ForwardPolicy]) -> ProductPolicy:
+def naive_policy_product(local_policies: list[ForwardPolicy], space: StateSpace) -> TabularPolicy:
     """Per-state renormalized product of the local action distributions - the
-    diagnostic negative control (it does not sample the product target)."""
-    return ProductPolicy(local_policies)
+    diagnostic negative control (it does not sample the product target). Its
+    logits are the sum of the locals' masked log-softmaxes, 0 on illegal slots."""
+    if not local_policies:
+        raise ValueError("need at least one policy")
+    idx = np.arange(space.n_states)
+    legal = space.children_rows(idx) != CHILD_ILLEGAL
+    table = np.zeros(legal.shape)
+    for p in local_policies:
+        logp, _ = masked_log_softmax(p.logits_rows(space, idx), legal)
+        table += np.where(legal, logp, 0.0)
+    return TabularPolicy(space, table)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from . import evaluation
 from .config import RunConfig, apply_overrides, load_config
 from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
-from .losses import LossSpec
+from .losses import LOSS_KINDS, LossSpec
 from .policy import balanced_tabular_policy, load_snapshot
 from .train import build_space, derive_seed, train_clients, train_local
 
@@ -165,7 +165,7 @@ def cmd_evaluate(args) -> int:
     ]:
         if not path.exists():
             continue
-        policy, _, meta = load_snapshot(path.read_bytes(), envs[0], space)
+        policy, meta = load_snapshot(path.read_bytes(), envs[0], space)
         table = evaluation.exact_pT(policy, space)
         row = {"provenance": table.provenance, "meta": meta}
         if name.startswith("client"):
@@ -207,18 +207,18 @@ def cmd_baselines(args) -> int:
     # single-round parameter averaging
     avg = agg.fedavg_average(blobs)
     (out / "fedavg.gfnpolicy").write_bytes(avg)
-    avg_policy, _, _ = load_snapshot(avg, envs[0], space)
+    avg_policy, _ = load_snapshot(avg, envs[0], space)
     report["baselines"]["fedavg"] = {
         "l1": evaluation.l1(evaluation.exact_pT(avg_policy, space), target)
     }
     # naive per-state policy product (diagnostic)
-    naive = agg.naive_policy_product(locals_)
+    naive = agg.naive_policy_product(locals_, space)
     report["baselines"]["naive_policy_product"] = {
         "l1": evaluation.l1(evaluation.exact_pT(naive, space), target)
     }
     gp = out / "global.gfnpolicy"
     if gp.exists():
-        policy, _, _ = load_snapshot(gp.read_bytes(), envs[0], space)
+        policy, _ = load_snapshot(gp.read_bytes(), envs[0], space)
         report["ep_l1"] = evaluation.l1(evaluation.exact_pT(policy, space), target)
     (out / "baselines.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -242,10 +242,25 @@ def _pipeline_final_l1(run: RunConfig, envs, agg_seed_salt: int = 0) -> tuple[li
     return res.metrics, finals[-1] if finals else float("nan")
 
 
+def _check_sweep_values(axis: str, values: list) -> None:
+    """Reject a `sweep.values` entry its axis cannot run, before any cell runs."""
+    for v in values:
+        real = isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+        ok = {
+            "clients": real and isinstance(v, int) and v >= 1,
+            "logz_lr": real and v > 0,
+            "noise": real and v >= 0,  # a variance
+            "loss": v in LOSS_KINDS,
+        }[axis]
+        if not ok:
+            raise ConfigError("sweep.values", f"{v!r} is not a valid {axis} value")
+
+
 def cmd_sweep(args) -> int:
     run = _load_run(args)
     axis = args.axis or run.sweep_axis()
     values = run.sweep_values()
+    _check_sweep_values(axis, values)
     seeds = run.sweep_seeds()
     out = run.out_dir()
     out.mkdir(parents=True, exist_ok=True)

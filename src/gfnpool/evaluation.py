@@ -383,51 +383,20 @@ def _concat_batches(batches: list[TrajectoryBatch]) -> TrajectoryBatch:
 # noisy-reward wrapper
 
 
-class NoisyRewardEnv(Environment):
+@Environment.register
+class NoisyRewardEnv:
     """Base environment with frozen i.i.d. Gaussian offsets on the terminal
-    log-rewards. Structure (and therefore the fingerprint) is unchanged."""
+    log-rewards. Every other attribute is the base's, so the structure (and
+    therefore the fingerprint) is unchanged."""
 
     def __init__(self, base: Environment, offsets: dict):
         self.base = base
         self.offsets = offsets
-        self.kind = base.kind
-        self.all_states_terminal = base.all_states_terminal
 
-    @property
-    def max_arity(self):
-        return self.base.max_arity
-
-    @property
-    def max_traj_len(self):
-        return self.base.max_traj_len
-
-    @property
-    def feature_dim(self):
-        return self.base.feature_dim
-
-    def initial_key(self):
-        return self.base.initial_key()
-
-    def validate_key(self, s):
-        self.base.validate_key(s)
-
-    def _children(self, s):
-        return self.base._children(s)
-
-    def parents(self, s):
-        return self.base.parents(s)
-
-    def _is_terminal(self, s):
-        return self.base._is_terminal(s)
-
-    def _featurize(self, s):
-        return self.base._featurize(s)
-
-    def n_states_estimate(self):
-        return self.base.n_states_estimate()
-
-    def structure(self):
-        return self.base.structure()
+    def __getattr__(self, name):
+        if name == "base":  # not set yet while unpickling
+            raise AttributeError(name)
+        return getattr(self.base, name)
 
     def log_reward(self, s):
         return self.base.log_reward(s) + self.offsets[s]
@@ -437,6 +406,8 @@ def noisy_reward_wrap(
     env: Environment, sigma2: float, rng: np.random.Generator, guard: int | None = None
 ) -> NoisyRewardEnv:
     """Materialize one Gaussian log-reward offset per terminal state."""
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {sigma2!r}")
     space = StateSpace.enumerated(env) if guard is None else StateSpace.enumerated(env, guard)
     sd = float(np.sqrt(sigma2))
     offsets = {

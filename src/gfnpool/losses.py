@@ -1,9 +1,10 @@
-"""Balance criteria as differentiable scalar losses.
+"""Balance criteria as differentiable scalar losses over trajectory batches.
 
-Every loss recomputes log-probabilities from the policy's current
-parameters (never from values cached at sampling time), returns the batch
-loss value, and accumulates analytic gradients for whichever parameter
-blocks the criterion trains:
+Every loss takes `TrajectoryBatch`es (a single trajectory is a one-row
+batch), recomputes log-probabilities from the policy's current parameters
+(never from values cached at sampling time), returns the batch loss value,
+and accumulates analytic gradients for whichever parameter blocks the
+criterion trains:
 
   TB   squared trajectory-balance violation; trains policy + log Z
   DB   edgewise detailed balance with boundary terms; trains policy + flow
@@ -11,7 +12,8 @@ blocks the criterion trains:
   CB   squared contrast between two trajectories' violations; policy only
   VL   squared deviation of the violation from the batch mean; policy only
   AB   squared mismatch between the global and the pooled local trajectory
-       ratios; trains the global policy only and never touches any reward
+       ratios; trains the global policy only and never touches any reward.
+       Only `aggregate_ab` trains with it, so it is not in `LOSS_KINDS`.
 """
 
 from __future__ import annotations
@@ -25,21 +27,19 @@ from .errors import RewardSupportError, UnsupportedLossError
 from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init
 from .policy import (
     ForwardPolicy,
-    Trajectory,
     TrajectoryBatch,
     apply_log_pf_grad,
     masked_log_softmax,
     replay_log_pb,
     replay_log_pf,
-    trajectories_to_batch,
 )
 
-LOSS_KINDS = ("TB", "DB", "DBC", "CB", "VL", "AB")
+LOSS_KINDS = ("TB", "DB", "DBC", "CB", "VL")
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which balance criterion to train with, and its hyperparameters."""
+    """Which local balance criterion to train with, and its hyperparameters."""
 
     kind: str
     logz_lr: float = 1e-1  # learning rate override for log Z (TB only)
@@ -314,100 +314,3 @@ def ab_loss_batch(policy, space, tb1, tb2, local_policies, weights=None, pair_we
     apply_log_pf_grad(policy, space, c1, 2.0 * w * a, grad)
     apply_log_pf_grad(policy, space, c2, -2.0 * w * a, grad)
     return float(np.sum(w * a**2)), {"policy": grad}
-
-
-# ---------------------------------------------------------------------------
-# single-instance forms
-
-
-def tb_loss(policy, space, traj: Trajectory, logz: float):
-    return tb_loss_batch(policy, space, trajectories_to_batch(space, [traj]), logz)
-
-
-def cb_loss(policy, space, traj: Trajectory, traj2: Trajectory):
-    return cb_loss_batch(
-        policy,
-        space,
-        trajectories_to_batch(space, [traj]),
-        trajectories_to_batch(space, [traj2]),
-        pair_weights=np.ones(1),
-    )
-
-
-def vl_loss(policy, space, trajs: list[Trajectory]):
-    return vl_loss_batch(policy, space, trajectories_to_batch(space, trajs))
-
-
-def ab_loss(policy, space, traj, traj2, local_policies, weights=None):
-    return ab_loss_batch(
-        policy,
-        space,
-        trajectories_to_batch(space, [traj], with_rewards=False),
-        trajectories_to_batch(space, [traj2], with_rewards=False),
-        local_policies,
-        weights,
-        pair_weights=np.ones(1),
-    )
-
-
-def db_loss(policy, flow, space, s, action: int, s_next):
-    """Detailed-balance loss of one edge; `s_next` is None for the stop edge."""
-    i = np.array([space.lookup(s)])
-    rows = space.children_rows(i)
-    logits, bc = policy.logits_rows(space, i, want_cache=True)
-    logp, p = masked_log_softmax(logits, rows != CHILD_ILLEGAL)
-    lf_s = flow.log_flow(space, i)
-    if s_next is None:
-        viol = float(lf_s[0] + logp[0, action] - space.log_rewards(i)[0])
-    else:
-        j = np.array([space.lookup(s_next)])
-        viol = float(
-            logp[0, action]
-            + np.log(space.nparents(j)[0])
-            + lf_s[0]
-            - flow.log_flow(space, j)[0]
-        )
-    grad_p = np.zeros(policy.n_params)
-    grad_f = np.zeros(flow.n_params)
-    dl = -p * (2.0 * viol)
-    dl[0, action] += 2.0 * viol
-    policy.accumulate_dlogits(space, i, dl, grad_p, cache=bc)
-    flow.accumulate_dflow(space, i, np.array([2.0 * viol]), grad_f)
-    if s_next is not None:
-        flow.accumulate_dflow(space, j, np.array([-2.0 * viol]), grad_f)
-    return viol**2, {"policy": grad_p, "flow": grad_f}
-
-
-def dbc_loss(policy, space, s, action: int, s_next):
-    """Flow-free detailed balance for one interior edge of an all-terminal graph."""
-    env = space.env
-    if not getattr(env, "all_states_terminal", False):
-        raise UnsupportedLossError(
-            f"DBC requires every state to be terminal; {env.kind} is not such an environment"
-        )
-    stop = env.stop_action
-    i = np.array([space.lookup(s)])
-    j = np.array([space.lookup(s_next)])
-    rows_s = space.children_rows(i)
-    logits_s, bc_s = policy.logits_rows(space, i, want_cache=True)
-    logp_s, p_s = masked_log_softmax(logits_s, rows_s != CHILD_ILLEGAL)
-    rows_n = space.children_rows(j)
-    logits_n, bc_n = policy.logits_rows(space, j, want_cache=True)
-    logp_n, p_n = masked_log_softmax(logits_n, rows_n != CHILD_ILLEGAL)
-    viol = float(
-        space.log_rewards(j)[0]
-        - np.log(space.nparents(j)[0])
-        + logp_s[0, stop]
-        - space.log_rewards(i)[0]
-        - logp_s[0, action]
-        - logp_n[0, stop]
-    )
-    grad = np.zeros(policy.n_params)
-    dl_s = np.zeros_like(p_s)
-    dl_s[0, stop] += 2.0 * viol
-    dl_s[0, action] -= 2.0 * viol
-    policy.accumulate_dlogits(space, i, dl_s, grad, cache=bc_s)
-    dl_n = p_n * (2.0 * viol)
-    dl_n[0, stop] -= 2.0 * viol
-    policy.accumulate_dlogits(space, j, dl_n, grad, cache=bc_n)
-    return viol**2, {"policy": grad}

@@ -1,9 +1,11 @@
-"""Forward/backward transition policies, trajectory sampling, and the
-snapshot format clients ship to the server.
+"""Forward policies, trajectory sampling and replay, and the snapshot
+format clients ship to the server. The backward policy is always uniform,
+p_B(s' -> s) = 1 / |parents(s')|: `sample_batch` records it in `log_pb`
+and `replay_log_pb` recomputes it.
 
-The hot paths are batched: a batch of trajectories advances in lockstep,
-one masked-softmax per step, so training loops spend their time in numpy
-rather than Python. Single-trajectory helpers wrap the batch machinery.
+Trajectories exist only as a `TrajectoryBatch`: a batch advances in
+lockstep, one masked-softmax per step, so training loops spend their time
+in numpy rather than Python. A single trajectory is a one-row batch.
 """
 
 from __future__ import annotations
@@ -161,62 +163,8 @@ class MlpPolicy(ForwardPolicy):
         }
 
 
-class ProductPolicy(ForwardPolicy):
-    """Per-state renormalized product of several policies' action
-    distributions. Diagnostic only; has no trainable parameters."""
-
-    backend = "product"
-
-    def __init__(self, policies: list[ForwardPolicy]):
-        if not policies:
-            raise ValueError("need at least one policy")
-        self.policies = policies
-
-    @property
-    def arity(self) -> int:
-        return self.policies[0].arity
-
-    @property
-    def n_params(self) -> int:
-        return 0
-
-    def logits_rows(self, space, idx, want_cache=False):
-        rows = space.children_rows(idx)
-        legal = rows != CHILD_ILLEGAL
-        total = np.zeros(legal.shape)
-        for p in self.policies:
-            logp, _ = masked_log_softmax(p.logits_rows(space, idx), legal)
-            total += np.where(legal, logp, 0.0)
-        return (total, None) if want_cache else total
-
-    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache=None) -> None:
-        raise NotImplementedError("product policies are not trainable")
-
-
-@dataclass(frozen=True)
-class UniformBackward:
-    """p_B(s' -> s) = 1 / |parents(s')|; the only supported backward mode."""
-
-    mode: str = "uniform"
-
-
 # ---------------------------------------------------------------------------
 # trajectories
-
-
-@dataclass
-class Trajectory:
-    """One complete path s0 .. x (the final stop into the sink is implicit in
-    the last action). log_pb_steps[t] covers the transition out of states[t];
-    the entry for the initial state's incoming edge is 0 by convention, as is
-    the stop step's backward term."""
-
-    states: list[StateKey]
-    actions: list[int]
-    log_pf_steps: list[float]
-    log_pb_steps: list[float]
-    log_reward: float
-    explored: bool = False
 
 
 @dataclass
@@ -239,12 +187,6 @@ class TrajectoryBatch:
 
     def terminal_idx(self) -> np.ndarray:
         return self.states[np.arange(self.batch_size), self.lengths - 1]
-
-    def recorded_log_pf_sums(self) -> np.ndarray:
-        return self.log_pf.sum(axis=1)
-
-    def recorded_log_pb_sums(self) -> np.ndarray:
-        return self.log_pb.sum(axis=1)
 
     def subset(self, idx) -> "TrajectoryBatch":
         return TrajectoryBatch(
@@ -323,49 +265,6 @@ def sample_batch(
     return tb
 
 
-def sample_trajectory(policy, space, epsilon, rng) -> Trajectory:
-    return batch_to_trajectories(space, sample_batch(policy, space, 1, epsilon, rng))[0]
-
-
-def batch_to_trajectories(space: StateSpace, tb: TrajectoryBatch) -> list[Trajectory]:
-    out = []
-    for k in range(tb.batch_size):
-        n = int(tb.lengths[k])
-        out.append(
-            Trajectory(
-                states=[space.keys[i] for i in tb.states[k, :n]],
-                actions=list(tb.actions[k, :n]),
-                log_pf_steps=list(tb.log_pf[k, :n]),
-                log_pb_steps=list(tb.log_pb[k, :n]),
-                log_reward=float(tb.log_reward[k]) if tb.log_reward is not None else np.nan,
-                explored=tb.explored,
-            )
-        )
-    return out
-
-
-def trajectories_to_batch(space: StateSpace, trajs: list[Trajectory], with_rewards: bool = True) -> TrajectoryBatch:
-    b = len(trajs)
-    horizon = space.env.max_traj_len
-    states = np.full((b, horizon), -1, dtype=np.int64)
-    actions = np.full((b, horizon), -1, dtype=np.int64)
-    log_pf = np.zeros((b, horizon))
-    log_pb = np.zeros((b, horizon))
-    lengths = np.zeros(b, dtype=np.int64)
-    for k, tr in enumerate(trajs):
-        n = len(tr.actions)
-        lengths[k] = n
-        states[k, :n] = [space.lookup(s) for s in tr.states]
-        actions[k, :n] = tr.actions
-        log_pf[k, :n] = tr.log_pf_steps
-        log_pb[k, :n] = tr.log_pb_steps
-    rewards = None
-    if with_rewards:
-        tb_idx = states[np.arange(b), lengths - 1]
-        rewards = space.log_rewards(tb_idx)
-    return TrajectoryBatch(states, actions, lengths, log_pf, log_pb, rewards)
-
-
 # ---------------------------------------------------------------------------
 # log-probability replay (recompute under current parameters)
 
@@ -430,16 +329,6 @@ def action_distribution(policy: ForwardPolicy, space: StateSpace, s: StateKey) -
     return p[0]
 
 
-def traj_log_pf(policy: ForwardPolicy, space: StateSpace, traj: Trajectory) -> float:
-    """Recompute log p_F of a trajectory from scratch."""
-    return float(replay_log_pf(policy, space, trajectories_to_batch(space, [traj], with_rewards=False))[0])
-
-
-def traj_log_pb(space: StateSpace, traj: Trajectory) -> float:
-    """Recompute the uniform-backward log-prob of a trajectory from scratch."""
-    return float(replay_log_pb(space, trajectories_to_batch(space, [traj], with_rewards=False))[0])
-
-
 # ---------------------------------------------------------------------------
 # exactly balanced policies from dynamic programming
 
@@ -480,8 +369,6 @@ def balanced_tabular_policy(space: StateSpace, log_r: np.ndarray | None = None) 
 
 def save_snapshot(policy: ForwardPolicy, env: Environment, meta: dict | None = None) -> bytes:
     """Serialize a policy to the text envelope exchanged with the server."""
-    if policy.backend not in ("tabular", "mlp"):
-        raise SnapshotError(f"backend {policy.backend!r} is not snapshot-serializable")
     doc = {
         "version": SNAPSHOT_VERSION,
         "env_fingerprint": env.fingerprint(),
@@ -495,7 +382,8 @@ def save_snapshot(policy: ForwardPolicy, env: Environment, meta: dict | None = N
 
 
 def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None):
-    """Deserialize a snapshot against `env`; returns (policy, backward, meta).
+    """Deserialize a snapshot against `env`; returns (policy, meta). Only the
+    uniform backward policy is supported.
 
     Pass the environment's enumerated StateSpace to avoid re-enumerating for
     tabular policies.
@@ -539,4 +427,4 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
         policy = MlpPolicy(spec, params)
     else:
         raise SnapshotError(f"unknown backend {doc.get('backend')!r}")
-    return policy, UniformBackward(), doc.get("meta", {})
+    return policy, doc.get("meta", {})

@@ -29,8 +29,6 @@ from .losses import (
 from .nn import AdamWState, ParamGroup, adamw_step
 from .policy import MlpPolicy, TabularPolicy, TrajectoryBatch, sample_batch, save_snapshot
 
-LOCAL_LOSS_KINDS = ("TB", "DB", "DBC", "CB", "VL")
-
 
 def check_fit_settings(cfg) -> None:
     """The settings `fit` reads, validated the same way for a TrainConfig
@@ -43,6 +41,8 @@ def check_fit_settings(cfg) -> None:
         raise ValueError(f"unknown backend {cfg.backend!r}")
     if cfg.eval_mode not in ("auto", "exact", "sampled", "off"):
         raise ValueError(f"unknown eval mode {cfg.eval_mode!r}")
+    if cfg.eval_every < 0:
+        raise ValueError(f"eval_every must be >= 0 (0 disables the probes), got {cfg.eval_every}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fit_settings(self)
-        if self.loss.kind not in LOCAL_LOSS_KINDS:
-            raise ValueError(f"local training supports {LOCAL_LOSS_KINDS}, not {self.loss.kind}")
 
 
 @dataclass

@@ -68,3 +68,26 @@ def random_tabular(space, gen, scale=1.0):
     from gfnpool.policy import TabularPolicy
 
     return TabularPolicy(space, gen.normal(0.0, scale, (space.n_states, space.arity)))
+
+
+def paths(space, tb):
+    """Each row of a batch as (state keys, actions), stop action last."""
+    return [
+        ([space.keys[i] for i in tb.states[k, :n]], list(tb.actions[k, :n]))
+        for k, n in enumerate(tb.lengths)
+    ]
+
+
+def one_row_batch(space, keys, actions):
+    """The one-trajectory batch through `keys` taking `actions` (stop last),
+    with its terminal reward."""
+    from gfnpool.policy import TrajectoryBatch
+
+    h = space.env.max_traj_len
+    states = np.full((1, h), -1, dtype=np.int64)
+    states[0, : len(keys)] = [space.lookup(k) for k in keys]
+    acts = np.full((1, h), -1, dtype=np.int64)
+    acts[0, : len(actions)] = actions
+    tb = TrajectoryBatch(states, acts, np.array([len(actions)]), np.zeros((1, h)), np.zeros((1, h)), None)
+    tb.log_reward = space.log_rewards(tb.terminal_idx())
+    return tb

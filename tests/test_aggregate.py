@@ -188,11 +188,11 @@ def test_fedavg_identity_and_sign_cancellation(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     snap = save_snapshot(pol, grid3)
     avg = fedavg_average([snap, snap])
-    pol_avg, _, meta = load_snapshot(avg, grid3, grid3_space)
+    pol_avg, meta = load_snapshot(avg, grid3, grid3_space)
     assert np.array_equal(pol_avg.table, pol.table)
     assert meta["baseline"] == "fedavg"
     neg = TabularPolicy(grid3_space, -pol.table)
-    zero, _, _ = load_snapshot(
+    zero, _ = load_snapshot(
         fedavg_average([snap, save_snapshot(neg, grid3)]), grid3, grid3_space
     )
     assert np.all(zero.table == 0.0)
@@ -215,7 +215,7 @@ def test_fedavg_architecture_mismatch(grid3, grid3_space, rng):
 
 def test_naive_product_is_per_state_renormalized_product(grid3, grid3_space, rng):
     pols = [random_tabular(grid3_space, rng) for _ in range(2)]
-    prod = naive_policy_product(pols)
+    prod = naive_policy_product(pols, grid3_space)
     for key in [(0, 0), (1, 1), (2, 0)]:
         p = action_distribution(prod, grid3_space, key)
         q = action_distribution(pols[0], grid3_space, key) * action_distribution(

@@ -61,11 +61,12 @@ def read_csv_rows(path):
 
 
 def test_schema_error_names_key(outroot, capsys):
-    doc = json.loads(json.dumps(TINY_GRID))
-    doc["loss"]["kind"] = "nonsense"
-    rc = main(["train-local", "--config", write_cfg(outroot, doc), "--client", "0"])
-    assert rc == 2
-    assert "loss.kind" in capsys.readouterr().err
+    for kind in ("nonsense", "AB"):  # AB is trained by aggregate, never by a client
+        doc = json.loads(json.dumps(TINY_GRID))
+        doc["loss"]["kind"] = kind
+        rc = main(["train-local", "--config", write_cfg(outroot, doc), "--client", "0"])
+        assert rc == 2
+        assert "loss.kind" in capsys.readouterr().err
 
 
 def test_train_local_smoke_and_determinism(outroot):
@@ -130,6 +131,13 @@ def test_aggregate_unknown_eval_mode_is_config_error(outroot, capsys):
     assert "aggregate" in err and "eval mode" in err
 
 
+@pytest.mark.parametrize("key", ["train.eval_every", "aggregate.eval_every"])
+def test_negative_eval_every_is_config_error(outroot, capsys, key):
+    cfg = write_cfg(outroot, TINY_MULTISET)
+    assert main(["train-clients", "--config", cfg, "--set", f"{key}=-3"]) == 2
+    assert "eval_every" in capsys.readouterr().err
+
+
 def test_enumeration_guard_exit_code(outroot):
     cfg = write_cfg(outroot, TINY_MULTISET)
     rc = main(["train-local", "--config", cfg, "--client", "0", "--set", "train.state_guard=3"])
@@ -159,6 +167,30 @@ def test_sweep_loss_axis(outroot):
     assert main(["sweep", "--config", cfg]) == 0
     rows = read_csv_rows(outroot / "out" / "tinymset" / "sweep.csv")
     assert {r["value"] for r in rows} == {"CB", "TB"}
+
+
+@pytest.mark.parametrize(
+    "axis, good, bad",
+    [
+        ("loss", "CB", "XX"),
+        ("loss", "CB", "AB"),
+        ("logz_lr", 0.1, 0.0),
+        ("logz_lr", 0.1, float("inf")),
+        ("noise", 0.0, -0.01),
+        ("noise", 0.0, float("nan")),
+        ("clients", 2, 2.5),
+    ],
+)
+def test_bad_sweep_value_is_config_error_before_any_cell(outroot, capsys, monkeypatch, axis, good, bad):
+    def cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli_module, "train_local", cell)
+    monkeypatch.setattr(cli_module, "_pipeline_final_l1", cell)
+    doc = json.loads(json.dumps(TINY_MULTISET))
+    doc["sweep"] = {"axis": axis, "values": [good, bad], "seeds": [1]}
+    assert main(["sweep", "--config", write_cfg(outroot, doc)]) == 2
+    assert "sweep.values" in capsys.readouterr().err
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +346,25 @@ def test_noisy_wrap_gaussian_sanity():
     # offsets are frozen: second read is identical
     k = space.keys[space.terminal_indices()[0]]
     assert noisy.log_reward(k) == noisy.log_reward(k)
+
+
+def test_noisy_wrap_offsets_reach_the_space(mset33, mset33_space):
+    noisy = noisy_reward_wrap(mset33, 0.01, np.random.default_rng(3))
+    term = mset33_space.terminal_indices()
+    offsets = np.array([noisy.offsets[mset33_space.keys[i]] for i in term])
+    assert np.all(offsets != 0.0)
+    # training reads rewards through the space, so the offsets must show there
+    got = mset33_space.for_env(noisy).log_rewards(term)
+    assert np.array_equal(got, mset33_space.log_rewards(term) + offsets)
+    clone = pickle.loads(pickle.dumps(noisy))
+    assert clone.fingerprint() == mset33.fingerprint()
+    assert [clone.log_reward(mset33_space.keys[i]) for i in term] == list(got)
+
+
+@pytest.mark.parametrize("sigma2", [-0.01, float("nan"), float("inf")])
+def test_noisy_wrap_rejects_bad_variance(mset33, sigma2):
+    with pytest.raises(ValueError, match="variance"):
+        noisy_reward_wrap(mset33, sigma2, np.random.default_rng(0))
 
 
 def test_noisy_wrap_trains_like_an_env(rng):

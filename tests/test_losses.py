@@ -7,15 +7,10 @@ from gfnpool.losses import (
     LossSpec,
     MlpFlow,
     TabularFlow,
-    ab_loss,
     ab_loss_batch,
-    cb_loss,
     cb_loss_batch,
-    db_loss,
     db_loss_batch,
-    dbc_loss,
     dbc_loss_batch,
-    tb_loss,
     tb_loss_batch,
     tb_violations,
     vl_loss_batch,
@@ -25,29 +20,29 @@ from gfnpool.policy import (
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
-    batch_to_trajectories,
     sample_batch,
 )
-from tests.conftest import random_tabular
+from tests.conftest import one_row_batch, paths, random_tabular
 
 
-def oracle_log_pf(policy, space, env, traj):
+def oracle_log_pf(policy, space, env, path):
     """Test-side recomputation from per-state action distributions."""
+    states, actions = path
     total = 0.0
-    for s, a in zip(traj.states, traj.actions):
+    for s, a in zip(states, actions):
         total += np.log(action_distribution(policy, space, s)[a])
     return total
 
 
-def oracle_log_pb(env, traj):
-    return -sum(np.log(len(env.parents(s))) for s in traj.states[1:])
+def oracle_log_pb(env, path):
+    return -sum(np.log(len(env.parents(s))) for s in path[0][1:])
 
 
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec("XX")
     with pytest.raises(ValueError):
-        LossSpec("AB", weights=(1.0, -1.0))
+        LossSpec("CB", weights=(1.0, -1.0))
     with pytest.raises(ValueError):
         LossSpec("CB", epsilon=1.5)
 
@@ -83,18 +78,17 @@ def test_tb_value_matches_formula_oracle(grid3, grid3_space, rng):
     logz = 0.42
     loss, _ = tb_loss_batch(pol, grid3_space, tb, logz)
     expected = []
-    for traj in batch_to_trajectories(grid3_space, tb):
+    for path in paths(grid3_space, tb):
         v = (
             logz
-            + oracle_log_pf(pol, grid3_space, grid3, traj)
-            - oracle_log_pb(grid3, traj)
-            - grid3.log_reward(traj.states[-1])
+            + oracle_log_pf(pol, grid3_space, grid3, path)
+            - oracle_log_pb(grid3, path)
+            - grid3.log_reward(path[0][-1])
         )
         expected.append(v**2)
     assert loss == pytest.approx(float(np.mean(expected)), rel=1e-12)
-    # single-trajectory form agrees
-    traj0 = batch_to_trajectories(grid3_space, tb)[0]
-    single, _ = tb_loss(pol, grid3_space, traj0, logz)
+    # a one-row batch agrees
+    single, _ = tb_loss_batch(pol, grid3_space, tb.subset([0]), logz)
     assert single == pytest.approx(expected[0], rel=1e-12)
 
 
@@ -158,13 +152,13 @@ def test_db_zero_at_exact_flows(mset33, mset33_space, rng):
 def test_db_terminal_edge_boundary_condition(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     flow = TabularFlow(grid3_space, rng.normal(0, 1, grid3_space.n_states))
-    s = (1, 1)
+    s = (0, 0)  # a batch that stops at the root: its one edge is the stop edge
     i = grid3_space.index[s]
     p_stop = action_distribution(pol, grid3_space, s)[2]
     vals = flow.get_params()
     vals[i] = grid3.log_reward(s) - np.log(p_stop)
     flow.set_params(vals)
-    loss, _ = db_loss(pol, flow, grid3_space, s, 2, None)
+    loss, _ = db_loss_batch(pol, flow, grid3_space, one_row_batch(grid3_space, [s], [2]))
     assert loss <= 1e-20
 
 
@@ -174,14 +168,14 @@ def test_db_value_matches_formula_oracle(grid3, grid3_space, rng):
     tb = sample_batch(pol, grid3_space, 8, 0.3, rng)
     loss, _ = db_loss_batch(pol, flow, grid3_space, tb)
     viols = []
-    for traj in batch_to_trajectories(grid3_space, tb):
-        for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
+    for states, actions in paths(grid3_space, tb):
+        for t, (s, a) in enumerate(zip(states, actions)):
             p = action_distribution(pol, grid3_space, s)
             lf_s = flow.log_flow(grid3_space, np.array([grid3_space.index[s]]))[0]
-            if t == len(traj.actions) - 1:
+            if t == len(actions) - 1:
                 v = lf_s + np.log(p[a]) - grid3.log_reward(s)
             else:
-                s2 = traj.states[t + 1]
+                s2 = states[t + 1]
                 lf_n = flow.log_flow(grid3_space, np.array([grid3_space.index[s2]]))[0]
                 v = np.log(p[a]) + np.log(len(grid3.parents(s2))) + lf_s - lf_n
             viols.append(v**2)
@@ -196,7 +190,8 @@ def test_dbc_zero_on_symmetric_two_cell_graph():
     env = SequenceEnv(pos_scores=(0.0,), token_scores=(0.0,))
     space = StateSpace.enumerated(env)
     pol = TabularPolicy(space)  # uniform
-    loss, grads = dbc_loss(pol, space, (), 0, (0,))
+    tb = one_row_batch(space, [(), (0,)], [0, env.stop_action])
+    loss, grads = dbc_loss_batch(pol, space, tb)
     assert loss <= 1e-30
     assert np.max(np.abs(grads["policy"])) <= 1e-15
 
@@ -213,9 +208,9 @@ def test_dbc_value_matches_formula_oracle(grid3, grid3_space, rng):
     tb = sample_batch(pol, grid3_space, 8, 0.3, rng)
     loss, _ = dbc_loss_batch(pol, grid3_space, tb)
     viols = []
-    for traj in batch_to_trajectories(grid3_space, tb):
-        for t in range(len(traj.actions) - 1):
-            s, a, s2 = traj.states[t], traj.actions[t], traj.states[t + 1]
+    for states, actions in paths(grid3_space, tb):
+        for t in range(len(actions) - 1):
+            s, a, s2 = states[t], actions[t], states[t + 1]
             p_s = action_distribution(pol, grid3_space, s)
             p_n = action_distribution(pol, grid3_space, s2)
             v = (
@@ -256,17 +251,16 @@ def test_cb_value_matches_formula_oracle(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     t1 = sample_batch(pol, grid3_space, 1, 0.5, rng)
     t2 = sample_batch(pol, grid3_space, 1, 0.5, rng)
-    tr1 = batch_to_trajectories(grid3_space, t1)[0]
-    tr2 = batch_to_trajectories(grid3_space, t2)[0]
+    [tr1], [tr2] = paths(grid3_space, t1), paths(grid3_space, t2)
     ratio1 = oracle_log_pf(pol, grid3_space, grid3, tr1) - oracle_log_pb(grid3, tr1)
     ratio2 = oracle_log_pf(pol, grid3_space, grid3, tr2) - oracle_log_pb(grid3, tr2)
     expected = (
         ratio1
         - ratio2
-        + grid3.log_reward(tr2.states[-1])
-        - grid3.log_reward(tr1.states[-1])
+        + grid3.log_reward(tr2[0][-1])
+        - grid3.log_reward(tr1[0][-1])
     ) ** 2
-    loss, _ = cb_loss(pol, grid3_space, tr1, tr2)
+    loss, _ = cb_loss_batch(pol, grid3_space, t1, t2)
     assert loss == pytest.approx(float(expected), rel=1e-12)
 
 
@@ -321,8 +315,7 @@ def test_ab_value_matches_formula_oracle(grid3, grid3_space, rng):
     omega = (0.5, 1.0, 2.0)
     t1 = sample_batch(glob, grid3_space, 1, 0.5, rng, compute_rewards=False)
     t2 = sample_batch(glob, grid3_space, 1, 0.5, rng, compute_rewards=False)
-    tr1 = batch_to_trajectories(grid3_space, t1)[0]
-    tr2 = batch_to_trajectories(grid3_space, t2)[0]
+    [tr1], [tr2] = paths(grid3_space, t1), paths(grid3_space, t2)
 
     def delta(policy):
         r1 = oracle_log_pf(policy, grid3_space, grid3, tr1) - oracle_log_pb(grid3, tr1)
@@ -330,7 +323,7 @@ def test_ab_value_matches_formula_oracle(grid3, grid3_space, rng):
         return r1 - r2
 
     expected = (delta(glob) - sum(w * delta(p) for w, p in zip(omega, locs))) ** 2
-    loss, _ = ab_loss(glob, grid3_space, tr1, tr2, locs, omega)
+    loss, _ = ab_loss_batch(glob, grid3_space, t1, t2, locs, omega)
     assert loss == pytest.approx(float(expected), rel=1e-11)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,20 +11,15 @@ from gfnpool.policy import (
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
-    batch_to_trajectories,
     load_snapshot,
     masked_log_softmax,
     replay_log_pb,
     replay_log_pf,
     sample_batch,
-    sample_trajectory,
     save_snapshot,
-    traj_log_pb,
-    traj_log_pf,
-    trajectories_to_batch,
 )
 from gfnpool.nn import mlp_forward
-from tests.conftest import random_tabular
+from tests.conftest import one_row_batch, paths, random_tabular
 
 
 def test_uniform_softmax_three_actions(grid3, grid3_space):
@@ -97,18 +94,18 @@ def test_epsilon_zero_deterministic_policy(grid3, grid3_space):
     table[:, 2] = 25.0  # otherwise stop
     pol = TabularPolicy(grid3_space, table)
     rng = np.random.default_rng(0)
-    paths = {tuple(sample_trajectory(pol, grid3_space, 0.0, rng).states) for _ in range(20)}
-    assert paths == {((0, 0), (1, 0), (2, 0))}
+    tb = sample_batch(pol, grid3_space, 20, 0.0, rng)
+    assert {tuple(states) for states, _ in paths(grid3_space, tb)} == {((0, 0), (1, 0), (2, 0))}
 
 
 def test_sampled_paths_validate_against_children(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     tb = sample_batch(pol, grid3_space, 64, 0.3, rng)
-    for traj in batch_to_trajectories(grid3_space, tb):
-        assert np.isfinite(sum(traj.log_pf_steps))
-        for s, s2, a in zip(traj.states, traj.states[1:], traj.actions):
+    assert np.all(np.isfinite(tb.log_pf.sum(axis=1)))
+    for states, actions in paths(grid3_space, tb):
+        for s, s2, a in zip(states, states[1:], actions):
             assert (a, s2, False) in grid3.children(s)
-        assert (traj.actions[-1], None, True) in grid3.children(traj.states[-1])
+        assert (actions[-1], None, True) in grid3.children(states[-1])
 
 
 def test_mixture_frequencies_at_root(grid3, grid3_space):
@@ -137,10 +134,9 @@ def test_recorded_vs_recomputed_log_pf(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     tb = sample_batch(pol, grid3_space, 32, 0.4, rng)
     recomputed = replay_log_pf(pol, grid3_space, tb)
-    assert np.max(np.abs(recomputed - tb.recorded_log_pf_sums())) <= 1e-12
-    trajs = batch_to_trajectories(grid3_space, tb)
+    assert np.max(np.abs(recomputed - tb.log_pf.sum(axis=1))) <= 1e-12
     for k in (0, 7, 31):
-        assert traj_log_pf(pol, grid3_space, trajs[k]) == pytest.approx(
+        assert replay_log_pf(pol, grid3_space, tb.subset([k]))[0] == pytest.approx(
             float(recomputed[k]), abs=1e-12
         )
 
@@ -149,37 +145,17 @@ def test_forced_single_path_log_pf_zero():
     env = MultisetEnv(values=(0.5,), target_size=1)
     space = StateSpace.enumerated(env)
     pol = random_tabular(space, np.random.default_rng(0), scale=4.0)
-    traj = sample_trajectory(pol, space, 0.0, np.random.default_rng(0))
-    assert traj_log_pf(pol, space, traj) == 0.0  # every step forced
-    assert traj_log_pb(space, traj) == 0.0
+    tb = sample_batch(pol, space, 1, 0.0, np.random.default_rng(0))
+    assert replay_log_pf(pol, space, tb)[0] == 0.0  # every step forced
+    assert replay_log_pb(space, tb)[0] == 0.0
 
 
 def test_multiset_repeat_item_backward_zero():
     env = MultisetEnv(values=(0.5, 0.1), target_size=2)
     space = StateSpace.enumerated(env)
-    pol = TabularPolicy(space)
-    from gfnpool.policy import Trajectory
-
-    traj = Trajectory(
-        states=[(0, 0), (1, 0), (2, 0)],
-        actions=[0, 0, 2],
-        log_pf_steps=[0.0, 0.0, 0.0],
-        log_pb_steps=[0.0, 0.0, 0.0],
-        log_reward=1.0,
-    )
+    tb = one_row_batch(space, [(0, 0), (1, 0), (2, 0)], [0, 0, 2])
     # each intermediate state has exactly one distinct removable item
-    assert traj_log_pb(space, traj) == 0.0
-
-
-def test_batch_roundtrip_through_trajectories(grid3, grid3_space, rng):
-    pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 16, 0.2, rng)
-    back = trajectories_to_batch(grid3_space, batch_to_trajectories(grid3_space, tb))
-    assert np.array_equal(back.states, tb.states)
-    assert np.array_equal(back.actions, tb.actions)
-    assert np.array_equal(back.lengths, tb.lengths)
-    assert np.allclose(back.log_pf, tb.log_pf)
-    assert np.allclose(replay_log_pb(grid3_space, back), tb.recorded_log_pb_sums())
+    assert replay_log_pb(space, tb)[0] == 0.0
 
 
 # -- snapshots ----------------------------------------------------------------
@@ -188,9 +164,14 @@ def test_batch_roundtrip_through_trajectories(grid3, grid3_space, rng):
 def test_snapshot_roundtrip_idempotent(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     blob = save_snapshot(pol, grid3, meta={"loss": "CB"})
-    loaded, backward, meta = load_snapshot(blob, grid3, grid3_space)
+    loaded, meta = load_snapshot(blob, grid3, grid3_space)
     assert save_snapshot(loaded, grid3, meta=meta) == blob
-    assert backward.mode == "uniform" and meta["loss"] == "CB"
+    assert json.loads(blob)["backward"] == {"mode": "uniform"} and meta["loss"] == "CB"
+    # only the uniform backward policy loads
+    doc = json.loads(blob)
+    doc["backward"]["mode"] = "learned"
+    with pytest.raises(SnapshotError, match="backward"):
+        load_snapshot(json.dumps(doc).encode(), grid3, grid3_space)
 
 
 def test_snapshot_distributions_bit_exact(rng):
@@ -198,7 +179,7 @@ def test_snapshot_distributions_bit_exact(rng):
     space = StateSpace.enumerated(env)
     pol = MlpPolicy.create(env, (8, 8), rng)
     pol.params = rng.normal(0, 1, pol.n_params)
-    loaded, _, _ = load_snapshot(save_snapshot(pol, env), env, space)
+    loaded, _ = load_snapshot(save_snapshot(pol, env), env, space)
     for _ in range(10):
         key = space.keys[rng.integers(space.n_states)]
         a = action_distribution(pol, space, key)
@@ -213,8 +194,6 @@ def test_snapshot_fingerprint_mismatch(grid3, grid3_space, rng, mset33):
 
 
 def test_snapshot_corruption_detected(grid3, grid3_space, rng):
-    import json
-
     blob = save_snapshot(random_tabular(grid3_space, rng), grid3)
     with pytest.raises(SnapshotError):
         load_snapshot(blob[: len(blob) // 2], grid3, grid3_space)

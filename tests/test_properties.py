@@ -55,8 +55,8 @@ def test_sampled_trajectories_consistent(env, seed):
     pol = TabularPolicy(space, rng.normal(0, 2, (space.n_states, space.arity)))
     tb = sample_batch(pol, space, 8, float(rng.uniform(0, 1)), rng)
     # recorded on-policy log-probs equal recomputation; backward too
-    assert np.max(np.abs(replay_log_pf(pol, space, tb) - tb.recorded_log_pf_sums())) <= 1e-12
-    assert np.max(np.abs(replay_log_pb(space, tb) - tb.recorded_log_pb_sums())) <= 1e-12
+    assert np.max(np.abs(replay_log_pf(pol, space, tb) - tb.log_pf.sum(axis=1))) <= 1e-12
+    assert np.max(np.abs(replay_log_pb(space, tb) - tb.log_pb.sum(axis=1))) <= 1e-12
     # lengths respect the step budget; terminals are terminal
     assert np.all(tb.lengths <= env.max_traj_len)
     assert np.all(space.terminal_mask(tb.terminal_idx()))

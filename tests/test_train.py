@@ -10,7 +10,7 @@ from gfnpool.envs import (
     simulate_sites,
     split_sites,
 )
-from gfnpool.evaluation import exact_pT, l1, reward_table
+from gfnpool.evaluation import exact_pT, l1, noisy_reward_wrap, reward_table
 from gfnpool.losses import LossSpec
 from gfnpool.policy import load_snapshot
 from gfnpool.train import (
@@ -77,7 +77,7 @@ def test_multiset_cb_converges_to_exact_oracle():
 
 def test_snapshot_loads_back_to_same_distribution(mset33):
     res = train_local(mset33, small_cfg())
-    pol, _, meta = load_snapshot(res.snapshot, mset33, res.space)
+    pol, meta = load_snapshot(res.snapshot, mset33, res.space)
     assert meta["loss"] == "CB" and meta["role"] == "client"
     assert l1(exact_pT(pol, res.space), exact_pT(res.policy, res.space)) == 0.0
 
@@ -94,13 +94,16 @@ def test_client_fanout_order_failures_and_seeds(mset33):
 
 
 def test_parallelism_does_not_change_bytes(mset33):
-    jobs = [(mset33, c) for c in client_configs(small_cfg(epochs=60), 4, 3)]
-    seq = train_clients(jobs, parallelism=1)
-    par = train_clients(jobs, parallelism=3)
-    assert [r.snapshot for r in seq] == [r.snapshot for r in par]
-    assert [m["loss"] for r in seq for m in r.metrics] == [
-        m["loss"] for r in par for m in r.metrics
-    ]
+    noisy = [noisy_reward_wrap(mset33, 0.01, np.random.default_rng(k)) for k in range(3)]
+    for envs in ([mset33] * 3, noisy):
+        jobs = list(zip(envs, client_configs(small_cfg(epochs=60), 4, 3), strict=True))
+        seq = train_clients(jobs, parallelism=1)
+        par = train_clients(jobs, parallelism=3)
+        assert all(r.ok for r in seq)
+        assert [r.snapshot for r in seq] == [r.snapshot for r in par]
+        assert [m["loss"] for r in seq for m in r.metrics] == [
+            m["loss"] for r in par for m in r.metrics
+        ]
 
 
 def test_clients_share_one_enumeration(monkeypatch):
