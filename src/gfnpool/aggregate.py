@@ -21,8 +21,8 @@ from . import evaluation
 from .envs.base import Environment
 from .envs.space import CHILD_ILLEGAL, DEFAULT_STATE_GUARD, StateSpace
 from .errors import SnapshotError, UnsupportedLossError
-from .losses import ab_loss_batch
-from .policy import ForwardPolicy, TabularPolicy, load_snapshot, masked_log_softmax, sample_batch, save_snapshot
+from .losses import PooledLocals, ab_loss_batch
+from .policy import ForwardPolicy, TabularPolicy, load_snapshot, sample_batch, save_snapshot
 from .train import build_space, check_fit_settings, fit
 
 
@@ -74,9 +74,17 @@ def aggregate_ab(
     to `fit`. Local rewards are never evaluated: batches are sampled without
     terminal rewards, and `eval_target`, if given, only feeds the L1 probes.
     `space`, if given, is the env's state space (or a complete one of the
-    same DAG) and is used instead of enumerating again."""
+    same DAG) and is used instead of enumerating again.
+
+    The snapshots are loaded one at a time into a `PooledLocals` memo, so
+    every epoch reads the frozen locals' log-probabilities off it instead
+    of replaying each local."""
     space = build_space(env, cfg) if space is None else space.for_env(env)
-    locals_ = load_local_policies(env, snapshots, space)
+    if not snapshots:
+        raise SnapshotError("aggregation needs at least one client snapshot")
+    locals_ = PooledLocals(space)
+    for blob in snapshots:
+        locals_.add(load_snapshot(blob, env, space)[0])
     if cfg.weights is not None and len(cfg.weights) != len(locals_):
         raise ValueError("need one pooling weight per snapshot")
     half = cfg.batch // 2
@@ -126,15 +134,16 @@ def fedavg_average(snapshots: list[bytes]) -> bytes:
 def naive_policy_product(local_policies: list[ForwardPolicy], space: StateSpace) -> TabularPolicy:
     """Per-state renormalized product of the local action distributions - the
     diagnostic negative control (it does not sample the product target). Its
-    logits are the sum of the locals' masked log-softmaxes, 0 on illegal slots."""
+    logits are the sum of the locals' masked log-softmaxes (the `PooledLocals`
+    rows with unit weights), 0 on illegal slots."""
     if not local_policies:
         raise ValueError("need at least one policy")
+    locals_ = PooledLocals(space, local_policies)
     idx = np.arange(space.n_states)
     legal = space.children_rows(idx) != CHILD_ILLEGAL
     table = np.zeros(legal.shape)
-    for p in local_policies:
-        logp, _ = masked_log_softmax(p.logits_rows(space, idx), legal)
-        table += np.where(legal, logp, 0.0)
+    for k in range(len(locals_)):
+        table += np.where(legal, locals_.rows(k, idx), 0.0)
     return TabularPolicy(space, table)
 
 

@@ -225,17 +225,21 @@ def cmd_baselines(args) -> int:
     return 0
 
 
-def _pipeline_final_l1(run: RunConfig, envs, agg_seed_salt: int = 0) -> tuple[list[dict], float]:
-    """Train clients, aggregate, return aggregation metrics and final L1."""
-    cfgs = run.client_train_configs()
-    results = train_clients(list(zip(envs, cfgs, strict=True)), parallelism=1)
-    bad = [r for r in results if not r.ok]
-    if bad:
-        raise NumericError(f"client failure during sweep: {bad[0].error}")
+def _pipeline_final_l1(
+    run: RunConfig, envs, agg_seed_salt: int = 0, space: StateSpace | None = None
+) -> tuple[list[dict], float]:
+    """Train clients, aggregate, return aggregation metrics and final L1.
+    Both run on one enumeration: `space` if given, else one built here."""
     cfg = run.aggregate_config()
     if agg_seed_salt:
         cfg = replace(cfg, seed=derive_seed(cfg.seed, agg_seed_salt))
-    space = StateSpace.enumerated(envs[0], cfg.state_guard)
+    if space is None:
+        space = StateSpace.enumerated(envs[0], cfg.state_guard)
+    cfgs = run.client_train_configs()
+    results = train_clients(list(zip(envs, cfgs, strict=True)), parallelism=1, space=space)
+    bad = [r for r in results if not r.ok]
+    if bad:
+        raise NumericError(f"client failure during sweep: {bad[0].error}")
     target = _probe_target(envs, space, cfg)
     res = agg.aggregate_ab(envs[0], [r.snapshot for r in results], cfg, eval_target=target, space=space)
     finals = [r["l1"] for r in res.metrics if np.isfinite(r["l1"])]
@@ -284,13 +288,17 @@ def cmd_sweep(args) -> int:
                     metrics, _ = _pipeline_final_l1(cell_run, cell_run.client_envs())
                 elif axis == "noise":
                     envs = cell_run.client_envs()
+                    space = StateSpace.enumerated(envs[0], cell_run.aggregate_config().state_guard)
                     noisy = [
                         evaluation.noisy_reward_wrap(
-                            e, float(value), np.random.default_rng(np.random.SeedSequence([seed, 55, k]))
+                            e,
+                            float(value),
+                            np.random.default_rng(np.random.SeedSequence([seed, 55, k])),
+                            space=space,
                         )
                         for k, e in enumerate(envs)
                     ]
-                    metrics, _ = _pipeline_final_l1(cell_run, noisy)
+                    metrics, _ = _pipeline_final_l1(cell_run, noisy, space=space)
                 elif axis == "logz_lr":
                     envs = cell_run.client_envs()
                     cfg = cell_run.client_train_configs()[0]

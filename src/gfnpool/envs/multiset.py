@@ -26,6 +26,8 @@ class MultisetEnv(Environment):
             raise ValueError("dictionary must be non-empty")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("item values must be finite")
+        # converted once: np.dot over a tuple converts it on every call
+        object.__setattr__(self, "_values", np.asarray(self.values, dtype=np.float64))
 
     @property
     def dict_size(self) -> int:
@@ -74,7 +76,7 @@ class MultisetEnv(Environment):
     def log_reward(self, s: StateKey) -> float:
         if not self.is_terminal(s):
             raise NotTerminalError(f"multiset of size {sum(s)} < {self.target_size}")
-        return float(np.dot(s, self.values))
+        return float(np.dot(s, self._values))
 
     @property
     def feature_dim(self) -> int:

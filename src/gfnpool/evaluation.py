@@ -17,7 +17,7 @@ import numpy as np
 from .envs.base import Environment, StateKey
 from .envs.space import CHILD_ILLEGAL, CHILD_STOP, StateSpace
 from .errors import EnumerationGuardError, NumericError, RewardSupportError
-from .losses import cb_loss_batch
+from .losses import PooledLocals, cb_loss_batch
 from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
@@ -259,20 +259,22 @@ def enumerate_trajectory_batches(
 
 
 def effective_target(
-    local_policies: list[ForwardPolicy],
+    local_policies: list[ForwardPolicy] | PooledLocals,
     space: StateSpace,
     guard: int = DEFAULT_TRAJ_GUARD,
 ) -> DistributionTable:
     """Distribution the aggregation-balanced global model actually samples:
     pi_hat(x) proportional to the backward-policy expectation of the product
-    of local trajectory ratios, by exact trajectory enumeration."""
-    n_local = len(local_policies)
+    of local trajectory ratios, by exact trajectory enumeration. The locals'
+    log p_F come from a `PooledLocals` memo (a list of policies is wrapped)."""
+    locals_ = PooledLocals.wrap(space, local_policies)
+    n_local = len(locals_)
     terms: dict[int, list[float]] = {}
     for tb in enumerate_trajectory_batches(space, guard=guard):
         pb = replay_log_pb(space, tb)
         s = np.zeros(tb.batch_size)
-        for pol in local_policies:
-            s += replay_log_pf(pol, space, tb)
+        for lf in locals_.log_pf(tb):
+            s += lf
         logw = s + (1.0 - n_local) * pb
         for i, lw in zip(tb.terminal_idx(), logw):
             terms.setdefault(int(i), []).append(float(lw))
@@ -308,7 +310,8 @@ def robustness_bound_check(
     effective aggregated target against per-client trajectory-ratio extrema."""
     if len(local_policies) != len(client_envs):
         raise ValueError("need one environment per local policy")
-    n = len(local_policies)
+    locals_ = PooledLocals.wrap(space, local_policies)
+    n = len(locals_)
     own = [terminal_log_rewards(env, space) for env in client_envs]
     log_pi = []
     term = space.terminal_indices()
@@ -321,8 +324,8 @@ def robustness_bound_check(
     for tb in enumerate_trajectory_batches(space, guard=guard):
         pb = replay_log_pb(space, tb)
         tix = tb.terminal_idx()
-        for i, pol in enumerate(local_policies):
-            ratio = replay_log_pf(pol, space, tb) - pb - log_pi[i][tix]
+        for i, lf in enumerate(locals_.log_pf(tb)):
+            ratio = lf - pb - log_pi[i][tix]
             lo[i] = min(lo[i], ratio.min())
             hi[i] = max(hi[i], ratio.max())
     alphas = 1.0 - np.exp(lo)
@@ -330,7 +333,7 @@ def robustness_bound_check(
     degenerate = bool(np.any(~np.isfinite(lo)) or np.any(np.exp(lo) <= 0.0))
     bound = float("inf") if degenerate else float(np.sum(hi - lo))
     pi = target_table(space, pooled_log_rewards(space, own))
-    pi_hat = effective_target(local_policies, space, guard=guard)
+    pi_hat = effective_target(locals_, space, guard=guard)
     dj = jeffrey(pi, pi_hat)
     return BoundCheckResult(alphas, betas, dj, bound, holds=dj <= bound + 1e-9, degenerate=degenerate)
 
@@ -403,12 +406,14 @@ class NoisyRewardEnv:
 
 
 def noisy_reward_wrap(
-    env: Environment, sigma2: float, rng: np.random.Generator, guard: int | None = None
+    env: Environment, sigma2: float, rng: np.random.Generator, space: StateSpace | None = None
 ) -> NoisyRewardEnv:
-    """Materialize one Gaussian log-reward offset per terminal state."""
+    """Materialize one Gaussian log-reward offset per terminal state.
+    `space`, if given, is a complete space of the env's DAG and is used
+    instead of enumerating it."""
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2!r}")
-    space = StateSpace.enumerated(env) if guard is None else StateSpace.enumerated(env, guard)
+    space = StateSpace.enumerated(env) if space is None else space.for_env(env)
     sd = float(np.sqrt(sigma2))
     offsets = {
         space.keys[i]: float(rng.normal(0.0, sd)) if sd > 0 else 0.0

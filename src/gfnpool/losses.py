@@ -1,10 +1,10 @@
 """Balance criteria as differentiable scalar losses over trajectory batches.
 
 Every loss takes `TrajectoryBatch`es (a single trajectory is a one-row
-batch), recomputes log-probabilities from the policy's current parameters
-(never from values cached at sampling time), returns the batch loss value,
-and accumulates analytic gradients for whichever parameter blocks the
-criterion trains:
+batch), recomputes the trained policy's log-probabilities from its current
+parameters (never from values cached at sampling time), returns the batch
+loss value, and accumulates analytic gradients for whichever parameter
+blocks the criterion trains:
 
   TB   squared trajectory-balance violation; trains policy + log Z
   DB   edgewise detailed balance with boundary terms; trains policy + flow
@@ -14,6 +14,9 @@ criterion trains:
   AB   squared mismatch between the global and the pooled local trajectory
        ratios; trains the global policy only and never touches any reward.
        Only `aggregate_ab` trains with it, so it is not in `LOSS_KINDS`.
+       The local policies are frozen, so AB reads their log-probabilities
+       from `PooledLocals`, a memo of their masked log-softmax rows, instead
+       of replaying them.
 """
 
 from __future__ import annotations
@@ -154,6 +157,95 @@ def _pair_weights(n: int, weights: np.ndarray | None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# frozen local policies
+
+FILL_CHUNK = 8192  # rows per masked log-softmax when a tabular local is added
+
+
+class PooledLocals:
+    """Frozen local policies as a memo of their masked log-softmax rows,
+    keyed by state index (-inf on illegal slots), in the order they were
+    added.
+
+    A tabular local fills all of its rows when it is added and is not kept,
+    so the memo takes the place of its logits table. An MLP local fills a
+    row the first time `rows` or `log_pf` meets its state, so the memo grows
+    with a lazily expanded space.
+    """
+
+    def __init__(self, space: StateSpace, policies=()):
+        self.space = space
+        self._rows: list[np.ndarray] = []
+        self._lazy: list[tuple[ForwardPolicy, np.ndarray] | None] = []  # (policy, filled) per MLP local
+        for policy in policies:
+            self.add(policy)
+
+    @classmethod
+    def wrap(cls, space: StateSpace, local_policies) -> "PooledLocals":
+        """`local_policies` itself if it is a memo, else a memo of the list."""
+        return local_policies if isinstance(local_policies, cls) else cls(space, local_policies)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, policy: ForwardPolicy) -> None:
+        if policy.backend == "tabular":
+            n = self.space.n_states
+            rows = np.empty((n, self.space.arity))
+            for lo in range(0, n, FILL_CHUNK):
+                idx = np.arange(lo, min(lo + FILL_CHUNK, n))
+                rows[idx] = self._log_softmax(policy, idx)
+            self._rows.append(rows)
+            self._lazy.append(None)
+        else:
+            self._rows.append(np.empty((0, self.space.arity)))
+            self._lazy.append((policy, np.zeros(0, dtype=bool)))
+
+    def _log_softmax(self, policy: ForwardPolicy, idx: np.ndarray) -> np.ndarray:
+        legal = self.space.children_rows(idx) != CHILD_ILLEGAL
+        return masked_log_softmax(policy.logits_rows(self.space, idx), legal)[0]
+
+    def _memo(self, k: int, idx: np.ndarray) -> np.ndarray:
+        """Local k's memo, with the rows of `idx` filled."""
+        if self._lazy[k] is None:
+            return self._rows[k]
+        policy, filled = self._lazy[k]
+        n = self.space.n_states
+        if filled.size < n:  # the space registered states since the last fill
+            cap = max(n, 2 * filled.size)
+            rows = np.empty((cap, self.space.arity))
+            rows[: filled.size] = self._rows[k]
+            filled = np.concatenate([filled, np.zeros(cap - filled.size, dtype=bool)])
+            self._rows[k] = rows
+            self._lazy[k] = (policy, filled)
+        missing = np.unique(idx[~filled[idx]])
+        if missing.size:
+            self._rows[k][missing] = self._log_softmax(policy, missing)
+            filled[missing] = True
+        return self._rows[k]
+
+    def rows(self, k: int, idx: np.ndarray) -> np.ndarray:
+        """Local k's masked log-softmax rows at the state indices `idx`."""
+        return self._memo(k, idx)[idx]
+
+    def log_pf(self, tb: TrajectoryBatch) -> list[np.ndarray]:
+        """Each local's per-trajectory sum of log p_F over `tb`, in local
+        order. Steps are summed one column at a time in t order, as
+        `replay_log_pf` sums them, so tabular locals give its exact bits."""
+        valid = np.arange(tb.horizon) < tb.lengths[:, None]
+        s, a = tb.states[valid], tb.actions[valid]
+        out = []
+        for k in range(len(self)):
+            steps = np.zeros(valid.shape)
+            steps[valid] = self._memo(k, s)[s, a]
+            total = np.zeros(tb.batch_size)
+            for col in steps.T:
+                total += col
+            out.append(total)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # batch losses (training path)
 
 
@@ -290,12 +382,14 @@ def dbc_loss_batch(policy, space, tb):
 def ab_loss_batch(policy, space, tb1, tb2, local_policies, weights=None, pair_weights=None):
     """Squared mismatch between the global trajectory-ratio contrast and the
     pooled local contrasts. Local policies carry no gradient; no reward is
-    ever evaluated."""
+    ever evaluated. `local_policies` is a `PooledLocals` or a list of
+    policies, which is wrapped in one."""
     if not local_policies:
         raise ValueError("aggregation needs at least one local policy")
     if tb1.batch_size != tb2.batch_size:
         raise ValueError("pair batches must have equal size")
-    n_local = len(local_policies)
+    locals_ = PooledLocals.wrap(space, local_policies)
+    n_local = len(locals_)
     omega = np.ones(n_local) if weights is None else np.asarray(weights, dtype=np.float64)
     if omega.shape != (n_local,) or np.any(omega <= 0):
         raise ValueError("need one positive pooling weight per local policy")
@@ -304,9 +398,7 @@ def ab_loss_batch(policy, space, tb1, tb2, local_policies, weights=None, pair_we
     pf2, c2 = replay_log_pf(policy, space, tb2, want_cache=True)
     delta_global = (pf1 - pb1) - (pf2 - pb2)
     pooled = np.zeros(tb1.batch_size)
-    for w, local in zip(omega, local_policies, strict=True):
-        lf1 = replay_log_pf(local, space, tb1)
-        lf2 = replay_log_pf(local, space, tb2)
+    for w, lf1, lf2 in zip(omega, locals_.log_pf(tb1), locals_.log_pf(tb2), strict=True):
         pooled += w * ((lf1 - pb1) - (lf2 - pb2))
     a = delta_global - pooled
     w = _pair_weights(tb1.batch_size, pair_weights)

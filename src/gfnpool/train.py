@@ -243,20 +243,26 @@ def _enumerate_or_none(env: Environment, guard: int) -> StateSpace | None:
         return None
 
 
-def train_clients(jobs: list[tuple[Environment, TrainConfig]], parallelism: int = 1) -> list[ClientResult]:
+def train_clients(
+    jobs: list[tuple[Environment, TrainConfig]], parallelism: int = 1, space: StateSpace | None = None
+) -> list[ClientResult]:
     """Train every client, fanning out across processes; output order matches
     input order and is byte-identical at any parallelism level.
 
     In process, the state space is enumerated once per distinct (DAG, guard)
-    among the jobs, and each client trains on its own view of it. Worker
-    processes enumerate their own: a pickled multiset 10x8 space is ~10 MB
-    and takes a third as long to ship as to build, so shipping one per job
-    saves little.
+    among the jobs, and each client trains on its own view of it; `space`,
+    if given, is a complete space the caller already enumerated, and serves
+    the jobs of its DAG and guard. Worker processes enumerate their own: a
+    pickled multiset 10x8 space is ~10 MB and takes a third as long to ship
+    as to build, so shipping one per job saves little.
     """
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(_client_worker, [(env, cfg, None) for env, cfg in jobs]))
     shared: dict[tuple[str, int], StateSpace | None] = {}
+    if space is not None:
+        space.require_complete()
+        shared[(space.env.fingerprint(), space.guard)] = space
     results = []
     for env, cfg in jobs:
         key = (env.fingerprint(), cfg.state_guard)

@@ -18,12 +18,14 @@ from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.envs.base import Environment
 from gfnpool.errors import SnapshotError, UnsupportedLossError
 from gfnpool.evaluation import exact_pT, l1, reward_table
-from gfnpool.losses import LossSpec
+from gfnpool.losses import LossSpec, PooledLocals
 from gfnpool.policy import (
+    MlpPolicy,
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
     load_snapshot,
+    replay_log_pf,
     sample_batch,
     save_snapshot,
 )
@@ -179,6 +181,54 @@ def test_aggregation_eval_mode_off_never_probes(grid3, grid3_space, rng, monkeyp
 def test_aggregate_config_rejects_unknown_eval_mode():
     with pytest.raises(ValueError, match="eval mode"):
         AggregateConfig(epochs=10, batch=16, seed=1, eval_mode="bogus")
+
+
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_aggregation_replays_only_the_global_policy(grid3, grid3_space, rng, monkeypatch, backend):
+    import gfnpool.evaluation as evaluation_module
+    import gfnpool.losses as losses_module
+    import gfnpool.policy as policy_module
+
+    replayed = []
+
+    def counted(policy, *args, **kw):
+        replayed.append(policy)
+        return replay_log_pf(policy, *args, **kw)
+
+    for module in (policy_module, losses_module, evaluation_module):
+        monkeypatch.setattr(module, "replay_log_pf", counted)
+    epochs, per_epoch = 5, []
+    for n in (2, 6):
+        if backend == "tabular":
+            pols = [random_tabular(grid3_space, rng) for _ in range(n)]
+        else:
+            pols = [MlpPolicy.create(grid3, (8, 8), rng) for _ in range(n)]
+        snaps = [save_snapshot(p, grid3) for p in pols]
+        cfg = AggregateConfig(epochs=epochs, batch=16, seed=1, backend=backend, hidden=(8, 8), eval_every=0)
+        replayed.clear()
+        res = aggregate_ab(grid3, snaps, cfg, space=grid3_space)
+        assert all(p is res.policy for p in replayed)
+        per_epoch.append(len(replayed) / epochs)
+    assert per_epoch[0] == per_epoch[1] == 2
+
+
+def test_mlp_aggregation_on_a_lazily_grown_space(rng):
+    env = SequenceEnv(pos_scores=(0.4, -0.2, 0.3, 0.1, -0.5, 0.2), token_scores=(0.5, -0.3, 0.2, 0.1))
+    guard = 3000
+    assert env.n_states_estimate() > guard
+    pols = [MlpPolicy.create(env, (8, 8), rng) for _ in range(2)]
+    cfg = AggregateConfig(epochs=4, batch=16, seed=3, backend="mlp", hidden=(8, 8), eval_every=0, state_guard=guard)
+    res = aggregate_ab(env, [save_snapshot(p, env) for p in pols], cfg)
+    assert not res.space.complete
+    assert np.isfinite(res.metrics[-1]["loss"])
+    memo = PooledLocals(res.space, pols)
+    sizes = []
+    for _ in range(3):  # later batches register states the memo has not seen
+        tb = sample_batch(res.policy, res.space, 32, 1.0, rng, compute_rewards=False)
+        for pol, lf in zip(pols, memo.log_pf(tb), strict=True):
+            assert np.max(np.abs(lf - replay_log_pf(pol, res.space, tb))) <= 1e-12
+        sizes.append(res.space.n_states)
+    assert sizes[0] < sizes[-1] <= guard
 
 
 # -- FedAvg -------------------------------------------------------------------

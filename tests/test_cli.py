@@ -160,6 +160,28 @@ def test_sweep_noise_zero_matches_direct_run(outroot):
     assert final_sweep == pytest.approx(final_direct, abs=1e-6)
 
 
+def test_sweep_noise_enumerates_once_per_cell(outroot, monkeypatch):
+    doc = json.loads(json.dumps(TINY_MULTISET))
+    doc["train"].update(epochs=4, eval_every=0)
+    doc["aggregate"].update(epochs=4, eval_every=2)
+    doc["sweep"] = {"axis": "noise", "values": [0.0, 0.5], "seeds": [1, 2]}
+    calls = []
+    enumerate_ = StateSpace.enumerated.__func__
+
+    def counted_enumerate(cls, env, guard=DEFAULT_STATE_GUARD):
+        calls.append(env)
+        return enumerate_(cls, env, guard)
+
+    monkeypatch.setattr(StateSpace, "enumerated", classmethod(counted_enumerate))
+    assert main(["sweep", "--config", write_cfg(outroot, doc)]) == 0
+    out = outroot / "out" / "tinymset"
+    assert not (out / "sweep_errors.json").exists()
+    assert {(r["value"], r["seed"]) for r in read_csv_rows(out / "sweep.csv")} == {
+        (v, s) for v in ("0.0", "0.5") for s in ("1", "2")
+    }
+    assert len(calls) == 4  # one per (noise, seed) cell
+
+
 def test_sweep_loss_axis(outroot):
     doc = json.loads(json.dumps(TINY_MULTISET))
     doc["sweep"] = {"axis": "loss", "values": ["CB", "TB"], "seeds": [2]}
@@ -218,9 +240,9 @@ def test_sweep_clients_trains_and_pools_value_clients(outroot, monkeypatch, conf
     jobs_seen, snaps_seen = [], []
     train, aggregate = cli_module.train_clients, agg_module.aggregate_ab
 
-    def counted_train(jobs, parallelism=1):
+    def counted_train(jobs, parallelism=1, **kw):
         jobs_seen.append(len(jobs))
-        return train(jobs, parallelism=parallelism)
+        return train(jobs, parallelism=parallelism, **kw)
 
     def counted_aggregate(env, snapshots, cfg, **kw):
         snaps_seen.append(len(snapshots))

@@ -194,6 +194,17 @@ def test_multiset_zero_values_reward():
         env.log_reward((1, 0, 0))
 
 
+def test_multiset_log_reward_is_dot_with_values():
+    env = MultisetEnv(values=(0.1, -0.7, 2.3, 0.45), target_size=5)
+    space = StateSpace.enumerated(env)
+    for i in space.terminal_indices():
+        key = space.keys[i]
+        assert env.log_reward(key) == float(np.dot(key, env.values))
+    for bad in [(1, 1, 1), (1, 1, 1, 1, 1), (6, 0, 0, -1), (1.0, 2, 1, 1)]:
+        with pytest.raises(MalformedStateError):
+            env.log_reward(bad)
+
+
 def test_multiset_counts_stars_and_bars():
     env = MultisetEnv(values=tuple(np.linspace(0, 1, 10)), target_size=8)
     space = StateSpace.enumerated(env)

@@ -6,6 +6,7 @@ from gfnpool.errors import RewardSupportError, UnsupportedLossError
 from gfnpool.losses import (
     LossSpec,
     MlpFlow,
+    PooledLocals,
     TabularFlow,
     ab_loss_batch,
     cb_loss_batch,
@@ -20,6 +21,7 @@ from gfnpool.policy import (
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
+    replay_log_pf,
     sample_batch,
 )
 from tests.conftest import one_row_batch, paths, random_tabular
@@ -343,6 +345,32 @@ def test_ab_never_touches_rewards(grid3, grid3_space, rng):
     t2 = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False)
     loss, _ = ab_loss_batch(pol, grid3_space, t1, t2, [random_tabular(grid3_space, rng)])
     assert np.isfinite(loss)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        GridEnv(side=3, beacons=((1, 1),)),
+        SequenceEnv(pos_scores=(1.0, 0.5, -0.5, 2.0), token_scores=(0.3, -0.2, 0.1, 0.4)),
+        # 9 steps: np.sum(axis=1) would sum pairwise and miss the exact bits here
+        MultisetEnv(values=(0.2, -0.4, 0.9, 0.1), target_size=8),
+    ],
+    ids=["grid3x3", "sequence4x4", "multiset4x8"],
+)
+def test_pooled_locals_log_pf_equals_replay(env, rng):
+    space = StateSpace.enumerated(env)
+    tabular = [random_tabular(space, rng) for _ in range(2)]
+    mlp = [MlpPolicy.create(env, (8, 8), rng) for _ in range(2)]
+    for pols, exact in [(tabular, True), (mlp, False)]:
+        memo = PooledLocals(space, pols)
+        for epsilon in (0.0, 0.5, 1.0):
+            tb = sample_batch(pols[0], space, 64, epsilon, rng, compute_rewards=False)
+            for pol, lf in zip(pols, memo.log_pf(tb), strict=True):
+                ref = replay_log_pf(pol, space, tb)
+                if exact:
+                    assert np.array_equal(lf, ref)
+                else:
+                    assert np.max(np.abs(lf - ref)) <= 1e-12
 
 
 # -- zero at optimum, all criteria ----------------------------------------------
