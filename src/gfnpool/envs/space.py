@@ -116,6 +116,8 @@ class StateSpace:
 
     def children_rows(self, idx: np.ndarray) -> np.ndarray:
         """(batch, arity) child codes; CHILD_STOP marks the sink, CHILD_ILLEGAL a masked slot."""
+        if self.complete:
+            return self._children[idx]
         pending = np.asarray(idx)[~self._expanded[idx]]
         for i in np.unique(pending):
             self._expand(int(i))

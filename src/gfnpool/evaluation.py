@@ -22,7 +22,7 @@ from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
     apply_log_pf_grad,
-    masked_log_softmax,
+    policy_rows,
     replay_log_pb,
     replay_log_pf,
     sample_batch,
@@ -86,9 +86,7 @@ def exact_pT(policy: ForwardPolicy, space: StateSpace) -> DistributionTable:
     mass[space.root] = 1.0
     p_term = np.zeros(space.n_states)
     for lv in space.levels():
-        rows = space.children_rows(lv)
-        legal = rows != CHILD_ILLEGAL
-        _, p = masked_log_softmax(policy.logits_rows(space, lv), legal)
+        rows, _, p = policy_rows(policy, space, lv)[:3]  # free the MLP cache before the next level
         contrib = mass[lv][:, None] * p
         p_term[lv] += np.where(rows == CHILD_STOP, contrib, 0.0).sum(axis=1)
         interior = rows >= 0

@@ -25,16 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs.space import CHILD_ILLEGAL, StateSpace
+from .envs.space import StateSpace
 from .errors import RewardSupportError, UnsupportedLossError
 from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init
 from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
     apply_log_pf_grad,
-    masked_log_softmax,
+    policy_rows,
     replay_log_pb,
     replay_log_pf,
+    replay_steps,
+    step_sums,
 )
 
 LOSS_KINDS = ("TB", "DB", "DBC", "CB", "VL")
@@ -194,16 +196,12 @@ class PooledLocals:
             rows = np.empty((n, self.space.arity))
             for lo in range(0, n, FILL_CHUNK):
                 idx = np.arange(lo, min(lo + FILL_CHUNK, n))
-                rows[idx] = self._log_softmax(policy, idx)
+                rows[idx] = policy_rows(policy, self.space, idx)[1]
             self._rows.append(rows)
             self._lazy.append(None)
         else:
             self._rows.append(np.empty((0, self.space.arity)))
             self._lazy.append((policy, np.zeros(0, dtype=bool)))
-
-    def _log_softmax(self, policy: ForwardPolicy, idx: np.ndarray) -> np.ndarray:
-        legal = self.space.children_rows(idx) != CHILD_ILLEGAL
-        return masked_log_softmax(policy.logits_rows(self.space, idx), legal)[0]
 
     def _memo(self, k: int, idx: np.ndarray) -> np.ndarray:
         """Local k's memo, with the rows of `idx` filled."""
@@ -220,7 +218,7 @@ class PooledLocals:
             self._lazy[k] = (policy, filled)
         missing = np.unique(idx[~filled[idx]])
         if missing.size:
-            self._rows[k][missing] = self._log_softmax(policy, missing)
+            self._rows[k][missing] = policy_rows(policy, self.space, missing)[1]
             filled[missing] = True
         return self._rows[k]
 
@@ -230,19 +228,11 @@ class PooledLocals:
 
     def log_pf(self, tb: TrajectoryBatch) -> list[np.ndarray]:
         """Each local's per-trajectory sum of log p_F over `tb`, in local
-        order. Steps are summed one column at a time in t order, as
-        `replay_log_pf` sums them, so tabular locals give its exact bits."""
-        valid = np.arange(tb.horizon) < tb.lengths[:, None]
+        order. Steps are added by `step_sums`, as `replay_log_pf` adds them,
+        so tabular locals give its exact bits."""
+        valid = tb.valid()
         s, a = tb.states[valid], tb.actions[valid]
-        out = []
-        for k in range(len(self)):
-            steps = np.zeros(valid.shape)
-            steps[valid] = self._memo(k, s)[s, a]
-            total = np.zeros(tb.batch_size)
-            for col in steps.T:
-                total += col
-            out.append(total)
-        return out
+        return [step_sums(valid, self._memo(k, s)[s, a]) for k in range(len(self))]
 
 
 # ---------------------------------------------------------------------------
@@ -289,50 +279,37 @@ def vl_loss_batch(policy, space, tb):
 
 def db_loss_batch(policy, flow, space, tb):
     """Mean squared detailed-balance violation over every transition in the
-    batch, boundary terms included."""
+    batch, boundary terms included. A step's successor s' is the next step
+    of `replay_steps`; the flow gradient adds successor terms before
+    own-state terms, the order a loop over t meets them in."""
     log_r = _require_rewards(tb)
-    total = int(tb.lengths.sum())
+    _, s, a, logp, p, bc = replay_steps(policy, space, tb)
+    total = s.size
+    lp_a = logp[np.arange(total), a]
+    lf_s = flow.log_flow(space, s)
+    stop = np.cumsum(tb.lengths) - 1  # each trajectory's last step, in row order
+    go = np.setdiff1d(np.arange(total), stop)  # the others move to step go + 1
+    nxt = s[go + 1]
+    viol = np.empty(total)
+    viol[go] = lp_a[go] + np.log(space.nparents(nxt)) + lf_s[go] - lf_s[go + 1]
+    viol[stop] = lf_s[stop] + lp_a[stop] - log_r
+    coeff = 2.0 * viol / total
+    dl = -p * coeff[:, None]
+    dl[np.arange(total), a] += coeff
     grad_p = np.zeros(policy.n_params)
+    policy.accumulate_dlogits(space, s, dl, grad_p, bc)
     grad_f = np.zeros(flow.n_params)
-    sq = 0.0
-    for t in range(tb.horizon):
-        sel = np.flatnonzero(t < tb.lengths)
-        if sel.size == 0:
-            break
-        s = tb.states[sel, t]
-        a = tb.actions[sel, t]
-        rows = space.children_rows(s)
-        legal = rows != CHILD_ILLEGAL
-        logits, bc = policy.logits_rows(space, s, want_cache=True)
-        logp, p = masked_log_softmax(logits, legal)
-        lp_a = logp[np.arange(sel.size), a]
-        lf_s = flow.log_flow(space, s)
-        is_stop = tb.lengths[sel] == t + 1
-        viol = np.empty(sel.size)
-        if np.any(~is_stop):
-            nxt = tb.states[sel[~is_stop], t + 1]
-            viol[~is_stop] = (
-                lp_a[~is_stop]
-                + np.log(space.nparents(nxt))
-                + lf_s[~is_stop]
-                - flow.log_flow(space, nxt)
-            )
-        viol[is_stop] = lf_s[is_stop] + lp_a[is_stop] - log_r[sel[is_stop]]
-        sq += float(np.sum(viol**2))
-        coeff = 2.0 * viol / total
-        dl = -p * coeff[:, None]
-        dl[np.arange(sel.size), a] += coeff
-        policy.accumulate_dlogits(space, s, dl, grad_p, cache=bc)
-        flow.accumulate_dflow(space, s, coeff, grad_f)
-        if np.any(~is_stop):
-            flow.accumulate_dflow(space, nxt, -coeff[~is_stop], grad_f)
-    return sq / total, {"policy": grad_p, "flow": grad_f}
+    flow.accumulate_dflow(space, nxt, -coeff[go], grad_f)
+    flow.accumulate_dflow(space, s, coeff, grad_f)
+    return float(np.sum(viol**2)) / total, {"policy": grad_p, "flow": grad_f}
 
 
 def dbc_loss_batch(policy, space, tb):
     """Flow-free detailed balance for graphs where every state is terminal:
     squared log violation of R(s') p_B(s|s') p_F(sf|s) = R(s) p_F(s'|s) p_F(sf|s'),
-    averaged over the batch's interior transitions."""
+    averaged over the batch's interior transitions. log p_F(sf|s') is read
+    off the next step of `replay_steps`; the gradient adds successor terms
+    before own-state terms, the order a loop over t meets them in."""
     env = space.env
     if not getattr(env, "all_states_terminal", False):
         raise UnsupportedLossError(
@@ -342,41 +319,30 @@ def dbc_loss_batch(policy, space, tb):
     interior = int((tb.lengths - 1).sum())
     if interior == 0:
         raise UnsupportedLossError("batch contains no interior transitions")
+    _, s, a, logp, p, bc = replay_steps(policy, space, tb)
+    go = np.setdiff1d(np.arange(s.size), np.cumsum(tb.lengths) - 1)  # moves to step go + 1
+    cur, nxt = s[go], s[go + 1]
+    viol = (
+        space.log_rewards(nxt)
+        - np.log(space.nparents(nxt))
+        + logp[go, stop]
+        - space.log_rewards(cur)
+        - logp[go, a[go]]
+        - logp[go + 1, stop]
+    )
+    coeff = 2.0 * viol / interior
+    # d/dlogits(s') of -logp(stop|s'); at s the softmax terms of
+    # logp(stop|s) - logp(a|s) cancel
+    dl_next = np.zeros_like(p)
+    dl_next[go + 1] = p[go + 1] * coeff[:, None]
+    dl_next[go + 1, stop] -= coeff
+    dl_own = np.zeros_like(p)
+    dl_own[go, stop] += coeff
+    dl_own[go, a[go]] -= coeff
     grad = np.zeros(policy.n_params)
-    sq = 0.0
-    for t in range(tb.horizon - 1):
-        sel = np.flatnonzero(t + 1 < tb.lengths)
-        if sel.size == 0:
-            break
-        s = tb.states[sel, t]
-        a = tb.actions[sel, t]
-        nxt = tb.states[sel, t + 1]
-        rows_s = space.children_rows(s)
-        logits_s, bc_s = policy.logits_rows(space, s, want_cache=True)
-        logp_s, p_s = masked_log_softmax(logits_s, rows_s != CHILD_ILLEGAL)
-        rows_n = space.children_rows(nxt)
-        logits_n, bc_n = policy.logits_rows(space, nxt, want_cache=True)
-        logp_n, p_n = masked_log_softmax(logits_n, rows_n != CHILD_ILLEGAL)
-        rr = np.arange(sel.size)
-        viol = (
-            space.log_rewards(nxt)
-            - np.log(space.nparents(nxt))
-            + logp_s[rr, stop]
-            - space.log_rewards(s)
-            - logp_s[rr, a]
-            - logp_n[rr, stop]
-        )
-        sq += float(np.sum(viol**2))
-        coeff = 2.0 * viol / interior
-        # d/dlogits(s) of [logp(stop|s) - logp(a|s)]: the softmax terms cancel
-        dl_s = np.zeros_like(p_s)
-        dl_s[rr, stop] += coeff
-        dl_s[rr, a] -= coeff
-        policy.accumulate_dlogits(space, s, dl_s, grad, cache=bc_s)
-        dl_n = p_n * coeff[:, None]
-        dl_n[rr, stop] -= coeff
-        policy.accumulate_dlogits(space, nxt, dl_n, grad, cache=bc_n)
-    return sq / interior, {"policy": grad}
+    policy.accumulate_dlogits(space, s, dl_next, grad, bc)
+    policy.accumulate_dlogits(space, s, dl_own, grad, bc)
+    return float(np.sum(viol**2)) / interior, {"policy": grad}
 
 
 def ab_loss_batch(policy, space, tb1, tb2, local_policies, weights=None, pair_weights=None):

@@ -3,9 +3,14 @@ format clients ship to the server. The backward policy is always uniform,
 p_B(s' -> s) = 1 / |parents(s')|: `sample_batch` records it in `log_pb`
 and `replay_log_pb` recomputes it.
 
-Trajectories exist only as a `TrajectoryBatch`: a batch advances in
-lockstep, one masked-softmax per step, so training loops spend their time
-in numpy rather than Python. A single trajectory is a one-row batch.
+Trajectories exist only as a `TrajectoryBatch`; a single trajectory is a
+one-row batch. Sampling advances a batch in lockstep, one masked softmax
+per step. Replay takes one masked softmax over every step of a batch,
+flattened row-major over `TrajectoryBatch.valid()`, and `step_sums` adds
+the steps up in t order. Every environment's DAG is graded, so a state
+appears only at the step t equal to its depth: a scatter-add (`np.add.at`)
+over the flat steps meets each state's terms in the order a loop over t
+would, and tabular results keep their bits.
 """
 
 from __future__ import annotations
@@ -66,13 +71,14 @@ class ForwardPolicy:
     def set_params(self, flat: np.ndarray) -> None:
         raise NotImplementedError
 
-    def logits_rows(self, space: StateSpace, idx: np.ndarray, want_cache: bool = False):
-        """(batch, arity) raw logits; with want_cache, also an opaque cache
-        for the matching accumulate_dlogits call."""
+    def logits_rows(self, space: StateSpace, idx: np.ndarray):
+        """((batch, arity) raw logits, an opaque cache for the matching
+        accumulate_dlogits call)."""
         raise NotImplementedError
 
-    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache=None) -> None:
-        """Add d(sum of weighted logits)/d(params) into grad_flat."""
+    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
+        """Add d(sum of weighted logits)/d(params) into grad_flat; `cache` is
+        the one logits_rows returned for the same `idx`."""
         raise NotImplementedError
 
 
@@ -104,11 +110,10 @@ class TabularPolicy(ForwardPolicy):
     def set_params(self, flat: np.ndarray) -> None:
         self.table = flat.reshape(self.table.shape).copy()
 
-    def logits_rows(self, space, idx, want_cache=False):
-        logits = self.table[idx]
-        return (logits, None) if want_cache else logits
+    def logits_rows(self, space, idx):
+        return self.table[idx], None
 
-    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache=None) -> None:
+    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
         np.add.at(grad_flat.reshape(self.table.shape), idx, dlogits)
 
     def arch_descriptor(self) -> dict:
@@ -146,13 +151,10 @@ class MlpPolicy(ForwardPolicy):
     def set_params(self, flat: np.ndarray) -> None:
         self.params = flat.copy()
 
-    def logits_rows(self, space, idx, want_cache=False):
-        out, cache = mlp_forward(self.spec, self.params, space.features(idx))
-        return (out, cache) if want_cache else out
+    def logits_rows(self, space, idx):
+        return mlp_forward(self.spec, self.params, space.features(idx))
 
-    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache=None) -> None:
-        if cache is None:
-            _, cache = mlp_forward(self.spec, self.params, space.features(idx))
+    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
         grad, _ = mlp_backward(self.spec, self.params, cache, dlogits)
         grad_flat += grad
 
@@ -175,7 +177,6 @@ class TrajectoryBatch:
     log_pf: np.ndarray  # (B, T) on-policy log-probs recorded at sampling
     log_pb: np.ndarray  # (B, T) uniform-backward log-probs (stop step: 0)
     log_reward: np.ndarray | None
-    explored: bool = False
 
     @property
     def batch_size(self) -> int:
@@ -188,6 +189,11 @@ class TrajectoryBatch:
     def terminal_idx(self) -> np.ndarray:
         return self.states[np.arange(self.batch_size), self.lengths - 1]
 
+    def valid(self) -> np.ndarray:
+        """(B, T) mask of the steps each trajectory takes; indexing with it
+        gives the row-major step order of every flat step array."""
+        return np.arange(self.horizon) < self.lengths[:, None]
+
     def subset(self, idx) -> "TrajectoryBatch":
         return TrajectoryBatch(
             self.states[idx],
@@ -196,8 +202,32 @@ class TrajectoryBatch:
             self.log_pf[idx],
             self.log_pb[idx],
             None if self.log_reward is None else self.log_reward[idx],
-            self.explored,
         )
+
+
+def policy_rows(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
+    """(child codes, masked log-softmax, softmax, backend cache) of the
+    policy at the state indices `idx`, one row each; the cache is the one
+    `accumulate_dlogits` takes for the same `idx`."""
+    rows = space.children_rows(idx)
+    legal = rows != CHILD_ILLEGAL
+    if not legal.any(axis=1).all():
+        raise MalformedStateError("reached a state with no legal transitions")
+    logits, cache = policy.logits_rows(space, idx)
+    logp, p = masked_log_softmax(logits, legal)
+    return rows, logp, p, cache
+
+
+def step_sums(valid: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per-trajectory sums of the flat per-step values `vals` (one per True
+    cell of `valid`, row-major), added one column at a time in t order: the
+    bits of a loop over t, which `np.sum(axis=1)` does not give."""
+    grid = np.zeros(valid.shape)
+    grid[valid] = vals
+    total = np.zeros(valid.shape[0])
+    for col in grid.T:
+        total += col
+    return total
 
 
 def _sample_rows(dist: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -232,12 +262,9 @@ def sample_batch(
     while alive.size:
         if t >= horizon:
             raise NumericError("trajectory step budget exceeded; DAG integrity suspect")
-        rows = space.children_rows(cur[alive])
-        legal = rows != CHILD_ILLEGAL
-        if not legal.any(axis=1).all():
-            raise MalformedStateError("reached a state with no legal transitions")
-        logp, p = masked_log_softmax(policy.logits_rows(space, cur[alive]), legal)
+        rows, logp, p = policy_rows(policy, space, cur[alive])[:3]
         if epsilon > 0:
+            legal = rows != CHILD_ILLEGAL
             uniform = legal / legal.sum(axis=1, keepdims=True)
             mix = rng.random(alive.size) < epsilon
             dist = np.where(mix[:, None], uniform, p)
@@ -259,7 +286,7 @@ def sample_batch(
             cur[go] = nxt
         alive = go
         t += 1
-    tb = TrajectoryBatch(states, actions, lengths, log_pf, log_pb, None, explored=epsilon > 0)
+    tb = TrajectoryBatch(states, actions, lengths, log_pf, log_pb, None)
     if compute_rewards:
         tb.log_reward = space.log_rewards(tb.terminal_idx())
     return tb
@@ -269,49 +296,45 @@ def sample_batch(
 # log-probability replay (recompute under current parameters)
 
 
-def replay_log_pf(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, want_cache: bool = False):
-    """Per-trajectory sum of log p_F under the policy's current parameters.
+def replay_steps(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch):
+    """(valid, states, actions, log-softmax rows, softmax rows, backend
+    cache) of every step of `tb` under the policy's current parameters,
+    flattened row-major over `tb.valid()`."""
+    valid = tb.valid()
+    s = tb.states[valid]
+    _, logp, p, bc = policy_rows(policy, space, s)
+    return valid, s, tb.actions[valid], logp, p, bc
 
-    With want_cache, also returns the per-step selections and softmax rows
-    needed to push gradients back without a second forward pass.
+
+def replay_log_pf(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, want_cache: bool = False):
+    """Per-trajectory sum of log p_F under the policy's current parameters,
+    from one masked softmax over every step of the batch.
+
+    With want_cache, also returns the cache (valid, states, actions, softmax
+    rows, backend cache) that `apply_log_pf_grad` takes to push gradients
+    back without a second forward pass.
     """
-    sums = np.zeros(tb.batch_size)
-    cache = [] if want_cache else None
-    for t in range(tb.horizon):
-        sel = np.flatnonzero(t < tb.lengths)
-        if sel.size == 0:
-            break
-        s = tb.states[sel, t]
-        a = tb.actions[sel, t]
-        rows = space.children_rows(s)
-        legal = rows != CHILD_ILLEGAL
-        if want_cache:
-            logits, bc = policy.logits_rows(space, s, want_cache=True)
-        else:
-            logits, bc = policy.logits_rows(space, s), None
-        logp, p = masked_log_softmax(logits, legal)
-        sums[sel] += logp[np.arange(sel.size), a]
-        if want_cache:
-            cache.append((sel, s, a, p, bc))
-    return (sums, cache) if want_cache else sums
+    valid, s, a, logp, p, bc = replay_steps(policy, space, tb)
+    sums = step_sums(valid, logp[np.arange(s.size), a])
+    return (sums, (valid, s, a, p, bc)) if want_cache else sums
 
 
 def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, cache, coeffs: np.ndarray, grad_flat: np.ndarray) -> None:
     """Accumulate sum_k coeffs[k] * d log p_F(tau_k) / d params into grad_flat,
-    using the cache from replay_log_pf(want_cache=True)."""
-    for sel, s, a, p, bc in cache:
-        c = coeffs[sel]
-        dl = -p * c[:, None]
-        dl[np.arange(sel.size), a] += c
-        policy.accumulate_dlogits(space, s, dl, grad_flat, cache=bc)
+    using the cache from replay_log_pf(want_cache=True): one
+    `accumulate_dlogits` call over every step of the batch."""
+    valid, s, a, p, bc = cache
+    c = coeffs[np.nonzero(valid)[0]]  # each step takes its trajectory's coefficient
+    dl = -p * c[:, None]
+    dl[np.arange(s.size), a] += c
+    policy.accumulate_dlogits(space, s, dl, grad_flat, bc)
 
 
 def replay_log_pb(space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:
     """Uniform-backward log-prob sums recomputed from parent counts."""
     if tb.horizon <= 1:
         return np.zeros(tb.batch_size)
-    cols = np.arange(1, tb.horizon)[None, :]
-    mask = cols < tb.lengths[:, None]  # non-stop transitions enter states[:, 1:]
+    mask = tb.valid()[:, 1:]  # non-stop transitions enter states[:, 1:]
     nxt = np.where(mask, tb.states[:, 1:], 0)
     npar = np.where(mask, space.nparents(nxt), 1)
     return -np.log(npar).sum(axis=1)
@@ -320,13 +343,7 @@ def replay_log_pb(space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:
 def action_distribution(policy: ForwardPolicy, space: StateSpace, s: StateKey) -> np.ndarray:
     """Masked-softmax action probabilities at one state (full arity vector,
     exactly 0 on illegal slots)."""
-    idx = np.array([space.lookup(s)])
-    rows = space.children_rows(idx)
-    legal = rows != CHILD_ILLEGAL
-    if not legal.any():
-        raise MalformedStateError(f"state has no legal transitions: {s!r}")
-    _, p = masked_log_softmax(policy.logits_rows(space, idx), legal)
-    return p[0]
+    return policy_rows(policy, space, np.array([space.lookup(s)]))[2][0]
 
 
 # ---------------------------------------------------------------------------

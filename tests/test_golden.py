@@ -24,16 +24,16 @@ CLIENT_SHA256 = {
     ("DBC", "tabular"): "e3e2916d4241f0ba1bfd182faeec8e829cb72f07436118c70d427e1365b6b56b",
     ("CB", "tabular"): "8af32c3cf3e554176e4bd061807fc906a40ce6e1eba3d4c163abbadfd5e9bbb7",
     ("VL", "tabular"): "6b89db15800eb880898df95e51b9129c6d6e294d8ff2b4488a7be93e56b234b7",
-    ("TB", "mlp"): "948a1dbf68449e2a69828bfa8a141eac4fe8c8409a666b98e30d61ee6c91582a",
-    ("DB", "mlp"): "ec3d6ee842c62ee2ef69c3eb4fa1a82e3525ce4d94a900a98d3298c383575c5f",
-    ("DBC", "mlp"): "66c38555f618a5907eb62056b359a3c2a83a1ed57ee80f402d27a3941d52df70",
-    ("CB", "mlp"): "7cc0ee0fd3d631628fd71ca56dde7592594315897fba29e91b89344a645a270e",
-    ("VL", "mlp"): "332dc2e5934a90bf0566d444fd4465881de7a0363a245243fee0fb677d477c1f",
+    ("TB", "mlp"): "30e247bb4a64d2e98ed66c653fa990acf2a2785aac7eab873c08630818a63b52",
+    ("DB", "mlp"): "f8e3f3d2d8b7bec9b4b25f62a93f6a8af3f92be825fc9c6f0d22cb6f981ba432",
+    ("DBC", "mlp"): "32cf14b30ecee84f042c702af18b09b6f1a42521d304467a823f4159549f1552",
+    ("CB", "mlp"): "388b22af09d4dabeb44541d8271d412b062703a504d1b3403b82292a86ec9876",
+    ("VL", "mlp"): "91d0db9ebddfde0ee673003bce59211dad36e42614b7c295fe488a17916086bf",
 }
 
 GLOBAL_SHA256 = {
     "tabular": "5c45dd611ccb2e52bbeaa86942826062990d5315909f795fd31d24d3bfc6587a",
-    "mlp": "eeb3bbebc45996d3d17b71c8fd7f9c88350165c63cf67f1e2cef85ae0c185664",
+    "mlp": "2b4aa6529b756ea2ebc8feabfcdeb3915d8e4de949180642662c28a6f3492852",
 }
 
 

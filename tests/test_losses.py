@@ -21,6 +21,7 @@ from gfnpool.policy import (
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
+    masked_log_softmax,
     replay_log_pf,
     sample_batch,
 )
@@ -34,6 +35,17 @@ def oracle_log_pf(policy, space, env, path):
     for s, a in zip(states, actions):
         total += np.log(action_distribution(policy, space, s)[a])
     return total
+
+
+def loop_log_pf(policy, space, tb):
+    """Reference replay: one masked softmax per step t, added in t order."""
+    sums = np.zeros(tb.batch_size)
+    for t in range(tb.horizon):
+        sel = np.flatnonzero(t < tb.lengths)
+        s, a = tb.states[sel, t], tb.actions[sel, t]
+        logp, _ = masked_log_softmax(policy.logits_rows(space, s)[0], space.children_rows(s) != -1)
+        sums[sel] += logp[np.arange(sel.size), a]
+    return sums
 
 
 def oracle_log_pb(env, path):
@@ -352,7 +364,7 @@ def test_ab_never_touches_rewards(grid3, grid3_space, rng):
     [
         GridEnv(side=3, beacons=((1, 1),)),
         SequenceEnv(pos_scores=(1.0, 0.5, -0.5, 2.0), token_scores=(0.3, -0.2, 0.1, 0.4)),
-        # 9 steps: np.sum(axis=1) would sum pairwise and miss the exact bits here
+        # 9 steps: np.sum(axis=1) would sum pairwise and miss the loop's bits here
         MultisetEnv(values=(0.2, -0.4, 0.9, 0.1), target_size=8),
     ],
     ids=["grid3x3", "sequence4x4", "multiset4x8"],
@@ -367,10 +379,13 @@ def test_pooled_locals_log_pf_equals_replay(env, rng):
             tb = sample_batch(pols[0], space, 64, epsilon, rng, compute_rewards=False)
             for pol, lf in zip(pols, memo.log_pf(tb), strict=True):
                 ref = replay_log_pf(pol, space, tb)
+                loop = loop_log_pf(pol, space, tb)
                 if exact:
                     assert np.array_equal(lf, ref)
+                    assert np.array_equal(ref, loop)
                 else:
                     assert np.max(np.abs(lf - ref)) <= 1e-12
+                    assert np.max(np.abs(ref - loop)) <= 1e-12
 
 
 # -- zero at optimum, all criteria ----------------------------------------------
@@ -395,13 +410,14 @@ def test_all_losses_vanish_at_exact_flows(rng):
     assert loss_dbc <= 1e-18
 
 
-# -- gradient checks on MLP backends --------------------------------------------
+# -- gradient checks on both backends --------------------------------------------
 
 
 def _fd_worst(fn, obj, rng, probes=40, h=1e-5):
-    _, grads_all = fn()
+    loss, grads_all = fn()
     key = "flow" if isinstance(obj, (TabularFlow, MlpFlow)) else "policy"
     g = grads_all[key]
+    assert np.isfinite(loss) and np.all(np.isfinite(g))  # max() below would skip a NaN
     base = obj.get_params()
     worst = 0.0
     for i in rng.choice(g.size, size=min(probes, g.size), replace=False):
@@ -419,13 +435,19 @@ def _fd_worst(fn, obj, rng, probes=40, h=1e-5):
     return worst
 
 
-def test_gradients_match_finite_differences_on_mlp(rng):
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_gradients_match_finite_differences(backend, rng):
     env = GridEnv(side=3, beacons=((1, 1),))
     space = StateSpace.enumerated(env)
-    pol = MlpPolicy.create(env, (8, 8), rng)
-    pol.params = rng.normal(0, 0.5, pol.n_params)  # kink-free parameters
-    flow = MlpFlow.create(env, (8, 8), rng)
-    flow.params = rng.normal(0, 0.5, flow.n_params)
+    if backend == "tabular":
+        # the flat-step scatters (np.add.at) of every loss and the DB flow
+        pol = random_tabular(space, rng)
+        flow = TabularFlow(space, rng.normal(0, 0.5, space.n_states))
+    else:
+        pol = MlpPolicy.create(env, (8, 8), rng)
+        pol.params = rng.normal(0, 0.5, pol.n_params)  # kink-free parameters
+        flow = MlpFlow.create(env, (8, 8), rng)
+        flow.params = rng.normal(0, 0.5, flow.n_params)
     locs = [random_tabular(space, rng) for _ in range(2)]
     tb = sample_batch(pol, space, 12, 0.4, rng)
     t1, t2 = tb.subset(slice(0, 6)), tb.subset(slice(6, 12))

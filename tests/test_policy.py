@@ -56,7 +56,7 @@ def test_normalization_and_exact_zero_support(backend, rng):
     idx = rng.integers(0, space.n_states, size=1000)
     rows = space.children_rows(idx)
     legal = rows != -1
-    logp, p = masked_log_softmax(pol.logits_rows(space, idx), legal)
+    logp, p = masked_log_softmax(pol.logits_rows(space, idx)[0], legal)
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(p[~legal] == 0.0)
     assert np.all(np.isneginf(logp[~legal]))

@@ -57,6 +57,12 @@ def test_sampled_trajectories_consistent(env, seed):
     # recorded on-policy log-probs equal recomputation; backward too
     assert np.max(np.abs(replay_log_pf(pol, space, tb) - tb.log_pf.sum(axis=1))) <= 1e-12
     assert np.max(np.abs(replay_log_pb(space, tb) - tb.log_pb.sum(axis=1))) <= 1e-12
+    # replayed backward log-probs equal the parent counts of the env itself
+    oracle = [
+        -sum(np.log(len(env.parents(space.keys[i]))) for i in tb.states[k, 1:n])
+        for k, n in enumerate(tb.lengths)
+    ]
+    assert np.max(np.abs(replay_log_pb(space, tb) - oracle)) <= 1e-12
     # lengths respect the step budget; terminals are terminal
     assert np.all(tb.lengths <= env.max_traj_len)
     assert np.all(space.terminal_mask(tb.terminal_idx()))
