@@ -88,10 +88,7 @@ t0 = time.perf_counter()
 table = ev.exact_pT(out["global_policy"], space)
 topk_model = ev.topk_avg_log_reward(table, space, log_r, 800, sample_budget=10**6)
 topk_exact = ev.topk_avg_log_reward(target, space, log_r, 800, sample_budget=10**6)
-samp = ev.sampled_pT(out["global_policy"], space, 10**6, np.random.default_rng(5))
-idx = np.array([space.index[k] for k in samp.probs])
-counts = (np.array(list(samp.probs.values())) * 10**6).round().astype(int)
-samples = np.repeat(idx, counts)
+samples = ev.sample_terminals(out["global_policy"], space, 10**6, np.random.default_rng(5))
 topk_sampled = ev.topk_avg_log_reward(samples, space, log_r, 800)
 locals_ = load_local_policies(m_envs[0], [r.snapshot for r in out["results"]], space)
 fits = [pcvi_fit(p, space, 10**5, np.random.default_rng(42 + i)) for i, p in enumerate(locals_)]

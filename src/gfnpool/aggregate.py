@@ -22,7 +22,7 @@ from .envs.base import Environment
 from .envs.space import CHILD_ILLEGAL, DEFAULT_STATE_GUARD, StateSpace
 from .errors import SnapshotError, UnsupportedLossError
 from .losses import PooledLocals, ab_loss_batch
-from .policy import ForwardPolicy, TabularPolicy, load_snapshot, sample_batch, save_snapshot
+from .policy import ForwardPolicy, TabularPolicy, load_snapshot, save_snapshot
 from .train import build_space, check_fit_settings, fit
 
 
@@ -44,8 +44,8 @@ class AggregateConfig:
 
     def __post_init__(self):
         check_fit_settings(self)
-        if self.weights is not None and any(w <= 0 for w in self.weights):
-            raise ValueError("pooling weights must be positive")
+        if self.weights is not None and not all(np.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError("pooling weights must be positive and finite")
 
 
 @dataclass
@@ -165,40 +165,30 @@ def _normalize_block(arr: np.ndarray) -> np.ndarray:
     return arr / arr.sum(axis=1, keepdims=True)
 
 
-def pcvi_fit(
-    policy: ForwardPolicy,
-    space: StateSpace,
-    n_samples: int,
-    rng: np.random.Generator,
-    alpha: float = 1.0,
-    chunk: int = 8192,
-) -> PcviParams:
+PCVI_ALPHA = 1.0  # Laplace smoothing count added to every category
+
+
+def pcvi_fit(policy: ForwardPolicy, space: StateSpace, n_samples: int, rng: np.random.Generator) -> PcviParams:
     """Closed-form fit of the per-environment categorical family to on-policy
     samples (empirical frequencies with Laplace smoothing)."""
     env = space.env
-    keys = []
-    left = n_samples
-    while left > 0:
-        b = min(chunk, left)
-        tb = sample_batch(policy, space, b, epsilon=0.0, rng=rng, compute_rewards=False)
-        keys.extend(space.keys[i] for i in tb.terminal_idx())
-        left -= b
+    keys = [space.keys[i] for i in evaluation.sample_terminals(policy, space, n_samples, rng)]
     if env.kind == "grid":
         side = env.side
-        cx, cy = np.full(side, alpha), np.full(side, alpha)
+        cx, cy = np.full(side, PCVI_ALPHA), np.full(side, PCVI_ALPHA)
         for x, y in keys:
             cx[x] += 1
             cy[y] += 1
         return PcviParams("grid", {"x": _normalize_block(cx), "y": _normalize_block(cy)})
     if env.kind == "multiset":
-        counts = np.full(env.dict_size, alpha)
+        counts = np.full(env.dict_size, PCVI_ALPHA)
         for c in keys:
             counts += np.asarray(c, dtype=np.float64)
         return PcviParams("multiset", {"items": _normalize_block(counts)})
     if env.kind == "sequence":
         s_max, n_tok = env.max_len, env.num_tokens
-        length = np.full(s_max + 1, alpha)
-        toks = {f"tokens_{L}": np.full((L, n_tok), alpha) for L in range(1, s_max + 1)}
+        length = np.full(s_max + 1, PCVI_ALPHA)
+        toks = {f"tokens_{L}": np.full((L, n_tok), PCVI_ALPHA) for L in range(1, s_max + 1)}
         for seq in keys:
             length[len(seq)] += 1
             if seq:
@@ -238,20 +228,20 @@ def pcvi_distribution(params: PcviParams, space: StateSpace) -> evaluation.Distr
     env = space.env
     if params.kind != env.kind:
         raise ValueError(f"parameters for {params.kind!r} applied to {env.kind!r}")
-    probs: dict = {}
+    probs = np.zeros(space.n_states)
     term = space.terminal_indices()
     if env.kind == "grid":
         px, py = params.blocks["x"], params.blocks["y"]
         for i in term:
             x, y = space.keys[i]
-            probs[space.keys[i]] = float(px[x] * py[y])
+            probs[i] = px[x] * py[y]
     elif env.kind == "multiset":
         phi = np.log(params.blocks["items"])
         s = env.target_size
         for i in term:
             c = np.asarray(space.keys[i], dtype=np.float64)
             log_coef = lgamma(s + 1) - sum(lgamma(v + 1) for v in c)
-            probs[space.keys[i]] = float(np.exp(log_coef + float(c @ phi)))
+            probs[i] = np.exp(log_coef + float(c @ phi))
     else:  # sequence
         theta = params.blocks["length"]
         for i in term:
@@ -261,8 +251,8 @@ def pcvi_distribution(params: PcviParams, space: StateSpace) -> evaluation.Distr
                 block = params.blocks[f"tokens_{len(seq)}"]
                 for pos, u in enumerate(seq):
                     q *= block[pos, u]
-            probs[space.keys[i]] = float(q)
-    return evaluation.DistributionTable(probs, provenance="pcvi")
+            probs[i] = q
+    return evaluation.DistributionTable(probs, space, provenance="pcvi")
 
 
 def pcvi_write(params: PcviParams, path) -> None:

@@ -21,7 +21,7 @@ from .config import RunConfig, apply_overrides, load_config
 from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
 from .losses import LOSS_KINDS, LossSpec
-from .policy import balanced_tabular_policy, load_snapshot
+from .policy import balanced_tabular_policy, load_snapshot, replay_log_pf
 from .train import build_space, derive_seed, train_clients, train_local
 
 
@@ -124,10 +124,13 @@ def cmd_aggregate(args) -> int:
     blobs, weights = _read_manifest(manifest)
     cfg = run.aggregate_config()
     if args.weights:
-        parsed = tuple(float(w) for w in args.weights.split(","))
+        try:
+            parsed = tuple(float(w) for w in args.weights.split(","))
+            cfg = replace(cfg, weights=parsed)
+        except ValueError as exc:
+            raise ConfigError("--weights", str(exc)) from exc
         if len(parsed) != len(blobs):
             raise ConfigError("--weights", f"expected {len(blobs)} weights")
-        cfg = replace(cfg, weights=parsed)
     elif cfg.weights is None and any(w != 1.0 for w in weights):
         cfg = replace(cfg, weights=tuple(weights))
     space = build_space(envs[0], cfg)
@@ -359,16 +362,10 @@ def cmd_identity_checks(args) -> int:
     # exact DP vs brute-force trajectory sum
     probe = TabularPolicy(gspace, rng.normal(0, 1, (gspace.n_states, gspace.arity)))
     dp = evaluation.exact_pT(probe, gspace)
-    brute: dict = {}
-    from .policy import replay_log_pf
-
+    brute = np.zeros(gspace.n_states)
     for tb in evaluation.enumerate_trajectory_batches(gspace):
-        pf = np.exp(replay_log_pf(probe, gspace, tb))
-        for i, v in zip(tb.terminal_idx(), pf):
-            brute[gspace.keys[i]] = brute.get(gspace.keys[i], 0.0) + float(v)
-    report["dp_vs_bruteforce_max_dev"] = max(
-        abs(dp.probs[k] - brute.get(k, 0.0)) for k in dp.probs
-    )
+        np.add.at(brute, tb.terminal_idx(), np.exp(replay_log_pf(probe, gspace, tb)))
+    report["dp_vs_bruteforce_max_dev"] = float(np.max(np.abs(dp.p - brute)))
     ok = (
         report["cb_kl_gradient_max_dev"] <= 1e-8
         and report["cb_kl_gradient_max_dev_multiset"] <= 1e-8

@@ -131,8 +131,8 @@ class RunConfig:
             raise ConfigError("loss.kind", f"expected one of {LOSS_KINDS}, got {k!r}")
         weights = _get(self.doc, "loss.weights")
         if weights is not None:
-            if not isinstance(weights, list) or not all(isinstance(w, (int, float)) and w > 0 for w in weights):
-                raise ConfigError("loss.weights", "expected a list of positive numbers")
+            if not isinstance(weights, list) or not all(isinstance(w, (int, float)) and np.isfinite(w) and w > 0 for w in weights):
+                raise ConfigError("loss.weights", "expected a list of positive, finite numbers")
             if len(weights) != self.n_clients:
                 raise ConfigError("loss.weights", f"expected {self.n_clients} weights, got {len(weights)}")
             weights = tuple(float(w) for w in weights)

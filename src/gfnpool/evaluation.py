@@ -1,10 +1,18 @@
 """Exact and sampled evaluation of terminal-state distributions.
 
-Includes the L1/KL/Jeffrey metrics, top-K reward summaries, the normalized
-(product-of-)reward targets, the effective target an aggregated sampler
-actually draws from when its inputs are imperfect, the Jeffrey-divergence
-bound checker for that gap, and the exact KL-gradient identity check for
-the contrastive criterion.
+A terminal distribution is a `DistributionTable`: an array `p` over the
+state indices of one enumerated `StateSpace`, exactly 0 off the terminals,
+with that space and a provenance tag. Every producer here (`exact_pT`,
+`sampled_pT`, `target_table`, `effective_target`) fills it directly, and
+every metric (L1, KL, Jeffrey, top-K) is a vector operation on it. Two
+tables are comparable when they index the same DAG: views from
+`StateSpace.for_env` of one enumeration are, and a metric on tables from
+different DAGs raises `FingerprintMismatchError`.
+
+Also here: the normalized (product-of-)reward targets, the effective target
+an aggregated sampler actually draws from when its inputs are imperfect,
+the Jeffrey-divergence bound checker for that gap, and the exact
+KL-gradient identity check for the contrastive criterion.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from .envs.base import Environment, StateKey
 from .envs.space import CHILD_ILLEGAL, CHILD_STOP, StateSpace
-from .errors import EnumerationGuardError, NumericError, RewardSupportError
+from .errors import EnumerationGuardError, FingerprintMismatchError, NumericError, RewardSupportError
 from .losses import PooledLocals, cb_loss_batch
 from .policy import (
     ForwardPolicy,
@@ -29,38 +37,50 @@ from .policy import (
 )
 
 DEFAULT_TRAJ_GUARD = 1_000_000
+SAMPLE_CHUNK = 8192  # trajectories per sampled batch when drawing many terminals
 
 
 @dataclass
 class DistributionTable:
-    """Terminal-state probabilities with a provenance tag."""
+    """Terminal-state probabilities `p[i]` by state index of `space`
+    (exactly 0 off the terminals), with a provenance tag."""
 
-    probs: dict[StateKey, float]
+    p: np.ndarray
+    space: StateSpace
     provenance: str
 
+    @property
+    def probs(self) -> dict[StateKey, float]:
+        """The same probabilities keyed by terminal state, in index order."""
+        return {self.space.keys[i]: float(self.p[i]) for i in self.space.terminal_indices()}
+
     def total(self) -> float:
-        return float(sum(self.probs.values()))
+        return float(self.p.sum())
+
+
+def _aligned(p: DistributionTable, q: DistributionTable) -> tuple[np.ndarray, np.ndarray]:
+    """The two probability arrays, which must index the same DAG."""
+    fp, fq = p.space.env.fingerprint(), q.space.env.fingerprint()
+    if fp != fq or p.p.size != q.p.size:
+        raise FingerprintMismatchError(
+            f"cannot compare a table over {fp!r} ({p.p.size} states) with one over {fq!r} ({q.p.size} states)"
+        )
+    return p.p, q.p
 
 
 def l1(p: DistributionTable, q: DistributionTable) -> float:
-    """Summed over p's keys in insertion order, then over the keys only q
-    has, so the result does not depend on string hashing."""
-    terms = [abs(pv - q.probs.get(k, 0.0)) for k, pv in p.probs.items()]
-    terms += [abs(qv) for k, qv in q.probs.items() if k not in p.probs]
-    return float(sum(terms))
+    a, b = _aligned(p, q)
+    return float(np.abs(a - b).sum())
 
 
 def kl(p: DistributionTable, q: DistributionTable) -> float:
-    out = 0.0
-    for k, pv in p.probs.items():
-        if pv <= 0.0:
-            continue
-        qv = q.probs.get(k, 0.0)
-        if qv <= 0.0:
-            warnings.warn(f"KL support violation at {k!r}; returning inf", stacklevel=2)
-            return float("inf")
-        out += pv * np.log(pv / qv)
-    return float(out)
+    a, b = _aligned(p, q)
+    on = a > 0.0
+    bad = np.flatnonzero(on & (b <= 0.0))
+    if bad.size:
+        warnings.warn(f"KL support violation at {p.space.keys[bad[0]]!r}; returning inf", stacklevel=2)
+        return float("inf")
+    return float(np.sum(a[on] * np.log(a[on] / b[on])))
 
 
 def jeffrey(p: DistributionTable, q: DistributionTable) -> float:
@@ -91,31 +111,23 @@ def exact_pT(policy: ForwardPolicy, space: StateSpace) -> DistributionTable:
         p_term[lv] += np.where(rows == CHILD_STOP, contrib, 0.0).sum(axis=1)
         interior = rows >= 0
         np.add.at(mass, rows[interior], contrib[interior])
-    term = space.terminal_indices()
-    return DistributionTable(
-        {space.keys[i]: float(p_term[i]) for i in term}, provenance="exact-dp"
-    )
+    return DistributionTable(p_term, space, provenance="exact-dp")
 
 
-def sampled_pT(
-    policy: ForwardPolicy,
-    space: StateSpace,
-    n: int,
-    rng: np.random.Generator,
-    chunk: int = 8192,
-) -> DistributionTable:
+def sample_terminals(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Terminal state indices of n on-policy draws, sampled in batches of
+    `SAMPLE_CHUNK`."""
+    out = []
+    for lo in range(0, n, SAMPLE_CHUNK):
+        b = min(SAMPLE_CHUNK, n - lo)
+        out.append(sample_batch(policy, space, b, epsilon=0.0, rng=rng, compute_rewards=False).terminal_idx())
+    return np.concatenate(out)
+
+
+def sampled_pT(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.random.Generator) -> DistributionTable:
     """Empirical terminal frequencies over n on-policy draws."""
-    counts: dict[int, int] = {}
-    left = n
-    while left > 0:
-        b = min(chunk, left)
-        tb = sample_batch(policy, space, b, epsilon=0.0, rng=rng, compute_rewards=False)
-        for i in tb.terminal_idx():
-            counts[int(i)] = counts.get(int(i), 0) + 1
-        left -= b
-    return DistributionTable(
-        {space.keys[i]: c / n for i, c in counts.items()}, provenance=f"sampled({n})"
-    )
+    idx = sample_terminals(policy, space, n, rng)
+    return DistributionTable(np.bincount(idx, minlength=space.n_states) / n, space, provenance=f"sampled({n})")
 
 
 def terminal_log_rewards(env: Environment, space: StateSpace) -> np.ndarray:
@@ -127,8 +139,8 @@ def pooled_log_rewards(space: StateSpace, per_client: list[np.ndarray], weights=
     """Unnormalized sum_n w_n log R_n(x) per state index (nan off-support),
     from each client's `terminal_log_rewards`, summed in client order."""
     w = np.ones(len(per_client)) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(per_client),) or np.any(w <= 0):
-        raise ValueError("need one positive weight per reward")
+    if w.shape != (len(per_client),) or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("need one positive, finite weight per reward")
     term = space.terminal_indices()
     out = np.full(space.n_states, np.nan)
     out[term] = 0.0
@@ -153,10 +165,9 @@ def target_table(space: StateSpace, log_r: np.ndarray) -> DistributionTable:
         raise RewardSupportError("product reward vanishes on every terminal state")
     if not np.isfinite(z):
         raise NumericError("product reward overflows; rewards are not normalizable")
-    probs = np.exp(vals - z)
-    return DistributionTable(
-        {space.keys[i]: float(p) for i, p in zip(term, probs)}, provenance="reward-normalized"
-    )
+    p = np.zeros(space.n_states)
+    p[term] = np.exp(vals - z)
+    return DistributionTable(p, space, provenance="reward-normalized")
 
 
 def reward_table(envs: list[Environment], space: StateSpace, weights=None) -> DistributionTable:
@@ -174,11 +185,11 @@ def topk_avg_log_reward(source, space: StateSpace, log_r: np.ndarray, k: int, sa
     expected counts in decreasing reward order).
     """
     if isinstance(source, DistributionTable):
-        idx = np.array([space.index[key] for key in source.probs])
-        expect = np.array(list(source.probs.values())) * sample_budget
-        order = np.argsort(log_r[idx])[::-1]
+        term = space.terminal_indices()
+        expect = source.p[term] * sample_budget
+        order = np.argsort(log_r[term])[::-1]
         take = np.minimum(expect[order], np.maximum(0.0, k - np.concatenate([[0.0], np.cumsum(expect[order])[:-1]])))
-        return float(np.sum(take * log_r[idx][order]) / k)
+        return float(np.sum(take * log_r[term][order]) / k)
     samples = np.asarray(source)
     if samples.size < k:
         raise ValueError(f"need at least {k} samples, got {samples.size}")
@@ -256,32 +267,22 @@ def enumerate_trajectory_batches(
         yield flush()
 
 
-def effective_target(
-    local_policies: list[ForwardPolicy] | PooledLocals,
-    space: StateSpace,
-    guard: int = DEFAULT_TRAJ_GUARD,
-) -> DistributionTable:
+def effective_target(local_policies: list[ForwardPolicy] | PooledLocals, space: StateSpace) -> DistributionTable:
     """Distribution the aggregation-balanced global model actually samples:
     pi_hat(x) proportional to the backward-policy expectation of the product
     of local trajectory ratios, by exact trajectory enumeration. The locals'
     log p_F come from a `PooledLocals` memo (a list of policies is wrapped)."""
     locals_ = PooledLocals.wrap(space, local_policies)
     n_local = len(locals_)
-    terms: dict[int, list[float]] = {}
-    for tb in enumerate_trajectory_batches(space, guard=guard):
+    log_mass = np.full(space.n_states, -np.inf)
+    for tb in enumerate_trajectory_batches(space):
         pb = replay_log_pb(space, tb)
         s = np.zeros(tb.batch_size)
         for lf in locals_.log_pf(tb):
             s += lf
-        logw = s + (1.0 - n_local) * pb
-        for i, lw in zip(tb.terminal_idx(), logw):
-            terms.setdefault(int(i), []).append(float(lw))
-    log_mass = {i: _logsumexp(np.array(v)) for i, v in terms.items()}
-    z = _logsumexp(np.array(list(log_mass.values())))
-    return DistributionTable(
-        {space.keys[i]: float(np.exp(v - z)) for i, v in log_mass.items()},
-        provenance="effective-target",
-    )
+        np.logaddexp.at(log_mass, tb.terminal_idx(), s + (1.0 - n_local) * pb)
+    z = _logsumexp(log_mass[space.terminal_indices()])
+    return DistributionTable(np.exp(log_mass - z), space, provenance="effective-target")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,6 @@ def robustness_bound_check(
     local_policies: list[ForwardPolicy],
     client_envs: list[Environment],
     space: StateSpace,
-    guard: int = DEFAULT_TRAJ_GUARD,
 ) -> BoundCheckResult:
     """Check the Jeffrey-divergence bound between the product target and the
     effective aggregated target against per-client trajectory-ratio extrema."""
@@ -319,7 +319,7 @@ def robustness_bound_check(
         log_pi.append(arr)
     lo = np.full(n, np.inf)
     hi = np.full(n, -np.inf)
-    for tb in enumerate_trajectory_batches(space, guard=guard):
+    for tb in enumerate_trajectory_batches(space):
         pb = replay_log_pb(space, tb)
         tix = tb.terminal_idx()
         for i, lf in enumerate(locals_.log_pf(tb)):
@@ -331,7 +331,7 @@ def robustness_bound_check(
     degenerate = bool(np.any(~np.isfinite(lo)) or np.any(np.exp(lo) <= 0.0))
     bound = float("inf") if degenerate else float(np.sum(hi - lo))
     pi = target_table(space, pooled_log_rewards(space, own))
-    pi_hat = effective_target(locals_, space, guard=guard)
+    pi_hat = effective_target(locals_, space)
     dj = jeffrey(pi, pi_hat)
     return BoundCheckResult(alphas, betas, dj, bound, holds=dj <= bound + 1e-9, degenerate=degenerate)
 
@@ -347,8 +347,7 @@ def cb_kl_gradient_identity_check(
         raise EnumerationGuardError(
             f"{total} trajectories is too many for the exact pair expectation"
         )
-    batches = list(enumerate_trajectory_batches(space, chunk=total))
-    tb = batches[0] if len(batches) == 1 else _concat_batches(batches)
+    (tb,) = enumerate_trajectory_batches(space, chunk=total)
     tb.log_reward = space.log_rewards(tb.terminal_idx())
     pf, cache = replay_log_pf(policy, space, tb, want_cache=True)
     pb = replay_log_pb(space, tb)
@@ -367,17 +366,6 @@ def cb_kl_gradient_identity_check(
     )
     rhs = grads["policy"] / 4.0
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def _concat_batches(batches: list[TrajectoryBatch]) -> TrajectoryBatch:
-    return TrajectoryBatch(
-        np.concatenate([b.states for b in batches]),
-        np.concatenate([b.actions for b in batches]),
-        np.concatenate([b.lengths for b in batches]),
-        np.concatenate([b.log_pf for b in batches]),
-        np.concatenate([b.log_pb for b in batches]),
-        None,
-    )
 
 
 # ---------------------------------------------------------------------------

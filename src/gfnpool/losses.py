@@ -58,8 +58,8 @@ class LossSpec:
             raise ValueError("logz_lr must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.weights is not None and any(w <= 0 for w in self.weights):
-            raise ValueError("pooling weights must be positive")
+        if self.weights is not None and not all(np.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError("pooling weights must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +86,11 @@ class TabularFlow:
     def set_params(self, flat: np.ndarray) -> None:
         self.values = flat.copy()
 
-    def log_flow(self, space, idx) -> np.ndarray:
-        return self.values[idx]
+    def log_flow(self, space, idx):
+        """(log F at `idx`, cache for `accumulate_dflow`); no cache here."""
+        return self.values[idx], None
 
-    def accumulate_dflow(self, space, idx, dv, grad_flat) -> None:
+    def accumulate_dflow(self, space, idx, dv, grad_flat, cache) -> None:
         np.add.at(grad_flat, idx, dv)
 
 
@@ -118,12 +119,14 @@ class MlpFlow:
     def set_params(self, flat: np.ndarray) -> None:
         self.params = flat.copy()
 
-    def log_flow(self, space, idx) -> np.ndarray:
-        out, _ = mlp_forward(self.spec, self.params, space.features(idx))
-        return out[:, 0]
+    def log_flow(self, space, idx):
+        """(log F at `idx`, the forward cache `accumulate_dflow` takes)."""
+        out, cache = mlp_forward(self.spec, self.params, space.features(idx))
+        return out[:, 0], cache
 
-    def accumulate_dflow(self, space, idx, dv, grad_flat) -> None:
-        _, cache = mlp_forward(self.spec, self.params, space.features(idx))
+    def accumulate_dflow(self, space, idx, dv, grad_flat, cache) -> None:
+        """Add d(sum of dv * log F)/d(params); `cache` is the one log_flow
+        returned for the same `idx`."""
         grad, _ = mlp_backward(self.spec, self.params, cache, dv[:, None])
         grad_flat += grad
 
@@ -280,13 +283,15 @@ def vl_loss_batch(policy, space, tb):
 def db_loss_batch(policy, flow, space, tb):
     """Mean squared detailed-balance violation over every transition in the
     batch, boundary terms included. A step's successor s' is the next step
-    of `replay_steps`; the flow gradient adds successor terms before
-    own-state terms, the order a loop over t meets them in."""
+    of `replay_steps`, so one flow forward over the steps gives log F(s)
+    and log F(s'), and its cache serves both flow gradient passes: the
+    successor terms first, then the own-state terms, the order a loop over
+    t meets them in."""
     log_r = _require_rewards(tb)
     _, s, a, logp, p, bc = replay_steps(policy, space, tb)
     total = s.size
     lp_a = logp[np.arange(total), a]
-    lf_s = flow.log_flow(space, s)
+    lf_s, fc = flow.log_flow(space, s)
     stop = np.cumsum(tb.lengths) - 1  # each trajectory's last step, in row order
     go = np.setdiff1d(np.arange(total), stop)  # the others move to step go + 1
     nxt = s[go + 1]
@@ -298,9 +303,11 @@ def db_loss_batch(policy, flow, space, tb):
     dl[np.arange(total), a] += coeff
     grad_p = np.zeros(policy.n_params)
     policy.accumulate_dlogits(space, s, dl, grad_p, bc)
+    dv_next = np.zeros(total)
+    dv_next[go + 1] = -coeff[go]
     grad_f = np.zeros(flow.n_params)
-    flow.accumulate_dflow(space, nxt, -coeff[go], grad_f)
-    flow.accumulate_dflow(space, s, coeff, grad_f)
+    flow.accumulate_dflow(space, s, dv_next, grad_f, fc)
+    flow.accumulate_dflow(space, s, coeff, grad_f, fc)
     return float(np.sum(viol**2)) / total, {"policy": grad_p, "flow": grad_f}
 
 
@@ -357,8 +364,8 @@ def ab_loss_batch(policy, space, tb1, tb2, local_policies, weights=None, pair_we
     locals_ = PooledLocals.wrap(space, local_policies)
     n_local = len(locals_)
     omega = np.ones(n_local) if weights is None else np.asarray(weights, dtype=np.float64)
-    if omega.shape != (n_local,) or np.any(omega <= 0):
-        raise ValueError("need one positive pooling weight per local policy")
+    if omega.shape != (n_local,) or not np.all(np.isfinite(omega) & (omega > 0)):
+        raise ValueError("need one positive, finite pooling weight per local policy")
     pb1, pb2 = replay_log_pb(space, tb1), replay_log_pb(space, tb2)
     pf1, c1 = replay_log_pf(policy, space, tb1, want_cache=True)
     pf2, c2 = replay_log_pf(policy, space, tb2, want_cache=True)

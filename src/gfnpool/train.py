@@ -159,9 +159,9 @@ def fit(
     -> (loss, gradient per AdamW group name), and makes one AdamW step. On
     the `eval_every` cadence and at the last epoch it probes the L1 to
     `target`: NaN without a target or with eval mode "off", sampled in mode
-    "sampled" or on an incomplete space, exact otherwise. `logz_lr` adds a
-    log Z group and `flow` a state-flow block. Returns the model and one
-    metrics row per epoch.
+    "sampled", exact otherwise. A target needs a complete space, so every
+    probe runs on one. `logz_lr` adds a log Z group and `flow` a state-flow
+    block. Returns the model and one metrics row per epoch.
     """
     train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.default_rng(train_ss)
@@ -182,7 +182,7 @@ def fit(
         adamw_step(opt, model.params, grad)
         l1_val = float("nan")
         if probed and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            if cfg.eval_mode == "sampled" or not space.complete:
+            if cfg.eval_mode == "sampled":
                 approx = evaluation.sampled_pT(model.policy, space, cfg.eval_samples, eval_rng)
             else:
                 approx = evaluation.exact_pT(model.policy, space)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gfnpool.aggregate as agg_module
 from gfnpool.aggregate import (
     AggregateConfig,
     PcviParams,
@@ -298,12 +299,13 @@ def test_pcvi_uniform_sampler_near_uniform_blocks(rng):
     assert np.allclose(params.blocks["tokens_2"], 0.5, atol=0.03)
 
 
-def test_pcvi_fit_is_local_ml_optimum(rng):
+def test_pcvi_fit_is_local_ml_optimum(rng, monkeypatch):
     env = MultisetEnv(values=(0.8, 0.2, -0.1), target_size=3)
     space = StateSpace.enumerated(env)
     pol = random_tabular(space, rng)
     n = 8000  # single sampling chunk, reproducible below
-    params = pcvi_fit(pol, space, n, np.random.default_rng(55), alpha=1e-9)  # near-raw ML
+    monkeypatch.setattr(agg_module, "PCVI_ALPHA", 1e-9)  # near-raw ML
+    params = pcvi_fit(pol, space, n, np.random.default_rng(55))
     tb = sample_batch(pol, space, n, 0.0, np.random.default_rng(55), compute_rewards=False)
     samples = [space.keys[i] for i in tb.terminal_idx()]
 

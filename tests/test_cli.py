@@ -116,10 +116,25 @@ def test_aggregate_without_manifest_is_config_error(outroot, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-def test_weights_flag_must_match_count(outroot, capsys):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "--weights=1,2,3",
+        "--weights=abc,1",
+        "--weights=-1,1",
+        "--weights=0,1",
+        "--weights=nan,1",
+        "--weights=inf,1",
+        "--set=loss.weights=[.inf, 1.0]",
+    ],
+    ids=["count", "abc", "negative", "zero", "nan", "inf", "config-inf"],
+)
+def test_weights_flag_must_match_count(outroot, capsys, bad):
     cfg = write_cfg(outroot, TINY_GRID)
     main(["train-clients", "--config", cfg])
-    assert main(["aggregate", "--config", cfg, "--weights", "1,2,3"]) == 2
+    capsys.readouterr()
+    assert main(["aggregate", "--config", cfg, bad]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_aggregate_unknown_eval_mode_is_config_error(outroot, capsys):

@@ -10,7 +10,7 @@ import pytest
 import gfnpool
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
-from gfnpool.errors import EnumerationGuardError
+from gfnpool.errors import EnumerationGuardError, FingerprintMismatchError
 from gfnpool.evaluation import (
     DistributionTable,
     cb_kl_gradient_identity_check,
@@ -56,31 +56,58 @@ def brute_force_pT(policy, space, env):
 # -- metrics -------------------------------------------------------------------
 
 
+def _table(space, terminal_probs):
+    """A table over `space` with the given probabilities on its terminals."""
+    p = np.zeros(space.n_states)
+    p[space.terminal_indices()] = terminal_probs
+    return DistributionTable(p, space, "test")
+
+
+def _one_item_space(n_items):
+    """A multiset space with a non-terminal root and n one-item terminals."""
+    return StateSpace.enumerated(MultisetEnv(values=(0.0,) * n_items, target_size=1))
+
+
 def test_metrics_on_equal_and_disjoint():
-    p = DistributionTable({("a",): 0.5, ("b",): 0.5}, "test")
+    space = _one_item_space(3)
+    p = _table(space, [0.5, 0.5, 0.0])
     assert l1(p, p) == 0.0 and kl(p, p) == 0.0 and jeffrey(p, p) == 0.0
-    q = DistributionTable({("c",): 1.0}, "test")
+    q = _table(space, [0.0, 0.0, 1.0])
     assert l1(p, q) == pytest.approx(2.0)
 
 
 def test_kl_support_violation_warns_inf():
-    p = DistributionTable({("a",): 1.0}, "test")
-    q = DistributionTable({("b",): 1.0}, "test")
+    space = _one_item_space(2)
+    p = _table(space, [1.0, 0.0])
+    q = _table(space, [0.0, 1.0])
     with pytest.warns(UserWarning):
         assert kl(p, q) == float("inf")
 
 
 def test_metrics_match_hand_computation(rng):
-    keys = [(i,) for i in range(5)]
+    space = _one_item_space(5)
     a = rng.dirichlet(np.ones(5))
     b = rng.dirichlet(np.ones(5))
-    p = DistributionTable(dict(zip(keys, a)), "test")
-    q = DistributionTable(dict(zip(keys, b)), "test")
+    p, q = _table(space, a), _table(space, b)
     assert l1(p, q) == pytest.approx(float(np.abs(a - b).sum()), abs=1e-12)
     assert kl(p, q) == pytest.approx(float((a * np.log(a / b)).sum()), abs=1e-12)
     assert jeffrey(p, q) == pytest.approx(
         float((a * np.log(a / b)).sum() + (b * np.log(b / a)).sum()), abs=1e-12
     )
+
+
+def test_metrics_reject_tables_from_different_dags():
+    mset = _one_item_space(3)
+    seq = StateSpace.enumerated(SequenceEnv(pos_scores=(0.0,), token_scores=(0.0, 0.0, 0.0)))
+    assert seq.n_states == mset.n_states  # only the fingerprint tells them apart
+    p = _table(mset, [0.5, 0.5, 0.0])
+    for other in (_table(seq, np.full(4, 0.25)), _table(_one_item_space(4), np.full(4, 0.25))):
+        for metric in (l1, kl):
+            with pytest.raises(FingerprintMismatchError):
+                metric(p, other)
+    # views of one enumeration index the same DAG
+    view = mset.for_env(MultisetEnv(values=(1.0, 2.0, 3.0), target_size=1))
+    assert l1(p, _table(view, [0.5, 0.5, 0.0])) == 0.0
 
 
 # -- exact and sampled terminal distributions ------------------------------------
@@ -113,6 +140,18 @@ def test_exact_pt_equals_bruteforce_trajectory_sum(fixture, rng, request):
     assert dp.total() == pytest.approx(1.0, abs=1e-9)
     for k, v in dp.probs.items():
         assert abs(v - brute.get(k, 0.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["mset33", "phylo4"])
+def test_terminal_tables_are_zero_off_the_terminals(fixture, rng, request):
+    space = StateSpace.enumerated(request.getfixturevalue(fixture))
+    off = ~space.terminal_mask(np.arange(space.n_states))
+    assert off.any()
+    pol = random_tabular(space, rng)
+    for table in (exact_pT(pol, space), sampled_pT(pol, space, 2_000, rng)):
+        assert table.p.shape == (space.n_states,)
+        assert np.all(table.p[off] == 0.0)
+        assert table.total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampled_pt_monte_carlo_convergence(grid3, grid3_space):

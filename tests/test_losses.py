@@ -185,12 +185,12 @@ def test_db_value_matches_formula_oracle(grid3, grid3_space, rng):
     for states, actions in paths(grid3_space, tb):
         for t, (s, a) in enumerate(zip(states, actions)):
             p = action_distribution(pol, grid3_space, s)
-            lf_s = flow.log_flow(grid3_space, np.array([grid3_space.index[s]]))[0]
+            lf_s = flow.log_flow(grid3_space, np.array([grid3_space.index[s]]))[0][0]
             if t == len(actions) - 1:
                 v = lf_s + np.log(p[a]) - grid3.log_reward(s)
             else:
                 s2 = states[t + 1]
-                lf_n = flow.log_flow(grid3_space, np.array([grid3_space.index[s2]]))[0]
+                lf_n = flow.log_flow(grid3_space, np.array([grid3_space.index[s2]]))[0][0]
                 v = np.log(p[a]) + np.log(len(grid3.parents(s2))) + lf_s - lf_n
             viols.append(v**2)
     assert loss == pytest.approx(float(np.mean(viols)), rel=1e-12)
