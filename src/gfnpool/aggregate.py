@@ -21,7 +21,7 @@ from . import evaluation
 from .envs.base import Environment
 from .envs.space import CHILD_ILLEGAL, DEFAULT_STATE_GUARD, StateSpace
 from .errors import SnapshotError, UnsupportedLossError
-from .losses import PooledLocals, ab_loss_batch
+from .losses import PooledLocals, ab_loss_batch, pooling_weights
 from .policy import ForwardPolicy, TabularPolicy, load_snapshot, save_snapshot
 from .train import build_space, check_fit_settings, fit
 
@@ -44,8 +44,8 @@ class AggregateConfig:
 
     def __post_init__(self):
         check_fit_settings(self)
-        if self.weights is not None and not all(np.isfinite(w) and w > 0 for w in self.weights):
-            raise ValueError("pooling weights must be positive and finite")
+        if self.weights is not None:
+            pooling_weights(self.weights)
 
 
 @dataclass
@@ -76,30 +76,29 @@ def aggregate_ab(
     `space`, if given, is the env's state space (or a complete one of the
     same DAG) and is used instead of enumerating again.
 
-    The snapshots are loaded one at a time into a `PooledLocals` memo, so
-    every epoch reads the frozen locals' log-probabilities off it instead
-    of replaying each local."""
+    The snapshots are loaded one at a time into one `PooledLocals` table
+    with weights `cfg.weights`, so every epoch reads the pooled local
+    log-policy off it instead of replaying each local."""
     space = build_space(env, cfg) if space is None else space.for_env(env)
     if not snapshots:
         raise SnapshotError("aggregation needs at least one client snapshot")
-    locals_ = PooledLocals(space)
-    for blob in snapshots:
-        locals_.add(load_snapshot(blob, env, space)[0])
-    if cfg.weights is not None and len(cfg.weights) != len(locals_):
-        raise ValueError("need one pooling weight per snapshot")
+    weights = pooling_weights(cfg.weights, len(snapshots))
+    pooled = PooledLocals(space)
+    for blob, w in zip(snapshots, weights):
+        pooled.add(load_snapshot(blob, env, space)[0], w)
     half = cfg.batch // 2
 
     def ab_loss_fn(model, tb):
         pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
-        return ab_loss_batch(model.policy, space, *pairs, locals_, cfg.weights)
+        return ab_loss_batch(model.policy, space, *pairs, pooled)
 
     model, metrics = fit(
         env, space, cfg, ab_loss_fn, batch=2 * half, epsilon=cfg.epsilon, rewards=False, target=eval_target
     )
     meta = {
         "role": "global",
-        "n_locals": len(locals_),
-        "weights": list(cfg.weights) if cfg.weights else [1.0] * len(locals_),
+        "n_locals": len(pooled),
+        "weights": list(cfg.weights) if cfg.weights else [1.0] * len(pooled),
         "epochs": cfg.epochs,
         "seed": cfg.seed,
     }
@@ -135,16 +134,12 @@ def naive_policy_product(local_policies: list[ForwardPolicy], space: StateSpace)
     """Per-state renormalized product of the local action distributions - the
     diagnostic negative control (it does not sample the product target). Its
     logits are the sum of the locals' masked log-softmaxes (the `PooledLocals`
-    rows with unit weights), 0 on illegal slots."""
+    table with unit weights), 0 on illegal slots."""
     if not local_policies:
         raise ValueError("need at least one policy")
-    locals_ = PooledLocals(space, local_policies)
     idx = np.arange(space.n_states)
     legal = space.children_rows(idx) != CHILD_ILLEGAL
-    table = np.zeros(legal.shape)
-    for k in range(len(locals_)):
-        table += np.where(legal, locals_.rows(k, idx), 0.0)
-    return TabularPolicy(space, table)
+    return TabularPolicy(space, np.where(legal, PooledLocals(space, local_policies).rows(idx), 0.0))
 
 
 # ---------------------------------------------------------------------------

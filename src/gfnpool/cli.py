@@ -20,8 +20,8 @@ from . import evaluation
 from .config import RunConfig, apply_overrides, load_config
 from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
-from .losses import LOSS_KINDS, LossSpec
-from .policy import balanced_tabular_policy, load_snapshot, replay_log_pf
+from .losses import LOSS_KINDS, LossSpec, pooling_weights
+from .policy import balanced_tabular_policy, load_snapshot, replay_log_pb, replay_log_pf
 from .train import build_space, derive_seed, train_clients, train_local
 
 
@@ -46,7 +46,7 @@ def _load_run(args) -> RunConfig:
 
 
 def _read_manifest(path: Path) -> tuple[list[bytes], list[float]]:
-    blobs, weights = [], []
+    blobs, raw = [], []
     base = path.parent
     for line in path.read_text().splitlines():
         line = line.strip()
@@ -57,16 +57,27 @@ def _read_manifest(path: Path) -> tuple[list[bytes], list[float]]:
         if not snap.is_absolute():
             snap = base / snap
         blobs.append(snap.read_bytes())
-        weights.append(float(parts[1]) if len(parts) > 1 else 1.0)
+        raw.append(parts[1] if len(parts) > 1 else "1.0")
     if not blobs:
         raise ConfigError(str(path), "manifest lists no snapshots")
-    return blobs, weights
+    return blobs, _parse_weights(str(path), raw, len(blobs))
+
+
+def _parse_weights(source: str, raw: list[str], n: int) -> list[float]:
+    """Pooling weights from text, one per snapshot; a bad one is a config error."""
+    try:
+        return pooling_weights([float(w) for w in raw], n).tolist()
+    except ValueError as exc:
+        raise ConfigError(source, str(exc)) from exc
 
 
 def _probe_target(envs, space, cfg) -> evaluation.DistributionTable | None:
     """The product target, built only when aggregation probes will read it."""
     if cfg.eval_every <= 0 or cfg.eval_mode == "off" or not space.complete:
         return None
+    if cfg.weights is not None and len(cfg.weights) != len(envs):
+        msg = f"{len(cfg.weights)} weighted snapshots for {len(envs)} clients; set aggregate.eval_every=0 to skip probes"
+        raise ConfigError("clients.n", msg)
     return evaluation.reward_table(envs, space, cfg.weights)
 
 
@@ -123,16 +134,14 @@ def cmd_aggregate(args) -> int:
         raise ConfigError(str(manifest), "snapshot manifest not found; run train-clients first")
     blobs, weights = _read_manifest(manifest)
     cfg = run.aggregate_config()
+    # --weights, else loss.weights, else the manifest's weight column
     if args.weights:
-        try:
-            parsed = tuple(float(w) for w in args.weights.split(","))
-            cfg = replace(cfg, weights=parsed)
-        except ValueError as exc:
-            raise ConfigError("--weights", str(exc)) from exc
-        if len(parsed) != len(blobs):
-            raise ConfigError("--weights", f"expected {len(blobs)} weights")
-    elif cfg.weights is None and any(w != 1.0 for w in weights):
-        cfg = replace(cfg, weights=tuple(weights))
+        weights = _parse_weights("--weights", args.weights.split(","), len(blobs))
+    elif cfg.weights is not None:
+        weights = _parse_weights("loss.weights", cfg.weights, len(blobs))
+    # unit weights stay None: a manifest short of failed clients still probes
+    # against the product of every configured client's reward
+    cfg = replace(cfg, weights=None if all(w == 1.0 for w in weights) else tuple(weights))
     space = build_space(envs[0], cfg)
     target = _probe_target(envs, space, cfg)
     res = agg.aggregate_ab(envs[0], blobs, cfg, eval_target=target, space=space)
@@ -366,11 +375,23 @@ def cmd_identity_checks(args) -> int:
     for tb in evaluation.enumerate_trajectory_batches(gspace):
         np.add.at(brute, tb.terminal_idx(), np.exp(replay_log_pf(probe, gspace, tb)))
     report["dp_vs_bruteforce_max_dev"] = float(np.max(np.abs(dp.p - brute)))
+    # weighted effective target: DAG pass vs brute-force trajectory sum
+    omega = (0.5, 2.0)
+    pols = [TabularPolicy(mspace, rng.normal(0, 1, (mspace.n_states, mspace.arity))) for _ in omega]
+    log_mass = np.full(mspace.n_states, -np.inf)
+    for tb in evaluation.enumerate_trajectory_batches(mspace):
+        pb = replay_log_pb(mspace, tb)
+        log_q = pb + sum(w * (replay_log_pf(p, mspace, tb) - pb) for w, p in zip(omega, pols))
+        np.logaddexp.at(log_mass, tb.terminal_idx(), log_q)
+    eff = evaluation.effective_target(pols, mspace, omega)
+    brute_eff = np.exp(log_mass - np.logaddexp.reduce(log_mass))
+    report["effective_target_dp_max_dev"] = float(np.max(np.abs(eff.p - brute_eff)))
     ok = (
         report["cb_kl_gradient_max_dev"] <= 1e-8
         and report["cb_kl_gradient_max_dev_multiset"] <= 1e-8
         and violations == 0
         and report["dp_vs_bruteforce_max_dev"] <= 1e-10
+        and report["effective_target_dp_max_dev"] <= 1e-10
     )
     report["ok"] = ok
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -23,7 +23,7 @@ from .envs import (
     split_sites,
 )
 from .errors import ConfigError
-from .losses import LOSS_KINDS, LossSpec
+from .losses import LOSS_KINDS, LossSpec, pooling_weights
 from .train import TrainConfig, derive_seed
 
 OUTPUT_ROOT_VAR = "GFNPOOL_OUTPUT_ROOT"
@@ -131,11 +131,10 @@ class RunConfig:
             raise ConfigError("loss.kind", f"expected one of {LOSS_KINDS}, got {k!r}")
         weights = _get(self.doc, "loss.weights")
         if weights is not None:
-            if not isinstance(weights, list) or not all(isinstance(w, (int, float)) and np.isfinite(w) and w > 0 for w in weights):
-                raise ConfigError("loss.weights", "expected a list of positive, finite numbers")
-            if len(weights) != self.n_clients:
-                raise ConfigError("loss.weights", f"expected {self.n_clients} weights, got {len(weights)}")
-            weights = tuple(float(w) for w in weights)
+            try:
+                weights = tuple(pooling_weights(weights, self.n_clients).tolist())
+            except ValueError as exc:
+                raise ConfigError("loss.weights", str(exc)) from exc
         try:
             return LossSpec(
                 kind=k,

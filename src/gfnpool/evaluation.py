@@ -12,7 +12,9 @@ different DAGs raises `FingerprintMismatchError`.
 Also here: the normalized (product-of-)reward targets, the effective target
 an aggregated sampler actually draws from when its inputs are imperfect,
 the Jeffrey-divergence bound checker for that gap, and the exact
-KL-gradient identity check for the contrastive criterion.
+KL-gradient identity check for the contrastive criterion. The effective
+target and the bound are exact forward passes over the DAG's levels
+(`_dag_pass`); trajectory enumeration stays as their brute-force oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .envs.base import Environment, StateKey
 from .envs.space import CHILD_ILLEGAL, CHILD_STOP, StateSpace
 from .errors import EnumerationGuardError, FingerprintMismatchError, NumericError, RewardSupportError
-from .losses import PooledLocals, cb_loss_batch
+from .losses import PooledLocals, cb_loss_batch, pooling_weights
 from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
@@ -138,9 +140,7 @@ def terminal_log_rewards(env: Environment, space: StateSpace) -> np.ndarray:
 def pooled_log_rewards(space: StateSpace, per_client: list[np.ndarray], weights=None) -> np.ndarray:
     """Unnormalized sum_n w_n log R_n(x) per state index (nan off-support),
     from each client's `terminal_log_rewards`, summed in client order."""
-    w = np.ones(len(per_client)) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(per_client),) or not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError("need one positive, finite weight per reward")
+    w = pooling_weights(weights, len(per_client))
     term = space.terminal_indices()
     out = np.full(space.n_states, np.nan)
     out[term] = 0.0
@@ -267,20 +267,37 @@ def enumerate_trajectory_batches(
         yield flush()
 
 
-def effective_target(local_policies: list[ForwardPolicy] | PooledLocals, space: StateSpace) -> DistributionTable:
+def _dag_pass(space: StateSpace, edge_rows, parents_coef: float, op) -> np.ndarray:
+    """`op` (np.logaddexp, np.minimum or np.maximum) over every trajectory
+    into each terminal of the sum of its edge values, by one forward pass
+    over `space.levels()`. At level `lv` the edge s -> s' by action a is
+    worth edge_rows(lv)[s, a] + parents_coef * log|parents(s')|, and the
+    stop edge of s is worth edge_rows(lv)[s, stop]. Off the terminals the
+    result is op's identity."""
+    space.require_complete()
+    empty = np.inf if op is np.minimum else -np.inf
+    node = np.full(space.n_states, empty)
+    node[space.root] = 0.0
+    out = np.full(space.n_states, empty)
+    for lv in space.levels():
+        rows = space.children_rows(lv)
+        vals = node[lv][:, None] + edge_rows(lv)
+        r, a = np.nonzero(rows == CHILD_STOP)
+        op.at(out, lv[r], vals[r, a])
+        r, a = np.nonzero(rows >= 0)
+        child = rows[r, a]
+        op.at(node, child, vals[r, a] + parents_coef * np.log(space.nparents(child)))
+    return out
+
+
+def effective_target(local_policies: list[ForwardPolicy], space: StateSpace, weights=None) -> DistributionTable:
     """Distribution the aggregation-balanced global model actually samples:
-    pi_hat(x) proportional to the backward-policy expectation of the product
-    of local trajectory ratios, by exact trajectory enumeration. The locals'
-    log p_F come from a `PooledLocals` memo (a list of policies is wrapped)."""
-    locals_ = PooledLocals.wrap(space, local_policies)
-    n_local = len(locals_)
-    log_mass = np.full(space.n_states, -np.inf)
-    for tb in enumerate_trajectory_batches(space):
-        pb = replay_log_pb(space, tb)
-        s = np.zeros(tb.batch_size)
-        for lf in locals_.log_pf(tb):
-            s += lf
-        np.logaddexp.at(log_mass, tb.terminal_idx(), s + (1.0 - n_local) * pb)
+    pi_hat(x) proportional to sum over trajectories tau into x of
+    prod_n p_F^n(tau)^w_n * p_B(tau|x)^(1 - sum w), one forward
+    log-sum-exp pass over the pooled local log-policy L, with edge weight
+    L[s, a] + (sum w - 1) log|parents(s')| (a stop edge takes L[s, stop])."""
+    pooled = PooledLocals(space, local_policies, weights)
+    log_mass = _dag_pass(space, pooled.rows, pooled.total_weight - 1.0, np.logaddexp)
     z = _logsumexp(log_mass[space.terminal_indices()])
     return DistributionTable(np.exp(log_mass - z), space, provenance="effective-target")
 
@@ -305,34 +322,27 @@ def robustness_bound_check(
     space: StateSpace,
 ) -> BoundCheckResult:
     """Check the Jeffrey-divergence bound between the product target and the
-    effective aggregated target against per-client trajectory-ratio extrema."""
+    effective aggregated target against per-client trajectory-ratio extrema.
+    Each client's extrema come from a min and a max `_dag_pass` over its own
+    log-softmax rows; the bound is stated for unit pooling weights."""
     if len(local_policies) != len(client_envs):
         raise ValueError("need one environment per local policy")
-    locals_ = PooledLocals.wrap(space, local_policies)
-    n = len(locals_)
     own = [terminal_log_rewards(env, space) for env in client_envs]
-    log_pi = []
     term = space.terminal_indices()
-    for vals in own:
-        arr = np.full(space.n_states, np.nan)
-        arr[term] = vals - _logsumexp(vals)
-        log_pi.append(arr)
-    lo = np.full(n, np.inf)
-    hi = np.full(n, -np.inf)
-    for tb in enumerate_trajectory_batches(space):
-        pb = replay_log_pb(space, tb)
-        tix = tb.terminal_idx()
-        for i, lf in enumerate(locals_.log_pf(tb)):
-            ratio = lf - pb - log_pi[i][tix]
-            lo[i] = min(lo[i], ratio.min())
-            hi[i] = max(hi[i], ratio.max())
+    lo, hi = np.empty((2, len(local_policies)))
+    for k, (policy, vals) in enumerate(zip(local_policies, own)):
+        # log p_F(tau) - log p_B(tau|x), summed edge by edge over the client's
+        # own masked log-softmax rows, less log pi_k(x)
+        rows = lambda lv, p=policy: policy_rows(p, space, lv)[1]
+        log_pi = vals - _logsumexp(vals)
+        lo[k] = np.min(_dag_pass(space, rows, 1.0, np.minimum)[term] - log_pi)
+        hi[k] = np.max(_dag_pass(space, rows, 1.0, np.maximum)[term] - log_pi)
     alphas = 1.0 - np.exp(lo)
     betas = np.exp(hi) - 1.0
     degenerate = bool(np.any(~np.isfinite(lo)) or np.any(np.exp(lo) <= 0.0))
     bound = float("inf") if degenerate else float(np.sum(hi - lo))
     pi = target_table(space, pooled_log_rewards(space, own))
-    pi_hat = effective_target(locals_, space)
-    dj = jeffrey(pi, pi_hat)
+    dj = jeffrey(pi, effective_target(local_policies, space))
     return BoundCheckResult(alphas, betas, dj, bound, holds=dj <= bound + 1e-9, degenerate=degenerate)
 
 

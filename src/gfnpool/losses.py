@@ -14,9 +14,12 @@ blocks the criterion trains:
   AB   squared mismatch between the global and the pooled local trajectory
        ratios; trains the global policy only and never touches any reward.
        Only `aggregate_ab` trains with it, so it is not in `LOSS_KINDS`.
-       The local policies are frozen, so AB reads their log-probabilities
-       from `PooledLocals`, a memo of their masked log-softmax rows, instead
-       of replaying them.
+
+The frozen local policies enter AB through one object, `PooledLocals`: the
+pooled local log-policy L(s -> s') = sum_n w_n log p_F^n(s'|s), a table of
+weighted masked log-softmax rows. AB reads it with one gather per pair
+half, and the theorem checks in `evaluation` run their DAG passes over it.
+`pooling_weights` is the one check of the weights w_n.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ class LossSpec:
             raise ValueError("logz_lr must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.weights is not None and not all(np.isfinite(w) and w > 0 for w in self.weights):
-            raise ValueError("pooling weights must be positive and finite")
+        if self.weights is not None:
+            pooling_weights(self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -164,78 +167,90 @@ def _pair_weights(n: int, weights: np.ndarray | None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # frozen local policies
 
+
+def pooling_weights(weights, n: int | None = None) -> np.ndarray:
+    """The pooling weights as a float array: one positive, finite number per
+    local policy (and `n` of them, when given), or `n` ones for None.
+    Raises ValueError otherwise."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights)
+    if w.ndim != 1 or w.dtype.kind not in "iuf" or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"pooling weights must be a list of positive, finite numbers, got {weights!r}")
+    if n is not None and w.size != n:
+        raise ValueError(f"need one pooling weight per local policy: expected {n}, got {w.size}")
+    return w.astype(np.float64)
+
+
 FILL_CHUNK = 8192  # rows per masked log-softmax when a tabular local is added
 
 
 class PooledLocals:
-    """Frozen local policies as a memo of their masked log-softmax rows,
-    keyed by state index (-inf on illegal slots), in the order they were
-    added.
+    """The pooled local log-policy L = sum_n w_n * masked-log-softmax(local_n),
+    one (n_states, arity) table keyed by state index (-inf on illegal
+    slots), and the total weight sum_n w_n.
 
-    A tabular local fills all of its rows when it is added and is not kept,
-    so the memo takes the place of its logits table. An MLP local fills a
-    row the first time `rows` or `log_pf` meets its state, so the memo grows
-    with a lazily expanded space.
+    A tabular local is summed into L when it is added and is not kept. An
+    MLP local is kept, and its rows are summed in the first time `rows` or
+    `log_pf` meets their state, so L grows with a lazily expanded space;
+    every MLP local must therefore be added before the first read.
+    Locals of one backend are summed in the order they were added.
     """
 
-    def __init__(self, space: StateSpace, policies=()):
+    def __init__(self, space: StateSpace, policies=(), weights=None):
+        policies = list(policies)
         self.space = space
-        self._rows: list[np.ndarray] = []
-        self._lazy: list[tuple[ForwardPolicy, np.ndarray] | None] = []  # (policy, filled) per MLP local
-        for policy in policies:
-            self.add(policy)
-
-    @classmethod
-    def wrap(cls, space: StateSpace, local_policies) -> "PooledLocals":
-        """`local_policies` itself if it is a memo, else a memo of the list."""
-        return local_policies if isinstance(local_policies, cls) else cls(space, local_policies)
+        self.total_weight = 0.0
+        self._n = 0
+        self._table = np.zeros((space.n_states, space.arity))
+        self._lazy: list[tuple[ForwardPolicy, float]] = []  # MLP locals and their weights
+        self._filled = np.zeros(space.n_states, dtype=bool)  # rows the MLP locals are summed into
+        for policy, w in zip(policies, pooling_weights(weights, len(policies))):
+            self.add(policy, w)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._n
 
-    def add(self, policy: ForwardPolicy) -> None:
+    def add(self, policy: ForwardPolicy, weight: float = 1.0) -> None:
+        (w,) = pooling_weights([weight])
         if policy.backend == "tabular":
             n = self.space.n_states
-            rows = np.empty((n, self.space.arity))
             for lo in range(0, n, FILL_CHUNK):
                 idx = np.arange(lo, min(lo + FILL_CHUNK, n))
-                rows[idx] = policy_rows(policy, self.space, idx)[1]
-            self._rows.append(rows)
-            self._lazy.append(None)
+                self._table[idx] += w * policy_rows(policy, self.space, idx)[1]
         else:
-            self._rows.append(np.empty((0, self.space.arity)))
-            self._lazy.append((policy, np.zeros(0, dtype=bool)))
+            if self._filled.any():
+                raise ValueError("add every MLP local before the first read of the pool")
+            self._lazy.append((policy, w))
+        self._n += 1
+        self.total_weight += w
 
-    def _memo(self, k: int, idx: np.ndarray) -> np.ndarray:
-        """Local k's memo, with the rows of `idx` filled."""
-        if self._lazy[k] is None:
-            return self._rows[k]
-        policy, filled = self._lazy[k]
+    def _fill(self, idx: np.ndarray) -> np.ndarray:
+        """L, with the rows of `idx` summed in."""
         n = self.space.n_states
-        if filled.size < n:  # the space registered states since the last fill
-            cap = max(n, 2 * filled.size)
-            rows = np.empty((cap, self.space.arity))
-            rows[: filled.size] = self._rows[k]
-            filled = np.concatenate([filled, np.zeros(cap - filled.size, dtype=bool)])
-            self._rows[k] = rows
-            self._lazy[k] = (policy, filled)
-        missing = np.unique(idx[~filled[idx]])
-        if missing.size:
-            self._rows[k][missing] = policy_rows(policy, self.space, missing)[1]
-            filled[missing] = True
-        return self._rows[k]
+        if self._filled.size < n:  # the space registered states since the last fill
+            cap = max(n, 2 * self._filled.size)
+            self._table = np.concatenate([self._table, np.zeros((cap - self._filled.size, self.space.arity))])
+            self._filled = np.concatenate([self._filled, np.zeros(cap - self._filled.size, dtype=bool)])
+        if self._lazy:
+            missing = np.unique(idx[~self._filled[idx]])
+            if missing.size:
+                for policy, w in self._lazy:
+                    self._table[missing] += w * policy_rows(policy, self.space, missing)[1]
+                self._filled[missing] = True
+        return self._table
 
-    def rows(self, k: int, idx: np.ndarray) -> np.ndarray:
-        """Local k's masked log-softmax rows at the state indices `idx`."""
-        return self._memo(k, idx)[idx]
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """L at the state indices `idx`."""
+        return self._fill(idx)[idx]
 
-    def log_pf(self, tb: TrajectoryBatch) -> list[np.ndarray]:
-        """Each local's per-trajectory sum of log p_F over `tb`, in local
-        order. Steps are added by `step_sums`, as `replay_log_pf` adds them,
-        so tabular locals give its exact bits."""
+    def log_pf(self, tb: TrajectoryBatch) -> np.ndarray:
+        """Per-trajectory sum of L over the steps of `tb`. Steps are added by
+        `step_sums`, as `replay_log_pf` adds them, so one tabular local of
+        weight 1 gives its exact bits."""
         valid = tb.valid()
         s, a = tb.states[valid], tb.actions[valid]
-        return [step_sums(valid, self._memo(k, s)[s, a]) for k in range(len(self))]
+        return step_sums(valid, self._fill(s)[s, a])
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +367,19 @@ def dbc_loss_batch(policy, space, tb):
     return float(np.sum(viol**2)) / interior, {"policy": grad}
 
 
-def ab_loss_batch(policy, space, tb1, tb2, local_policies, weights=None, pair_weights=None):
+def ab_loss_batch(policy, space, tb1, tb2, pooled: PooledLocals, pair_weights=None):
     """Squared mismatch between the global trajectory-ratio contrast and the
-    pooled local contrasts. Local policies carry no gradient; no reward is
-    ever evaluated. `local_policies` is a `PooledLocals` or a list of
-    policies, which is wrapped in one."""
-    if not local_policies:
+    pooled local one: with L the pooled log-policy and W its total weight,
+    a = (pf1 - pf2) - (L1 - L2) + (W - 1)(pb1 - pb2). The locals carry no
+    gradient; no reward is ever evaluated."""
+    if not len(pooled):
         raise ValueError("aggregation needs at least one local policy")
     if tb1.batch_size != tb2.batch_size:
         raise ValueError("pair batches must have equal size")
-    locals_ = PooledLocals.wrap(space, local_policies)
-    n_local = len(locals_)
-    omega = np.ones(n_local) if weights is None else np.asarray(weights, dtype=np.float64)
-    if omega.shape != (n_local,) or not np.all(np.isfinite(omega) & (omega > 0)):
-        raise ValueError("need one positive, finite pooling weight per local policy")
     pb1, pb2 = replay_log_pb(space, tb1), replay_log_pb(space, tb2)
     pf1, c1 = replay_log_pf(policy, space, tb1, want_cache=True)
     pf2, c2 = replay_log_pf(policy, space, tb2, want_cache=True)
-    delta_global = (pf1 - pb1) - (pf2 - pb2)
-    pooled = np.zeros(tb1.batch_size)
-    for w, lf1, lf2 in zip(omega, locals_.log_pf(tb1), locals_.log_pf(tb2), strict=True):
-        pooled += w * ((lf1 - pb1) - (lf2 - pb2))
-    a = delta_global - pooled
+    a = (pf1 - pf2) - (pooled.log_pf(tb1) - pooled.log_pf(tb2)) + (pooled.total_weight - 1.0) * (pb1 - pb2)
     w = _pair_weights(tb1.batch_size, pair_weights)
     grad = np.zeros(policy.n_params)
     apply_log_pf_grad(policy, space, c1, 2.0 * w * a, grad)

@@ -276,36 +276,3 @@ def train_clients(
 def client_configs(base: TrainConfig, master_seed: int, n: int) -> list[TrainConfig]:
     """Per-client copies of a config with deterministically derived seeds."""
     return [replace(base, seed=derive_seed(master_seed, k)) for k in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# loss-criterion comparison harness
-
-
-def epochs_to_threshold(metrics: list[dict], threshold: float) -> int | None:
-    """First epoch whose probed L1 is at or below the threshold."""
-    for row in metrics:
-        if np.isfinite(row["l1"]) and row["l1"] <= threshold:
-            return row["epoch"]
-    return None
-
-
-def loss_comparison(
-    env: Environment,
-    base: TrainConfig,
-    kinds: tuple[str, ...],
-    seeds: tuple[int, ...],
-    threshold: float = 0.3,
-) -> dict[str, list[int | None]]:
-    """Train one model per (loss kind, seed) under otherwise equal settings
-    and report epochs-to-threshold per seed."""
-    out: dict[str, list[int | None]] = {}
-    space = _enumerate_or_none(env, base.state_guard)
-    for kind in kinds:
-        rows = []
-        for seed in seeds:
-            cfg = replace(base, loss=replace(base.loss, kind=kind), seed=seed)
-            res = train_local(env, cfg, space)
-            rows.append(epochs_to_threshold(res.metrics, threshold))
-        out[kind] = rows
-    return out

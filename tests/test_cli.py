@@ -137,6 +137,44 @@ def test_weights_flag_must_match_count(outroot, capsys, bad):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["abc", "-1", "0", "nan", "inf"])
+def test_manifest_weights_must_be_positive_and_finite(outroot, capsys, bad):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    manifest = outroot / "out" / "tiny" / "bad.manifest"
+    manifest.write_text(f"client0.gfnpolicy\t{bad}\nclient1.gfnpolicy\t1.0\n")
+    capsys.readouterr()
+    assert main(["aggregate", "--config", cfg, "--manifest", str(manifest)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_weights_must_match_manifest(outroot, capsys):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    manifest = outroot / "out" / "tiny" / "one.manifest"
+    manifest.write_text("client0.gfnpolicy\t1.0\n")  # as if client 1 had failed
+    capsys.readouterr()
+    argv = ["aggregate", "--config", cfg, "--manifest", str(manifest), "--set", "loss.weights=[1.0, 2.0]"]
+    assert main(argv) == 2
+    assert "loss.weights" in capsys.readouterr().err
+
+
+def test_short_manifest_aggregates_with_default_weights(outroot, capsys):
+    # a manifest short of a failed client still aggregates and probes
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    manifest = outroot / "out" / "tiny" / "one.manifest"
+    manifest.write_text("client0.gfnpolicy\t1.0\n")  # as if client 1 had failed
+    argv = ["aggregate", "--config", cfg, "--manifest", str(manifest), "--set", "aggregate.epochs=5"]
+    assert main(argv) == 0
+    # a weighted probe target needs one weight per client
+    manifest.write_text("client0.gfnpolicy\t2.0\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "clients.n" in capsys.readouterr().err
+    assert main(argv + ["--set", "aggregate.eval_every=0"]) == 0
+
+
 def test_aggregate_unknown_eval_mode_is_config_error(outroot, capsys):
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
@@ -318,6 +356,7 @@ def test_identity_checks_pass(outroot, capsys):
     assert main(["identity-checks", "--trials", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["jeffrey_bound_violations"] == 0
+    assert report["effective_target_dp_max_dev"] <= 1e-10
 
 
 def test_config_helpers():

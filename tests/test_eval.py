@@ -12,6 +12,7 @@ import gfnpool
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.errors import EnumerationGuardError, FingerprintMismatchError
 from gfnpool.evaluation import (
+    DEFAULT_TRAJ_GUARD,
     DistributionTable,
     cb_kl_gradient_identity_check,
     count_trajectories,
@@ -32,6 +33,8 @@ from gfnpool.policy import (
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
+    replay_log_pb,
+    replay_log_pf,
 )
 from tests.conftest import random_tabular
 
@@ -262,7 +265,57 @@ def test_effective_target_balanced_equals_product(rng):
         TabularPolicy(space, balanced_tabular_policy(StateSpace.enumerated(e)).table)
         for e in envs
     ]
-    assert l1(effective_target(pols, space), reward_table(envs, space)) <= 1e-10
+    for weights in (None, (0.5, 2.0)):
+        eff = effective_target(pols, space, weights)
+        assert l1(eff, reward_table(envs, space, weights)) <= 1e-10
+
+
+def _brute_effective_target(pols, envs, space, weights):
+    """Weighted effective target and per-client ratio extrema (lo, hi), by
+    summing over every enumerated trajectory."""
+    log_mass = np.full(space.n_states, -np.inf)
+    lo, hi = np.full(len(pols), np.inf), np.full(len(pols), -np.inf)
+    log_pi = [product_log_rewards([e], space) for e in envs]
+    for tb in enumerate_trajectory_batches(space, chunk=50):
+        pb = replay_log_pb(space, tb)
+        lfs = [replay_log_pf(p, space, tb) for p in pols]
+        np.logaddexp.at(log_mass, tb.terminal_idx(), pb + sum(w * (lf - pb) for w, lf in zip(weights, lfs)))
+        for k, lf in enumerate(lfs):
+            pi = log_pi[k][tb.terminal_idx()] - np.logaddexp.reduce(log_pi[k][space.terminal_indices()])
+            lo[k] = min(lo[k], np.min(lf - pb - pi))
+            hi[k] = max(hi[k], np.max(lf - pb - pi))
+    return np.exp(log_mass - np.logaddexp.reduce(log_mass)), lo, hi
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        GridEnv(side=3, beacons=((1, 1),)),
+        MultisetEnv(values=(0.2, -0.4, 0.9, 0.1), target_size=4),
+        SequenceEnv(pos_scores=(1.0, 0.5, -0.5), token_scores=(0.3, -0.2, 0.1)),
+    ],
+    ids=["grid3x3", "multiset4x4", "sequence3x3"],
+)
+def test_dag_passes_match_trajectory_enumeration(env, rng):
+    space = StateSpace.enumerated(env)
+    pols = [random_tabular(space, rng) for _ in range(3)]
+    envs = [noisy_reward_wrap(env, 0.5, rng, space=space) for _ in pols]  # same DAG, new rewards
+    omega = (0.5, 1.0, 2.0)
+    brute, lo, hi = _brute_effective_target(pols, envs, space, omega)
+    assert np.max(np.abs(effective_target(pols, space, omega).p - brute)) <= 1e-12
+    chk = robustness_bound_check(pols, envs, space)
+    assert np.max(np.abs(chk.alphas - (1.0 - np.exp(lo)))) <= 1e-12
+    assert np.max(np.abs(chk.betas - (np.exp(hi) - 1.0))) <= 1e-12
+
+
+def test_effective_target_runs_where_enumeration_cannot(rng):
+    env = MultisetEnv(values=tuple(rng.uniform(-1, 1, 10)), target_size=8)
+    space = StateSpace.enumerated(env)
+    assert count_trajectories(space) > DEFAULT_TRAJ_GUARD
+    pols = [random_tabular(space, rng) for _ in range(2)]
+    eff = effective_target(pols, space, (0.5, 2.0))
+    assert eff.total() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(eff.p[space.terminal_indices()] > 0)
 
 
 def test_effective_target_single_imperfect_equals_exact_pt(grid3, grid3_space, rng):

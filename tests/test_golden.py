@@ -32,8 +32,8 @@ CLIENT_SHA256 = {
 }
 
 GLOBAL_SHA256 = {
-    "tabular": "5c45dd611ccb2e52bbeaa86942826062990d5315909f795fd31d24d3bfc6587a",
-    "mlp": "2b4aa6529b756ea2ebc8feabfcdeb3915d8e4de949180642662c28a6f3492852",
+    "tabular": "79b0a96ea523a08eabbbcde8c0775bc4311218855c15967bfffdab9501b4d232",
+    "mlp": "7ba0473123726b9e6278aa597315d941d271b313dbd5338697e49934d402e874",
 }
 
 

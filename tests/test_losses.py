@@ -16,12 +16,15 @@ from gfnpool.losses import (
     tb_violations,
     vl_loss_batch,
 )
+from gfnpool.evaluation import count_trajectories, enumerate_trajectory_batches
 from gfnpool.policy import (
     MlpPolicy,
     TabularPolicy,
     action_distribution,
+    apply_log_pf_grad,
     balanced_tabular_policy,
     masked_log_softmax,
+    replay_log_pb,
     replay_log_pf,
     sample_batch,
 )
@@ -315,10 +318,11 @@ def test_cb_vl_pair_identity_sixteen(grid3, grid3_space, rng):
 def test_ab_identical_pair_and_self_pooling(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     tb = sample_batch(pol, grid3_space, 8, 0.5, rng, compute_rewards=False)
-    loss, _ = ab_loss_batch(pol, grid3_space, tb, tb, [pol])
+    pooled = PooledLocals(grid3_space, [pol])
+    loss, _ = ab_loss_batch(pol, grid3_space, tb, tb, pooled)
     assert loss == 0.0  # identical pairs: both deltas vanish
     t2 = sample_batch(pol, grid3_space, 8, 0.5, rng, compute_rewards=False)
-    loss, grads = ab_loss_batch(pol, grid3_space, tb, t2, [pol])
+    loss, grads = ab_loss_batch(pol, grid3_space, tb, t2, pooled)
     assert loss == 0.0  # global == single local: deltas cancel exactly
     assert np.all(grads["policy"] == 0.0)
 
@@ -337,7 +341,7 @@ def test_ab_value_matches_formula_oracle(grid3, grid3_space, rng):
         return r1 - r2
 
     expected = (delta(glob) - sum(w * delta(p) for w, p in zip(omega, locs))) ** 2
-    loss, _ = ab_loss_batch(glob, grid3_space, t1, t2, locs, omega)
+    loss, _ = ab_loss_batch(glob, grid3_space, t1, t2, PooledLocals(grid3_space, locs, omega))
     assert loss == pytest.approx(float(expected), rel=1e-11)
 
 
@@ -345,9 +349,14 @@ def test_ab_requires_locals(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     tb = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False)
     with pytest.raises(ValueError):
-        ab_loss_batch(pol, grid3_space, tb, tb, [])
-    with pytest.raises(ValueError):
-        ab_loss_batch(pol, grid3_space, tb, tb, [pol], weights=(1.0, 2.0))
+        ab_loss_batch(pol, grid3_space, tb, tb, PooledLocals(grid3_space))
+    for bad in [(1.0, 2.0), (0.0,), (-1.0,), (float("nan"),), (float("inf"),), ("1",)]:
+        with pytest.raises(ValueError):
+            PooledLocals(grid3_space, [pol], bad)
+    pooled = PooledLocals(grid3_space, [MlpPolicy.create(grid3, (8,), rng)])
+    pooled.log_pf(tb)
+    with pytest.raises(ValueError):  # its rows already met would miss it
+        pooled.add(MlpPolicy.create(grid3, (8,), rng))
 
 
 def test_ab_never_touches_rewards(grid3, grid3_space, rng):
@@ -355,7 +364,7 @@ def test_ab_never_touches_rewards(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     t1 = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False)
     t2 = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False)
-    loss, _ = ab_loss_batch(pol, grid3_space, t1, t2, [random_tabular(grid3_space, rng)])
+    loss, _ = ab_loss_batch(pol, grid3_space, t1, t2, PooledLocals(grid3_space, [random_tabular(grid3_space, rng)]))
     assert np.isfinite(loss)
 
 
@@ -371,21 +380,48 @@ def test_ab_never_touches_rewards(grid3, grid3_space, rng):
 )
 def test_pooled_locals_log_pf_equals_replay(env, rng):
     space = StateSpace.enumerated(env)
-    tabular = [random_tabular(space, rng) for _ in range(2)]
-    mlp = [MlpPolicy.create(env, (8, 8), rng) for _ in range(2)]
-    for pols, exact in [(tabular, True), (mlp, False)]:
-        memo = PooledLocals(space, pols)
+    tabular = [random_tabular(space, rng) for _ in range(3)]
+    mlp = [MlpPolicy.create(env, (8, 8), rng) for _ in range(3)]
+    omega = (0.5, 1.0, 2.0)
+    for sampler in (tabular[0], mlp[0]):
         for epsilon in (0.0, 0.5, 1.0):
-            tb = sample_batch(pols[0], space, 64, epsilon, rng, compute_rewards=False)
-            for pol, lf in zip(pols, memo.log_pf(tb), strict=True):
-                ref = replay_log_pf(pol, space, tb)
-                loop = loop_log_pf(pol, space, tb)
-                if exact:
-                    assert np.array_equal(lf, ref)
-                    assert np.array_equal(ref, loop)
-                else:
-                    assert np.max(np.abs(lf - ref)) <= 1e-12
-                    assert np.max(np.abs(ref - loop)) <= 1e-12
+            tb = sample_batch(sampler, space, 64, epsilon, rng, compute_rewards=False)
+            # the flat step gather of replay_log_pf against the per-step loop
+            for pol in tabular:
+                assert np.array_equal(replay_log_pf(pol, space, tb), loop_log_pf(pol, space, tb))
+            for pol in mlp:
+                assert np.max(np.abs(replay_log_pf(pol, space, tb) - loop_log_pf(pol, space, tb))) <= 1e-12
+            # one tabular local of weight 1: L is its log-softmax table, bit for bit
+            ref = replay_log_pf(tabular[0], space, tb)
+            assert np.array_equal(PooledLocals(space, tabular[:1]).log_pf(tb), ref)
+            for pols in (tabular, mlp):
+                pooled = PooledLocals(space, pols, omega)
+                assert pooled.total_weight == 3.5
+                ref = sum(w * replay_log_pf(p, space, tb) for w, p in zip(omega, pols))
+                assert np.max(np.abs(pooled.log_pf(tb) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("space_name", ["grid2_space", "mset33_space"])
+def test_ab_pair_gradient_is_four_kl_gradients(request, space_name, rng):
+    # E_{tau1, tau2 ~ p_F} grad AB = 4 grad KL(p_F || q_hat), with
+    # q_hat(tau) prop. to p_B(tau|x) prod_n (p_F^n(tau) / p_B(tau|x))^w_n
+    space = request.getfixturevalue(space_name)
+    glob = random_tabular(space, rng)
+    locs = [random_tabular(space, rng) for _ in range(3)]
+    omega = (0.5, 1.0, 2.0)
+    (tb,) = enumerate_trajectory_batches(space, chunk=count_trajectories(space))
+    pf, cache = replay_log_pf(glob, space, tb, want_cache=True)
+    pb = replay_log_pb(space, tb)
+    log_q = pb + sum(w * (replay_log_pf(p, space, tb) - pb) for w, p in zip(omega, locs))
+    kl_grad = np.zeros(glob.n_params)
+    apply_log_pf_grad(glob, space, cache, np.exp(pf) * (pf - log_q), kl_grad)
+    n = tb.batch_size
+    rep, til = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    _, grads = ab_loss_batch(
+        glob, space, tb.subset(rep), tb.subset(til), PooledLocals(space, locs, omega),
+        pair_weights=np.exp(pf[rep] + pf[til]),
+    )
+    assert np.max(np.abs(grads["policy"] - 4.0 * kl_grad)) <= 1e-12
 
 
 # -- zero at optimum, all criteria ----------------------------------------------
@@ -457,7 +493,7 @@ def test_gradients_match_finite_differences(backend, rng):
         "VL": lambda: vl_loss_batch(pol, space, tb),
         "DB": lambda: db_loss_batch(pol, flow, space, tb),
         "DBC": lambda: dbc_loss_batch(pol, space, tb),
-        "AB": lambda: ab_loss_batch(pol, space, t1, t2, locs, (1.0, 0.5)),
+        "AB": lambda: ab_loss_batch(pol, space, t1, t2, PooledLocals(space, locs, (1.0, 0.5))),
     }
     for name, fn in checks.items():
         assert _fd_worst(fn, pol, rng) <= 1e-4, name

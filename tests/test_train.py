@@ -17,8 +17,6 @@ from gfnpool.train import (
     TrainConfig,
     client_configs,
     derive_seed,
-    epochs_to_threshold,
-    loss_comparison,
     train_clients,
     train_local,
 )
@@ -154,24 +152,3 @@ def test_nonfinite_loss_aborts():
 
     with pytest.raises((RewardSupportError, NumericError)):
         train_local(env, small_cfg(epochs=5))
-
-
-def test_epochs_to_threshold_and_loss_comparison():
-    metrics = [
-        {"epoch": 100, "l1": 0.8},
-        {"epoch": 200, "l1": 0.25},
-        {"epoch": 300, "l1": 0.1},
-    ]
-    assert epochs_to_threshold(metrics, 0.3) == 200
-    assert epochs_to_threshold(metrics, 0.05) is None
-    gen = np.random.default_rng(3)
-    env = MultisetEnv(values=tuple(gen.uniform(0, 1, 3)), target_size=2)
-    out = loss_comparison(
-        env,
-        small_cfg(epochs=600, batch=64, eval_every=100),
-        kinds=("CB", "TB"),
-        seeds=(1, 2),
-        threshold=0.3,
-    )
-    assert set(out) == {"CB", "TB"} and len(out["CB"]) == 2
-    assert all(e is None or e >= 100 for e in out["CB"] + out["TB"])
