@@ -20,7 +20,7 @@ from . import evaluation
 from .config import RunConfig, apply_overrides, load_config
 from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
-from .losses import LOSS_KINDS, LossSpec, pooling_weights
+from .losses import LOSS_KINDS, LossSpec, PooledLocals, pooling_weights
 from .policy import balanced_tabular_policy, load_snapshot, replay_log_pb, replay_log_pf
 from .train import build_space, derive_seed, train_clients, train_local
 
@@ -386,12 +386,17 @@ def cmd_identity_checks(args) -> int:
     eff = evaluation.effective_target(pols, mspace, omega)
     brute_eff = np.exp(log_mass - np.logaddexp.reduce(log_mass))
     report["effective_target_dp_max_dev"] = float(np.max(np.abs(eff.p - brute_eff)))
+    # AB is CB with log R replaced by the pooled local ratios
+    glob = TabularPolicy(mspace, rng.normal(0, 1, (mspace.n_states, mspace.arity)))
+    pooled = PooledLocals(mspace, pols, omega)
+    report["ab_kl_gradient_max_dev"] = evaluation.cb_kl_gradient_identity_check(glob, mspace, pooled)
     ok = (
         report["cb_kl_gradient_max_dev"] <= 1e-8
         and report["cb_kl_gradient_max_dev_multiset"] <= 1e-8
         and violations == 0
         and report["dp_vs_bruteforce_max_dev"] <= 1e-10
         and report["effective_target_dp_max_dev"] <= 1e-10
+        and report["ab_kl_gradient_max_dev"] <= 1e-8
     )
     report["ok"] = ok
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from abc import ABC, abstractmethod
+from itertools import chain
 
 import numpy as np
 
@@ -96,6 +97,35 @@ class Environment(ABC):
     @abstractmethod
     def log_reward(self, s: StateKey) -> float: ...
 
+    # A class that defines a vectorized `_log_rewards` pairs it with the
+    # `log_reward` it defines beside it; `log_rewards` uses it only while
+    # that very function is the instance's `log_reward`. `_log_rewards`
+    # returns None for a batch it does not take (a malformed key), which
+    # then goes through the loop and so raises the scalar's error.
+    _batched_log_reward = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_log_rewards" in cls.__dict__:
+            cls._batched_log_reward = cls.__dict__.get("log_reward")
+
+    def log_rewards(self, keys) -> np.ndarray:
+        """log R at every key, as a float64 array, bit for bit equal to
+        `log_reward` key by key, and raising its error on a bad key.
+
+        The default loops over `log_reward`. An env's vectorized form serves
+        only while `log_reward` is the one its class defines; a subclass
+        override or a patched class attribute gets the loop, so anything
+        that counts `log_reward` calls still sees every evaluation.
+        """
+        keys = list(keys)
+        cls = type(self)
+        if cls.log_reward is cls._batched_log_reward:
+            out = self._log_rewards(keys)
+            if out is not None:
+                return out
+        return np.array([self.log_reward(k) for k in keys], dtype=np.float64)
+
     @property
     def feature_dim(self) -> int | None:
         """Feature vector length, or None if the env has no featurization."""
@@ -117,6 +147,26 @@ class Environment(ABC):
         """
         blob = json.dumps(self.structure(), sort_keys=True).encode()
         return f"{self.kind}:{hashlib.sha256(blob).hexdigest()[:16]}"
+
+
+def int_key_matrix(keys: list, width: int):
+    """Keys that are all plain tuples of at most `width` plain ints, as an
+    (n, width) int64 matrix zero-padded on the right and their lengths;
+    None for any other batch, which then takes the scalar path."""
+    if not set(map(type, keys)) <= {tuple}:
+        return None
+    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    if lengths.size and lengths.max() > width:
+        return None
+    if not set(map(type, chain.from_iterable(keys))) <= {int}:
+        return None
+    try:
+        vals = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=int(lengths.sum()))
+    except OverflowError:
+        return None
+    out = np.zeros((len(keys), width), dtype=np.int64)
+    out[np.arange(width) < lengths[:, None]] = vals
+    return out, lengths
 
 
 def log_sigmoid(z: float) -> float:

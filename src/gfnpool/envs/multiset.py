@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 
 from ..errors import MalformedStateError, NoParentsError, NotTerminalError
-from .base import Environment, StateKey
+from .base import Environment, StateKey, int_key_matrix
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,17 @@ class MultisetEnv(Environment):
         if not self.is_terminal(s):
             raise NotTerminalError(f"multiset of size {sum(s)} < {self.target_size}")
         return float(np.dot(s, self._values))
+
+    def _log_rewards(self, keys: list) -> np.ndarray:
+        got = int_key_matrix(keys, self.dict_size)
+        if got is None or np.any(got[1] != self.dict_size):
+            return None
+        counts = got[0]
+        if np.any(counts < 0) or np.any(counts.sum(axis=1) != self.target_size):
+            return None
+        # one dot per row: a single matrix product sums in another order
+        v = self._values
+        return np.fromiter((v.dot(row) for row in counts.astype(np.float64)), dtype=np.float64, count=len(keys))
 
     @property
     def feature_dim(self) -> int:

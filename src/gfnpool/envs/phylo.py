@@ -88,24 +88,31 @@ def jc69_transition(mu: float, b: float) -> np.ndarray:
     return np.full((4, 4), 0.25 * (1.0 - e)) + e * np.eye(4)
 
 
-def _site_logliks(tree, sites: np.ndarray, trans: np.ndarray) -> np.ndarray:
+def _conditionals(node, sites: np.ndarray, trans: np.ndarray, memo: dict):
+    """Rescaled post-order conditionals (lik, log scale) of one subtree,
+    memoised in `memo` by subtree. A module-level recursion, not a closure
+    over `memo`, so no reference cycle keeps a batch's arrays alive."""
+    out = memo.get(node)
+    if out is None:
+        if isinstance(node, int):
+            out = (sites[node][None, :] == np.arange(4)[:, None]).astype(np.float64), np.zeros(sites.shape[1])
+        else:
+            (ll, sl), (lr, sr) = (_conditionals(child, sites, trans, memo) for child in node)
+            v = (trans @ ll) * (trans @ lr)
+            c = v.max(axis=0)
+            out = v / c, sl + sr + np.log(c)
+        memo[node] = out
+    return out
+
+
+def _site_logliks(tree, sites: np.ndarray, trans: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Log P(site | tree) for every column, via post-order pruning.
 
     Conditionals are rescaled by their per-site maximum at every internal
-    node so that thousands of sites stay clear of underflow.
+    node so that thousands of sites stay clear of underflow. Trees that
+    share subtrees can share one `memo`; the result is the same bits.
     """
-    m = sites.shape[1]
-
-    def rec(node):
-        if isinstance(node, int):
-            lik = (sites[node][None, :] == np.arange(4)[:, None]).astype(np.float64)
-            return lik, np.zeros(m)
-        (ll, sl), (lr, sr) = rec(node[0]), rec(node[1])
-        v = (trans @ ll) * (trans @ lr)
-        c = v.max(axis=0)
-        return v / c, sl + sr + np.log(c)
-
-    lik, scale = rec(tree)
+    lik, scale = _conditionals(tree, sites, trans, {} if memo is None else memo)
     return np.log(0.25 * lik.sum(axis=0)) + scale  # uniform root prior
 
 
@@ -269,6 +276,17 @@ class PhyloEnv(Environment):
             raise NotTerminalError("reward is defined on complete trees only")
         log_prior = -np.log(num_topologies(self.n_leaves))
         return self.gamma * self.data_loglik(s) + log_prior / self.n_clients
+
+    def _log_rewards(self, keys: list) -> np.ndarray:
+        # the terminal trees of a batch share subtrees; each subtree's
+        # conditionals are computed once
+        if not all(map(self.is_terminal, keys)):
+            return None
+        trans = jc69_transition(self.mu, self.branch_length)
+        memo: dict = {}
+        data = [float(_site_logliks(parse_tree(s[0]), self.sites, trans, memo).sum()) for s in keys]
+        log_prior = -np.log(num_topologies(self.n_leaves))
+        return self.gamma * np.array(data, dtype=np.float64) + log_prior / self.n_clients
 
     def n_states_estimate(self) -> int:
         return num_forests(self.n_leaves)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MalformedStateError, NoParentsError
-from .base import Environment, StateKey
+from .base import Environment, StateKey, int_key_matrix
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,21 @@ class SequenceEnv(Environment):
     def log_reward(self, s: StateKey) -> float:
         self.validate_key(s)
         return float(sum(self.pos_scores[i] * self.token_scores[u] for i, u in enumerate(s)))
+
+    def _log_rewards(self, keys: list) -> np.ndarray:
+        got = int_key_matrix(keys, self.max_len)
+        if got is None:
+            return None
+        tokens, lengths = got
+        if np.any(tokens < 0) or np.any(tokens >= self.num_tokens):
+            return None
+        # position by position, in the scalar's summation order; adding 0.0
+        # past a key's end leaves its sum's bits unchanged
+        tok = np.asarray(self.token_scores, dtype=np.float64)
+        out = np.zeros(len(keys))
+        for i, p in enumerate(self.pos_scores):
+            out += np.where(i < lengths, p * tok[tokens[:, i]], 0.0)
+        return out
 
     @property
     def feature_dim(self) -> int:

@@ -39,8 +39,7 @@ class StateSpace:
         self._terminal = np.zeros(cap, dtype=bool)
         self._depth = np.zeros(cap, dtype=np.int64)
         self._logr = np.full(cap, np.nan)
-        fd = env.feature_dim
-        self._feats = np.zeros((cap, fd)) if fd else None
+        self._feats = None  # allocated by the first `features` call
         self._featurized = np.zeros(cap, dtype=bool)
         self.complete = False
         self._initial = env.initial_key()
@@ -133,9 +132,13 @@ class StateSpace:
         return self._depth[idx]
 
     def features(self, idx) -> np.ndarray:
-        """Feature rows, each computed on first use."""
+        """Feature rows, each computed on first use. The buffer itself is
+        allocated on the first call, so a tabular run never holds one."""
         if self._feats is None:
-            return self.env.featurize(self.keys[0])  # raises the env's error
+            fd = self.env.feature_dim
+            if not fd:
+                return self.env.featurize(self.keys[0])  # raises the env's error
+            self._feats = np.zeros((self._featurized.shape[0], fd))
         idx = np.asarray(idx)
         missing = idx[~self._featurized[idx]]
         for i in np.unique(missing):
@@ -144,10 +147,12 @@ class StateSpace:
         return self._feats[idx]
 
     def log_rewards(self, idx: np.ndarray) -> np.ndarray:
+        """Cached log-rewards; the states not cached yet take one batch call."""
         idx = np.asarray(idx)
-        missing = idx[np.isnan(self._logr[idx])]
-        for i in np.unique(missing):
-            self._logr[i] = self.env.log_reward(self.keys[int(i)])
+        missing = np.unique(idx[np.isnan(self._logr[idx])])
+        if missing.size:
+            keys = self.keys
+            self._logr[missing] = self.env.log_rewards([keys[i] for i in missing])
         return self._logr[idx]
 
     # -- enumeration ---------------------------------------------------------
@@ -201,8 +206,6 @@ class StateSpace:
         space._terminal = np.fromiter((is_terminal(k) for k in keys), dtype=bool, count=n)
         space._depth = np.array(depth, dtype=np.int64)
         space._logr = np.full(n, np.nan)
-        if space._feats is not None:
-            space._feats = np.zeros((n, space._feats.shape[1]))
         space._featurized = np.zeros(n, dtype=bool)
         space.complete = True
         return space
@@ -225,6 +228,7 @@ class StateSpace:
         view = copy.copy(self)
         view.env = env
         view._logr = np.full(self.n_states, np.nan)
+        view.features = self.features  # one lazily allocated feature buffer
         return view
 
     def require_complete(self) -> None:

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .envs.base import Environment, StateKey
 from .envs.space import CHILD_ILLEGAL, CHILD_STOP, StateSpace
 from .errors import EnumerationGuardError, FingerprintMismatchError, NumericError, RewardSupportError
-from .losses import PooledLocals, cb_loss_batch, pooling_weights
+from .losses import PooledLocals, ab_loss_batch, cb_loss_batch, pooling_weights
 from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
@@ -133,8 +134,10 @@ def sampled_pT(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.random.
 
 
 def terminal_log_rewards(env: Environment, space: StateSpace) -> np.ndarray:
-    """log R(x) of one env at every enumerated terminal, in `terminal_indices` order."""
-    return np.array([env.log_reward(space.keys[i]) for i in space.terminal_indices()])
+    """log R(x) of one env at every enumerated terminal, in `terminal_indices`
+    order, from one `log_rewards` batch."""
+    keys = space.keys
+    return env.log_rewards([keys[i] for i in space.terminal_indices()])
 
 
 def pooled_log_rewards(space: StateSpace, per_client: list[np.ndarray], weights=None) -> np.ndarray:
@@ -347,33 +350,38 @@ def robustness_bound_check(
 
 
 def cb_kl_gradient_identity_check(
-    policy: ForwardPolicy, space: StateSpace, max_trajectories: int = 300
+    policy: ForwardPolicy,
+    space: StateSpace,
+    pooled: PooledLocals | None = None,
+    max_trajectories: int = 300,
 ) -> float:
-    """Max elementwise gap between the exact gradient of KL(p_F || reward-
-    tilted backward) and one quarter of the exact pair-expected contrastive
-    gradient. Both sides are computed by full enumeration."""
+    """Max elementwise gap between the exact gradient of KL(p_F || q) and one
+    quarter of the exact pair-expected contrastive gradient, both computed by
+    full enumeration. q(tau) is proportional to p_B(tau|x) exp(t(tau)), with
+    the per-trajectory log-target t = log R(x) for CB. Given a pool of frozen
+    locals, t is the pooled ratio sum_n w_n (log p_F^n(tau) - log p_B(tau|x))
+    and the pair gradient is AB's, which never reads a reward."""
     total = count_trajectories(space)
     if total > max_trajectories:
         raise EnumerationGuardError(
             f"{total} trajectories is too many for the exact pair expectation"
         )
     (tb,) = enumerate_trajectory_batches(space, chunk=total)
-    tb.log_reward = space.log_rewards(tb.terminal_idx())
     pf, cache = replay_log_pf(policy, space, tb, want_cache=True)
     pb = replay_log_pb(space, tb)
+    if pooled is None:
+        tb.log_reward = log_target = space.log_rewards(tb.terminal_idx())
+        pair_loss = cb_loss_batch
+    else:
+        log_target = pooled.log_pf(tb) - pooled.total_weight * pb
+        pair_loss = partial(ab_loss_batch, pooled=pooled)
     p_tau = np.exp(pf)
-    ell = pf - pb - tb.log_reward
+    ell = pf - pb - log_target
     lhs = np.zeros(policy.n_params)
     apply_log_pf_grad(policy, space, cache, p_tau * ell, lhs)
     rep = np.repeat(np.arange(tb.batch_size), tb.batch_size)
     til = np.tile(np.arange(tb.batch_size), tb.batch_size)
-    _, grads = cb_loss_batch(
-        policy,
-        space,
-        tb.subset(rep),
-        tb.subset(til),
-        pair_weights=p_tau[rep] * p_tau[til],
-    )
+    _, grads = pair_loss(policy, space, tb.subset(rep), tb.subset(til), pair_weights=p_tau[rep] * p_tau[til])
     rhs = grads["policy"] / 4.0
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -399,6 +407,11 @@ class NoisyRewardEnv:
 
     def log_reward(self, s):
         return self.base.log_reward(s) + self.offsets[s]
+
+    def log_rewards(self, keys) -> np.ndarray:
+        # defined here: the base's batch, reached through __getattr__, has no offsets
+        keys = list(keys)
+        return self.base.log_rewards(keys) + np.array([self.offsets[k] for k in keys], dtype=np.float64)
 
 
 def noisy_reward_wrap(

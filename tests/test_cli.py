@@ -352,11 +352,38 @@ def test_one_enumeration_and_one_reward_pass_per_command(outroot, monkeypatch):
     assert seen["evaluate"]["log_reward"] == len(envs) * n_terminals
 
 
+def test_batched_reward_rows_per_command(outroot, monkeypatch):
+    doc = json.loads(json.dumps(TINY_MULTISET))
+    doc["train"]["eval_every"] = 0
+    doc["aggregate"]["eval_every"] = 0
+    cfg = write_cfg(outroot, doc)
+    envs = RunConfig(doc).client_envs()
+    n_terminals = StateSpace.enumerated(envs[0]).terminal_indices().size
+    rows = [0]
+    log_rewards = MultisetEnv.log_rewards
+
+    def counted_rows(self, keys):
+        keys = list(keys)
+        rows[0] += len(keys)
+        return log_rewards(self, keys)
+
+    monkeypatch.setattr(MultisetEnv, "log_rewards", counted_rows)
+    seen = {}
+    for command in ("train-clients", "aggregate", "evaluate"):
+        rows[0] = 0
+        assert main([command, "--config", cfg]) == 0
+        seen[command] = rows[0]
+    assert 0 < seen["train-clients"] <= len(envs) * n_terminals
+    assert seen["aggregate"] == 0
+    assert seen["evaluate"] == len(envs) * n_terminals
+
+
 def test_identity_checks_pass(outroot, capsys):
     assert main(["identity-checks", "--trials", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["jeffrey_bound_violations"] == 0
     assert report["effective_target_dp_max_dev"] <= 1e-10
+    assert report["ab_kl_gradient_max_dev"] <= 1e-8
 
 
 def test_config_helpers():

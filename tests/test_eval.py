@@ -29,6 +29,7 @@ from gfnpool.evaluation import (
     sampled_pT,
     topk_avg_log_reward,
 )
+from gfnpool.losses import PooledLocals
 from gfnpool.policy import (
     TabularPolicy,
     action_distribution,
@@ -408,6 +409,13 @@ def test_cb_kl_identity_random_and_balanced(grid2, grid2_space, rng):
     space = StateSpace.enumerated(env)
     pol2 = random_tabular(space, rng)
     assert cb_kl_gradient_identity_check(pol2, space) <= 1e-8
+
+
+def test_ab_kl_identity_with_weighted_pool(grid2_space, rng):
+    # AB is CB with log R replaced by the pooled ratios
+    for space in (grid2_space, StateSpace.enumerated(MultisetEnv(values=(0.4, -0.2), target_size=2))):
+        pooled = PooledLocals(space, [random_tabular(space, rng) for _ in range(2)], (0.5, 2.0))
+        assert cb_kl_gradient_identity_check(random_tabular(space, rng), space, pooled) <= 1e-10
 
 
 # -- noisy rewards ------------------------------------------------------------------

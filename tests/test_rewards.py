@@ -1,0 +1,170 @@
+"""The batch reward entry point `Environment.log_rewards` and the state
+space's lazy buffers."""
+
+import gc
+
+import numpy as np
+import pytest
+
+from gfnpool.envs import (
+    GridEnv,
+    MultisetEnv,
+    PhyloEnv,
+    SequenceEnv,
+    StateSpace,
+    random_topology,
+    simulate_sites,
+    split_sites,
+)
+from gfnpool.errors import MalformedStateError, NotTerminalError
+from gfnpool.evaluation import noisy_reward_wrap, terminal_log_rewards
+
+
+def _multiset(items, size):
+    return MultisetEnv(values=tuple(np.random.default_rng(items).normal(0, 1, items)), target_size=size)
+
+
+def _sequence(length, tokens):
+    gen = np.random.default_rng(length * tokens)
+    return SequenceEnv(pos_scores=tuple(gen.normal(0, 1, length)), token_scores=tuple(gen.normal(0, 1, tokens)))
+
+
+def _phylo_clients(n_clients=10):
+    gen = np.random.default_rng(11)
+    sites = simulate_sites(random_topology(5, gen), 5, 60, mu=1.0, b=0.1, rng=gen)
+    return split_sites(PhyloEnv(n_leaves=5, sites=sites, gamma=2.0), n_clients)
+
+
+def _terminal_keys(space):
+    return [space.keys[i] for i in space.terminal_indices()]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [_multiset(4, 8)],
+        lambda: [_multiset(10, 8)],
+        lambda: [_sequence(4, 4)],
+        lambda: [_sequence(6, 6)],
+        _phylo_clients,
+        lambda: [GridEnv(side=5, beacons=((1, 3), (4, 0)))],
+    ],
+    ids=["multiset4x8", "multiset10x8", "sequence4x4", "sequence6x6", "phylo5x10", "grid5"],
+)
+def test_batch_equals_scalar_bit_for_bit(make):
+    envs = make()
+    space = StateSpace.enumerated(envs[0])
+    keys = _terminal_keys(space)
+    for env in envs:
+        got = env.log_rewards(keys)
+        assert got.dtype == np.float64 and got.shape == (len(keys),)
+        assert np.array_equal(got, [env.log_reward(k) for k in keys])
+        assert np.array_equal(terminal_log_rewards(env, space), got)
+        view = space.for_env(env)
+        assert np.array_equal(view.log_rewards(space.terminal_indices()), got)
+
+
+def test_empty_batch_is_an_empty_float_array():
+    for env in (_multiset(4, 8), _sequence(4, 4), _phylo_clients(1)[0], GridEnv(side=3, beacons=((1, 1),))):
+        got = env.log_rewards([])
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "env, bad, error",
+    [
+        (_multiset(4, 8), (1, 2, 3), MalformedStateError),
+        (_multiset(4, 8), (2, 2, 2, -1), MalformedStateError),
+        (_multiset(4, 8), (2.0, 2, 2, 2), MalformedStateError),
+        (_multiset(4, 8), [2, 2, 2, 2], MalformedStateError),
+        (_multiset(4, 8), (2, 2, 2, 3), MalformedStateError),
+        (_multiset(4, 8), (2, 2, 2, 1), NotTerminalError),
+        (_sequence(4, 4), (0, 4), MalformedStateError),
+        (_sequence(4, 4), (0, 1, 2, 3, 0), MalformedStateError),
+        (_sequence(4, 4), (0, -1), MalformedStateError),
+        (_phylo_clients(1)[0], ("((0,1),(2,3))", "4"), NotTerminalError),
+        (_phylo_clients(1)[0], ("((1,0),((2,3),4))",), MalformedStateError),
+        (_phylo_clients(1)[0], ("((0,1),(2,3))",), MalformedStateError),
+    ],
+)
+def test_batch_raises_the_scalar_error(env, bad, error):
+    space = StateSpace.enumerated(env)
+    good = _terminal_keys(space)[:3]
+    with pytest.raises(error):
+        env.log_reward(bad)
+    with pytest.raises(error):
+        env.log_rewards(good + [bad] + good)
+
+
+def test_every_override_of_log_reward_is_counted(monkeypatch):
+    env = _multiset(4, 8)
+    keys = _terminal_keys(StateSpace.enumerated(env))
+    calls = [0]
+
+    class Counted(MultisetEnv):
+        def log_reward(self, s):
+            calls[0] += 1
+            return super().log_reward(s)
+
+    counted = Counted(values=env.values, target_size=env.target_size)
+    assert np.array_equal(counted.log_rewards(keys), env.log_rewards(keys))
+    assert calls[0] == len(keys)
+
+    scalar = MultisetEnv.log_reward
+
+    def patched(self, s):
+        calls[0] += 1
+        return scalar(self, s)
+
+    calls[0] = 0
+    monkeypatch.setattr(MultisetEnv, "log_reward", patched)
+    assert np.array_equal(env.log_rewards(keys), [scalar(env, k) for k in keys])
+    assert calls[0] == len(keys)
+    monkeypatch.undo()
+    calls[0] = 0
+    env.log_rewards(keys)
+    assert calls[0] == 0
+
+
+def test_noisy_batch_keeps_its_offsets():
+    env = _multiset(4, 8)
+    space = StateSpace.enumerated(env)
+    noisy = noisy_reward_wrap(env, 0.1, np.random.default_rng(0), space)
+    keys = _terminal_keys(space)
+    got = noisy.log_rewards(keys)
+    assert np.array_equal(got, [noisy.log_reward(k) for k in keys])
+    assert not np.array_equal(got, env.log_rewards(keys))
+
+
+def test_phylo_batch_leaves_no_reference_cycle():
+    env = _phylo_clients(1)[0]
+    keys = _terminal_keys(StateSpace.enumerated(env))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        env.log_rewards(keys)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_feature_buffer_is_allocated_on_first_use():
+    env = _sequence(3, 3)
+    space = StateSpace.enumerated(env)
+    assert space._feats is None
+    space.log_rewards(space.terminal_indices())
+    assert space._feats is None
+    # a view asking first fills the one buffer its base reads too
+    view = space.for_env(SequenceEnv(pos_scores=(1.0, 2.0, 3.0), token_scores=env.token_scores))
+    idx = np.array([0, 5, 7])
+    rows = view.features(idx)
+    assert np.array_equal(rows, [env.featurize(space.keys[i]) for i in idx])
+    assert space._feats is not None
+    assert np.array_equal(space.features(idx), rows)
+    every = np.arange(space.n_states)
+    assert np.array_equal(space.features(every), [env.featurize(k) for k in space.keys])
+    lazy = StateSpace(env)
+    lazy.children_rows(np.array([0]))
+    assert np.array_equal(lazy.features(np.arange(lazy.n_states)), [env.featurize(k) for k in lazy.keys])
