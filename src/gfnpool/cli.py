@@ -56,7 +56,10 @@ def _read_manifest(path: Path) -> tuple[list[bytes], list[float]]:
         snap = Path(parts[0])
         if not snap.is_absolute():
             snap = base / snap
-        blobs.append(snap.read_bytes())
+        try:
+            blobs.append(snap.read_bytes())
+        except OSError as exc:
+            raise ConfigError(str(path), f"cannot read snapshot {snap}: {exc.strerror or exc}") from exc
         raw.append(parts[1] if len(parts) > 1 else "1.0")
     if not blobs:
         raise ConfigError(str(path), "manifest lists no snapshots")

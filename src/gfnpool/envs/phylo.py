@@ -45,17 +45,21 @@ def parse_tree(s: str):
     raise MalformedStateError(f"unbalanced tree encoding: {s!r}")
 
 
-def tree_leaves(s: str) -> set[int]:
-    node = parse_tree(s)
-    out: set[int] = set()
+def _node_leaves(node) -> list[int]:
+    """Leaf labels of a parsed tree, one per leaf occurrence."""
+    out: list[int] = []
     stack = [node]
     while stack:
         n = stack.pop()
         if isinstance(n, int):
-            out.add(n)
+            out.append(n)
         else:
             stack.extend(n)
     return out
+
+
+def tree_leaves(s: str) -> set[int]:
+    return set(_node_leaves(parse_tree(s)))
 
 
 def pair_action_id(i: int, j: int, n: int) -> int:
@@ -213,12 +217,13 @@ class PhyloEnv(Environment):
         seen: set[int] = set()
         try:
             for t in s:
-                if encode_tree(parse_tree(t)) != t:
+                node = parse_tree(t)
+                if encode_tree(node) != t:
                     raise MalformedStateError(f"tree not canonical: {t!r}")
-                leaves = tree_leaves(t)
-                if leaves & seen:
+                leaves = _node_leaves(node)
+                if len(set(leaves)) < len(leaves) or seen.intersection(leaves):
                     raise MalformedStateError(f"duplicated leaves in forest: {s!r}")
-                seen |= leaves
+                seen.update(leaves)
         except (ValueError, IndexError) as exc:
             raise MalformedStateError(f"undecodable forest: {s!r}") from exc
         if seen != set(range(self.n_leaves)):

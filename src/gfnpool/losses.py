@@ -20,6 +20,11 @@ pooled local log-policy L(s -> s') = sum_n w_n log p_F^n(s'|s), a table of
 weighted masked log-softmax rows. AB reads it with one gather per pair
 half, and the theorem checks in `evaluation` run their DAG passes over it.
 `pooling_weights` is the one check of the weights w_n.
+
+The pair losses CB and AB join their two halves into one batch
+(`TrajectoryBatch.concat`, half 1 then half 2), so each makes one replay
+and one gradient pass with coefficients (2wa, -2wa); tabular scatters meet
+the terms in the order two separate passes would.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ import numpy as np
 
 from .envs.space import StateSpace
 from .errors import RewardSupportError, UnsupportedLossError
-from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init
+from .nn import MlpSpec, mlp_init
 from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
     apply_log_pf_grad,
+    mlp_rows,
+    mlp_rows_grad,
     policy_rows,
     replay_log_pb,
     replay_log_pf,
@@ -123,15 +130,15 @@ class MlpFlow:
         self.params = flat.copy()
 
     def log_flow(self, space, idx):
-        """(log F at `idx`, the forward cache `accumulate_dflow` takes)."""
-        out, cache = mlp_forward(self.spec, self.params, space.features(idx))
+        """(log F at `idx`, the cache `accumulate_dflow` takes), from one
+        forward over the distinct states of `idx`."""
+        out, cache = mlp_rows(self.spec, self.params, space, idx)
         return out[:, 0], cache
 
     def accumulate_dflow(self, space, idx, dv, grad_flat, cache) -> None:
         """Add d(sum of dv * log F)/d(params); `cache` is the one log_flow
         returned for the same `idx`."""
-        grad, _ = mlp_backward(self.spec, self.params, cache, dv[:, None])
-        grad_flat += grad
+        grad_flat += mlp_rows_grad(self.spec, self.params, cache, dv[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +160,12 @@ def tb_violations(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch,
     pf, cache = replay_log_pf(policy, space, tb, want_cache=True)
     pb = replay_log_pb(space, tb)
     return logz + pf - pb - log_r, cache
+
+
+def _pair_count(tb1: TrajectoryBatch, tb2: TrajectoryBatch) -> int:
+    if tb1.batch_size != tb2.batch_size:
+        raise ValueError("pair batches must have equal size")
+    return tb1.batch_size
 
 
 def _pair_weights(n: int, weights: np.ndarray | None) -> np.ndarray:
@@ -269,15 +282,13 @@ def tb_loss_batch(policy, space, tb, logz: float):
 def cb_loss_batch(policy, space, tb1, tb2, pair_weights=None):
     """Weighted squared contrast of TB violations between paired trajectories
     (log Z cancels, so none is needed)."""
-    if tb1.batch_size != tb2.batch_size:
-        raise ValueError("pair batches must have equal size")
-    v1, c1 = tb_violations(policy, space, tb1)
-    v2, c2 = tb_violations(policy, space, tb2)
-    w = _pair_weights(tb1.batch_size, pair_weights)
-    a = v1 - v2
+    n = _pair_count(tb1, tb2)
+    v, cache = tb_violations(policy, space, tb1.concat(tb2))
+    w = _pair_weights(n, pair_weights)
+    a = v[:n] - v[n:]
+    g = 2.0 * w * a
     grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, c1, 2.0 * w * a, grad)
-    apply_log_pf_grad(policy, space, c2, -2.0 * w * a, grad)
+    apply_log_pf_grad(policy, space, cache, np.concatenate([g, -g]), grad)
     return float(np.sum(w * a**2)), {"policy": grad}
 
 
@@ -374,14 +385,14 @@ def ab_loss_batch(policy, space, tb1, tb2, pooled: PooledLocals, pair_weights=No
     gradient; no reward is ever evaluated."""
     if not len(pooled):
         raise ValueError("aggregation needs at least one local policy")
-    if tb1.batch_size != tb2.batch_size:
-        raise ValueError("pair batches must have equal size")
-    pb1, pb2 = replay_log_pb(space, tb1), replay_log_pb(space, tb2)
-    pf1, c1 = replay_log_pf(policy, space, tb1, want_cache=True)
-    pf2, c2 = replay_log_pf(policy, space, tb2, want_cache=True)
-    a = (pf1 - pf2) - (pooled.log_pf(tb1) - pooled.log_pf(tb2)) + (pooled.total_weight - 1.0) * (pb1 - pb2)
-    w = _pair_weights(tb1.batch_size, pair_weights)
+    n = _pair_count(tb1, tb2)
+    tb = tb1.concat(tb2)
+    pb = replay_log_pb(space, tb)
+    pf, cache = replay_log_pf(policy, space, tb, want_cache=True)
+    lp = pooled.log_pf(tb)
+    a = (pf[:n] - pf[n:]) - (lp[:n] - lp[n:]) + (pooled.total_weight - 1.0) * (pb[:n] - pb[n:])
+    w = _pair_weights(n, pair_weights)
+    g = 2.0 * w * a
     grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, c1, 2.0 * w * a, grad)
-    apply_log_pf_grad(policy, space, c2, -2.0 * w * a, grad)
+    apply_log_pf_grad(policy, space, cache, np.concatenate([g, -g]), grad)
     return float(np.sum(w * a**2)), {"policy": grad}

@@ -11,6 +11,11 @@ the steps up in t order. Every environment's DAG is graded, so a state
 appears only at the step t equal to its depth: a scatter-add (`np.add.at`)
 over the flat steps meets each state's terms in the order a loop over t
 would, and tabular results keep their bits.
+
+An MLP evaluates each distinct state of a call once: `mlp_rows` runs the
+forward over the unique state indices and expands the rows back, and
+`mlp_rows_grad` sums each state's output gradients before one backward.
+Tabular rows are plain gathers and skip the dedupe.
 """
 
 from __future__ import annotations
@@ -39,12 +44,37 @@ def masked_log_softmax(logits: np.ndarray, legal: np.ndarray):
 
     Illegal slots get probability exactly 0 and log-probability -inf; the
     -inf never propagates because callers only index realized (legal) actions.
+    It computes masked - (m + log(sum(exp(masked - m)))) in two row buffers,
+    since fresh temporaries of a large batch each cost new pages.
     """
-    masked = np.where(legal, logits, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(masked - m).sum(axis=1, keepdims=True))
-    logp = masked - lse
-    return logp, np.exp(logp)
+    logp = np.where(legal, logits, -np.inf)
+    m = logp.max(axis=1, keepdims=True)
+    p = np.subtract(logp, m)
+    np.exp(p, out=p)
+    logp -= m + np.log(p.sum(axis=1, keepdims=True))
+    return logp, np.exp(logp, out=p)
+
+
+def mlp_rows(spec: MlpSpec, params: np.ndarray, space: StateSpace, idx: np.ndarray):
+    """(network output at the state indices `idx`, one row each, and the
+    cache `mlp_rows_grad` takes). A state's row does not depend on how it
+    was reached, so one forward runs over the distinct states in `idx`, and
+    its rows are expanded back through the inverse index."""
+    uniq, inv = np.unique(idx, return_inverse=True)
+    out, cache = mlp_forward(spec, params, space.features(uniq))
+    return out[inv], (cache, inv, uniq.size)
+
+
+def mlp_rows_grad(spec: MlpSpec, params: np.ndarray, cache, dout: np.ndarray) -> np.ndarray:
+    """Parameter gradient of sum(dout * rows) for the rows `mlp_rows`
+    returned with `cache`: the `dout` rows of each distinct state are summed,
+    then one backward runs over the distinct states. The backward is linear
+    in its output gradient, so this equals one backward per row."""
+    fwd, inv, n = cache
+    k = dout.shape[1]
+    cells = (inv[:, None] * k + np.arange(k)).ravel()  # flat (state, output) cell of each dout entry
+    per_state = np.bincount(cells, weights=dout.ravel(), minlength=n * k).reshape(n, k)
+    return mlp_backward(spec, params, fwd, per_state)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +182,10 @@ class MlpPolicy(ForwardPolicy):
         self.params = flat.copy()
 
     def logits_rows(self, space, idx):
-        return mlp_forward(self.spec, self.params, space.features(idx))
+        return mlp_rows(self.spec, self.params, space, idx)
 
     def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
-        grad, _ = mlp_backward(self.spec, self.params, cache, dlogits)
-        grad_flat += grad
+        grad_flat += mlp_rows_grad(self.spec, self.params, cache, dlogits)
 
     def arch_descriptor(self) -> dict:
         return {
@@ -202,6 +231,22 @@ class TrajectoryBatch:
             self.log_pf[idx],
             self.log_pb[idx],
             None if self.log_reward is None else self.log_reward[idx],
+        )
+
+    def concat(self, other: "TrajectoryBatch") -> "TrajectoryBatch":
+        """This batch's trajectories followed by `other`'s, so the flat step
+        order is this batch's steps, then `other`'s. Terminal rewards are
+        kept only when both batches carry them."""
+        if self.horizon != other.horizon:
+            raise ValueError(f"cannot join batches of horizons {self.horizon} and {other.horizon}")
+        has_r = self.log_reward is not None and other.log_reward is not None
+        return TrajectoryBatch(
+            np.concatenate([self.states, other.states]),
+            np.concatenate([self.actions, other.actions]),
+            np.concatenate([self.lengths, other.lengths]),
+            np.concatenate([self.log_pf, other.log_pf]),
+            np.concatenate([self.log_pb, other.log_pb]),
+            np.concatenate([self.log_reward, other.log_reward]) if has_r else None,
         )
 
 
@@ -325,7 +370,7 @@ def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, cache, coeffs: n
     `accumulate_dlogits` call over every step of the batch."""
     valid, s, a, p, bc = cache
     c = coeffs[np.nonzero(valid)[0]]  # each step takes its trajectory's coefficient
-    dl = -p * c[:, None]
+    dl = p * -c[:, None]
     dl[np.arange(s.size), a] += c
     policy.accumulate_dlogits(space, s, dl, grad_flat, bc)
 

@@ -148,6 +148,18 @@ def test_manifest_weights_must_be_positive_and_finite(outroot, capsys, bad):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["nosuch.gfnpolicy", "."], ids=["missing", "directory"])
+def test_manifest_snapshots_must_be_readable(outroot, capsys, entry):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    manifest = outroot / "out" / "tiny" / "bad.manifest"
+    manifest.write_text(f"client0.gfnpolicy\t1.0\n{entry}\t1.0\n")
+    capsys.readouterr()
+    assert main(["aggregate", "--config", cfg, "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.manifest" in err
+
+
 def test_config_weights_must_match_manifest(outroot, capsys):
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0

@@ -24,16 +24,16 @@ CLIENT_SHA256 = {
     ("DBC", "tabular"): "e3e2916d4241f0ba1bfd182faeec8e829cb72f07436118c70d427e1365b6b56b",
     ("CB", "tabular"): "8af32c3cf3e554176e4bd061807fc906a40ce6e1eba3d4c163abbadfd5e9bbb7",
     ("VL", "tabular"): "6b89db15800eb880898df95e51b9129c6d6e294d8ff2b4488a7be93e56b234b7",
-    ("TB", "mlp"): "30e247bb4a64d2e98ed66c653fa990acf2a2785aac7eab873c08630818a63b52",
-    ("DB", "mlp"): "f8e3f3d2d8b7bec9b4b25f62a93f6a8af3f92be825fc9c6f0d22cb6f981ba432",
-    ("DBC", "mlp"): "32cf14b30ecee84f042c702af18b09b6f1a42521d304467a823f4159549f1552",
-    ("CB", "mlp"): "388b22af09d4dabeb44541d8271d412b062703a504d1b3403b82292a86ec9876",
-    ("VL", "mlp"): "91d0db9ebddfde0ee673003bce59211dad36e42614b7c295fe488a17916086bf",
+    ("TB", "mlp"): "1e469b35d895d60566ce197ed70351dae34a32cbadae8bb1f8912303d42da391",
+    ("DB", "mlp"): "b99392f637056e1e405c771cd348731f5dc76dd9eb70de6c3a33ab3d3e6cb0b2",
+    ("DBC", "mlp"): "cee9fd47ace4a030756763f65dfbb23a513311c505310a2cf7866852e4211781",
+    ("CB", "mlp"): "f5730e3b49d3c3d223706d82efadd9d5f0a8652f7b31a21629a9c1eddef46dd1",
+    ("VL", "mlp"): "c47b326c809dc1c65398936610a4696b13a838035fb609356ec96cdee0f7387f",
 }
 
 GLOBAL_SHA256 = {
     "tabular": "79b0a96ea523a08eabbbcde8c0775bc4311218855c15967bfffdab9501b4d232",
-    "mlp": "7ba0473123726b9e6278aa597315d941d271b313dbd5338697e49934d402e874",
+    "mlp": "144bf3d29bfd7781ab263030288d30879b90322a8fbe5d148e3fb975ae34c223",
 }
 
 

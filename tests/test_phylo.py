@@ -205,6 +205,12 @@ def test_malformed_forests(phylo4):
         phylo4.validate_key(("((0,1),2", "3"))  # unbalanced
 
 
+@pytest.mark.parametrize("forest", [("(0,0)", "1", "2", "3"), ("((0,1),0)", "2", "3")])
+def test_forest_with_a_leaf_twice_in_one_tree(phylo4, forest):
+    with pytest.raises(MalformedStateError, match="duplicated"):
+        phylo4.validate_key(forest)
+
+
 def test_simulate_sites_zero_branch_copies_root(rng):
     truth = random_topology(5, rng)
     sites = simulate_sites(truth, 5, 50, mu=1.0, b=0.0, rng=rng)

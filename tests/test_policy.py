@@ -6,9 +6,11 @@ import scipy.stats
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.errors import FingerprintMismatchError, SnapshotError
+from gfnpool.losses import MlpFlow
 from gfnpool.policy import (
     MlpPolicy,
     TabularPolicy,
+    TrajectoryBatch,
     action_distribution,
     balanced_tabular_policy,
     load_snapshot,
@@ -18,7 +20,7 @@ from gfnpool.policy import (
     sample_batch,
     save_snapshot,
 )
-from gfnpool.nn import mlp_forward
+from gfnpool.nn import mlp_backward, mlp_forward
 from tests.conftest import one_row_batch, paths, random_tabular
 
 
@@ -139,6 +141,57 @@ def test_recorded_vs_recomputed_log_pf(grid3, grid3_space, rng):
         assert replay_log_pf(pol, grid3_space, tb.subset([k]))[0] == pytest.approx(
             float(recomputed[k]), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("block", ["policy", "flow"])
+def test_mlp_rows_run_once_per_distinct_state(block, rng, monkeypatch):
+    import gfnpool.policy as policy_module
+
+    env = SequenceEnv(pos_scores=(0.4, -0.2, 0.3, 0.1), token_scores=(0.5, -0.3, 0.2, 0.1))
+    space = StateSpace.enumerated(env)
+    net = (MlpPolicy if block == "policy" else MlpFlow).create(env, (8, 8), rng)
+    net.params = rng.normal(0, 0.7, net.n_params)
+    idx = np.concatenate([np.full(6, space.root), rng.integers(0, space.n_states, 60)])
+    rng.shuffle(idx)
+    assert np.unique(idx).size < idx.size
+    seen = []
+
+    def counted(spec, params, x):
+        seen.append(x.shape[0])
+        return mlp_forward(spec, params, x)
+
+    monkeypatch.setattr(policy_module, "mlp_forward", counted)
+    dout = rng.normal(0, 1, (idx.size, net.spec.widths[-1]))
+    grad = np.zeros(net.n_params)
+    if block == "policy":
+        out, cache = net.logits_rows(space, idx)
+        net.accumulate_dlogits(space, idx, dout, grad, cache)
+    else:
+        out, cache = net.log_flow(space, idx)
+        out = out[:, None]
+        net.accumulate_dflow(space, idx, dout[:, 0], grad, cache)
+    assert seen == [np.unique(idx).size]
+    x = space.features(idx)
+    ref_grad = np.zeros(net.n_params)
+    for k in range(idx.size):  # one forward and one backward per row
+        row, row_cache = mlp_forward(net.spec, net.params, x[k])
+        assert np.max(np.abs(out[k] - row)) <= 1e-12
+        ref_grad += mlp_backward(net.spec, net.params, row_cache, dout[k])[0]
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+
+def test_batch_concat_keeps_step_order_and_checks_horizon(grid3, grid3_space, rng):
+    pol = random_tabular(grid3_space, rng)
+    tb1, tb2 = (sample_batch(pol, grid3_space, 8, 0.4, rng) for _ in range(2))
+    both = tb1.concat(tb2)
+    assert both.batch_size == 16
+    joint = replay_log_pf(pol, grid3_space, both)
+    assert np.array_equal(joint, np.concatenate([replay_log_pf(pol, grid3_space, tb) for tb in (tb1, tb2)]))
+    assert tb1.concat(TrajectoryBatch(**{**tb2.__dict__, "log_reward": None})).log_reward is None
+    cut = {k: v[:, :-1] for k, v in tb2.__dict__.items() if k in ("states", "actions", "log_pf", "log_pb")}
+    short = TrajectoryBatch(**{**tb2.__dict__, **cut})
+    with pytest.raises(ValueError, match="horizon"):
+        tb1.concat(short)
 
 
 def test_forced_single_path_log_pf_zero():

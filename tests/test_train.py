@@ -12,7 +12,7 @@ from gfnpool.envs import (
 )
 from gfnpool.evaluation import exact_pT, l1, noisy_reward_wrap, reward_table
 from gfnpool.losses import LossSpec
-from gfnpool.policy import load_snapshot
+from gfnpool.policy import load_snapshot, replay_log_pf
 from gfnpool.train import (
     TrainConfig,
     client_configs,
@@ -124,6 +124,22 @@ def test_clients_share_one_enumeration(monkeypatch):
     for a, r1, r2 in zip(alone, shared, pooled, strict=True):
         assert r1.snapshot == r2.snapshot == a.snapshot
         assert [m["loss"] for m in r1.metrics] == [m["loss"] for m in a.metrics]
+
+
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_cb_replays_once_per_epoch(grid3, grid3_space, monkeypatch, backend):
+    import gfnpool.losses as losses_module
+
+    replayed = []
+
+    def counted(*args, **kw):
+        replayed.append(args[2].batch_size)
+        return replay_log_pf(*args, **kw)
+
+    monkeypatch.setattr(losses_module, "replay_log_pf", counted)
+    cfg = small_cfg(epochs=5, batch=16, backend=backend, hidden=(8, 8), eval_every=0)
+    train_local(grid3, cfg, grid3_space)
+    assert replayed == [16] * 5  # both pair halves in one replay
 
 
 def test_derive_seed_deterministic_and_distinct():
