@@ -88,9 +88,9 @@ def aggregate_ab(
         pooled.add(load_snapshot(blob, env, space)[0], w)
     half = cfg.batch // 2
 
-    def ab_loss_fn(model, tb):
+    def ab_loss_fn(model, tb, steps):
         pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
-        return ab_loss_batch(model.policy, space, *pairs, pooled)
+        return ab_loss_batch(model.policy, space, *pairs, pooled, steps=steps)
 
     model, metrics = fit(
         env, space, cfg, ab_loss_fn, batch=2 * half, epsilon=cfg.epsilon, rewards=False, target=eval_target

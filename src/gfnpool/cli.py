@@ -25,13 +25,16 @@ from .policy import balanced_tabular_policy, load_snapshot, replay_log_pb, repla
 from .train import build_space, derive_seed, train_clients, train_local
 
 
+TIME_COLUMNS = ("wall_ms", "sample_ms", "loss_ms", "step_ms", "eval_ms")
+
+
 def write_metrics_csv(path: Path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["epoch", "loss", "l1", "wall_ms"])
+        w.writerow(["epoch", "loss", "l1", *TIME_COLUMNS])
         for r in rows:
             l1v = "" if not np.isfinite(r["l1"]) else f"{r['l1']:.6f}"
-            w.writerow([r["epoch"], f"{r['loss']:.10g}", l1v, f"{r['wall_ms']:.3f}"])
+            w.writerow([r["epoch"], f"{r['loss']:.10g}", l1v, *(f"{r[c]:.3f}" for c in TIME_COLUMNS)])
 
 
 def _snapshot_path(out: Path, k: int) -> Path:

@@ -1,10 +1,12 @@
 """Balance criteria as differentiable scalar losses over trajectory batches.
 
 Every loss takes `TrajectoryBatch`es (a single trajectory is a one-row
-batch), recomputes the trained policy's log-probabilities from its current
-parameters (never from values cached at sampling time), returns the batch
-loss value, and accumulates analytic gradients for whichever parameter
-blocks the criterion trains:
+batch), reads the trained policy's log-probabilities under its current
+parameters from a step record (see `policy`), returns the batch loss value,
+and accumulates analytic gradients for whichever parameter blocks the
+criterion trains. `fit` hands each loss, as `steps`, the record of the
+sampling pass it just made under the same parameters, so nothing is
+computed twice; called without a record, a loss replays the batch.
 
   TB   squared trajectory-balance violation; trains policy + log Z
   DB   edgewise detailed balance with boundary terms; trains policy + flow
@@ -22,9 +24,12 @@ half, and the theorem checks in `evaluation` run their DAG passes over it.
 `pooling_weights` is the one check of the weights w_n.
 
 The pair losses CB and AB join their two halves into one batch
-(`TrajectoryBatch.concat`, half 1 then half 2), so each makes one replay
-and one gradient pass with coefficients (2wa, -2wa); tabular scatters meet
-the terms in the order two separate passes would.
+(`TrajectoryBatch.concat`, half 1 then half 2), so each reads one record
+and makes one gradient pass with coefficients (2wa, -2wa); tabular scatters
+meet the terms in the order two separate passes would. Their record is
+that of a batch whose first trajectories are the two halves: with an odd
+batch, the unpaired last trajectory's steps end the record's flat rows
+and are dropped.
 """
 
 from __future__ import annotations
@@ -40,12 +45,14 @@ from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
     apply_log_pf_grad,
+    batch_steps,
+    cache_rows,
     mlp_rows,
     mlp_rows_grad,
     policy_rows,
     replay_log_pb,
-    replay_log_pf,
-    replay_steps,
+    row_sums,
+    step_log_pf,
     step_sums,
 )
 
@@ -101,7 +108,7 @@ class TabularFlow:
         return self.values[idx], None
 
     def accumulate_dflow(self, space, idx, dv, grad_flat, cache) -> None:
-        np.add.at(grad_flat, idx, dv)
+        grad_flat += row_sums(idx, dv[:, None], grad_flat.size)[:, 0]
 
 
 class MlpFlow:
@@ -137,7 +144,7 @@ class MlpFlow:
 
     def accumulate_dflow(self, space, idx, dv, grad_flat, cache) -> None:
         """Add d(sum of dv * log F)/d(params); `cache` is the one log_flow
-        returned for the same `idx`."""
+        returned for `idx`, or `cache_rows` of it for rows taken from it."""
         grad_flat += mlp_rows_grad(self.spec, self.params, cache, dv[:, None])
 
 
@@ -153,13 +160,13 @@ def _require_rewards(tb: TrajectoryBatch) -> np.ndarray:
     return tb.log_reward
 
 
-def tb_violations(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, logz: float = 0.0):
-    """Signed trajectory-balance violations log p_F + log Z - log p_B - log R,
-    recomputed under current parameters. Returns (violations, pf_cache)."""
+def tb_violations(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, logz: float = 0.0, steps=None):
+    """Signed trajectory-balance violations log p_F + log Z - log p_B - log R
+    under current parameters, read off the step record `steps` of the batch
+    (replayed when None). Returns (violations, step record)."""
     log_r = _require_rewards(tb)
-    pf, cache = replay_log_pf(policy, space, tb, want_cache=True)
-    pb = replay_log_pb(space, tb)
-    return logz + pf - pb - log_r, cache
+    steps = batch_steps(policy, space, tb, steps)
+    return logz + step_log_pf(steps) - replay_log_pb(space, tb) - log_r, steps
 
 
 def _pair_count(tb1: TrajectoryBatch, tb2: TrajectoryBatch) -> int:
@@ -270,51 +277,51 @@ class PooledLocals:
 # batch losses (training path)
 
 
-def tb_loss_batch(policy, space, tb, logz: float):
+def tb_loss_batch(policy, space, tb, logz: float, steps=None):
     """Mean squared TB violation; gradients for the policy and log Z."""
-    v, cache = tb_violations(policy, space, tb, logz)
+    v, steps = tb_violations(policy, space, tb, logz, steps)
     n = tb.batch_size
     grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, cache, 2.0 * v / n, grad)
+    apply_log_pf_grad(policy, space, steps, 2.0 * v / n, grad)
     return float(np.mean(v**2)), {"policy": grad, "logz": float(np.mean(2.0 * v))}
 
 
-def cb_loss_batch(policy, space, tb1, tb2, pair_weights=None):
+def cb_loss_batch(policy, space, tb1, tb2, pair_weights=None, steps=None):
     """Weighted squared contrast of TB violations between paired trajectories
     (log Z cancels, so none is needed)."""
     n = _pair_count(tb1, tb2)
-    v, cache = tb_violations(policy, space, tb1.concat(tb2))
+    v, steps = tb_violations(policy, space, tb1.concat(tb2), steps=steps)
     w = _pair_weights(n, pair_weights)
     a = v[:n] - v[n:]
     g = 2.0 * w * a
     grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, cache, np.concatenate([g, -g]), grad)
+    apply_log_pf_grad(policy, space, steps, np.concatenate([g, -g]), grad)
     return float(np.sum(w * a**2)), {"policy": grad}
 
 
-def vl_loss_batch(policy, space, tb):
+def vl_loss_batch(policy, space, tb, steps=None):
     """Mean squared deviation of the TB violation from the batch mean (the
     batch mean estimates the inner expectation)."""
     if tb.batch_size < 2:
         raise ValueError("variance loss needs a batch of at least 2 trajectories")
-    v, cache = tb_violations(policy, space, tb)
+    v, steps = tb_violations(policy, space, tb, steps=steps)
     d = v - v.mean()
     n = tb.batch_size
     grad = np.zeros(policy.n_params)
     # d(mean d^2)/dtheta = (2/n) sum_k d_k dV_k since the deviations sum to 0
-    apply_log_pf_grad(policy, space, cache, 2.0 * d / n, grad)
+    apply_log_pf_grad(policy, space, steps, 2.0 * d / n, grad)
     return float(np.mean(d**2)), {"policy": grad}
 
 
-def db_loss_batch(policy, flow, space, tb):
+def db_loss_batch(policy, flow, space, tb, steps=None):
     """Mean squared detailed-balance violation over every transition in the
-    batch, boundary terms included. A step's successor s' is the next step
-    of `replay_steps`, so one flow forward over the steps gives log F(s)
-    and log F(s'), and its cache serves both flow gradient passes: the
-    successor terms first, then the own-state terms, the order a loop over
-    t meets them in."""
+    batch, boundary terms included. A step's successor s' is the next row
+    of the step record, so one flow forward over the steps gives log F(s)
+    and log F(s'). The flow gradient is one pass over the successor terms
+    concatenated with the own-state terms: the order a loop over t meets
+    them in."""
     log_r = _require_rewards(tb)
-    _, s, a, logp, p, bc = replay_steps(policy, space, tb)
+    _, s, a, logp, p, bc = batch_steps(policy, space, tb, steps)
     total = s.size
     lp_a = logp[np.arange(total), a]
     lf_s, fc = flow.log_flow(space, s)
@@ -329,20 +336,19 @@ def db_loss_batch(policy, flow, space, tb):
     dl[np.arange(total), a] += coeff
     grad_p = np.zeros(policy.n_params)
     policy.accumulate_dlogits(space, s, dl, grad_p, bc)
-    dv_next = np.zeros(total)
-    dv_next[go + 1] = -coeff[go]
+    rows = np.concatenate([go + 1, np.arange(total)])  # successor terms, then own-state terms
     grad_f = np.zeros(flow.n_params)
-    flow.accumulate_dflow(space, s, dv_next, grad_f, fc)
-    flow.accumulate_dflow(space, s, coeff, grad_f, fc)
+    flow.accumulate_dflow(space, s[rows], np.concatenate([-coeff[go], coeff]), grad_f, cache_rows(fc, rows))
     return float(np.sum(viol**2)) / total, {"policy": grad_p, "flow": grad_f}
 
 
-def dbc_loss_batch(policy, space, tb):
+def dbc_loss_batch(policy, space, tb, steps=None):
     """Flow-free detailed balance for graphs where every state is terminal:
     squared log violation of R(s') p_B(s|s') p_F(sf|s) = R(s) p_F(s'|s) p_F(sf|s'),
     averaged over the batch's interior transitions. log p_F(sf|s') is read
-    off the next step of `replay_steps`; the gradient adds successor terms
-    before own-state terms, the order a loop over t meets them in."""
+    off the next row of the step record; the gradient is one pass over the
+    successor terms concatenated with the own-state terms, the order a loop
+    over t meets them in."""
     env = space.env
     if not getattr(env, "all_states_terminal", False):
         raise UnsupportedLossError(
@@ -352,7 +358,7 @@ def dbc_loss_batch(policy, space, tb):
     interior = int((tb.lengths - 1).sum())
     if interior == 0:
         raise UnsupportedLossError("batch contains no interior transitions")
-    _, s, a, logp, p, bc = replay_steps(policy, space, tb)
+    _, s, a, logp, p, bc = batch_steps(policy, space, tb, steps)
     go = np.setdiff1d(np.arange(s.size), np.cumsum(tb.lengths) - 1)  # moves to step go + 1
     cur, nxt = s[go], s[go + 1]
     viol = (
@@ -364,21 +370,21 @@ def dbc_loss_batch(policy, space, tb):
         - logp[go + 1, stop]
     )
     coeff = 2.0 * viol / interior
+    rows = np.concatenate([go + 1, go])  # successor terms, then own-state terms
+    succ, own = np.arange(interior), interior + np.arange(interior)
+    dl = np.zeros((rows.size, p.shape[1]))
     # d/dlogits(s') of -logp(stop|s'); at s the softmax terms of
     # logp(stop|s) - logp(a|s) cancel
-    dl_next = np.zeros_like(p)
-    dl_next[go + 1] = p[go + 1] * coeff[:, None]
-    dl_next[go + 1, stop] -= coeff
-    dl_own = np.zeros_like(p)
-    dl_own[go, stop] += coeff
-    dl_own[go, a[go]] -= coeff
+    dl[succ] = p[go + 1] * coeff[:, None]
+    dl[succ, stop] -= coeff
+    dl[own, stop] += coeff
+    dl[own, a[go]] -= coeff
     grad = np.zeros(policy.n_params)
-    policy.accumulate_dlogits(space, s, dl_next, grad, bc)
-    policy.accumulate_dlogits(space, s, dl_own, grad, bc)
+    policy.accumulate_dlogits(space, s[rows], dl, grad, cache_rows(bc, rows))
     return float(np.sum(viol**2)) / interior, {"policy": grad}
 
 
-def ab_loss_batch(policy, space, tb1, tb2, pooled: PooledLocals, pair_weights=None):
+def ab_loss_batch(policy, space, tb1, tb2, pooled: PooledLocals, pair_weights=None, steps=None):
     """Squared mismatch between the global trajectory-ratio contrast and the
     pooled local one: with L the pooled log-policy and W its total weight,
     a = (pf1 - pf2) - (L1 - L2) + (W - 1)(pb1 - pb2). The locals carry no
@@ -387,12 +393,13 @@ def ab_loss_batch(policy, space, tb1, tb2, pooled: PooledLocals, pair_weights=No
         raise ValueError("aggregation needs at least one local policy")
     n = _pair_count(tb1, tb2)
     tb = tb1.concat(tb2)
+    steps = batch_steps(policy, space, tb, steps)
     pb = replay_log_pb(space, tb)
-    pf, cache = replay_log_pf(policy, space, tb, want_cache=True)
+    pf = step_log_pf(steps)
     lp = pooled.log_pf(tb)
     a = (pf[:n] - pf[n:]) - (lp[:n] - lp[n:]) + (pooled.total_weight - 1.0) * (pb[:n] - pb[n:])
     w = _pair_weights(n, pair_weights)
     g = 2.0 * w * a
     grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, cache, np.concatenate([g, -g]), grad)
+    apply_log_pf_grad(policy, space, steps, np.concatenate([g, -g]), grad)
     return float(np.sum(w * a**2)), {"policy": grad}

@@ -88,6 +88,16 @@ def mlp_forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
     return (h[0] if single else h), cache
 
 
+def mlp_stack_caches(caches, order: np.ndarray):
+    """The cache of one forward over the inputs of `caches` stacked in turn,
+    with its rows taken in `order`: a row's activations do not depend on the
+    other rows of its call, so :func:`mlp_backward` takes it as the cache of
+    a forward over those rows."""
+    inputs = [np.concatenate(layer)[order] for layer in zip(*(c[0] for c in caches))]
+    preacts = [None if layer[0] is None else np.concatenate(layer)[order] for layer in zip(*(c[1] for c in caches))]
+    return inputs, preacts
+
+
 def mlp_backward(spec: MlpSpec, params: np.ndarray, cache, dout: np.ndarray):
     """Reverse accumulation through the cached forward pass.
 

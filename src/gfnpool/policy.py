@@ -5,17 +5,26 @@ and `replay_log_pb` recomputes it.
 
 Trajectories exist only as a `TrajectoryBatch`; a single trajectory is a
 one-row batch. Sampling advances a batch in lockstep, one masked softmax
-per step. Replay takes one masked softmax over every step of a batch,
-flattened row-major over `TrajectoryBatch.valid()`, and `step_sums` adds
-the steps up in t order. Every environment's DAG is graded, so a state
-appears only at the step t equal to its depth: a scatter-add (`np.add.at`)
-over the flat steps meets each state's terms in the order a loop over t
-would, and tabular results keep their bits.
+per step. Everything computed per step afterwards reads a step record:
+(valid, states, actions, log-softmax rows, softmax rows, backend cache),
+flattened row-major over `TrajectoryBatch.valid()`. `sample_batch(...,
+want_steps=True)` builds it from the rows it sampled with, placing step t
+of trajectory b at flat row start[b] + t; `replay_steps` builds the same
+record under the current parameters, with one masked softmax over every
+step of a batch, for batches that were not just sampled. `step_sums` adds
+the steps up in t order.
+
+Every environment's DAG is graded, so a state appears only at the step t
+equal to its depth. Scatter-adds over the flat steps (`row_sums`, one
+`np.bincount` over flat cells) therefore meet each state's terms in the
+order a loop over t would, and tabular results keep their bits.
 
 An MLP evaluates each distinct state of a call once: `mlp_rows` runs the
 forward over the unique state indices and expands the rows back, and
 `mlp_rows_grad` sums each state's output gradients before one backward.
-Tabular rows are plain gathers and skip the dedupe.
+The sampler's record stacks the forwards of its steps, whose distinct
+states never coincide, in `np.unique` order, so its cache is the one
+`mlp_rows` would build. Tabular rows are plain gathers and skip the dedupe.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .errors import (
     NumericError,
     SnapshotError,
 )
-from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init
+from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init, mlp_stack_caches
 
 SNAPSHOT_VERSION = 1
 
@@ -45,24 +54,39 @@ def masked_log_softmax(logits: np.ndarray, legal: np.ndarray):
     Illegal slots get probability exactly 0 and log-probability -inf; the
     -inf never propagates because callers only index realized (legal) actions.
     It computes masked - (m + log(sum(exp(masked - m)))) in two row buffers,
-    since fresh temporaries of a large batch each cost new pages.
+    since fresh temporaries of a large batch each cost new pages. The row
+    max m is taken one column at a time: the bits of max(axis=1), without
+    its per-row overhead on a few columns.
     """
     logp = np.where(legal, logits, -np.inf)
-    m = logp.max(axis=1, keepdims=True)
+    m = logp[:, 0].copy()
+    for col in logp.T[1:]:
+        np.maximum(m, col, out=m)
+    m = m[:, None]
     p = np.subtract(logp, m)
     np.exp(p, out=p)
     logp -= m + np.log(p.sum(axis=1, keepdims=True))
     return logp, np.exp(logp, out=p)
 
 
+def row_sums(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """(n, k) array whose row i sums the rows of `vals` (k columns) at which
+    `idx` is i, from one `np.bincount` over flat (row, column) cells. It adds
+    in input order, so a sum into zeros has the bits of `np.add.at`."""
+    k = vals.shape[1]
+    cells = (idx[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(cells, weights=vals.ravel(), minlength=n * k).reshape(n, k)
+
+
 def mlp_rows(spec: MlpSpec, params: np.ndarray, space: StateSpace, idx: np.ndarray):
     """(network output at the state indices `idx`, one row each, and the
     cache `mlp_rows_grad` takes). A state's row does not depend on how it
     was reached, so one forward runs over the distinct states in `idx`, and
-    its rows are expanded back through the inverse index."""
+    its rows are expanded back through the inverse index. The cache is
+    (forward cache, inverse index, distinct states)."""
     uniq, inv = np.unique(idx, return_inverse=True)
     out, cache = mlp_forward(spec, params, space.features(uniq))
-    return out[inv], (cache, inv, uniq.size)
+    return out[inv], (cache, inv, uniq)
 
 
 def mlp_rows_grad(spec: MlpSpec, params: np.ndarray, cache, dout: np.ndarray) -> np.ndarray:
@@ -70,11 +94,18 @@ def mlp_rows_grad(spec: MlpSpec, params: np.ndarray, cache, dout: np.ndarray) ->
     returned with `cache`: the `dout` rows of each distinct state are summed,
     then one backward runs over the distinct states. The backward is linear
     in its output gradient, so this equals one backward per row."""
-    fwd, inv, n = cache
-    k = dout.shape[1]
-    cells = (inv[:, None] * k + np.arange(k)).ravel()  # flat (state, output) cell of each dout entry
-    per_state = np.bincount(cells, weights=dout.ravel(), minlength=n * k).reshape(n, k)
-    return mlp_backward(spec, params, fwd, per_state)[0]
+    fwd, inv, uniq = cache
+    return mlp_backward(spec, params, fwd, row_sums(inv, dout, uniq.size))[0]
+
+
+def cache_rows(cache, rows):
+    """The backend cache for the rows `rows` of the call that returned
+    `cache`: a tabular gather has none, and an MLP cache keeps its forward
+    over the distinct states and re-indexes the rows."""
+    if cache is None:
+        return None
+    fwd, inv, uniq = cache
+    return fwd, inv[rows], uniq
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +139,8 @@ class ForwardPolicy:
 
     def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
         """Add d(sum of weighted logits)/d(params) into grad_flat; `cache` is
-        the one logits_rows returned for the same `idx`."""
+        the one logits_rows returned for `idx`, or `cache_rows` of it for
+        rows taken from it."""
         raise NotImplementedError
 
 
@@ -144,7 +176,7 @@ class TabularPolicy(ForwardPolicy):
         return self.table[idx], None
 
     def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
-        np.add.at(grad_flat.reshape(self.table.shape), idx, dlogits)
+        grad_flat += row_sums(idx, dlogits, self.table.shape[0]).ravel()
 
     def arch_descriptor(self) -> dict:
         return {"n_states": self.table.shape[0], "arity": self.table.shape[1]}
@@ -288,10 +320,15 @@ def sample_batch(
     epsilon: float,
     rng: np.random.Generator,
     compute_rewards: bool = True,
-) -> TrajectoryBatch:
+    want_steps: bool = False,
+):
     """Sample `batch` trajectories from the epsilon-mixture of the policy and
     the uniform forward policy. Recorded log p_F is always the on-policy
-    value - the mixture is only a proposal."""
+    value - the mixture is only a proposal.
+
+    With want_steps, returns (batch, step record): the record `replay_steps`
+    would build under the unchanged parameters, made from the rows the
+    sampler already computed."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     horizon = space.env.max_traj_len
@@ -303,11 +340,14 @@ def sample_batch(
     states[:, 0] = space.root
     cur = np.full(batch, space.root, dtype=np.int64)
     alive = np.arange(batch)
+    record = []  # per step t: (alive trajectories, log-softmax rows, softmax rows, backend cache)
     t = 0
     while alive.size:
         if t >= horizon:
             raise NumericError("trajectory step budget exceeded; DAG integrity suspect")
-        rows, logp, p = policy_rows(policy, space, cur[alive])[:3]
+        rows, logp, p, bc = policy_rows(policy, space, cur[alive])
+        if want_steps:
+            record.append((alive, logp, p, bc))
         if epsilon > 0:
             legal = rows != CHILD_ILLEGAL
             uniform = legal / legal.sum(axis=1, keepdims=True)
@@ -334,41 +374,91 @@ def sample_batch(
     tb = TrajectoryBatch(states, actions, lengths, log_pf, log_pb, None)
     if compute_rewards:
         tb.log_reward = space.log_rewards(tb.terminal_idx())
-    return tb
+    return (tb, _step_record(tb, record)) if want_steps else tb
+
+
+def _step_record(tb: TrajectoryBatch, record):
+    """The step record of `tb` from the sampler's per-step rows: step t of
+    trajectory b goes to flat row start[b] + t, its row-major position."""
+    valid = tb.valid()
+    s, a = tb.states[valid], tb.actions[valid]
+    start = np.cumsum(tb.lengths) - tb.lengths
+    at = [start[alive] + t for t, (alive, *_) in enumerate(record)]
+    logp = np.empty((s.size, record[0][1].shape[1]))
+    p = np.empty_like(logp)
+    for rows, (_, lp, pp, _) in zip(at, record):
+        logp[rows] = lp
+        p[rows] = pp
+    caches = [bc for *_, bc in record]
+    bc = None if caches[0] is None else _stack_mlp_rows(caches, s)
+    return valid, s, a, logp, p, bc
+
+
+def _stack_mlp_rows(caches, s: np.ndarray):
+    """The `mlp_rows` cache of the flat states `s`, from the sampler's
+    per-step caches. The DAG is graded, so the steps' distinct states are
+    disjoint: stacked and sorted, they are `np.unique(s)`, also on a lazily
+    expanded space, where discovery order is not depth order."""
+    order = np.argsort(np.concatenate([uniq for *_, uniq in caches]))
+    uniq, inv = np.unique(s, return_inverse=True)
+    return mlp_stack_caches([fwd for fwd, *_ in caches], order), inv, uniq
 
 
 # ---------------------------------------------------------------------------
-# log-probability replay (recompute under current parameters)
+# step records and log-probability replay (recompute under current parameters)
 
 
 def replay_steps(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch):
-    """(valid, states, actions, log-softmax rows, softmax rows, backend
-    cache) of every step of `tb` under the policy's current parameters,
-    flattened row-major over `tb.valid()`."""
+    """The step record (valid, states, actions, log-softmax rows, softmax
+    rows, backend cache) of every step of `tb` under the policy's current
+    parameters, flattened row-major over `tb.valid()`."""
     valid = tb.valid()
     s = tb.states[valid]
     _, logp, p, bc = policy_rows(policy, space, s)
     return valid, s, tb.actions[valid], logp, p, bc
 
 
+def batch_steps(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, steps=None):
+    """The step record of `tb`, or a replay when `steps` is None. `steps`
+    records a batch whose first trajectories are `tb`'s; their steps are a
+    prefix of its flat rows, since the rows run row-major."""
+    if steps is None:
+        return replay_steps(policy, space, tb)
+    valid, s, a, logp, p, bc = steps
+    k = tb.batch_size
+    m = int(np.count_nonzero(valid[:k]))
+    if not (
+        np.array_equal(valid[:k], tb.valid())
+        and np.array_equal(s[:m], tb.states[valid[:k]])
+        and np.array_equal(a[:m], tb.actions[valid[:k]])
+    ):
+        raise ValueError("the step record does not record this batch")
+    return valid[:k], s[:m], a[:m], logp[:m], p[:m], cache_rows(bc, slice(0, m))
+
+
+def step_log_pf(steps) -> np.ndarray:
+    """Per-trajectory sum of log p_F over a step record."""
+    valid, s, a, logp = steps[:4]
+    return step_sums(valid, logp[np.arange(s.size), a])
+
+
 def replay_log_pf(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, want_cache: bool = False):
     """Per-trajectory sum of log p_F under the policy's current parameters,
     from one masked softmax over every step of the batch.
 
-    With want_cache, also returns the cache (valid, states, actions, softmax
-    rows, backend cache) that `apply_log_pf_grad` takes to push gradients
-    back without a second forward pass.
+    With want_cache, also returns the step record, which `apply_log_pf_grad`
+    takes to push gradients back without a second forward pass.
     """
-    valid, s, a, logp, p, bc = replay_steps(policy, space, tb)
-    sums = step_sums(valid, logp[np.arange(s.size), a])
-    return (sums, (valid, s, a, p, bc)) if want_cache else sums
+    steps = replay_steps(policy, space, tb)
+    sums = step_log_pf(steps)
+    return (sums, steps) if want_cache else sums
 
 
-def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, cache, coeffs: np.ndarray, grad_flat: np.ndarray) -> None:
+def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, steps, coeffs: np.ndarray, grad_flat: np.ndarray) -> None:
     """Accumulate sum_k coeffs[k] * d log p_F(tau_k) / d params into grad_flat,
-    using the cache from replay_log_pf(want_cache=True): one
-    `accumulate_dlogits` call over every step of the batch."""
-    valid, s, a, p, bc = cache
+    from the step record of the batch: one `accumulate_dlogits` call over
+    every step of it."""
+    valid, s, a, _, p, bc = steps
     c = coeffs[np.nonzero(valid)[0]]  # each step takes its trajectory's coefficient
     dl = p * -c[:, None]
     dl[np.arange(s.size), a] += c

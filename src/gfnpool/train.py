@@ -141,7 +141,7 @@ def fit(
     env: Environment,
     space: StateSpace,
     cfg,
-    loss_fn: Callable[[Model, TrajectoryBatch], tuple[float, dict]],
+    loss_fn: Callable[[Model, TrajectoryBatch, tuple], tuple[float, dict]],
     *,
     batch: int,
     epsilon: float,
@@ -155,13 +155,18 @@ def fit(
     `cfg` is a TrainConfig or an AggregateConfig; its seed spawns the
     training, evaluation and initialisation streams. Each epoch samples
     `batch` trajectories from the epsilon-mixture of the current policy
-    (with terminal rewards only if `rewards`), takes `loss_fn(model, batch)`
-    -> (loss, gradient per AdamW group name), and makes one AdamW step. On
+    (with terminal rewards only if `rewards`) together with their step
+    record, takes `loss_fn(model, batch, steps)` -> (loss, gradient per
+    AdamW group name), and makes one AdamW step. The loss reads the
+    policy's rows off the record instead of replaying the batch. On
     the `eval_every` cadence and at the last epoch it probes the L1 to
     `target`: NaN without a target or with eval mode "off", sampled in mode
     "sampled", exact otherwise. A target needs a complete space, so every
     probe runs on one. `logz_lr` adds a log Z group and `flow` a state-flow
-    block. Returns the model and one metrics row per epoch.
+    block. Returns the model and one metrics row per epoch: the loss, the
+    L1, the epoch's `wall_ms`, and the part of it spent in each phase,
+    `sample_ms`, `loss_ms` (loss and gradient), `step_ms` (AdamW) and
+    `eval_ms`.
     """
     train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.default_rng(train_ss)
@@ -173,13 +178,17 @@ def fit(
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        tb = sample_batch(model.policy, space, batch, epsilon, rng, compute_rewards=rewards)
-        loss, grads = loss_fn(model, tb)
+        tb, steps = sample_batch(model.policy, space, batch, epsilon, rng, compute_rewards=rewards, want_steps=True)
+        t_sample = time.perf_counter()
+        loss, grads = loss_fn(model, tb, steps)
+        t_loss = time.perf_counter()
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at epoch {epoch} (seed {cfg.seed}, env {env.fingerprint()})")
+        t_step = time.perf_counter()
         for g, sl in opt.group_slices():
             grad[sl] = grads[g.name]
         adamw_step(opt, model.params, grad)
+        t_eval = time.perf_counter()
         l1_val = float("nan")
         if probed and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             if cfg.eval_mode == "sampled":
@@ -187,8 +196,12 @@ def fit(
             else:
                 approx = evaluation.exact_pT(model.policy, space)
             l1_val = evaluation.l1(approx, target)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        metrics.append({"epoch": epoch, "loss": float(loss), "l1": l1_val, "wall_ms": wall_ms})
+        t1 = time.perf_counter()
+        metrics.append({
+            "epoch": epoch, "loss": float(loss), "l1": l1_val, "wall_ms": (t1 - t0) * 1e3,
+            "sample_ms": (t_sample - t0) * 1e3, "loss_ms": (t_loss - t_sample) * 1e3,
+            "step_ms": (t_eval - t_step) * 1e3, "eval_ms": (t1 - t_eval) * 1e3,
+        })
     return model, metrics
 
 
@@ -205,16 +218,17 @@ def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = N
     target = evaluation.reward_table([env], space) if probed else None
     kind, half = cfg.loss.kind, cfg.batch // 2
 
-    def loss_fn(model, tb):
+    def loss_fn(model, tb, steps):
         if kind == "TB":
-            return tb_loss_batch(model.policy, space, tb, model.logz)
+            return tb_loss_batch(model.policy, space, tb, model.logz, steps)
         if kind == "CB":
-            return cb_loss_batch(model.policy, space, tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half)))
+            pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
+            return cb_loss_batch(model.policy, space, *pairs, steps=steps)
         if kind == "VL":
-            return vl_loss_batch(model.policy, space, tb)
+            return vl_loss_batch(model.policy, space, tb, steps)
         if kind == "DB":
-            return db_loss_batch(model.policy, model.flow, space, tb)
-        return dbc_loss_batch(model.policy, space, tb)
+            return db_loss_batch(model.policy, model.flow, space, tb, steps)
+        return dbc_loss_batch(model.policy, space, tb, steps)
 
     model, metrics = fit(
         env, space, cfg, loss_fn, batch=cfg.batch, epsilon=cfg.loss.epsilon, target=target,

@@ -91,3 +91,58 @@ def one_row_batch(space, keys, actions):
     tb = TrajectoryBatch(states, acts, np.array([len(actions)]), np.zeros((1, h)), np.zeros((1, h)), None)
     tb.log_reward = space.log_rewards(tb.terminal_idx())
     return tb
+
+
+def count_replays(monkeypatch) -> list:
+    """Patch every module's reference to the replay entry points
+    (`replay_log_pf`, `replay_steps`) with one that records the policy it
+    replays; returns the list it appends to."""
+    import gfnpool.evaluation
+    import gfnpool.losses
+    import gfnpool.policy
+
+    replayed = []
+
+    def counting(fn):
+        def counted(policy, *args, **kw):
+            replayed.append(policy)
+            return fn(policy, *args, **kw)
+
+        return counted
+
+    for name in ("replay_log_pf", "replay_steps"):
+        original = getattr(gfnpool.policy, name)
+        for module in (gfnpool.policy, gfnpool.losses, gfnpool.evaluation):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting(original))
+    return replayed
+
+
+RECORD_CASES = ["grid3-tabular", "multiset-tabular", "grid3-mlp", "lazy-sequence-mlp"]
+
+
+def record_case(case, gen):
+    """(policy, flow, space) for comparing a sampled step record with a
+    replay. The lazy case's space has grown over earlier batches, so its
+    discovery order is no longer depth order."""
+    from gfnpool.losses import MlpFlow, TabularFlow
+    from gfnpool.policy import MlpPolicy, sample_batch
+
+    env_name, backend = case.rsplit("-", 1)
+    if env_name == "grid3":
+        env = GridEnv(side=3, beacons=((1, 1),))
+    elif env_name == "multiset":
+        env = MultisetEnv(values=(0.2, -0.4, 0.9, 0.1), target_size=8)
+    else:
+        env = SequenceEnv(pos_scores=(0.4, -0.2, 0.3, 0.1, -0.5, 0.2), token_scores=(0.5, -0.3, 0.2, 0.1))
+    if backend == "tabular":
+        space = StateSpace.enumerated(env)
+        return random_tabular(space, gen), TabularFlow(space, gen.normal(0, 0.5, space.n_states)), space
+    space = StateSpace.enumerated(env) if env_name == "grid3" else StateSpace(env, guard=3000)
+    pol, flow = MlpPolicy.create(env, (8, 8), gen), MlpFlow.create(env, (8, 8), gen)
+    pol.params = gen.normal(0, 0.5, pol.n_params)
+    flow.params = gen.normal(0, 0.5, flow.n_params)
+    if not space.complete:
+        for _ in range(2):
+            sample_batch(pol, space, 32, 1.0, gen, compute_rewards=False)
+    return pol, flow, space

@@ -76,10 +76,11 @@ def test_train_local_smoke_and_determinism(outroot):
     snap = (out / "client0.gfnpolicy").read_bytes()
     rows = read_csv_rows(out / "client0.metrics.csv")
     assert len(rows) == 200
+    assert list(rows[0]) == ["epoch", "loss", "l1", "wall_ms", "sample_ms", "loss_ms", "step_ms", "eval_ms"]
     assert main(["train-local", "--config", cfg, "--client", "0"]) == 0
     assert (out / "client0.gfnpolicy").read_bytes() == snap
     rows2 = read_csv_rows(out / "client0.metrics.csv")
-    # identical modulo the wall-clock column
+    # identical modulo the time columns
     strip = lambda rs: [(r["epoch"], r["loss"], r["l1"]) for r in rs]
     assert strip(rows) == strip(rows2)
 

@@ -25,10 +25,10 @@ CLIENT_SHA256 = {
     ("CB", "tabular"): "8af32c3cf3e554176e4bd061807fc906a40ce6e1eba3d4c163abbadfd5e9bbb7",
     ("VL", "tabular"): "6b89db15800eb880898df95e51b9129c6d6e294d8ff2b4488a7be93e56b234b7",
     ("TB", "mlp"): "1e469b35d895d60566ce197ed70351dae34a32cbadae8bb1f8912303d42da391",
-    ("DB", "mlp"): "b99392f637056e1e405c771cd348731f5dc76dd9eb70de6c3a33ab3d3e6cb0b2",
-    ("DBC", "mlp"): "cee9fd47ace4a030756763f65dfbb23a513311c505310a2cf7866852e4211781",
+    ("DB", "mlp"): "51f4a1cd72eaf9213874b5f0f127ad9cd27dabd1e1fb39edf3fc08f4a678852d",
+    ("DBC", "mlp"): "1675f83891cd0d2f66476ec051bbac80ea589b3387d16f17792e864ba242f5aa",
     ("CB", "mlp"): "f5730e3b49d3c3d223706d82efadd9d5f0a8652f7b31a21629a9c1eddef46dd1",
-    ("VL", "mlp"): "c47b326c809dc1c65398936610a4696b13a838035fb609356ec96cdee0f7387f",
+    ("VL", "mlp"): "d9c2c99776a09a23b5f7a6f14dd4948b1573d4758fbe0ea5b39aee9ab52e936e",
 }
 
 GLOBAL_SHA256 = {

@@ -28,7 +28,7 @@ from gfnpool.policy import (
     replay_log_pf,
     sample_batch,
 )
-from tests.conftest import one_row_batch, paths, random_tabular
+from tests.conftest import RECORD_CASES, one_row_batch, paths, random_tabular, record_case
 
 
 def oracle_log_pf(policy, space, env, path):
@@ -444,6 +444,55 @@ def test_all_losses_vanish_at_exact_flows(rng):
     assert loss_vl <= 1e-18
     loss_dbc, _ = dbc_loss_batch(pol, space, tb)
     assert loss_dbc <= 1e-18
+
+
+# -- the sampler's step record against a replay ----------------------------------
+
+
+def _loss_from(kind, pol, flow, space, tb, pooled, steps):
+    half = tb.batch_size // 2
+    pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
+    if kind == "TB":
+        return tb_loss_batch(pol, space, tb, 0.3, steps)
+    if kind == "DB":
+        return db_loss_batch(pol, flow, space, tb, steps)
+    if kind == "DBC":
+        return dbc_loss_batch(pol, space, tb, steps)
+    if kind == "CB":
+        return cb_loss_batch(pol, space, *pairs, steps=steps)
+    if kind == "VL":
+        return vl_loss_batch(pol, space, tb, steps)
+    return ab_loss_batch(pol, space, *pairs, pooled, steps=steps)
+
+
+@pytest.mark.parametrize("kind", ["TB", "DB", "DBC", "CB", "VL", "AB"])
+@pytest.mark.parametrize("case", [c for c in RECORD_CASES if not c.startswith("multiset")])
+def test_losses_read_the_sampled_record_as_a_replay(case, kind, rng):
+    pol, flow, space = record_case(case, rng)
+    if pol.backend == "tabular":
+        locs = [random_tabular(space, rng) for _ in range(2)]
+    else:
+        locs = [MlpPolicy.create(space.env, (8, 8), rng) for _ in range(2)]
+    pooled = PooledLocals(space, locs, (0.5, 1.5))
+    tol = 0.0 if pol.backend == "tabular" else 1e-12
+    for batch in (16, 13):  # odd: the pair losses leave the last trajectory out
+        tb, steps = sample_batch(pol, space, batch, 0.4, rng, want_steps=True)
+        got_loss, got = _loss_from(kind, pol, flow, space, tb, pooled, steps)
+        want_loss, want = _loss_from(kind, pol, flow, space, tb, pooled, None)
+        assert abs(got_loss - want_loss) <= tol * max(1.0, abs(want_loss))
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert np.max(np.abs(np.subtract(got[name], want[name]))) <= tol, name
+
+
+def test_a_record_of_another_batch_is_refused(grid3, grid3_space, rng):
+    pol = random_tabular(grid3_space, rng)
+    tb, steps = sample_batch(pol, grid3_space, 8, 0.5, rng, want_steps=True)
+    other = sample_batch(pol, grid3_space, 8, 0.5, rng)
+    with pytest.raises(ValueError, match="record"):
+        tb_loss_batch(pol, grid3_space, other, 0.0, steps)
+    with pytest.raises(ValueError, match="record"):  # longer than the batch it records
+        vl_loss_batch(pol, grid3_space, tb.concat(tb), steps)
 
 
 # -- gradient checks on both backends --------------------------------------------

@@ -6,7 +6,7 @@ import scipy.stats
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.errors import FingerprintMismatchError, SnapshotError
-from gfnpool.losses import MlpFlow
+from gfnpool.losses import MlpFlow, TabularFlow
 from gfnpool.policy import (
     MlpPolicy,
     TabularPolicy,
@@ -17,11 +17,12 @@ from gfnpool.policy import (
     masked_log_softmax,
     replay_log_pb,
     replay_log_pf,
+    replay_steps,
     sample_batch,
     save_snapshot,
 )
 from gfnpool.nn import mlp_backward, mlp_forward
-from tests.conftest import one_row_batch, paths, random_tabular
+from tests.conftest import RECORD_CASES, one_row_batch, paths, random_tabular, record_case
 
 
 def test_uniform_softmax_three_actions(grid3, grid3_space):
@@ -178,6 +179,79 @@ def test_mlp_rows_run_once_per_distinct_state(block, rng, monkeypatch):
         assert np.max(np.abs(out[k] - row)) <= 1e-12
         ref_grad += mlp_backward(net.spec, net.params, row_cache, dout[k])[0]
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+
+def reference_masked_log_softmax(logits, legal):
+    """The masked log-softmax with its row max taken by max(axis=1)."""
+    logp = np.where(legal, logits, -np.inf)
+    m = logp.max(axis=1, keepdims=True)
+    p = np.exp(logp - m)
+    logp = logp - (m + np.log(p.sum(axis=1, keepdims=True)))
+    return logp, np.exp(logp)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 7, 11])
+def test_masked_log_softmax_column_max_keeps_the_bits(arity, rng):
+    for n in (1, 5, 300):
+        logits = rng.normal(0.0, 30.0, (n, arity))
+        legal = rng.random((n, arity)) < 0.5
+        legal[np.arange(n), rng.integers(0, arity, n)] = True  # every row keeps a legal slot
+        logp, p = masked_log_softmax(logits, legal)
+        ref_logp, ref_p = reference_masked_log_softmax(logits, legal)
+        assert np.array_equal(logp, ref_logp) and np.array_equal(p, ref_p)
+        assert np.all(np.isneginf(logp) == ~legal)
+
+
+def test_tabular_scatters_keep_the_bits_of_add_at(grid3_space, rng):
+    pol = random_tabular(grid3_space, rng)
+    flow = TabularFlow(grid3_space)
+    idx = rng.integers(0, grid3_space.n_states, 200)
+    dl = rng.normal(0.0, 1.0, (idx.size, pol.arity))
+    grad, ref = np.zeros(pol.n_params), np.zeros((grid3_space.n_states, pol.arity))
+    pol.accumulate_dlogits(grid3_space, idx, dl, grad, None)
+    np.add.at(ref, idx, dl)
+    assert np.array_equal(grad, ref.ravel())
+    grad, ref = np.zeros(flow.n_params), np.zeros(flow.n_params)
+    flow.accumulate_dflow(grid3_space, idx, dl[:, 0], grad, None)
+    np.add.at(ref, idx, dl[:, 0])
+    assert np.array_equal(grad, ref)
+
+
+def assert_rows_match(got, want, tol):
+    """Equal -inf masks, and the finite entries equal within `tol` (bit for
+    bit when it is 0)."""
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    if tol == 0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_sampled_step_record_is_the_replay_record(case, rng):
+    pol, _, space = record_case(case, rng)
+    tol = 0.0 if pol.backend == "tabular" else 1e-12
+    reordered = False  # whether some stacked forward was not in np.unique order
+    for batch, epsilon in ((33, 0.0), (33, 0.5), (1, 0.5)):
+        tb, steps = sample_batch(pol, space, batch, epsilon, rng, want_steps=True)
+        ref = replay_steps(pol, space, tb)
+        for got, want in zip(steps[:3], ref[:3]):  # valid, states and actions, row-major
+            assert np.array_equal(got, want)
+        assert_rows_match(steps[3], ref[3], tol)
+        assert_rows_match(steps[4], ref[4], tol)
+        if pol.backend == "tabular":
+            assert steps[5] is None and ref[5] is None
+            continue
+        # the stacked forwards in np.unique order: the cache mlp_rows builds
+        (fwd, inv, uniq), (ref_fwd, ref_inv, ref_uniq) = steps[5], ref[5]
+        assert np.array_equal(uniq, ref_uniq) and np.array_equal(inv, ref_inv)
+        for got, want in zip(fwd[0] + fwd[1][:-1], ref_fwd[0] + ref_fwd[1][:-1]):
+            assert_rows_match(got, want, tol)
+        assert fwd[1][-1] is None
+        reordered |= bool(np.any(np.diff(space.depth(uniq)) < 0))
+    assert reordered == (not space.complete)  # the lazy case needs the permutation
 
 
 def test_batch_concat_keeps_step_order_and_checks_horizon(grid3, grid3_space, rng):

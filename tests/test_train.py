@@ -12,7 +12,7 @@ from gfnpool.envs import (
 )
 from gfnpool.evaluation import exact_pT, l1, noisy_reward_wrap, reward_table
 from gfnpool.losses import LossSpec
-from gfnpool.policy import load_snapshot, replay_log_pf
+from gfnpool.policy import load_snapshot, sample_batch
 from gfnpool.train import (
     TrainConfig,
     client_configs,
@@ -20,6 +20,7 @@ from gfnpool.train import (
     train_clients,
     train_local,
 )
+from tests.conftest import count_replays
 
 
 def small_cfg(kind="CB", **kw):
@@ -128,18 +129,32 @@ def test_clients_share_one_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["tabular", "mlp"])
 def test_cb_replays_once_per_epoch(grid3, grid3_space, monkeypatch, backend):
-    import gfnpool.losses as losses_module
+    # one sampling pass per epoch, and no replay: the pair loss reads both
+    # halves off the sampler's step record
+    import gfnpool.train as train_module
 
-    replayed = []
+    replayed = count_replays(monkeypatch)
+    sampled = []
 
     def counted(*args, **kw):
-        replayed.append(args[2].batch_size)
-        return replay_log_pf(*args, **kw)
+        sampled.append(kw.get("want_steps"))
+        return sample_batch(*args, **kw)
 
-    monkeypatch.setattr(losses_module, "replay_log_pf", counted)
+    monkeypatch.setattr(train_module, "sample_batch", counted)
     cfg = small_cfg(epochs=5, batch=16, backend=backend, hidden=(8, 8), eval_every=0)
     train_local(grid3, cfg, grid3_space)
-    assert replayed == [16] * 5  # both pair halves in one replay
+    assert sampled == [True] * 5
+    assert replayed == []
+
+
+@pytest.mark.parametrize("kind", ["CB", "DB"])
+def test_epoch_phase_times_fit_in_the_wall_time(mset33, kind):
+    res = train_local(mset33, small_cfg(kind, epochs=6, eval_every=2))
+    for row in res.metrics:
+        phases = [row[k] for k in ("sample_ms", "loss_ms", "step_ms", "eval_ms")]
+        assert min(phases) >= 0.0
+        assert sum(phases) <= row["wall_ms"]
+    assert all(row["eval_ms"] > 0 for row in res.metrics[1::2])  # the probed epochs
 
 
 def test_derive_seed_deterministic_and_distinct():
