@@ -86,15 +86,11 @@ def aggregate_ab(
     pooled = PooledLocals(space)
     for blob, w in zip(snapshots, weights):
         pooled.add(load_snapshot(blob, env, space)[0], w)
-    half = cfg.batch // 2
 
-    def ab_loss_fn(model, tb, steps):
-        pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
-        return ab_loss_batch(model.policy, space, *pairs, pooled, steps=steps)
+    def ab_loss_fn(model, steps):
+        return ab_loss_batch(model.policy, space, steps, pooled)
 
-    model, metrics = fit(
-        env, space, cfg, ab_loss_fn, batch=2 * half, epsilon=cfg.epsilon, rewards=False, target=eval_target
-    )
+    model, metrics = fit(env, space, cfg, ab_loss_fn, epsilon=cfg.epsilon, rewards=False, target=eval_target)
     meta = {
         "role": "global",
         "n_locals": len(pooled),

@@ -41,6 +41,14 @@ def _snapshot_path(out: Path, k: int) -> Path:
     return out / f"client{k}.gfnpolicy"
 
 
+def _read_snapshot(path: Path, source: str) -> bytes:
+    """The snapshot's bytes; one that cannot be read is a config error of `source`."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(source, f"cannot read snapshot {path}: {exc.strerror or exc}") from exc
+
+
 def _load_run(args) -> RunConfig:
     doc = load_config(args.config)
     if getattr(args, "set", None):
@@ -59,10 +67,7 @@ def _read_manifest(path: Path) -> tuple[list[bytes], list[float]]:
         snap = Path(parts[0])
         if not snap.is_absolute():
             snap = base / snap
-        try:
-            blobs.append(snap.read_bytes())
-        except OSError as exc:
-            raise ConfigError(str(path), f"cannot read snapshot {snap}: {exc.strerror or exc}") from exc
+        blobs.append(_read_snapshot(snap, str(path)))
         raw.append(parts[1] if len(parts) > 1 else "1.0")
     if not blobs:
         raise ConfigError(str(path), "manifest lists no snapshots")
@@ -209,7 +214,7 @@ def cmd_baselines(args) -> int:
     out = run.out_dir()
     space = StateSpace.enumerated(envs[0], run.train_template().state_guard)
     target = evaluation.reward_table(envs, space, run.loss_spec.weights)
-    blobs = [(_snapshot_path(out, k)).read_bytes() for k in range(len(envs))]
+    blobs = [_read_snapshot(_snapshot_path(out, k), "clients.n") for k in range(len(envs))]
     locals_ = agg.load_local_policies(envs[0], blobs, space)
     report: dict = {"experiment": run.name, "baselines": {}}
     rng = np.random.default_rng(np.random.SeedSequence([run.seed, 424242]))

@@ -261,14 +261,6 @@ class PhyloEnv(Environment):
     def _is_terminal(self, s: StateKey) -> bool:
         return len(s) == 1
 
-    def site_loglik(self, s: StateKey, site: np.ndarray) -> float:
-        """Log marginal likelihood of one site column under the topology."""
-        if len(s) != 1:
-            raise NotTerminalError("site likelihood needs a single complete tree")
-        col = np.asarray(site, dtype=np.int64).reshape(-1, 1)
-        trans = jc69_transition(self.mu, self.branch_length)
-        return float(_site_logliks(parse_tree(s[0]), col, trans)[0])
-
     def data_loglik(self, s: StateKey) -> float:
         """Untempered log likelihood of all sites."""
         if len(s) != 1:

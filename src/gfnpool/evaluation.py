@@ -35,8 +35,9 @@ from .policy import (
     apply_log_pf_grad,
     policy_rows,
     replay_log_pb,
-    replay_log_pf,
+    replay_steps,
     sample_batch,
+    step_log_pf,
 )
 
 DEFAULT_TRAJ_GUARD = 1_000_000
@@ -367,7 +368,8 @@ def cb_kl_gradient_identity_check(
             f"{total} trajectories is too many for the exact pair expectation"
         )
     (tb,) = enumerate_trajectory_batches(space, chunk=total)
-    pf, cache = replay_log_pf(policy, space, tb, want_cache=True)
+    steps = replay_steps(policy, space, tb)
+    pf = step_log_pf(steps)
     pb = replay_log_pb(space, tb)
     if pooled is None:
         tb.log_reward = log_target = space.log_rewards(tb.terminal_idx())
@@ -378,10 +380,12 @@ def cb_kl_gradient_identity_check(
     p_tau = np.exp(pf)
     ell = pf - pb - log_target
     lhs = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, cache, p_tau * ell, lhs)
+    apply_log_pf_grad(policy, space, steps, p_tau * ell, lhs)
+    # every ordered pair (i, j): trajectory i in the first half, j in the second
     rep = np.repeat(np.arange(tb.batch_size), tb.batch_size)
     til = np.tile(np.arange(tb.batch_size), tb.batch_size)
-    _, grads = pair_loss(policy, space, tb.subset(rep), tb.subset(til), pair_weights=p_tau[rep] * p_tau[til])
+    pairs = replay_steps(policy, space, tb.subset(np.concatenate([rep, til])))
+    _, grads = pair_loss(policy, space, pairs, pair_weights=p_tau[rep] * p_tau[til])
     rhs = grads["policy"] / 4.0
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -1,12 +1,12 @@
 """Balance criteria as differentiable scalar losses over trajectory batches.
 
-Every loss takes `TrajectoryBatch`es (a single trajectory is a one-row
-batch), reads the trained policy's log-probabilities under its current
-parameters from a step record (see `policy`), returns the batch loss value,
-and accumulates analytic gradients for whichever parameter blocks the
-criterion trains. `fit` hands each loss, as `steps`, the record of the
-sampling pass it just made under the same parameters, so nothing is
-computed twice; called without a record, a loss replays the batch.
+Every loss takes one step record, `policy.Steps`: a `TrajectoryBatch` (a
+single trajectory is a one-row batch) with the trained policy's rows at
+each of its steps. It returns the batch loss value and accumulates analytic
+gradients for whichever parameter blocks the criterion trains. `fit` passes
+the record of the sampling pass it just made, so nothing is computed
+twice; a caller with a batch that was not just sampled passes
+`replay_steps(policy, space, tb)`.
 
   TB   squared trajectory-balance violation; trains policy + log Z
   DB   edgewise detailed balance with boundary terms; trains policy + flow
@@ -19,17 +19,14 @@ computed twice; called without a record, a loss replays the batch.
 
 The frozen local policies enter AB through one object, `PooledLocals`: the
 pooled local log-policy L(s -> s') = sum_n w_n log p_F^n(s'|s), a table of
-weighted masked log-softmax rows. AB reads it with one gather per pair
-half, and the theorem checks in `evaluation` run their DAG passes over it.
+weighted masked log-softmax rows. AB reads it with one gather per batch,
+and the theorem checks in `evaluation` run their DAG passes over it.
 `pooling_weights` is the one check of the weights w_n.
 
-The pair losses CB and AB join their two halves into one batch
-(`TrajectoryBatch.concat`, half 1 then half 2), so each reads one record
-and makes one gradient pass with coefficients (2wa, -2wa); tabular scatters
-meet the terms in the order two separate passes would. Their record is
-that of a batch whose first trajectories are the two halves: with an odd
-batch, the unpaired last trajectory's steps end the record's flat rows
-and are dropped.
+The pair losses CB and AB pair trajectory k of a batch of B with
+trajectory k + B//2, and share one tail: one gradient pass over the record
+with coefficients (2wa, -2wa). With an odd B, the last trajectory is in no
+pair and gets coefficient 0.
 """
 
 from __future__ import annotations
@@ -43,9 +40,9 @@ from .errors import RewardSupportError, UnsupportedLossError
 from .nn import MlpSpec, mlp_init
 from .policy import (
     ForwardPolicy,
+    Steps,
     TrajectoryBatch,
     apply_log_pf_grad,
-    batch_steps,
     cache_rows,
     mlp_rows,
     mlp_rows_grad,
@@ -160,28 +157,39 @@ def _require_rewards(tb: TrajectoryBatch) -> np.ndarray:
     return tb.log_reward
 
 
-def tb_violations(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, logz: float = 0.0, steps=None):
+def tb_violations(space: StateSpace, steps: Steps, logz: float = 0.0) -> np.ndarray:
     """Signed trajectory-balance violations log p_F + log Z - log p_B - log R
-    under current parameters, read off the step record `steps` of the batch
-    (replayed when None). Returns (violations, step record)."""
-    log_r = _require_rewards(tb)
-    steps = batch_steps(policy, space, tb, steps)
-    return logz + step_log_pf(steps) - replay_log_pb(space, tb) - log_r, steps
+    of the batch `steps` records, read off its rows."""
+    log_r = _require_rewards(steps.tb)
+    return logz + step_log_pf(steps) - replay_log_pb(space, steps.tb) - log_r
 
 
-def _pair_count(tb1: TrajectoryBatch, tb2: TrajectoryBatch) -> int:
-    if tb1.batch_size != tb2.batch_size:
-        raise ValueError("pair batches must have equal size")
-    return tb1.batch_size
+def _pair_diff(x: np.ndarray) -> np.ndarray:
+    """x[k] - x[k + B//2] over the pairs of a batch of B per-trajectory
+    values; an odd batch's last value is in no pair."""
+    if x.size < 2:
+        raise ValueError("pair losses need a batch of at least 2 trajectories")
+    n = x.size // 2
+    return x[:n] - x[n : 2 * n]
 
 
-def _pair_weights(n: int, weights: np.ndarray | None) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError("pair weights must match the pair count")
-    return w
+def _pair_loss(policy, space, steps: Steps, a: np.ndarray, pair_weights):
+    """The value sum_k w_k a_k^2 of the pair contrasts `a`, with w_k = 1/n
+    for n pairs unless given, and its policy gradient: every a_k moves
+    with log p_F of trajectory k minus that of trajectory k + n."""
+    n = a.size
+    if pair_weights is None:
+        w = np.full(n, 1.0 / n)
+    else:
+        w = np.asarray(pair_weights, dtype=np.float64)
+        if w.shape != (n,):
+            raise ValueError("pair weights must match the pair count")
+    g = 2.0 * w * a
+    coeffs = np.zeros(steps.tb.batch_size)
+    coeffs[:n], coeffs[n : 2 * n] = g, -g
+    grad = np.zeros(policy.n_params)
+    apply_log_pf_grad(policy, space, steps, coeffs, grad)
+    return float(np.sum(w * a**2)), {"policy": grad}
 
 
 # ---------------------------------------------------------------------------
@@ -277,51 +285,45 @@ class PooledLocals:
 # batch losses (training path)
 
 
-def tb_loss_batch(policy, space, tb, logz: float, steps=None):
+def tb_loss_batch(policy, space, steps: Steps, logz: float):
     """Mean squared TB violation; gradients for the policy and log Z."""
-    v, steps = tb_violations(policy, space, tb, logz, steps)
-    n = tb.batch_size
+    v = tb_violations(space, steps, logz)
+    n = steps.tb.batch_size
     grad = np.zeros(policy.n_params)
     apply_log_pf_grad(policy, space, steps, 2.0 * v / n, grad)
     return float(np.mean(v**2)), {"policy": grad, "logz": float(np.mean(2.0 * v))}
 
 
-def cb_loss_batch(policy, space, tb1, tb2, pair_weights=None, steps=None):
+def cb_loss_batch(policy, space, steps: Steps, pair_weights=None):
     """Weighted squared contrast of TB violations between paired trajectories
     (log Z cancels, so none is needed)."""
-    n = _pair_count(tb1, tb2)
-    v, steps = tb_violations(policy, space, tb1.concat(tb2), steps=steps)
-    w = _pair_weights(n, pair_weights)
-    a = v[:n] - v[n:]
-    g = 2.0 * w * a
-    grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, steps, np.concatenate([g, -g]), grad)
-    return float(np.sum(w * a**2)), {"policy": grad}
+    return _pair_loss(policy, space, steps, _pair_diff(tb_violations(space, steps)), pair_weights)
 
 
-def vl_loss_batch(policy, space, tb, steps=None):
+def vl_loss_batch(policy, space, steps: Steps):
     """Mean squared deviation of the TB violation from the batch mean (the
     batch mean estimates the inner expectation)."""
-    if tb.batch_size < 2:
+    n = steps.tb.batch_size
+    if n < 2:
         raise ValueError("variance loss needs a batch of at least 2 trajectories")
-    v, steps = tb_violations(policy, space, tb, steps=steps)
+    v = tb_violations(space, steps)
     d = v - v.mean()
-    n = tb.batch_size
     grad = np.zeros(policy.n_params)
     # d(mean d^2)/dtheta = (2/n) sum_k d_k dV_k since the deviations sum to 0
     apply_log_pf_grad(policy, space, steps, 2.0 * d / n, grad)
     return float(np.mean(d**2)), {"policy": grad}
 
 
-def db_loss_batch(policy, flow, space, tb, steps=None):
+def db_loss_batch(policy, flow, space, steps: Steps):
     """Mean squared detailed-balance violation over every transition in the
     batch, boundary terms included. A step's successor s' is the next row
     of the step record, so one flow forward over the steps gives log F(s)
     and log F(s'). The flow gradient is one pass over the successor terms
     concatenated with the own-state terms: the order a loop over t meets
     them in."""
+    tb = steps.tb
     log_r = _require_rewards(tb)
-    _, s, a, logp, p, bc = batch_steps(policy, space, tb, steps)
+    s, a, logp, p = steps.states, steps.actions, steps.logp, steps.p
     total = s.size
     lp_a = logp[np.arange(total), a]
     lf_s, fc = flow.log_flow(space, s)
@@ -335,14 +337,14 @@ def db_loss_batch(policy, flow, space, tb, steps=None):
     dl = -p * coeff[:, None]
     dl[np.arange(total), a] += coeff
     grad_p = np.zeros(policy.n_params)
-    policy.accumulate_dlogits(space, s, dl, grad_p, bc)
+    policy.accumulate_dlogits(space, s, dl, grad_p, steps.cache)
     rows = np.concatenate([go + 1, np.arange(total)])  # successor terms, then own-state terms
     grad_f = np.zeros(flow.n_params)
     flow.accumulate_dflow(space, s[rows], np.concatenate([-coeff[go], coeff]), grad_f, cache_rows(fc, rows))
     return float(np.sum(viol**2)) / total, {"policy": grad_p, "flow": grad_f}
 
 
-def dbc_loss_batch(policy, space, tb, steps=None):
+def dbc_loss_batch(policy, space, steps: Steps):
     """Flow-free detailed balance for graphs where every state is terminal:
     squared log violation of R(s') p_B(s|s') p_F(sf|s) = R(s) p_F(s'|s) p_F(sf|s'),
     averaged over the batch's interior transitions. log p_F(sf|s') is read
@@ -355,11 +357,12 @@ def dbc_loss_batch(policy, space, tb, steps=None):
             f"DBC requires every state to be terminal; {env.kind} is not such an environment"
         )
     stop = env.stop_action
-    interior = int((tb.lengths - 1).sum())
+    lengths = steps.tb.lengths
+    interior = int((lengths - 1).sum())
     if interior == 0:
         raise UnsupportedLossError("batch contains no interior transitions")
-    _, s, a, logp, p, bc = batch_steps(policy, space, tb, steps)
-    go = np.setdiff1d(np.arange(s.size), np.cumsum(tb.lengths) - 1)  # moves to step go + 1
+    s, a, logp, p = steps.states, steps.actions, steps.logp, steps.p
+    go = np.setdiff1d(np.arange(s.size), np.cumsum(lengths) - 1)  # moves to step go + 1
     cur, nxt = s[go], s[go + 1]
     viol = (
         space.log_rewards(nxt)
@@ -380,26 +383,19 @@ def dbc_loss_batch(policy, space, tb, steps=None):
     dl[own, stop] += coeff
     dl[own, a[go]] -= coeff
     grad = np.zeros(policy.n_params)
-    policy.accumulate_dlogits(space, s[rows], dl, grad, cache_rows(bc, rows))
+    policy.accumulate_dlogits(space, s[rows], dl, grad, cache_rows(steps.cache, rows))
     return float(np.sum(viol**2)) / interior, {"policy": grad}
 
 
-def ab_loss_batch(policy, space, tb1, tb2, pooled: PooledLocals, pair_weights=None, steps=None):
+def ab_loss_batch(policy, space, steps: Steps, pooled: PooledLocals, pair_weights=None):
     """Squared mismatch between the global trajectory-ratio contrast and the
     pooled local one: with L the pooled log-policy and W its total weight,
     a = (pf1 - pf2) - (L1 - L2) + (W - 1)(pb1 - pb2). The locals carry no
     gradient; no reward is ever evaluated."""
     if not len(pooled):
         raise ValueError("aggregation needs at least one local policy")
-    n = _pair_count(tb1, tb2)
-    tb = tb1.concat(tb2)
-    steps = batch_steps(policy, space, tb, steps)
-    pb = replay_log_pb(space, tb)
+    pb = replay_log_pb(space, steps.tb)
     pf = step_log_pf(steps)
-    lp = pooled.log_pf(tb)
-    a = (pf[:n] - pf[n:]) - (lp[:n] - lp[n:]) + (pooled.total_weight - 1.0) * (pb[:n] - pb[n:])
-    w = _pair_weights(n, pair_weights)
-    g = 2.0 * w * a
-    grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, steps, np.concatenate([g, -g]), grad)
-    return float(np.sum(w * a**2)), {"policy": grad}
+    lp = pooled.log_pf(steps.tb)
+    a = _pair_diff(pf) - _pair_diff(lp) + (pooled.total_weight - 1.0) * _pair_diff(pb)
+    return _pair_loss(policy, space, steps, a, pair_weights)

@@ -31,10 +31,6 @@ class MlpSpec:
             raise ValueError("all layer widths must be >= 1")
 
     @property
-    def n_layers(self) -> int:
-        return len(self.widths) - 1
-
-    @property
     def n_params(self) -> int:
         return sum(o * i + o for i, o in zip(self.widths[:-1], self.widths[1:]))
 

@@ -5,14 +5,15 @@ and `replay_log_pb` recomputes it.
 
 Trajectories exist only as a `TrajectoryBatch`; a single trajectory is a
 one-row batch. Sampling advances a batch in lockstep, one masked softmax
-per step. Everything computed per step afterwards reads a step record:
-(valid, states, actions, log-softmax rows, softmax rows, backend cache),
-flattened row-major over `TrajectoryBatch.valid()`. `sample_batch(...,
-want_steps=True)` builds it from the rows it sampled with, placing step t
-of trajectory b at flat row start[b] + t; `replay_steps` builds the same
-record under the current parameters, with one masked softmax over every
-step of a batch, for batches that were not just sampled. `step_sums` adds
-the steps up in t order.
+per step. Everything computed per step afterwards reads the batch's step
+record, `Steps`: the batch itself, then its steps flattened row-major over
+`TrajectoryBatch.valid()` (states, actions, log-softmax rows, softmax rows,
+backend cache). It is the one input of every loss.
+`sample_batch(..., want_steps=True)` returns it, built from the rows the
+sampler drew with, placing step t of trajectory b at flat row
+start[b] + t; `replay_steps` builds the same record under the current
+parameters, with one masked softmax over every step, for a batch that was
+not just sampled. `step_sums` adds the steps up in t order.
 
 Every environment's DAG is graded, so a state appears only at the step t
 equal to its depth. Scatter-adds over the flat steps (`row_sums`, one
@@ -32,6 +33,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -265,21 +267,18 @@ class TrajectoryBatch:
             None if self.log_reward is None else self.log_reward[idx],
         )
 
-    def concat(self, other: "TrajectoryBatch") -> "TrajectoryBatch":
-        """This batch's trajectories followed by `other`'s, so the flat step
-        order is this batch's steps, then `other`'s. Terminal rewards are
-        kept only when both batches carry them."""
-        if self.horizon != other.horizon:
-            raise ValueError(f"cannot join batches of horizons {self.horizon} and {other.horizon}")
-        has_r = self.log_reward is not None and other.log_reward is not None
-        return TrajectoryBatch(
-            np.concatenate([self.states, other.states]),
-            np.concatenate([self.actions, other.actions]),
-            np.concatenate([self.lengths, other.lengths]),
-            np.concatenate([self.log_pf, other.log_pf]),
-            np.concatenate([self.log_pb, other.log_pb]),
-            np.concatenate([self.log_reward, other.log_reward]) if has_r else None,
-        )
+
+class Steps(NamedTuple):
+    """The step record of a batch: every step of `tb`, flattened row-major
+    over `tb.valid()`, with the policy's rows at each step's state."""
+
+    tb: TrajectoryBatch
+    valid: np.ndarray  # (B, T) the batch's step mask
+    states: np.ndarray  # the states the steps leave
+    actions: np.ndarray  # the actions they take
+    logp: np.ndarray  # one masked log-softmax row per step
+    p: np.ndarray  # one softmax row per step
+    cache: object  # the backend cache `accumulate_dlogits` takes for `states`
 
 
 def policy_rows(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
@@ -326,9 +325,9 @@ def sample_batch(
     the uniform forward policy. Recorded log p_F is always the on-policy
     value - the mixture is only a proposal.
 
-    With want_steps, returns (batch, step record): the record `replay_steps`
-    would build under the unchanged parameters, made from the rows the
-    sampler already computed."""
+    With want_steps, returns the batch's step record instead: the record
+    `replay_steps` would build under the unchanged parameters, made from the
+    rows the sampler already computed."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     horizon = space.env.max_traj_len
@@ -374,10 +373,10 @@ def sample_batch(
     tb = TrajectoryBatch(states, actions, lengths, log_pf, log_pb, None)
     if compute_rewards:
         tb.log_reward = space.log_rewards(tb.terminal_idx())
-    return (tb, _step_record(tb, record)) if want_steps else tb
+    return _step_record(tb, record) if want_steps else tb
 
 
-def _step_record(tb: TrajectoryBatch, record):
+def _step_record(tb: TrajectoryBatch, record) -> Steps:
     """The step record of `tb` from the sampler's per-step rows: step t of
     trajectory b goes to flat row start[b] + t, its row-major position."""
     valid = tb.valid()
@@ -391,7 +390,7 @@ def _step_record(tb: TrajectoryBatch, record):
         p[rows] = pp
     caches = [bc for *_, bc in record]
     bc = None if caches[0] is None else _stack_mlp_rows(caches, s)
-    return valid, s, a, logp, p, bc
+    return Steps(tb, valid, s, a, logp, p, bc)
 
 
 def _stack_mlp_rows(caches, s: np.ndarray):
@@ -408,61 +407,34 @@ def _stack_mlp_rows(caches, s: np.ndarray):
 # step records and log-probability replay (recompute under current parameters)
 
 
-def replay_steps(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch):
-    """The step record (valid, states, actions, log-softmax rows, softmax
-    rows, backend cache) of every step of `tb` under the policy's current
-    parameters, flattened row-major over `tb.valid()`."""
+def replay_steps(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch) -> Steps:
+    """The step record of `tb` under the policy's current parameters, from
+    one masked softmax over every step of the batch."""
     valid = tb.valid()
     s = tb.states[valid]
     _, logp, p, bc = policy_rows(policy, space, s)
-    return valid, s, tb.actions[valid], logp, p, bc
+    return Steps(tb, valid, s, tb.actions[valid], logp, p, bc)
 
 
-def batch_steps(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, steps=None):
-    """The step record of `tb`, or a replay when `steps` is None. `steps`
-    records a batch whose first trajectories are `tb`'s; their steps are a
-    prefix of its flat rows, since the rows run row-major."""
-    if steps is None:
-        return replay_steps(policy, space, tb)
-    valid, s, a, logp, p, bc = steps
-    k = tb.batch_size
-    m = int(np.count_nonzero(valid[:k]))
-    if not (
-        np.array_equal(valid[:k], tb.valid())
-        and np.array_equal(s[:m], tb.states[valid[:k]])
-        and np.array_equal(a[:m], tb.actions[valid[:k]])
-    ):
-        raise ValueError("the step record does not record this batch")
-    return valid[:k], s[:m], a[:m], logp[:m], p[:m], cache_rows(bc, slice(0, m))
-
-
-def step_log_pf(steps) -> np.ndarray:
+def step_log_pf(steps: Steps) -> np.ndarray:
     """Per-trajectory sum of log p_F over a step record."""
-    valid, s, a, logp = steps[:4]
-    return step_sums(valid, logp[np.arange(s.size), a])
+    return step_sums(steps.valid, steps.logp[np.arange(steps.states.size), steps.actions])
 
 
-def replay_log_pf(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch, want_cache: bool = False):
-    """Per-trajectory sum of log p_F under the policy's current parameters,
-    from one masked softmax over every step of the batch.
-
-    With want_cache, also returns the step record, which `apply_log_pf_grad`
-    takes to push gradients back without a second forward pass.
-    """
-    steps = replay_steps(policy, space, tb)
-    sums = step_log_pf(steps)
-    return (sums, steps) if want_cache else sums
+def replay_log_pf(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:
+    """Per-trajectory sum of log p_F under the policy's current parameters."""
+    return step_log_pf(replay_steps(policy, space, tb))
 
 
-def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, steps, coeffs: np.ndarray, grad_flat: np.ndarray) -> None:
+def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, steps: Steps, coeffs: np.ndarray, grad_flat: np.ndarray) -> None:
     """Accumulate sum_k coeffs[k] * d log p_F(tau_k) / d params into grad_flat,
     from the step record of the batch: one `accumulate_dlogits` call over
     every step of it."""
-    valid, s, a, _, p, bc = steps
-    c = coeffs[np.nonzero(valid)[0]]  # each step takes its trajectory's coefficient
-    dl = p * -c[:, None]
+    s, a = steps.states, steps.actions
+    c = coeffs[np.nonzero(steps.valid)[0]]  # each step takes its trajectory's coefficient
+    dl = steps.p * -c[:, None]
     dl[np.arange(s.size), a] += c
-    policy.accumulate_dlogits(space, s, dl, grad_flat, bc)
+    policy.accumulate_dlogits(space, s, dl, grad_flat, steps.cache)
 
 
 def replay_log_pb(space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:

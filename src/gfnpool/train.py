@@ -27,7 +27,7 @@ from .losses import (
     vl_loss_batch,
 )
 from .nn import AdamWState, ParamGroup, adamw_step
-from .policy import MlpPolicy, TabularPolicy, TrajectoryBatch, sample_batch, save_snapshot
+from .policy import MlpPolicy, Steps, TabularPolicy, sample_batch, save_snapshot
 
 
 def check_fit_settings(cfg) -> None:
@@ -141,9 +141,8 @@ def fit(
     env: Environment,
     space: StateSpace,
     cfg,
-    loss_fn: Callable[[Model, TrajectoryBatch, tuple], tuple[float, dict]],
+    loss_fn: Callable[[Model, Steps], tuple[float, dict]],
     *,
-    batch: int,
     epsilon: float,
     rewards: bool = True,
     target: evaluation.DistributionTable | None = None,
@@ -154,19 +153,18 @@ def fit(
 
     `cfg` is a TrainConfig or an AggregateConfig; its seed spawns the
     training, evaluation and initialisation streams. Each epoch samples
-    `batch` trajectories from the epsilon-mixture of the current policy
-    (with terminal rewards only if `rewards`) together with their step
-    record, takes `loss_fn(model, batch, steps)` -> (loss, gradient per
-    AdamW group name), and makes one AdamW step. The loss reads the
-    policy's rows off the record instead of replaying the batch. On
-    the `eval_every` cadence and at the last epoch it probes the L1 to
-    `target`: NaN without a target or with eval mode "off", sampled in mode
-    "sampled", exact otherwise. A target needs a complete space, so every
-    probe runs on one. `logz_lr` adds a log Z group and `flow` a state-flow
-    block. Returns the model and one metrics row per epoch: the loss, the
-    L1, the epoch's `wall_ms`, and the part of it spent in each phase,
-    `sample_ms`, `loss_ms` (loss and gradient), `step_ms` (AdamW) and
-    `eval_ms`.
+    `cfg.batch` trajectories from the epsilon-mixture of the current policy
+    (with terminal rewards only if `rewards`) as one step record, takes
+    `loss_fn(model, steps)` -> (loss, gradient per AdamW group name), and
+    makes one AdamW step. The loss reads the policy's rows off the record
+    instead of replaying the batch. On the `eval_every` cadence and at the
+    last epoch it probes the L1 to `target`: NaN without a target or with
+    eval mode "off", sampled in mode "sampled", exact otherwise. A target
+    needs a complete space, so every probe runs on one. `logz_lr` adds a
+    log Z group and `flow` a state-flow block. Returns the model and one
+    metrics row per epoch: the loss, the L1, the epoch's `wall_ms`, and the
+    part of it spent in each phase, `sample_ms`, `loss_ms` (loss and
+    gradient), `step_ms` (AdamW) and `eval_ms`.
     """
     train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.default_rng(train_ss)
@@ -178,9 +176,9 @@ def fit(
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        tb, steps = sample_batch(model.policy, space, batch, epsilon, rng, compute_rewards=rewards, want_steps=True)
+        steps = sample_batch(model.policy, space, cfg.batch, epsilon, rng, compute_rewards=rewards, want_steps=True)
         t_sample = time.perf_counter()
-        loss, grads = loss_fn(model, tb, steps)
+        loss, grads = loss_fn(model, steps)
         t_loss = time.perf_counter()
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at epoch {epoch} (seed {cfg.seed}, env {env.fingerprint()})")
@@ -216,22 +214,21 @@ def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = N
     space = build_space(env, cfg) if space is None else space.for_env(env)
     probed = cfg.eval_every > 0 and cfg.eval_mode != "off" and space.complete
     target = evaluation.reward_table([env], space) if probed else None
-    kind, half = cfg.loss.kind, cfg.batch // 2
+    kind = cfg.loss.kind
 
-    def loss_fn(model, tb, steps):
+    def loss_fn(model, steps):
         if kind == "TB":
-            return tb_loss_batch(model.policy, space, tb, model.logz, steps)
+            return tb_loss_batch(model.policy, space, steps, model.logz)
         if kind == "CB":
-            pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
-            return cb_loss_batch(model.policy, space, *pairs, steps=steps)
+            return cb_loss_batch(model.policy, space, steps)
         if kind == "VL":
-            return vl_loss_batch(model.policy, space, tb, steps)
+            return vl_loss_batch(model.policy, space, steps)
         if kind == "DB":
-            return db_loss_batch(model.policy, model.flow, space, tb, steps)
-        return dbc_loss_batch(model.policy, space, tb, steps)
+            return db_loss_batch(model.policy, model.flow, space, steps)
+        return dbc_loss_batch(model.policy, space, steps)
 
     model, metrics = fit(
-        env, space, cfg, loss_fn, batch=cfg.batch, epsilon=cfg.loss.epsilon, target=target,
+        env, space, cfg, loss_fn, epsilon=cfg.loss.epsilon, target=target,
         logz_lr=cfg.loss.logz_lr if kind == "TB" else None, flow=kind == "DB",
     )
     meta = {"loss": kind, "epochs": cfg.epochs, "seed": cfg.seed, "role": "client"}

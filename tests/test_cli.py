@@ -161,6 +161,17 @@ def test_manifest_snapshots_must_be_readable(outroot, capsys, entry):
     assert "config error" in err and "bad.manifest" in err
 
 
+def test_baselines_with_a_missing_client_snapshot_is_config_error(outroot, capsys):
+    # a partial train-clients leaves one snapshot of two
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    (outroot / "out" / "tiny" / "client1.gfnpolicy").unlink()
+    capsys.readouterr()
+    assert main(["baselines", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "client1.gfnpolicy" in err
+
+
 def test_config_weights_must_match_manifest(outroot, capsys):
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0

@@ -26,7 +26,9 @@ from gfnpool.policy import (
     masked_log_softmax,
     replay_log_pb,
     replay_log_pf,
+    replay_steps,
     sample_batch,
+    step_log_pf,
 )
 from tests.conftest import RECORD_CASES, one_row_batch, paths, random_tabular, record_case
 
@@ -72,8 +74,8 @@ def test_tb_zero_at_balance():
     space = StateSpace.enumerated(env)
     pol = balanced_tabular_policy(space)
     logz = float(np.log(np.exp(0.7) + np.exp(-0.4)))
-    tb = sample_batch(pol, space, 8, 0.0, np.random.default_rng(0))
-    loss, grads = tb_loss_batch(pol, space, tb, logz)
+    steps = sample_batch(pol, space, 8, 0.0, np.random.default_rng(0), want_steps=True)
+    loss, grads = tb_loss_batch(pol, space, steps, logz)
     assert loss <= 1e-16
     assert np.max(np.abs(grads["policy"])) <= 1e-7
 
@@ -83,19 +85,19 @@ def test_tb_quadratic_in_logz_offset():
     space = StateSpace.enumerated(env)
     pol = balanced_tabular_policy(space)
     logz = float(np.log(np.exp(0.7) + np.exp(-0.4)))
-    tb = sample_batch(pol, space, 8, 0.0, np.random.default_rng(0))
+    steps = sample_batch(pol, space, 8, 0.0, np.random.default_rng(0), want_steps=True)
     c = 0.37
-    loss, _ = tb_loss_batch(pol, space, tb, logz + c)
+    loss, _ = tb_loss_batch(pol, space, steps, logz + c)
     assert loss == pytest.approx(c**2, rel=1e-10)
 
 
 def test_tb_value_matches_formula_oracle(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 16, 0.3, rng)
+    steps = sample_batch(pol, grid3_space, 16, 0.3, rng, want_steps=True)
     logz = 0.42
-    loss, _ = tb_loss_batch(pol, grid3_space, tb, logz)
+    loss, _ = tb_loss_batch(pol, grid3_space, steps, logz)
     expected = []
-    for path in paths(grid3_space, tb):
+    for path in paths(grid3_space, steps.tb):
         v = (
             logz
             + oracle_log_pf(pol, grid3_space, grid3, path)
@@ -105,15 +107,15 @@ def test_tb_value_matches_formula_oracle(grid3, grid3_space, rng):
         expected.append(v**2)
     assert loss == pytest.approx(float(np.mean(expected)), rel=1e-12)
     # a one-row batch agrees
-    single, _ = tb_loss_batch(pol, grid3_space, tb.subset([0]), logz)
+    single, _ = tb_loss_batch(pol, grid3_space, replay_steps(pol, grid3_space, steps.tb.subset([0])), logz)
     assert single == pytest.approx(expected[0], rel=1e-12)
 
 
 def test_tb_rejects_missing_rewards(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 4, 0.0, rng, compute_rewards=False)
+    steps = sample_batch(pol, grid3_space, 4, 0.0, rng, compute_rewards=False, want_steps=True)
     with pytest.raises(RewardSupportError):
-        tb_loss_batch(pol, grid3_space, tb, 0.0)
+        tb_loss_batch(pol, grid3_space, steps, 0.0)
 
 
 # -- DB ------------------------------------------------------------------------
@@ -132,8 +134,8 @@ def test_db_zero_on_forced_chain_with_matched_flow():
     # interior flows must match too: F(s) = F(s') since pF = pB = 1
     vals[:] = space.log_rewards(term)[0]
     flow.set_params(vals)
-    tb = sample_batch(pol, space, 4, 0.0, np.random.default_rng(0))
-    loss, _ = db_loss_batch(pol, flow, space, tb)
+    steps = sample_batch(pol, space, 4, 0.0, np.random.default_rng(0), want_steps=True)
+    loss, _ = db_loss_batch(pol, flow, space, steps)
     assert loss <= 1e-20
 
 
@@ -161,8 +163,8 @@ def test_db_zero_at_exact_flows(mset33, mset33_space, rng):
             # G(s) = G(c) p_B(s|c) / p_F(c|s)
             log_g[i] = log_g[c] - np.log(mset33_space.nparents(c)) - np.log(p[a])
     flow = TabularFlow(mset33_space, log_g)
-    tb = sample_batch(pol, mset33_space, 32, 0.5, rng)
-    loss, _ = db_loss_batch(pol, flow, mset33_space, tb)
+    steps = sample_batch(pol, mset33_space, 32, 0.5, rng, want_steps=True)
+    loss, _ = db_loss_batch(pol, flow, mset33_space, steps)
     assert loss <= 1e-18
 
 
@@ -175,17 +177,18 @@ def test_db_terminal_edge_boundary_condition(grid3, grid3_space, rng):
     vals = flow.get_params()
     vals[i] = grid3.log_reward(s) - np.log(p_stop)
     flow.set_params(vals)
-    loss, _ = db_loss_batch(pol, flow, grid3_space, one_row_batch(grid3_space, [s], [2]))
+    steps = replay_steps(pol, grid3_space, one_row_batch(grid3_space, [s], [2]))
+    loss, _ = db_loss_batch(pol, flow, grid3_space, steps)
     assert loss <= 1e-20
 
 
 def test_db_value_matches_formula_oracle(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     flow = TabularFlow(grid3_space, rng.normal(0, 1, grid3_space.n_states))
-    tb = sample_batch(pol, grid3_space, 8, 0.3, rng)
-    loss, _ = db_loss_batch(pol, flow, grid3_space, tb)
+    steps = sample_batch(pol, grid3_space, 8, 0.3, rng, want_steps=True)
+    loss, _ = db_loss_batch(pol, flow, grid3_space, steps)
     viols = []
-    for states, actions in paths(grid3_space, tb):
+    for states, actions in paths(grid3_space, steps.tb):
         for t, (s, a) in enumerate(zip(states, actions)):
             p = action_distribution(pol, grid3_space, s)
             lf_s = flow.log_flow(grid3_space, np.array([grid3_space.index[s]]))[0][0]
@@ -207,25 +210,25 @@ def test_dbc_zero_on_symmetric_two_cell_graph():
     env = SequenceEnv(pos_scores=(0.0,), token_scores=(0.0,))
     space = StateSpace.enumerated(env)
     pol = TabularPolicy(space)  # uniform
-    tb = one_row_batch(space, [(), (0,)], [0, env.stop_action])
-    loss, grads = dbc_loss_batch(pol, space, tb)
+    steps = replay_steps(pol, space, one_row_batch(space, [(), (0,)], [0, env.stop_action]))
+    loss, grads = dbc_loss_batch(pol, space, steps)
     assert loss <= 1e-30
     assert np.max(np.abs(grads["policy"])) <= 1e-15
 
 
 def test_dbc_unsupported_on_multiset(mset33, mset33_space, rng):
     pol = random_tabular(mset33_space, rng)
-    tb = sample_batch(pol, mset33_space, 4, 0.0, rng)
+    steps = sample_batch(pol, mset33_space, 4, 0.0, rng, want_steps=True)
     with pytest.raises(UnsupportedLossError):
-        dbc_loss_batch(pol, mset33_space, tb)
+        dbc_loss_batch(pol, mset33_space, steps)
 
 
 def test_dbc_value_matches_formula_oracle(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 8, 0.3, rng)
-    loss, _ = dbc_loss_batch(pol, grid3_space, tb)
+    steps = sample_batch(pol, grid3_space, 8, 0.3, rng, want_steps=True)
+    loss, _ = dbc_loss_batch(pol, grid3_space, steps)
     viols = []
-    for states, actions in paths(grid3_space, tb):
+    for states, actions in paths(grid3_space, steps.tb):
         for t in range(len(actions) - 1):
             s, a, s2 = states[t], actions[t], states[t + 1]
             p_s = action_distribution(pol, grid3_space, s)
@@ -248,27 +251,25 @@ def test_dbc_value_matches_formula_oracle(grid3, grid3_space, rng):
 def test_cb_identical_pair_is_zero(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     tb = sample_batch(pol, grid3_space, 4, 0.2, rng)
-    loss, grads = cb_loss_batch(pol, grid3_space, tb, tb)
+    twice = tb.subset(np.tile(np.arange(4), 2))  # trajectory k paired with itself
+    loss, grads = cb_loss_batch(pol, grid3_space, replay_steps(pol, grid3_space, twice))
     assert loss == 0.0
     assert np.all(grads["policy"] == 0.0)
 
 
 def test_cb_equals_violation_contrast_any_logz(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    t1 = sample_batch(pol, grid3_space, 100, 0.3, rng)
-    t2 = sample_batch(pol, grid3_space, 100, 0.3, rng)
+    steps = sample_batch(pol, grid3_space, 200, 0.3, rng, want_steps=True)
+    loss, _ = cb_loss_batch(pol, grid3_space, steps)
     for logz in (0.0, -3.7, 12.5):
-        v1, _ = tb_violations(pol, grid3_space, t1, logz)
-        v2, _ = tb_violations(pol, grid3_space, t2, logz)
-        loss, _ = cb_loss_batch(pol, grid3_space, t1, t2)
-        assert loss == pytest.approx(float(np.mean((v1 - v2) ** 2)), rel=1e-12)
+        v = tb_violations(grid3_space, steps, logz)
+        assert loss == pytest.approx(float(np.mean((v[:100] - v[100:]) ** 2)), rel=1e-12)
 
 
 def test_cb_value_matches_formula_oracle(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    t1 = sample_batch(pol, grid3_space, 1, 0.5, rng)
-    t2 = sample_batch(pol, grid3_space, 1, 0.5, rng)
-    [tr1], [tr2] = paths(grid3_space, t1), paths(grid3_space, t2)
+    steps = sample_batch(pol, grid3_space, 2, 0.5, rng, want_steps=True)
+    tr1, tr2 = paths(grid3_space, steps.tb)
     ratio1 = oracle_log_pf(pol, grid3_space, grid3, tr1) - oracle_log_pb(grid3, tr1)
     ratio2 = oracle_log_pf(pol, grid3_space, grid3, tr2) - oracle_log_pb(grid3, tr2)
     expected = (
@@ -277,7 +278,7 @@ def test_cb_value_matches_formula_oracle(grid3, grid3_space, rng):
         + grid3.log_reward(tr2[0][-1])
         - grid3.log_reward(tr1[0][-1])
     ) ** 2
-    loss, _ = cb_loss_batch(pol, grid3_space, t1, t2)
+    loss, _ = cb_loss_batch(pol, grid3_space, steps)
     assert loss == pytest.approx(float(expected), rel=1e-12)
 
 
@@ -288,27 +289,27 @@ def test_vl_identical_violations_zero(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     one = sample_batch(pol, grid3_space, 1, 0.0, rng)
     rep = one.subset(np.zeros(4, dtype=int))
-    loss, _ = vl_loss_batch(pol, grid3_space, rep)
+    loss, _ = vl_loss_batch(pol, grid3_space, replay_steps(pol, grid3_space, rep))
     assert loss == 0.0
 
 
 def test_vl_matches_deviation_arithmetic(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 2, 0.5, rng)
-    v, _ = tb_violations(pol, grid3_space, tb)
-    loss, _ = vl_loss_batch(pol, grid3_space, tb)
+    steps = sample_batch(pol, grid3_space, 2, 0.5, rng, want_steps=True)
+    v = tb_violations(grid3_space, steps)
+    loss, _ = vl_loss_batch(pol, grid3_space, steps)
     # two-element batch: mean squared deviation is ((v1-v2)/2)^2
     assert loss == pytest.approx(float(((v[0] - v[1]) / 2) ** 2), rel=1e-12)
     with pytest.raises(ValueError):
-        vl_loss_batch(pol, grid3_space, tb.subset(slice(0, 1)))
+        vl_loss_batch(pol, grid3_space, replay_steps(pol, grid3_space, steps.tb.subset(slice(0, 1))))
 
 
 def test_cb_vl_pair_identity_sixteen(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 16, 0.4, rng)
-    v, _ = tb_violations(pol, grid3_space, tb)
+    steps = sample_batch(pol, grid3_space, 16, 0.4, rng, want_steps=True)
+    v = tb_violations(grid3_space, steps)
     pair_mean = float(np.mean([(a - b) ** 2 for a in v for b in v]))
-    vl, _ = vl_loss_batch(pol, grid3_space, tb)
+    vl, _ = vl_loss_batch(pol, grid3_space, steps)
     assert abs(pair_mean - 2.0 * vl) <= 1e-10
 
 
@@ -319,10 +320,11 @@ def test_ab_identical_pair_and_self_pooling(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
     tb = sample_batch(pol, grid3_space, 8, 0.5, rng, compute_rewards=False)
     pooled = PooledLocals(grid3_space, [pol])
-    loss, _ = ab_loss_batch(pol, grid3_space, tb, tb, pooled)
+    twice = tb.subset(np.tile(np.arange(8), 2))  # trajectory k paired with itself
+    loss, _ = ab_loss_batch(pol, grid3_space, replay_steps(pol, grid3_space, twice), pooled)
     assert loss == 0.0  # identical pairs: both deltas vanish
-    t2 = sample_batch(pol, grid3_space, 8, 0.5, rng, compute_rewards=False)
-    loss, grads = ab_loss_batch(pol, grid3_space, tb, t2, pooled)
+    steps = sample_batch(pol, grid3_space, 16, 0.5, rng, compute_rewards=False, want_steps=True)
+    loss, grads = ab_loss_batch(pol, grid3_space, steps, pooled)
     assert loss == 0.0  # global == single local: deltas cancel exactly
     assert np.all(grads["policy"] == 0.0)
 
@@ -331,9 +333,8 @@ def test_ab_value_matches_formula_oracle(grid3, grid3_space, rng):
     glob = random_tabular(grid3_space, rng)
     locs = [random_tabular(grid3_space, rng) for _ in range(3)]
     omega = (0.5, 1.0, 2.0)
-    t1 = sample_batch(glob, grid3_space, 1, 0.5, rng, compute_rewards=False)
-    t2 = sample_batch(glob, grid3_space, 1, 0.5, rng, compute_rewards=False)
-    [tr1], [tr2] = paths(grid3_space, t1), paths(grid3_space, t2)
+    steps = sample_batch(glob, grid3_space, 2, 0.5, rng, compute_rewards=False, want_steps=True)
+    tr1, tr2 = paths(grid3_space, steps.tb)
 
     def delta(policy):
         r1 = oracle_log_pf(policy, grid3_space, grid3, tr1) - oracle_log_pb(grid3, tr1)
@@ -341,20 +342,20 @@ def test_ab_value_matches_formula_oracle(grid3, grid3_space, rng):
         return r1 - r2
 
     expected = (delta(glob) - sum(w * delta(p) for w, p in zip(omega, locs))) ** 2
-    loss, _ = ab_loss_batch(glob, grid3_space, t1, t2, PooledLocals(grid3_space, locs, omega))
+    loss, _ = ab_loss_batch(glob, grid3_space, steps, PooledLocals(grid3_space, locs, omega))
     assert loss == pytest.approx(float(expected), rel=1e-11)
 
 
 def test_ab_requires_locals(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False)
+    steps = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False, want_steps=True)
     with pytest.raises(ValueError):
-        ab_loss_batch(pol, grid3_space, tb, tb, PooledLocals(grid3_space))
+        ab_loss_batch(pol, grid3_space, steps, PooledLocals(grid3_space))
     for bad in [(1.0, 2.0), (0.0,), (-1.0,), (float("nan"),), (float("inf"),), ("1",)]:
         with pytest.raises(ValueError):
             PooledLocals(grid3_space, [pol], bad)
     pooled = PooledLocals(grid3_space, [MlpPolicy.create(grid3, (8,), rng)])
-    pooled.log_pf(tb)
+    pooled.log_pf(steps.tb)
     with pytest.raises(ValueError):  # its rows already met would miss it
         pooled.add(MlpPolicy.create(grid3, (8,), rng))
 
@@ -362,9 +363,8 @@ def test_ab_requires_locals(grid3, grid3_space, rng):
 def test_ab_never_touches_rewards(grid3, grid3_space, rng):
     # batches without rewards are accepted: the loss cannot depend on R
     pol = random_tabular(grid3_space, rng)
-    t1 = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False)
-    t2 = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False)
-    loss, _ = ab_loss_batch(pol, grid3_space, t1, t2, PooledLocals(grid3_space, [random_tabular(grid3_space, rng)]))
+    steps = sample_batch(pol, grid3_space, 8, 0.5, rng, compute_rewards=False, want_steps=True)
+    loss, _ = ab_loss_batch(pol, grid3_space, steps, PooledLocals(grid3_space, [random_tabular(grid3_space, rng)]))
     assert np.isfinite(loss)
 
 
@@ -410,16 +410,17 @@ def test_ab_pair_gradient_is_four_kl_gradients(request, space_name, rng):
     locs = [random_tabular(space, rng) for _ in range(3)]
     omega = (0.5, 1.0, 2.0)
     (tb,) = enumerate_trajectory_batches(space, chunk=count_trajectories(space))
-    pf, cache = replay_log_pf(glob, space, tb, want_cache=True)
+    steps = replay_steps(glob, space, tb)
+    pf = step_log_pf(steps)
     pb = replay_log_pb(space, tb)
     log_q = pb + sum(w * (replay_log_pf(p, space, tb) - pb) for w, p in zip(omega, locs))
     kl_grad = np.zeros(glob.n_params)
-    apply_log_pf_grad(glob, space, cache, np.exp(pf) * (pf - log_q), kl_grad)
+    apply_log_pf_grad(glob, space, steps, np.exp(pf) * (pf - log_q), kl_grad)
     n = tb.batch_size
     rep, til = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    pairs = replay_steps(glob, space, tb.subset(np.concatenate([rep, til])))
     _, grads = ab_loss_batch(
-        glob, space, tb.subset(rep), tb.subset(til), PooledLocals(space, locs, omega),
-        pair_weights=np.exp(pf[rep] + pf[til]),
+        glob, space, pairs, PooledLocals(space, locs, omega), pair_weights=np.exp(pf[rep] + pf[til])
     )
     assert np.max(np.abs(grads["policy"] - 4.0 * kl_grad)) <= 1e-12
 
@@ -432,67 +433,80 @@ def test_all_losses_vanish_at_exact_flows(rng):
     space = StateSpace.enumerated(env)
     pol = balanced_tabular_policy(space)
     # logZ for TB is the root flow; recover via one trajectory's violation
-    tb = sample_batch(pol, space, 64, 0.5, rng)
-    v, _ = tb_violations(pol, space, tb, 0.0)
-    logz = -float(v[0])
-    loss_tb, _ = tb_loss_batch(pol, space, tb, logz)
+    steps = sample_batch(pol, space, 64, 0.5, rng, want_steps=True)
+    logz = -float(tb_violations(space, steps, 0.0)[0])
+    loss_tb, _ = tb_loss_batch(pol, space, steps, logz)
     assert loss_tb <= 1e-18
-    half = tb.subset(slice(0, 32)), tb.subset(slice(32, 64))
-    loss_cb, _ = cb_loss_batch(pol, space, *half)
+    loss_cb, _ = cb_loss_batch(pol, space, steps)
     assert loss_cb <= 1e-18
-    loss_vl, _ = vl_loss_batch(pol, space, tb)
+    loss_vl, _ = vl_loss_batch(pol, space, steps)
     assert loss_vl <= 1e-18
-    loss_dbc, _ = dbc_loss_batch(pol, space, tb)
+    loss_dbc, _ = dbc_loss_batch(pol, space, steps)
     assert loss_dbc <= 1e-18
 
 
 # -- the sampler's step record against a replay ----------------------------------
 
 
-def _loss_from(kind, pol, flow, space, tb, pooled, steps):
-    half = tb.batch_size // 2
-    pairs = tb.subset(slice(0, half)), tb.subset(slice(half, 2 * half))
+def _loss_from(kind, pol, flow, space, pooled, steps):
     if kind == "TB":
-        return tb_loss_batch(pol, space, tb, 0.3, steps)
+        return tb_loss_batch(pol, space, steps, 0.3)
     if kind == "DB":
-        return db_loss_batch(pol, flow, space, tb, steps)
+        return db_loss_batch(pol, flow, space, steps)
     if kind == "DBC":
-        return dbc_loss_batch(pol, space, tb, steps)
+        return dbc_loss_batch(pol, space, steps)
     if kind == "CB":
-        return cb_loss_batch(pol, space, *pairs, steps=steps)
+        return cb_loss_batch(pol, space, steps)
     if kind == "VL":
-        return vl_loss_batch(pol, space, tb, steps)
-    return ab_loss_batch(pol, space, *pairs, pooled, steps=steps)
+        return vl_loss_batch(pol, space, steps)
+    return ab_loss_batch(pol, space, steps, pooled)
+
+
+def _case_locals(pol, space, rng):
+    if pol.backend == "tabular":
+        locs = [random_tabular(space, rng) for _ in range(2)]
+    else:
+        locs = [MlpPolicy.create(space.env, (8, 8), rng) for _ in range(2)]
+    return PooledLocals(space, locs, (0.5, 1.5))
+
+
+def _assert_same_loss(got, want, tol):
+    (got_loss, got), (want_loss, want) = got, want
+    assert abs(got_loss - want_loss) <= tol * max(1.0, abs(want_loss))
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert np.max(np.abs(np.subtract(got[name], want[name]))) <= tol, name
 
 
 @pytest.mark.parametrize("kind", ["TB", "DB", "DBC", "CB", "VL", "AB"])
 @pytest.mark.parametrize("case", [c for c in RECORD_CASES if not c.startswith("multiset")])
 def test_losses_read_the_sampled_record_as_a_replay(case, kind, rng):
     pol, flow, space = record_case(case, rng)
-    if pol.backend == "tabular":
-        locs = [random_tabular(space, rng) for _ in range(2)]
-    else:
-        locs = [MlpPolicy.create(space.env, (8, 8), rng) for _ in range(2)]
-    pooled = PooledLocals(space, locs, (0.5, 1.5))
+    pooled = _case_locals(pol, space, rng)
     tol = 0.0 if pol.backend == "tabular" else 1e-12
-    for batch in (16, 13):  # odd: the pair losses leave the last trajectory out
-        tb, steps = sample_batch(pol, space, batch, 0.4, rng, want_steps=True)
-        got_loss, got = _loss_from(kind, pol, flow, space, tb, pooled, steps)
-        want_loss, want = _loss_from(kind, pol, flow, space, tb, pooled, None)
-        assert abs(got_loss - want_loss) <= tol * max(1.0, abs(want_loss))
-        assert sorted(got) == sorted(want)
-        for name in want:
-            assert np.max(np.abs(np.subtract(got[name], want[name]))) <= tol, name
+    for batch in (16, 13):
+        steps = sample_batch(pol, space, batch, 0.4, rng, want_steps=True)
+        replay = replay_steps(pol, space, steps.tb)
+        got, want = (_loss_from(kind, pol, flow, space, pooled, s) for s in (steps, replay))
+        _assert_same_loss(got, want, tol)
 
 
-def test_a_record_of_another_batch_is_refused(grid3, grid3_space, rng):
-    pol = random_tabular(grid3_space, rng)
-    tb, steps = sample_batch(pol, grid3_space, 8, 0.5, rng, want_steps=True)
-    other = sample_batch(pol, grid3_space, 8, 0.5, rng)
-    with pytest.raises(ValueError, match="record"):
-        tb_loss_batch(pol, grid3_space, other, 0.0, steps)
-    with pytest.raises(ValueError, match="record"):  # longer than the batch it records
-        vl_loss_batch(pol, grid3_space, tb.concat(tb), steps)
+@pytest.mark.parametrize("kind", ["CB", "AB"])
+@pytest.mark.parametrize("case", ["grid3-tabular", "grid3-mlp", "lazy-sequence-mlp"])
+def test_an_odd_batch_leaves_its_last_trajectory_out_of_the_pairs(case, kind, rng):
+    # a pair loss on 2n + 1 trajectories is the same loss on the first 2n
+    pol, flow, space = record_case(case, rng)
+    pooled = _case_locals(pol, space, rng)
+    for n in (1, 6):
+        steps = sample_batch(pol, space, 2 * n + 1, 0.4, rng, want_steps=True)
+        even = replay_steps(pol, space, steps.tb.subset(slice(0, 2 * n)))
+        got, want = (_loss_from(kind, pol, flow, space, pooled, s) for s in (steps, even))
+        if pol.backend == "tabular":
+            assert got[0] == want[0] and np.array_equal(got[1]["policy"], want[1]["policy"])
+        else:
+            _assert_same_loss(got, want, 1e-12)
+    with pytest.raises(ValueError, match="at least 2"):
+        _loss_from(kind, pol, flow, space, pooled, sample_batch(pol, space, 1, 0.4, rng, want_steps=True))
 
 
 # -- gradient checks on both backends --------------------------------------------
@@ -535,22 +549,25 @@ def test_gradients_match_finite_differences(backend, rng):
         flow.params = rng.normal(0, 0.5, flow.n_params)
     locs = [random_tabular(space, rng) for _ in range(2)]
     tb = sample_batch(pol, space, 12, 0.4, rng)
-    t1, t2 = tb.subset(slice(0, 6)), tb.subset(slice(6, 12))
+
+    def rec():  # the batch's record under the current parameters
+        return replay_steps(pol, space, tb)
+
     checks = {
-        "TB": lambda: tb_loss_batch(pol, space, tb, 0.3),
-        "CB": lambda: cb_loss_batch(pol, space, t1, t2),
-        "VL": lambda: vl_loss_batch(pol, space, tb),
-        "DB": lambda: db_loss_batch(pol, flow, space, tb),
-        "DBC": lambda: dbc_loss_batch(pol, space, tb),
-        "AB": lambda: ab_loss_batch(pol, space, t1, t2, PooledLocals(space, locs, (1.0, 0.5))),
+        "TB": lambda: tb_loss_batch(pol, space, rec(), 0.3),
+        "CB": lambda: cb_loss_batch(pol, space, rec()),
+        "VL": lambda: vl_loss_batch(pol, space, rec()),
+        "DB": lambda: db_loss_batch(pol, flow, space, rec()),
+        "DBC": lambda: dbc_loss_batch(pol, space, rec()),
+        "AB": lambda: ab_loss_batch(pol, space, rec(), PooledLocals(space, locs, (1.0, 0.5))),
     }
     for name, fn in checks.items():
         assert _fd_worst(fn, pol, rng) <= 1e-4, name
     assert _fd_worst(checks["DB"], flow, rng) <= 1e-4
     # logZ gradient by finite differences
-    _, grads = tb_loss_batch(pol, space, tb, 0.3)
+    _, grads = tb_loss_batch(pol, space, rec(), 0.3)
     h = 1e-5
-    up, _ = tb_loss_batch(pol, space, tb, 0.3 + h)
-    dn, _ = tb_loss_batch(pol, space, tb, 0.3 - h)
+    up, _ = tb_loss_batch(pol, space, rec(), 0.3 + h)
+    dn, _ = tb_loss_batch(pol, space, rec(), 0.3 - h)
     fd = (up - dn) / (2 * h)
     assert abs(fd - grads["logz"]) / max(abs(fd), 1e-8) <= 1e-6

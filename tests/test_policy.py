@@ -10,7 +10,6 @@ from gfnpool.losses import MlpFlow, TabularFlow
 from gfnpool.policy import (
     MlpPolicy,
     TabularPolicy,
-    TrajectoryBatch,
     action_distribution,
     balanced_tabular_policy,
     load_snapshot,
@@ -235,37 +234,24 @@ def test_sampled_step_record_is_the_replay_record(case, rng):
     tol = 0.0 if pol.backend == "tabular" else 1e-12
     reordered = False  # whether some stacked forward was not in np.unique order
     for batch, epsilon in ((33, 0.0), (33, 0.5), (1, 0.5)):
-        tb, steps = sample_batch(pol, space, batch, epsilon, rng, want_steps=True)
-        ref = replay_steps(pol, space, tb)
-        for got, want in zip(steps[:3], ref[:3]):  # valid, states and actions, row-major
+        steps = sample_batch(pol, space, batch, epsilon, rng, want_steps=True)
+        ref = replay_steps(pol, space, steps.tb)
+        assert ref.tb is steps.tb
+        for got, want in zip(steps[1:4], ref[1:4]):  # valid, states and actions, row-major
             assert np.array_equal(got, want)
-        assert_rows_match(steps[3], ref[3], tol)
-        assert_rows_match(steps[4], ref[4], tol)
+        assert_rows_match(steps.logp, ref.logp, tol)
+        assert_rows_match(steps.p, ref.p, tol)
         if pol.backend == "tabular":
-            assert steps[5] is None and ref[5] is None
+            assert steps.cache is None and ref.cache is None
             continue
         # the stacked forwards in np.unique order: the cache mlp_rows builds
-        (fwd, inv, uniq), (ref_fwd, ref_inv, ref_uniq) = steps[5], ref[5]
+        (fwd, inv, uniq), (ref_fwd, ref_inv, ref_uniq) = steps.cache, ref.cache
         assert np.array_equal(uniq, ref_uniq) and np.array_equal(inv, ref_inv)
         for got, want in zip(fwd[0] + fwd[1][:-1], ref_fwd[0] + ref_fwd[1][:-1]):
             assert_rows_match(got, want, tol)
         assert fwd[1][-1] is None
         reordered |= bool(np.any(np.diff(space.depth(uniq)) < 0))
     assert reordered == (not space.complete)  # the lazy case needs the permutation
-
-
-def test_batch_concat_keeps_step_order_and_checks_horizon(grid3, grid3_space, rng):
-    pol = random_tabular(grid3_space, rng)
-    tb1, tb2 = (sample_batch(pol, grid3_space, 8, 0.4, rng) for _ in range(2))
-    both = tb1.concat(tb2)
-    assert both.batch_size == 16
-    joint = replay_log_pf(pol, grid3_space, both)
-    assert np.array_equal(joint, np.concatenate([replay_log_pf(pol, grid3_space, tb) for tb in (tb1, tb2)]))
-    assert tb1.concat(TrajectoryBatch(**{**tb2.__dict__, "log_reward": None})).log_reward is None
-    cut = {k: v[:, :-1] for k, v in tb2.__dict__.items() if k in ("states", "actions", "log_pf", "log_pb")}
-    short = TrajectoryBatch(**{**tb2.__dict__, **cut})
-    with pytest.raises(ValueError, match="horizon"):
-        tb1.concat(short)
 
 
 def test_forced_single_path_log_pf_zero():

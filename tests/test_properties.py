@@ -86,14 +86,11 @@ def test_cb_invariant_to_logz_and_vl_pair_identity(seed, logz):
     env = MultisetEnv(values=(0.4, -0.7), target_size=2)
     space = StateSpace.enumerated(env)
     pol = TabularPolicy(space, rng.normal(0, 1, (space.n_states, space.arity)))
-    tb = sample_batch(pol, space, 8, 0.5, rng)
-    t1, t2 = tb.subset(slice(0, 4)), tb.subset(slice(4, 8))
-    v1, _ = tb_violations(pol, space, t1, logz)
-    v2, _ = tb_violations(pol, space, t2, logz)
-    cb, _ = cb_loss_batch(pol, space, t1, t2)
-    assert abs(cb - float(np.mean((v1 - v2) ** 2))) <= 1e-10
-    v, _ = tb_violations(pol, space, tb, logz)
-    vl, _ = vl_loss_batch(pol, space, tb)
+    steps = sample_batch(pol, space, 8, 0.5, rng, want_steps=True)
+    v = tb_violations(space, steps, logz)
+    cb, _ = cb_loss_batch(pol, space, steps)
+    assert abs(cb - float(np.mean((v[:4] - v[4:]) ** 2))) <= 1e-10
+    vl, _ = vl_loss_batch(pol, space, steps)
     pairs = float(np.mean([(a - b) ** 2 for a in v for b in v]))
     assert abs(pairs - 2 * vl) <= 1e-10
 

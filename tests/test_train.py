@@ -129,8 +129,8 @@ def test_clients_share_one_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["tabular", "mlp"])
 def test_cb_replays_once_per_epoch(grid3, grid3_space, monkeypatch, backend):
-    # one sampling pass per epoch, and no replay: the pair loss reads both
-    # halves off the sampler's step record
+    # one sampling pass per epoch, and no replay: the pair loss reads every
+    # pair off the sampler's step record
     import gfnpool.train as train_module
 
     replayed = count_replays(monkeypatch)
