@@ -4,7 +4,7 @@ construction of client environments and module configs from one file."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .envs import (
 )
 from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec, pooling_weights
-from .train import TrainConfig, derive_seed
+from .train import TrainConfig, client_configs, derive_seed
 
 OUTPUT_ROOT_VAR = "GFNPOOL_OUTPUT_ROOT"
 
@@ -168,8 +168,7 @@ class RunConfig:
             raise ConfigError("train", str(exc)) from exc
 
     def client_train_configs(self) -> list[TrainConfig]:
-        base = self.train_template()
-        return [replace(base, seed=derive_seed(self.seed, k)) for k in range(self.n_clients)]
+        return client_configs(self.train_template(), self.seed, self.n_clients)
 
     def aggregate_config(self) -> AggregateConfig:
         d = self.doc

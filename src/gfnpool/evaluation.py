@@ -379,8 +379,7 @@ def cb_kl_gradient_identity_check(
         pair_loss = partial(ab_loss_batch, pooled=pooled)
     p_tau = np.exp(pf)
     ell = pf - pb - log_target
-    lhs = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, steps, p_tau * ell, lhs)
+    lhs = apply_log_pf_grad(policy, space, steps, p_tau * ell)
     # every ordered pair (i, j): trajectory i in the first half, j in the second
     rep = np.repeat(np.arange(tb.batch_size), tb.batch_size)
     til = np.tile(np.arange(tb.batch_size), tb.batch_size)

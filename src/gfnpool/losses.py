@@ -2,14 +2,15 @@
 
 Every loss takes one step record, `policy.Steps`: a `TrajectoryBatch` (a
 single trajectory is a one-row batch) with the trained policy's rows at
-each of its steps. It returns the batch loss value and accumulates analytic
-gradients for whichever parameter blocks the criterion trains. `fit` passes
-the record of the sampling pass it just made, so nothing is computed
-twice; a caller with a batch that was not just sampled passes
-`replay_steps(policy, space, tb)`.
+each of its steps. It returns the batch loss value and one analytic
+gradient per parameter block the criterion trains, the flat array each
+block's `logits_grad` returns. `fit` passes the record of the sampling
+pass it just made, so nothing is computed twice; a caller with a batch
+that was not just sampled passes `replay_steps(policy, space, tb)`.
 
   TB   squared trajectory-balance violation; trains policy + log Z
-  DB   edgewise detailed balance with boundary terms; trains policy + flow
+  DB   edgewise detailed balance with boundary terms; trains policy + the
+       state flow log F(s), a one-column block of the policy's backend
   DBC  DB specialized to graphs where every state is terminal; policy only
   CB   squared contrast between two trajectories' violations; policy only
   VL   squared deviation of the violation from the batch mean; policy only
@@ -31,24 +32,21 @@ pair and gets coefficient 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envs.space import StateSpace
 from .errors import RewardSupportError, UnsupportedLossError
-from .nn import MlpSpec, mlp_init
 from .policy import (
     ForwardPolicy,
     Steps,
     TrajectoryBatch,
     apply_log_pf_grad,
     cache_rows,
-    mlp_rows,
-    mlp_rows_grad,
     policy_rows,
     replay_log_pb,
-    row_sums,
     step_log_pf,
     step_sums,
 )
@@ -68,81 +66,12 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-        if self.logz_lr <= 0:
-            raise ValueError("logz_lr must be positive")
+        if not (math.isfinite(self.logz_lr) and self.logz_lr > 0):
+            raise ValueError(f"logz_lr must be a finite number > 0, got {self.logz_lr!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         if self.weights is not None:
             pooling_weights(self.weights)
-
-
-# ---------------------------------------------------------------------------
-# state-flow backends for the DB loss
-
-
-class TabularFlow:
-    """log F(s) stored per enumerated state."""
-
-    backend = "tabular"
-    no_decay = True
-
-    def __init__(self, space: StateSpace, values: np.ndarray | None = None):
-        space.require_complete()
-        self.values = np.zeros(space.n_states) if values is None else np.asarray(values, dtype=np.float64)
-
-    @property
-    def n_params(self) -> int:
-        return self.values.size
-
-    def get_params(self) -> np.ndarray:
-        return self.values.copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        self.values = flat.copy()
-
-    def log_flow(self, space, idx):
-        """(log F at `idx`, cache for `accumulate_dflow`); no cache here."""
-        return self.values[idx], None
-
-    def accumulate_dflow(self, space, idx, dv, grad_flat, cache) -> None:
-        grad_flat += row_sums(idx, dv[:, None], grad_flat.size)[:, 0]
-
-
-class MlpFlow:
-    """log F(s) as a scalar-output MLP mirroring the policy architecture."""
-
-    backend = "mlp"
-    no_decay = False
-
-    def __init__(self, spec: MlpSpec, params: np.ndarray):
-        self.spec = spec
-        self.params = np.asarray(params, dtype=np.float64)
-
-    @classmethod
-    def create(cls, env, hidden: tuple[int, ...], rng: np.random.Generator) -> "MlpFlow":
-        spec = MlpSpec((env.feature_dim, *hidden, 1))
-        return cls(spec, mlp_init(spec, rng))
-
-    @property
-    def n_params(self) -> int:
-        return self.spec.n_params
-
-    def get_params(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        self.params = flat.copy()
-
-    def log_flow(self, space, idx):
-        """(log F at `idx`, the cache `accumulate_dflow` takes), from one
-        forward over the distinct states of `idx`."""
-        out, cache = mlp_rows(self.spec, self.params, space, idx)
-        return out[:, 0], cache
-
-    def accumulate_dflow(self, space, idx, dv, grad_flat, cache) -> None:
-        """Add d(sum of dv * log F)/d(params); `cache` is the one log_flow
-        returned for `idx`, or `cache_rows` of it for rows taken from it."""
-        grad_flat += mlp_rows_grad(self.spec, self.params, cache, dv[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +116,7 @@ def _pair_loss(policy, space, steps: Steps, a: np.ndarray, pair_weights):
     g = 2.0 * w * a
     coeffs = np.zeros(steps.tb.batch_size)
     coeffs[:n], coeffs[n : 2 * n] = g, -g
-    grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, steps, coeffs, grad)
-    return float(np.sum(w * a**2)), {"policy": grad}
+    return float(np.sum(w * a**2)), {"policy": apply_log_pf_grad(policy, space, steps, coeffs)}
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +215,7 @@ class PooledLocals:
 def tb_loss_batch(policy, space, steps: Steps, logz: float):
     """Mean squared TB violation; gradients for the policy and log Z."""
     v = tb_violations(space, steps, logz)
-    n = steps.tb.batch_size
-    grad = np.zeros(policy.n_params)
-    apply_log_pf_grad(policy, space, steps, 2.0 * v / n, grad)
+    grad = apply_log_pf_grad(policy, space, steps, 2.0 * v / steps.tb.batch_size)
     return float(np.mean(v**2)), {"policy": grad, "logz": float(np.mean(2.0 * v))}
 
 
@@ -308,25 +233,25 @@ def vl_loss_batch(policy, space, steps: Steps):
         raise ValueError("variance loss needs a batch of at least 2 trajectories")
     v = tb_violations(space, steps)
     d = v - v.mean()
-    grad = np.zeros(policy.n_params)
     # d(mean d^2)/dtheta = (2/n) sum_k d_k dV_k since the deviations sum to 0
-    apply_log_pf_grad(policy, space, steps, 2.0 * d / n, grad)
-    return float(np.mean(d**2)), {"policy": grad}
+    return float(np.mean(d**2)), {"policy": apply_log_pf_grad(policy, space, steps, 2.0 * d / n)}
 
 
 def db_loss_batch(policy, flow, space, steps: Steps):
     """Mean squared detailed-balance violation over every transition in the
-    batch, boundary terms included. A step's successor s' is the next row
-    of the step record, so one flow forward over the steps gives log F(s)
-    and log F(s'). The flow gradient is one pass over the successor terms
-    concatenated with the own-state terms: the order a loop over t meets
-    them in."""
+    batch, boundary terms included. `flow` is a one-column block of the
+    policy's backend, whose column 0 is log F. A step's successor s' is the
+    next row of the step record, so one flow forward over the steps gives
+    log F(s) and log F(s'). The flow gradient is one pass over the successor
+    terms concatenated with the own-state terms: the order a loop over t
+    meets them in."""
     tb = steps.tb
     log_r = _require_rewards(tb)
     s, a, logp, p = steps.states, steps.actions, steps.logp, steps.p
     total = s.size
     lp_a = logp[np.arange(total), a]
-    lf_s, fc = flow.log_flow(space, s)
+    lf, fc = flow.logits_rows(space, s)
+    lf_s = lf[:, 0]
     stop = np.cumsum(tb.lengths) - 1  # each trajectory's last step, in row order
     go = np.setdiff1d(np.arange(total), stop)  # the others move to step go + 1
     nxt = s[go + 1]
@@ -336,12 +261,12 @@ def db_loss_batch(policy, flow, space, steps: Steps):
     coeff = 2.0 * viol / total
     dl = -p * coeff[:, None]
     dl[np.arange(total), a] += coeff
-    grad_p = np.zeros(policy.n_params)
-    policy.accumulate_dlogits(space, s, dl, grad_p, steps.cache)
     rows = np.concatenate([go + 1, np.arange(total)])  # successor terms, then own-state terms
-    grad_f = np.zeros(flow.n_params)
-    flow.accumulate_dflow(space, s[rows], np.concatenate([-coeff[go], coeff]), grad_f, cache_rows(fc, rows))
-    return float(np.sum(viol**2)) / total, {"policy": grad_p, "flow": grad_f}
+    dv = np.concatenate([-coeff[go], coeff])[:, None]
+    return float(np.sum(viol**2)) / total, {
+        "policy": policy.logits_grad(s, dl, steps.cache),
+        "flow": flow.logits_grad(s[rows], dv, cache_rows(fc, rows)),
+    }
 
 
 def dbc_loss_batch(policy, space, steps: Steps):
@@ -382,8 +307,7 @@ def dbc_loss_batch(policy, space, steps: Steps):
     dl[succ, stop] -= coeff
     dl[own, stop] += coeff
     dl[own, a[go]] -= coeff
-    grad = np.zeros(policy.n_params)
-    policy.accumulate_dlogits(space, s[rows], dl, grad, cache_rows(steps.cache, rows))
+    grad = policy.logits_grad(s[rows], dl, cache_rows(steps.cache, rows))
     return float(np.sum(viol**2)) / interior, {"policy": grad}
 
 

@@ -20,18 +20,24 @@ equal to its depth. Scatter-adds over the flat steps (`row_sums`, one
 `np.bincount` over flat cells) therefore meet each state's terms in the
 order a loop over t would, and tabular results keep their bits.
 
-An MLP evaluates each distinct state of a call once: `mlp_rows` runs the
-forward over the unique state indices and expands the rows back, and
-`mlp_rows_grad` sums each state's output gradients before one backward.
-The sampler's record stacks the forwards of its steps, whose distinct
-states never coincide, in `np.unique` order, so its cache is the one
-`mlp_rows` would build. Tabular rows are plain gathers and skip the dedupe.
+A block has k output columns per state: the arity for a policy, one for
+the state flow log F(s) that DB trains, so a flow is a
+`TabularPolicy(space, zeros((n, 1)))` or an `MlpPolicy` whose last width is
+1. Each block returns the flat gradient of its outputs, `logits_grad`.
+
+An MLP evaluates each distinct state of a call once: `MlpPolicy.logits_rows`
+runs the forward over the unique state indices and expands the rows back,
+and `MlpPolicy.logits_grad` sums each state's output gradients before one
+backward. The sampler's record stacks the forwards of its steps, whose
+distinct states never coincide, in `np.unique` order, so its cache is the
+one `logits_rows` would build. Tabular rows are plain gathers and skip the dedupe.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,26 +86,6 @@ def row_sums(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cells, weights=vals.ravel(), minlength=n * k).reshape(n, k)
 
 
-def mlp_rows(spec: MlpSpec, params: np.ndarray, space: StateSpace, idx: np.ndarray):
-    """(network output at the state indices `idx`, one row each, and the
-    cache `mlp_rows_grad` takes). A state's row does not depend on how it
-    was reached, so one forward runs over the distinct states in `idx`, and
-    its rows are expanded back through the inverse index. The cache is
-    (forward cache, inverse index, distinct states)."""
-    uniq, inv = np.unique(idx, return_inverse=True)
-    out, cache = mlp_forward(spec, params, space.features(uniq))
-    return out[inv], (cache, inv, uniq)
-
-
-def mlp_rows_grad(spec: MlpSpec, params: np.ndarray, cache, dout: np.ndarray) -> np.ndarray:
-    """Parameter gradient of sum(dout * rows) for the rows `mlp_rows`
-    returned with `cache`: the `dout` rows of each distinct state are summed,
-    then one backward runs over the distinct states. The backward is linear
-    in its output gradient, so this equals one backward per row."""
-    fwd, inv, uniq = cache
-    return mlp_backward(spec, params, fwd, row_sums(inv, dout, uniq.size))[0]
-
-
 def cache_rows(cache, rows):
     """The backend cache for the rows `rows` of the call that returned
     `cache`: a tabular gather has none, and an MLP cache keeps its forward
@@ -115,10 +101,10 @@ def cache_rows(cache, rows):
 
 
 class ForwardPolicy:
-    """Interface shared by the tabular and MLP backends."""
+    """Interface shared by the tabular and MLP backends: k output columns per
+    state, the arity for a policy and one column for a state flow."""
 
     backend: str = "abstract"
-    no_decay: bool = True  # whether weight decay should skip these params
 
     @property
     def arity(self) -> int:
@@ -135,30 +121,28 @@ class ForwardPolicy:
         raise NotImplementedError
 
     def logits_rows(self, space: StateSpace, idx: np.ndarray):
-        """((batch, arity) raw logits, an opaque cache for the matching
-        accumulate_dlogits call)."""
+        """((batch, k) raw outputs, an opaque cache for the matching
+        logits_grad call)."""
         raise NotImplementedError
 
-    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
-        """Add d(sum of weighted logits)/d(params) into grad_flat; `cache` is
-        the one logits_rows returned for `idx`, or `cache_rows` of it for
+    def logits_grad(self, idx: np.ndarray, dlogits: np.ndarray, cache) -> np.ndarray:
+        """Flat parameter gradient of sum(dlogits * outputs at `idx`); `cache`
+        is the one logits_rows returned for `idx`, or `cache_rows` of it for
         rows taken from it."""
         raise NotImplementedError
 
 
 class TabularPolicy(ForwardPolicy):
-    """One logit row per enumerated state."""
+    """One row of k outputs per enumerated state; k defaults to the arity."""
 
     backend = "tabular"
-    no_decay = True
 
     def __init__(self, space: StateSpace, table: np.ndarray | None = None):
         space.require_complete()
-        self.space = space
-        n, a = space.n_states, space.arity
-        self.table = np.zeros((n, a)) if table is None else np.asarray(table, dtype=np.float64)
-        if self.table.shape != (n, a):
-            raise ValueError(f"table shape {self.table.shape} != ({n}, {a})")
+        n = space.n_states
+        self.table = np.zeros((n, space.arity)) if table is None else np.asarray(table, dtype=np.float64)
+        if self.table.ndim != 2 or self.table.shape[0] != n:
+            raise ValueError(f"table shape {self.table.shape} does not have {n} rows")
 
     @property
     def arity(self) -> int:
@@ -177,18 +161,18 @@ class TabularPolicy(ForwardPolicy):
     def logits_rows(self, space, idx):
         return self.table[idx], None
 
-    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
-        grad_flat += row_sums(idx, dlogits, self.table.shape[0]).ravel()
+    def logits_grad(self, idx, dlogits, cache) -> np.ndarray:
+        return row_sums(idx, dlogits, self.table.shape[0]).ravel()
 
     def arch_descriptor(self) -> dict:
         return {"n_states": self.table.shape[0], "arity": self.table.shape[1]}
 
 
 class MlpPolicy(ForwardPolicy):
-    """Max-arity head over the environment's feature encoding."""
+    """Network over the environment's feature encoding; its last width is the
+    output count k."""
 
     backend = "mlp"
-    no_decay = False
 
     def __init__(self, spec: MlpSpec, params: np.ndarray):
         self.spec = spec
@@ -216,10 +200,20 @@ class MlpPolicy(ForwardPolicy):
         self.params = flat.copy()
 
     def logits_rows(self, space, idx):
-        return mlp_rows(self.spec, self.params, space, idx)
+        """One forward over the distinct states of `idx`, its rows expanded
+        back through the inverse index: a state's row does not depend on how
+        it was reached. The cache is (forward cache, inverse index, distinct
+        states)."""
+        uniq, inv = np.unique(idx, return_inverse=True)
+        out, cache = mlp_forward(self.spec, self.params, space.features(uniq))
+        return out[inv], (cache, inv, uniq)
 
-    def accumulate_dlogits(self, space, idx, dlogits, grad_flat, cache) -> None:
-        grad_flat += mlp_rows_grad(self.spec, self.params, cache, dlogits)
+    def logits_grad(self, idx, dlogits, cache) -> np.ndarray:
+        """The `dlogits` rows of each distinct state are summed, then one
+        backward runs over the distinct states. The backward is linear in its
+        output gradient, so this equals one backward per row."""
+        fwd, inv, uniq = cache
+        return mlp_backward(self.spec, self.params, fwd, row_sums(inv, dlogits, uniq.size))[0]
 
     def arch_descriptor(self) -> dict:
         return {
@@ -278,13 +272,13 @@ class Steps(NamedTuple):
     actions: np.ndarray  # the actions they take
     logp: np.ndarray  # one masked log-softmax row per step
     p: np.ndarray  # one softmax row per step
-    cache: object  # the backend cache `accumulate_dlogits` takes for `states`
+    cache: object  # the backend cache `logits_grad` takes for `states`
 
 
 def policy_rows(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
     """(child codes, masked log-softmax, softmax, backend cache) of the
     policy at the state indices `idx`, one row each; the cache is the one
-    `accumulate_dlogits` takes for the same `idx`."""
+    `logits_grad` takes for the same `idx`."""
     rows = space.children_rows(idx)
     legal = rows != CHILD_ILLEGAL
     if not legal.any(axis=1).all():
@@ -394,10 +388,10 @@ def _step_record(tb: TrajectoryBatch, record) -> Steps:
 
 
 def _stack_mlp_rows(caches, s: np.ndarray):
-    """The `mlp_rows` cache of the flat states `s`, from the sampler's
-    per-step caches. The DAG is graded, so the steps' distinct states are
-    disjoint: stacked and sorted, they are `np.unique(s)`, also on a lazily
-    expanded space, where discovery order is not depth order."""
+    """The `MlpPolicy.logits_rows` cache of the flat states `s`, from the
+    sampler's per-step caches. The DAG is graded, so the steps' distinct
+    states are disjoint: stacked and sorted, they are `np.unique(s)`, also
+    on a lazily expanded space, where discovery order is not depth order."""
     order = np.argsort(np.concatenate([uniq for *_, uniq in caches]))
     uniq, inv = np.unique(s, return_inverse=True)
     return mlp_stack_caches([fwd for fwd, *_ in caches], order), inv, uniq
@@ -426,15 +420,15 @@ def replay_log_pf(policy: ForwardPolicy, space: StateSpace, tb: TrajectoryBatch)
     return step_log_pf(replay_steps(policy, space, tb))
 
 
-def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, steps: Steps, coeffs: np.ndarray, grad_flat: np.ndarray) -> None:
-    """Accumulate sum_k coeffs[k] * d log p_F(tau_k) / d params into grad_flat,
-    from the step record of the batch: one `accumulate_dlogits` call over
-    every step of it."""
+def apply_log_pf_grad(policy: ForwardPolicy, space: StateSpace, steps: Steps, coeffs: np.ndarray) -> np.ndarray:
+    """The flat gradient sum_k coeffs[k] * d log p_F(tau_k) / d params, from
+    the step record of the batch: one `logits_grad` call over every step of
+    it."""
     s, a = steps.states, steps.actions
     c = coeffs[np.nonzero(steps.valid)[0]]  # each step takes its trajectory's coefficient
     dl = steps.p * -c[:, None]
     dl[np.arange(s.size), a] += c
-    policy.accumulate_dlogits(space, s, dl, grad_flat, steps.cache)
+    return policy.logits_grad(s, dl, steps.cache)
 
 
 def replay_log_pb(space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:
@@ -516,19 +510,26 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
         doc = json.loads(blob.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"undecodable snapshot: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != SNAPSHOT_VERSION:
+    if not isinstance(doc, dict):
+        raise SnapshotError("a snapshot must be a JSON object")
+    if doc.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(f"unknown snapshot version: {doc.get('version')!r}")
     if doc.get("env_fingerprint") != env.fingerprint():
         raise FingerprintMismatchError(
             f"snapshot fingerprint {doc.get('env_fingerprint')!r} != environment {env.fingerprint()!r}"
         )
-    if doc.get("backward", {}).get("mode") != "uniform":
+    backward = doc.get("backward")
+    if not isinstance(backward, dict) or backward.get("mode") != "uniform":
         raise SnapshotError("unsupported backward-policy mode")
     try:
         params = np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").astype(np.float64)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"bad parameter payload: {exc}") from exc
-    arch = doc.get("arch", {})
+    if not np.all(np.isfinite(params)):
+        raise SnapshotError("non-finite parameter in the payload")
+    arch = doc.get("arch")
+    if not isinstance(arch, dict):
+        raise SnapshotError(f"snapshot arch must be an object, got {arch!r}")
     if doc.get("backend") == "tabular":
         if space is None:
             space = StateSpace.enumerated(env)
@@ -538,12 +539,17 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
             raise SnapshotError(
                 f"tabular arch ({n}, {a}) does not match enumeration ({space.n_states}, {space.arity})"
             )
-        if params.size != n * a:
+        if params.size != space.n_states * space.arity:
             raise SnapshotError("truncated tabular parameter payload")
-        policy: ForwardPolicy = TabularPolicy(space, params.reshape(n, a))
+        policy: ForwardPolicy = TabularPolicy(space, params.reshape(space.n_states, space.arity))
     elif doc.get("backend") == "mlp":
-        widths = tuple(arch.get("widths", ()))
-        spec = MlpSpec(widths, arch.get("negative_slope", 0.01))
+        widths, slope = arch.get("widths"), arch.get("negative_slope", 0.01)
+        try:  # `type(...) is int` also turns away JSON booleans
+            if not (all(type(w) is int for w in widths) and type(slope) in (int, float) and math.isfinite(slope)):
+                raise ValueError(f"widths {widths!r} or negative_slope {slope!r} has the wrong type")
+            spec = MlpSpec(tuple(widths), slope)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SnapshotError(f"bad MLP arch: {exc}") from exc
         if widths[0] != env.feature_dim or widths[-1] != env.max_arity:
             raise SnapshotError("MLP spec does not fit the environment")
         if params.size != spec.n_params:
@@ -552,3 +558,4 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
     else:
         raise SnapshotError(f"unknown backend {doc.get('backend')!r}")
     return policy, doc.get("meta", {})
+

@@ -5,6 +5,7 @@ parallel fan-out over clients."""
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -18,15 +19,13 @@ from .envs.space import DEFAULT_STATE_GUARD, StateSpace
 from .errors import EnumerationGuardError, NumericError
 from .losses import (
     LossSpec,
-    MlpFlow,
-    TabularFlow,
     cb_loss_batch,
     db_loss_batch,
     dbc_loss_batch,
     tb_loss_batch,
     vl_loss_batch,
 )
-from .nn import AdamWState, ParamGroup, adamw_step
+from .nn import AdamWState, MlpSpec, ParamGroup, adamw_step, mlp_init
 from .policy import MlpPolicy, Steps, TabularPolicy, sample_batch, save_snapshot
 
 
@@ -35,6 +34,10 @@ def check_fit_settings(cfg) -> None:
     and an AggregateConfig."""
     if cfg.epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ValueError(f"lr must be a finite number > 0, got {cfg.lr!r}")
+    if not (math.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
+        raise ValueError(f"weight_decay must be a finite number >= 0, got {cfg.weight_decay!r}")
     if cfg.batch < 2:
         raise ValueError("batch must be >= 2 (pair losses halve it)")
     if cfg.backend not in ("tabular", "mlp"):
@@ -100,37 +103,39 @@ def build_space(env: Environment, cfg) -> StateSpace:
 class Model:
     """One run's trainable blocks as views into one flat parameter buffer:
     the policy, then log Z and the flow when the loss has them, with one
-    AdamW group each. AdamW updates `params` in place, so the blocks always
-    hold the current values."""
+    AdamW group each. The flow is a one-column block of the policy's
+    backend. Tabular blocks start at zero; each MLP block draws its weights
+    from the start of the init stream. AdamW updates `params` in place, so
+    the blocks always hold the current values."""
 
     def __init__(self, env, space, cfg, init_ss, logz_lr: float | None = None, flow: bool = False):
         tabular = cfg.backend == "tabular"
-        if tabular:
-            policy, net = TabularPolicy(space), TabularFlow(space) if flow else None
-        else:  # each MLP block draws its weights from the start of the init stream
-            policy = MlpPolicy.create(env, cfg.hidden, np.random.default_rng(init_ss))
-            net = MlpFlow.create(env, cfg.hidden, np.random.default_rng(init_ss)) if flow else None
+        decay = 0.0 if tabular else cfg.weight_decay
 
-        def decay(block):
-            return 0.0 if block.no_decay else cfg.weight_decay
+        def spec(k):
+            return MlpSpec((env.feature_dim, *cfg.hidden, k))
 
-        self.groups = [ParamGroup("policy", policy.n_params, weight_decay=decay(policy))]
-        init = [policy.get_params()]
+        def size(k):
+            return space.n_states * k if tabular else spec(k).n_params
+
+        self.groups = [ParamGroup("policy", size(env.max_arity), weight_decay=decay)]
         if logz_lr is not None:
             self.groups.append(ParamGroup("logz", 1, lr=logz_lr, weight_decay=0.0))
-            init.append(np.zeros(1))
-        if net is not None:
-            self.groups.append(ParamGroup("flow", net.n_params, weight_decay=decay(net)))
-            init.append(net.get_params())
-        self.params = np.concatenate(init)
-        views = np.split(self.params, np.cumsum([g.size for g in self.groups])[:-1])
-        self._logz = views[1] if logz_lr is not None else None
-        if tabular:
-            self.policy = TabularPolicy(space, views[0].reshape(policy.table.shape))
-            self.flow = None if net is None else TabularFlow(space, views[-1])
-        else:
-            self.policy = MlpPolicy(policy.spec, views[0])
-            self.flow = None if net is None else MlpFlow(net.spec, views[-1])
+        if flow:
+            self.groups.append(ParamGroup("flow", size(1), weight_decay=decay))
+        sizes = [g.size for g in self.groups]
+        self.params = np.zeros(sum(sizes))
+        views = dict(zip([g.name for g in self.groups], np.split(self.params, np.cumsum(sizes)[:-1])))
+
+        def block(view, k):
+            if tabular:
+                return TabularPolicy(space, view.reshape(space.n_states, k))
+            view[:] = mlp_init(spec(k), np.random.default_rng(init_ss))
+            return MlpPolicy(spec(k), view)
+
+        self.policy = block(views["policy"], env.max_arity)
+        self._logz = views.get("logz")
+        self.flow = block(views["flow"], 1) if flow else None
 
     @property
     def logz(self) -> float:

@@ -70,6 +70,16 @@ def random_tabular(space, gen, scale=1.0):
     return TabularPolicy(space, gen.normal(0.0, scale, (space.n_states, space.arity)))
 
 
+def mlp_flow(env, hidden, gen):
+    """A one-column MLP block, log F(s), drawn from `gen` as
+    `MlpPolicy.create` draws a policy."""
+    from gfnpool.nn import MlpSpec, mlp_init
+    from gfnpool.policy import MlpPolicy
+
+    spec = MlpSpec((env.feature_dim, *hidden, 1))
+    return MlpPolicy(spec, mlp_init(spec, gen))
+
+
 def paths(space, tb):
     """Each row of a batch as (state keys, actions), stop action last."""
     return [
@@ -123,10 +133,10 @@ RECORD_CASES = ["grid3-tabular", "multiset-tabular", "grid3-mlp", "lazy-sequence
 
 def record_case(case, gen):
     """(policy, flow, space) for comparing a sampled step record with a
-    replay. The lazy case's space has grown over earlier batches, so its
-    discovery order is no longer depth order."""
-    from gfnpool.losses import MlpFlow, TabularFlow
-    from gfnpool.policy import MlpPolicy, sample_batch
+    replay; the flow is a one-column block of the policy's backend. The lazy
+    case's space has grown over earlier batches, so its discovery order is
+    no longer depth order."""
+    from gfnpool.policy import MlpPolicy, TabularPolicy, sample_batch
 
     env_name, backend = case.rsplit("-", 1)
     if env_name == "grid3":
@@ -137,9 +147,10 @@ def record_case(case, gen):
         env = SequenceEnv(pos_scores=(0.4, -0.2, 0.3, 0.1, -0.5, 0.2), token_scores=(0.5, -0.3, 0.2, 0.1))
     if backend == "tabular":
         space = StateSpace.enumerated(env)
-        return random_tabular(space, gen), TabularFlow(space, gen.normal(0, 0.5, space.n_states)), space
+        pol = random_tabular(space, gen)
+        return pol, TabularPolicy(space, gen.normal(0, 0.5, (space.n_states, 1))), space
     space = StateSpace.enumerated(env) if env_name == "grid3" else StateSpace(env, guard=3000)
-    pol, flow = MlpPolicy.create(env, (8, 8), gen), MlpFlow.create(env, (8, 8), gen)
+    pol, flow = MlpPolicy.create(env, (8, 8), gen), mlp_flow(env, (8, 8), gen)
     pol.params = gen.normal(0, 0.5, pol.n_params)
     flow.params = gen.normal(0, 0.5, flow.n_params)
     if not space.complete:

@@ -215,6 +215,17 @@ def test_negative_eval_every_is_config_error(outroot, capsys, key):
     assert "eval_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override", ["train.lr=-1", "train.lr=.nan", "aggregate.lr=0", "train.weight_decay=-5", "loss.logz_lr=.nan"]
+)
+def test_bad_learning_rate_or_decay_is_config_error(outroot, capsys, override):
+    cfg = write_cfg(outroot, TINY_MULTISET)
+    assert main(["train-clients", "--config", cfg, "--set", override]) == 2
+    section, field = override.split("=")[0].split(".")
+    err = capsys.readouterr().err
+    assert section in err and field in err
+
+
 def test_enumeration_guard_exit_code(outroot):
     cfg = write_cfg(outroot, TINY_MULTISET)
     rc = main(["train-local", "--config", cfg, "--client", "0", "--set", "train.state_guard=3"])

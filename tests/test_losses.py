@@ -5,9 +5,7 @@ from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.errors import RewardSupportError, UnsupportedLossError
 from gfnpool.losses import (
     LossSpec,
-    MlpFlow,
     PooledLocals,
-    TabularFlow,
     ab_loss_batch,
     cb_loss_batch,
     db_loss_batch,
@@ -30,7 +28,7 @@ from gfnpool.policy import (
     sample_batch,
     step_log_pf,
 )
-from tests.conftest import RECORD_CASES, one_row_batch, paths, random_tabular, record_case
+from tests.conftest import RECORD_CASES, mlp_flow, one_row_batch, paths, random_tabular, record_case
 
 
 def oracle_log_pf(policy, space, env, path):
@@ -125,7 +123,7 @@ def test_db_zero_on_forced_chain_with_matched_flow():
     env = MultisetEnv(values=(0.9,), target_size=3)  # single forced chain
     space = StateSpace.enumerated(env)
     pol = TabularPolicy(space)  # forced probabilities are 1 regardless
-    flow = TabularFlow(space)  # log F = 0 everywhere: interior edges balance
+    flow = TabularPolicy(space, np.zeros((space.n_states, 1)))  # log F = 0 everywhere: interior edges balance
     # boundary: set log F(x) = log R(x) - log p(stop|x) = log R(x)
     term = space.terminal_indices()
     vals = flow.get_params()
@@ -162,7 +160,7 @@ def test_db_zero_at_exact_flows(mset33, mset33_space, rng):
             c = int(row[a])
             # G(s) = G(c) p_B(s|c) / p_F(c|s)
             log_g[i] = log_g[c] - np.log(mset33_space.nparents(c)) - np.log(p[a])
-    flow = TabularFlow(mset33_space, log_g)
+    flow = TabularPolicy(mset33_space, log_g[:, None])
     steps = sample_batch(pol, mset33_space, 32, 0.5, rng, want_steps=True)
     loss, _ = db_loss_batch(pol, flow, mset33_space, steps)
     assert loss <= 1e-18
@@ -170,7 +168,7 @@ def test_db_zero_at_exact_flows(mset33, mset33_space, rng):
 
 def test_db_terminal_edge_boundary_condition(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    flow = TabularFlow(grid3_space, rng.normal(0, 1, grid3_space.n_states))
+    flow = TabularPolicy(grid3_space, rng.normal(0, 1, (grid3_space.n_states, 1)))
     s = (0, 0)  # a batch that stops at the root: its one edge is the stop edge
     i = grid3_space.index[s]
     p_stop = action_distribution(pol, grid3_space, s)[2]
@@ -184,19 +182,19 @@ def test_db_terminal_edge_boundary_condition(grid3, grid3_space, rng):
 
 def test_db_value_matches_formula_oracle(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    flow = TabularFlow(grid3_space, rng.normal(0, 1, grid3_space.n_states))
+    flow = TabularPolicy(grid3_space, rng.normal(0, 1, (grid3_space.n_states, 1)))
     steps = sample_batch(pol, grid3_space, 8, 0.3, rng, want_steps=True)
     loss, _ = db_loss_batch(pol, flow, grid3_space, steps)
     viols = []
     for states, actions in paths(grid3_space, steps.tb):
         for t, (s, a) in enumerate(zip(states, actions)):
             p = action_distribution(pol, grid3_space, s)
-            lf_s = flow.log_flow(grid3_space, np.array([grid3_space.index[s]]))[0][0]
+            lf_s = flow.logits_rows(grid3_space, np.array([grid3_space.index[s]]))[0][0, 0]
             if t == len(actions) - 1:
                 v = lf_s + np.log(p[a]) - grid3.log_reward(s)
             else:
                 s2 = states[t + 1]
-                lf_n = flow.log_flow(grid3_space, np.array([grid3_space.index[s2]]))[0][0]
+                lf_n = flow.logits_rows(grid3_space, np.array([grid3_space.index[s2]]))[0][0, 0]
                 v = np.log(p[a]) + np.log(len(grid3.parents(s2))) + lf_s - lf_n
             viols.append(v**2)
     assert loss == pytest.approx(float(np.mean(viols)), rel=1e-12)
@@ -414,8 +412,7 @@ def test_ab_pair_gradient_is_four_kl_gradients(request, space_name, rng):
     pf = step_log_pf(steps)
     pb = replay_log_pb(space, tb)
     log_q = pb + sum(w * (replay_log_pf(p, space, tb) - pb) for w, p in zip(omega, locs))
-    kl_grad = np.zeros(glob.n_params)
-    apply_log_pf_grad(glob, space, steps, np.exp(pf) * (pf - log_q), kl_grad)
+    kl_grad = apply_log_pf_grad(glob, space, steps, np.exp(pf) * (pf - log_q))
     n = tb.batch_size
     rep, til = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
     pairs = replay_steps(glob, space, tb.subset(np.concatenate([rep, til])))
@@ -512,9 +509,8 @@ def test_an_odd_batch_leaves_its_last_trajectory_out_of_the_pairs(case, kind, rn
 # -- gradient checks on both backends --------------------------------------------
 
 
-def _fd_worst(fn, obj, rng, probes=40, h=1e-5):
+def _fd_worst(fn, obj, rng, key="policy", probes=40, h=1e-5):
     loss, grads_all = fn()
-    key = "flow" if isinstance(obj, (TabularFlow, MlpFlow)) else "policy"
     g = grads_all[key]
     assert np.isfinite(loss) and np.all(np.isfinite(g))  # max() below would skip a NaN
     base = obj.get_params()
@@ -541,11 +537,11 @@ def test_gradients_match_finite_differences(backend, rng):
     if backend == "tabular":
         # the flat-step scatters (np.add.at) of every loss and the DB flow
         pol = random_tabular(space, rng)
-        flow = TabularFlow(space, rng.normal(0, 0.5, space.n_states))
+        flow = TabularPolicy(space, rng.normal(0, 0.5, (space.n_states, 1)))
     else:
         pol = MlpPolicy.create(env, (8, 8), rng)
         pol.params = rng.normal(0, 0.5, pol.n_params)  # kink-free parameters
-        flow = MlpFlow.create(env, (8, 8), rng)
+        flow = mlp_flow(env, (8, 8), rng)
         flow.params = rng.normal(0, 0.5, flow.n_params)
     locs = [random_tabular(space, rng) for _ in range(2)]
     tb = sample_batch(pol, space, 12, 0.4, rng)
@@ -563,7 +559,7 @@ def test_gradients_match_finite_differences(backend, rng):
     }
     for name, fn in checks.items():
         assert _fd_worst(fn, pol, rng) <= 1e-4, name
-    assert _fd_worst(checks["DB"], flow, rng) <= 1e-4
+    assert _fd_worst(checks["DB"], flow, rng, key="flow") <= 1e-4
     # logZ gradient by finite differences
     _, grads = tb_loss_batch(pol, space, rec(), 0.3)
     h = 1e-5

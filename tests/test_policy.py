@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -6,7 +7,6 @@ import scipy.stats
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.errors import FingerprintMismatchError, SnapshotError
-from gfnpool.losses import MlpFlow, TabularFlow
 from gfnpool.policy import (
     MlpPolicy,
     TabularPolicy,
@@ -21,7 +21,7 @@ from gfnpool.policy import (
     save_snapshot,
 )
 from gfnpool.nn import mlp_backward, mlp_forward
-from tests.conftest import RECORD_CASES, one_row_batch, paths, random_tabular, record_case
+from tests.conftest import RECORD_CASES, mlp_flow, one_row_batch, paths, random_tabular, record_case
 
 
 def test_uniform_softmax_three_actions(grid3, grid3_space):
@@ -149,7 +149,7 @@ def test_mlp_rows_run_once_per_distinct_state(block, rng, monkeypatch):
 
     env = SequenceEnv(pos_scores=(0.4, -0.2, 0.3, 0.1), token_scores=(0.5, -0.3, 0.2, 0.1))
     space = StateSpace.enumerated(env)
-    net = (MlpPolicy if block == "policy" else MlpFlow).create(env, (8, 8), rng)
+    net = MlpPolicy.create(env, (8, 8), rng) if block == "policy" else mlp_flow(env, (8, 8), rng)
     net.params = rng.normal(0, 0.7, net.n_params)
     idx = np.concatenate([np.full(6, space.root), rng.integers(0, space.n_states, 60)])
     rng.shuffle(idx)
@@ -161,15 +161,9 @@ def test_mlp_rows_run_once_per_distinct_state(block, rng, monkeypatch):
         return mlp_forward(spec, params, x)
 
     monkeypatch.setattr(policy_module, "mlp_forward", counted)
-    dout = rng.normal(0, 1, (idx.size, net.spec.widths[-1]))
-    grad = np.zeros(net.n_params)
-    if block == "policy":
-        out, cache = net.logits_rows(space, idx)
-        net.accumulate_dlogits(space, idx, dout, grad, cache)
-    else:
-        out, cache = net.log_flow(space, idx)
-        out = out[:, None]
-        net.accumulate_dflow(space, idx, dout[:, 0], grad, cache)
+    dout = rng.normal(0, 1, (idx.size, net.arity))
+    out, cache = net.logits_rows(space, idx)
+    grad = net.logits_grad(idx, dout, cache)
     assert seen == [np.unique(idx).size]
     x = space.features(idx)
     ref_grad = np.zeros(net.n_params)
@@ -202,18 +196,13 @@ def test_masked_log_softmax_column_max_keeps_the_bits(arity, rng):
 
 
 def test_tabular_scatters_keep_the_bits_of_add_at(grid3_space, rng):
-    pol = random_tabular(grid3_space, rng)
-    flow = TabularFlow(grid3_space)
     idx = rng.integers(0, grid3_space.n_states, 200)
-    dl = rng.normal(0.0, 1.0, (idx.size, pol.arity))
-    grad, ref = np.zeros(pol.n_params), np.zeros((grid3_space.n_states, pol.arity))
-    pol.accumulate_dlogits(grid3_space, idx, dl, grad, None)
-    np.add.at(ref, idx, dl)
-    assert np.array_equal(grad, ref.ravel())
-    grad, ref = np.zeros(flow.n_params), np.zeros(flow.n_params)
-    flow.accumulate_dflow(grid3_space, idx, dl[:, 0], grad, None)
-    np.add.at(ref, idx, dl[:, 0])
-    assert np.array_equal(grad, ref)
+    for k in (grid3_space.arity, 1):  # a policy, and a one-column flow
+        block = TabularPolicy(grid3_space, np.zeros((grid3_space.n_states, k)))
+        dl = rng.normal(0.0, 1.0, (idx.size, k))
+        ref = np.zeros((grid3_space.n_states, k))
+        np.add.at(ref, idx, dl)
+        assert np.array_equal(block.logits_grad(idx, dl, None), ref.ravel())
 
 
 def assert_rows_match(got, want, tol):
@@ -318,6 +307,42 @@ def test_snapshot_corruption_detected(grid3, grid3_space, rng):
     doc["params_b64"] = doc["params_b64"][: len(doc["params_b64"]) // 2]
     with pytest.raises(SnapshotError):
         load_snapshot(json.dumps(doc).encode(), grid3, grid3_space)
+
+
+def _with_arch(doc, **arch):
+    return {**doc, "arch": {**doc["arch"], **arch}}
+
+
+def _with_nan_param(doc):
+    params = np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").copy()
+    params[3] = np.nan
+    return {**doc, "params_b64": base64.b64encode(params.tobytes()).decode()}
+
+
+MALFORMED_SNAPSHOTS = {
+    "no-arch": lambda d: {k: v for k, v in d.items() if k != "arch"},
+    "empty-widths": lambda d: _with_arch(d, widths=[]),
+    "zero-width": lambda d: _with_arch(d, widths=[d["arch"]["widths"][0], 0, d["arch"]["widths"][-1]]),
+    "int-widths": lambda d: _with_arch(d, widths=5),
+    "int-params": lambda d: {**d, "params_b64": 5},
+    "list-arch": lambda d: {**d, "arch": [1, 2]},
+    "null-backward": lambda d: {**d, "backward": None},
+    "list-document": lambda d: [d],
+    "string-slope": lambda d: _with_arch(d, negative_slope="x"),
+    "nan-param": _with_nan_param,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+def test_malformed_snapshot_is_a_snapshot_error(case, grid3, grid3_space, rng):
+    doc = json.loads(save_snapshot(MlpPolicy.create(grid3, (4,), rng), grid3))
+    blob = json.dumps(MALFORMED_SNAPSHOTS[case](doc)).encode()
+    with pytest.raises(SnapshotError):
+        load_snapshot(blob, grid3, grid3_space)
+    if case == "nan-param":  # a tabular payload is checked the same way
+        doc = json.loads(save_snapshot(random_tabular(grid3_space, rng), grid3))
+        with pytest.raises(SnapshotError):
+            load_snapshot(json.dumps(_with_nan_param(doc)).encode(), grid3, grid3_space)
 
 
 def test_balanced_policy_satisfies_trajectory_balance(mset33, mset33_space, rng):

@@ -11,12 +11,14 @@ from gfnpool.envs import (
     split_sites,
 )
 from gfnpool.evaluation import exact_pT, l1, noisy_reward_wrap, reward_table
-from gfnpool.losses import LossSpec
+from gfnpool.losses import LossSpec, db_loss_batch
 from gfnpool.policy import load_snapshot, sample_batch
 from gfnpool.train import (
+    Model,
     TrainConfig,
     client_configs,
     derive_seed,
+    fit,
     train_clients,
     train_local,
 )
@@ -155,6 +157,28 @@ def test_epoch_phase_times_fit_in_the_wall_time(mset33, kind):
         assert min(phases) >= 0.0
         assert sum(phases) <= row["wall_ms"]
     assert all(row["eval_ms"] > 0 for row in res.metrics[1::2])  # the probed epochs
+
+
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_model_blocks_are_views_of_one_buffer(grid3, grid3_space, backend):
+    cfg = small_cfg("DB", epochs=1, batch=16, backend=backend, hidden=(8, 8), eval_every=0)
+    init_ss = np.random.SeedSequence(cfg.seed).spawn(3)[2]
+
+    def values(block):
+        return block.table if backend == "tabular" else block.params
+
+    model = Model(grid3, grid3_space, cfg, init_ss, logz_lr=0.1, flow=True)
+    for view in (values(model.policy), model._logz, values(model.flow)):
+        assert np.shares_memory(view, model.params)
+    assert model.flow.arity == 1
+    start = values(model.flow).copy()
+
+    def db(model, steps):
+        return db_loss_batch(model.policy, model.flow, grid3_space, steps)
+
+    trained, _ = fit(grid3, grid3_space, cfg, db, epsilon=0.1, flow=True)
+    assert np.shares_memory(values(trained.flow), trained.params)
+    assert not np.array_equal(values(trained.flow), start)
 
 
 def test_derive_seed_deterministic_and_distinct():
