@@ -22,7 +22,7 @@ from .envs.base import Environment
 from .envs.space import CHILD_ILLEGAL, DEFAULT_STATE_GUARD, StateSpace
 from .errors import SnapshotError, UnsupportedLossError
 from .losses import PooledLocals, ab_loss_batch, pooling_weights
-from .policy import ForwardPolicy, TabularPolicy, load_snapshot, save_snapshot
+from .policy import ForwardPolicy, TabularPolicy, load_snapshot, save_snapshot, snapshot_doc, snapshot_params
 from .train import build_space, check_fit_settings, fit
 
 
@@ -110,13 +110,13 @@ def fedavg_average(snapshots: list[bytes]) -> bytes:
     required). A correctness-free baseline; metadata marks its provenance."""
     if not snapshots:
         raise SnapshotError("nothing to average")
-    docs = [json.loads(b.decode()) for b in snapshots]
+    docs = [snapshot_doc(b) for b in snapshots]
     head = docs[0]
     for d in docs[1:]:
         for key in ("version", "env_fingerprint", "backend", "arch", "backward"):
             if d.get(key) != head.get(key):
                 raise SnapshotError(f"snapshot mismatch on {key!r}; cannot average")
-    stacks = [np.frombuffer(base64.b64decode(d["params_b64"]), dtype="<f8") for d in docs]
+    stacks = [snapshot_params(d) for d in docs]
     if len({s.size for s in stacks}) != 1:
         raise SnapshotError("parameter payload sizes differ")
     mean = np.mean(np.stack(stacks), axis=0)

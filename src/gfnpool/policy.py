@@ -4,19 +4,26 @@ p_B(s' -> s) = 1 / |parents(s')|: `sample_batch` records it in `log_pb`
 and `replay_log_pb` recomputes it.
 
 Trajectories exist only as a `TrajectoryBatch`; a single trajectory is a
-one-row batch. Sampling advances a batch in lockstep, one masked softmax
-per step. Everything computed per step afterwards reads the batch's step
-record, `Steps`: the batch itself, then its steps flattened row-major over
+one-row batch. Sampling advances a batch in lockstep and works on each
+step's distinct states: one masked softmax, legal mask, uniform row and
+cumulative sum of each per distinct state, which every trajectory at that
+state then reads. A row's softmax and cumulative sum do not depend on the
+other rows, so the draws are those of one row per trajectory. `log_pf` and
+`log_pb` are filled in one pass after the last step.
+
+Everything computed per step afterwards reads the batch's step record,
+`Steps`: the batch itself, then its steps flattened row-major over
 `TrajectoryBatch.valid()` (states, actions, log-softmax rows, softmax rows,
 backend cache). It is the one input of every loss.
-`sample_batch(..., want_steps=True)` returns it, built from the rows the
-sampler drew with, placing step t of trajectory b at flat row
-start[b] + t; `replay_steps` builds the same record under the current
-parameters, with one masked softmax over every step, for a batch that was
-not just sampled. `step_sums` adds the steps up in t order.
+`sample_batch(..., want_steps=True)` returns it as one gather from the
+distinct rows the sampler drew with, stacked in step order; `replay_steps`
+builds the same record under the current parameters, with one masked
+softmax over every step, for a batch that was not just sampled.
+`step_sums` adds the steps up in t order.
 
 Every environment's DAG is graded, so a state appears only at the step t
-equal to its depth. Scatter-adds over the flat steps (`row_sums`, one
+equal to its depth, and the distinct states of different steps never
+coincide. Scatter-adds over the flat steps (`row_sums`, one
 `np.bincount` over flat cells) therefore meet each state's terms in the
 order a loop over t would, and tabular results keep their bits.
 
@@ -28,9 +35,9 @@ the state flow log F(s) that DB trains, so a flow is a
 An MLP evaluates each distinct state of a call once: `MlpPolicy.logits_rows`
 runs the forward over the unique state indices and expands the rows back,
 and `MlpPolicy.logits_grad` sums each state's output gradients before one
-backward. The sampler's record stacks the forwards of its steps, whose
-distinct states never coincide, in `np.unique` order, so its cache is the
-one `logits_rows` would build. Tabular rows are plain gathers and skip the dedupe.
+backward. The sampler's record stacks the forwards of its steps in
+`np.unique` order, so its cache is the one `logits_rows` would build.
+Tabular rows are plain gathers and skip the dedupe.
 """
 
 from __future__ import annotations
@@ -300,10 +307,20 @@ def step_sums(valid: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sample_rows(dist: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    c = np.cumsum(dist, axis=1)
-    r = (1.0 - rng.random((dist.shape[0], 1))) * c[:, -1:]
-    return np.minimum((c < r).sum(axis=1), dist.shape[1] - 1)
+def _count_below(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """How many entries of each column of `cum` lie below that column's `r`:
+    `(cum.T < r[:, None]).sum(axis=1)`. With the slots as rows, one reduction
+    adds them up one slot at a time over every column, instead of paying a
+    per-row overhead on a few columns."""
+    return (cum < r).sum(axis=0)
+
+
+def _sample_rows(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One slot per column of `cum`, which holds a row's cumulative
+    probabilities: the first slot whose sum reaches a uniform draw scaled to
+    the column's total."""
+    r = (1.0 - rng.random(cum.shape[1])) * cum[-1]
+    return np.minimum(_count_below(cum, r), cum.shape[0] - 1)
 
 
 def sample_batch(
@@ -319,82 +336,77 @@ def sample_batch(
     the uniform forward policy. Recorded log p_F is always the on-policy
     value - the mixture is only a proposal.
 
+    Each step computes its rows once per distinct state it leaves, and each
+    trajectory takes its state's row: step (b, t) reads row slot[b, t] of
+    the steps' distinct rows stacked in t order.
+
     With want_steps, returns the batch's step record instead: the record
-    `replay_steps` would build under the unchanged parameters, made from the
-    rows the sampler already computed."""
+    `replay_steps` would build under the unchanged parameters, gathered from
+    the rows the sampler already computed."""
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     horizon = space.env.max_traj_len
     states = np.full((batch, horizon), -1, dtype=np.int64)
     actions = np.full((batch, horizon), -1, dtype=np.int64)
-    log_pf = np.zeros((batch, horizon))
-    log_pb = np.zeros((batch, horizon))
+    slot = np.zeros((batch, horizon), dtype=np.int64)
     lengths = np.zeros(batch, dtype=np.int64)
     states[:, 0] = space.root
-    cur = np.full(batch, space.root, dtype=np.int64)
     alive = np.arange(batch)
-    record = []  # per step t: (alive trajectories, log-softmax rows, softmax rows, backend cache)
-    t = 0
+    record = []  # per step t: (log-softmax rows, softmax rows, backend cache) of its distinct states
+    offset = t = 0
     while alive.size:
         if t >= horizon:
             raise NumericError("trajectory step budget exceeded; DAG integrity suspect")
-        rows, logp, p, bc = policy_rows(policy, space, cur[alive])
-        if want_steps:
-            record.append((alive, logp, p, bc))
-        if epsilon > 0:
+        uniq, inv = np.unique(states[alive, t], return_inverse=True)
+        rows, logp, p, bc = policy_rows(policy, space, uniq)
+        record.append((logp, p, bc))
+        dist, pick = p, inv
+        if epsilon > 0:  # the uniform rows follow the policy's, and the mixture picks between them
             legal = rows != CHILD_ILLEGAL
-            uniform = legal / legal.sum(axis=1, keepdims=True)
-            mix = rng.random(alive.size) < epsilon
-            dist = np.where(mix[:, None], uniform, p)
-        else:
-            dist = p
-        a = _sample_rows(dist, rng)
-        rr = np.arange(alive.size)
-        log_pf[alive, t] = logp[rr, a]
+            dist = np.concatenate([p, legal / legal.sum(axis=1, keepdims=True)])
+            pick = inv + uniq.size * (rng.random(alive.size) < epsilon)
+        a = _sample_rows(dist.T.cumsum(axis=0).take(pick, axis=1), rng)
+        slot[alive, t] = offset + inv
+        offset += uniq.size
         actions[alive, t] = a
-        code = rows[rr, a]
+        code = rows[inv, a]
         stop = code == CHILD_STOP
         lengths[alive[stop]] = t + 1
-        go, nxt = alive[~stop], code[~stop]
-        if go.size:
+        alive, nxt = alive[~stop], code[~stop]
+        if alive.size:
             if t + 1 >= horizon:
                 raise NumericError("non-stop transition at the step budget boundary")
-            states[go, t + 1] = nxt
-            log_pb[go, t] = -np.log(space.nparents(nxt))
-            cur[go] = nxt
-        alive = go
+            states[alive, t + 1] = nxt
         t += 1
-    tb = TrajectoryBatch(states, actions, lengths, log_pf, log_pb, None)
+    tb = TrajectoryBatch(states, actions, lengths, np.zeros((batch, horizon)), np.zeros((batch, horizon)), None)
+    valid = tb.valid()
+    g, a = slot[valid], actions[valid]
+    logps, ps, caches = zip(*record)
+    logp = np.concatenate(logps)
+    tb.log_pf[valid] = logp[g, a]
+    enter = valid[:, 1:]  # non-stop steps enter states[:, 1:]
+    tb.log_pb[:, :-1][enter] = -np.log(space.nparents(states[:, 1:][enter]))
     if compute_rewards:
         tb.log_reward = space.log_rewards(tb.terminal_idx())
-    return _step_record(tb, record) if want_steps else tb
+    if not want_steps:
+        return tb
+    bc = None if caches[0] is None else _stack_mlp_rows(caches, g)
+    return Steps(tb, valid, states[valid], a, logp[g], np.concatenate(ps)[g], bc)
 
 
-def _step_record(tb: TrajectoryBatch, record) -> Steps:
-    """The step record of `tb` from the sampler's per-step rows: step t of
-    trajectory b goes to flat row start[b] + t, its row-major position."""
-    valid = tb.valid()
-    s, a = tb.states[valid], tb.actions[valid]
-    start = np.cumsum(tb.lengths) - tb.lengths
-    at = [start[alive] + t for t, (alive, *_) in enumerate(record)]
-    logp = np.empty((s.size, record[0][1].shape[1]))
-    p = np.empty_like(logp)
-    for rows, (_, lp, pp, _) in zip(at, record):
-        logp[rows] = lp
-        p[rows] = pp
-    caches = [bc for *_, bc in record]
-    bc = None if caches[0] is None else _stack_mlp_rows(caches, s)
-    return Steps(tb, valid, s, a, logp, p, bc)
-
-
-def _stack_mlp_rows(caches, s: np.ndarray):
-    """The `MlpPolicy.logits_rows` cache of the flat states `s`, from the
-    sampler's per-step caches. The DAG is graded, so the steps' distinct
-    states are disjoint: stacked and sorted, they are `np.unique(s)`, also
-    on a lazily expanded space, where discovery order is not depth order."""
-    order = np.argsort(np.concatenate([uniq for *_, uniq in caches]))
-    uniq, inv = np.unique(s, return_inverse=True)
-    return mlp_stack_caches([fwd for fwd, *_ in caches], order), inv, uniq
+def _stack_mlp_rows(caches, g: np.ndarray):
+    """The `MlpPolicy.logits_rows` cache of the flat steps, from the
+    sampler's per-step caches over distinct states and each step's row `g`
+    in their stack. The DAG is graded, so the steps' distinct states are
+    disjoint: sorted, they are `np.unique` of the flat states, also on a
+    lazily expanded space, where discovery order is not depth order."""
+    stacked = np.concatenate([uniq for *_, uniq in caches])
+    order = np.argsort(stacked)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return mlp_stack_caches([fwd for fwd, *_ in caches], order), rank[g], stacked[order]
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +511,9 @@ def save_snapshot(policy: ForwardPolicy, env: Environment, meta: dict | None = N
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None):
-    """Deserialize a snapshot against `env`; returns (policy, meta). Only the
-    uniform backward policy is supported.
-
-    Pass the environment's enumerated StateSpace to avoid re-enumerating for
-    tabular policies.
-    """
+def snapshot_doc(blob: bytes) -> dict:
+    """The JSON object of a snapshot of the known version; `SnapshotError`
+    for anything else."""
     try:
         doc = json.loads(blob.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -514,6 +522,25 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
         raise SnapshotError("a snapshot must be a JSON object")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(f"unknown snapshot version: {doc.get('version')!r}")
+    return doc
+
+
+def snapshot_params(doc: dict) -> np.ndarray:
+    """The flat parameter vector of a snapshot document."""
+    try:
+        return np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").astype(np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"bad parameter payload: {exc}") from exc
+
+
+def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None):
+    """Deserialize a snapshot against `env`; returns (policy, meta). Only the
+    uniform backward policy is supported.
+
+    Pass the environment's enumerated StateSpace to avoid re-enumerating for
+    tabular policies.
+    """
+    doc = snapshot_doc(blob)
     if doc.get("env_fingerprint") != env.fingerprint():
         raise FingerprintMismatchError(
             f"snapshot fingerprint {doc.get('env_fingerprint')!r} != environment {env.fingerprint()!r}"
@@ -521,10 +548,7 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
     backward = doc.get("backward")
     if not isinstance(backward, dict) or backward.get("mode") != "uniform":
         raise SnapshotError("unsupported backward-policy mode")
-    try:
-        params = np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").astype(np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"bad parameter payload: {exc}") from exc
+    params = snapshot_params(doc)
     if not np.all(np.isfinite(params)):
         raise SnapshotError("non-finite parameter in the payload")
     arch = doc.get("arch")

@@ -9,6 +9,7 @@ from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.errors import FingerprintMismatchError, SnapshotError
 from gfnpool.policy import (
     MlpPolicy,
+    _count_below,
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
@@ -222,7 +223,7 @@ def test_sampled_step_record_is_the_replay_record(case, rng):
     pol, _, space = record_case(case, rng)
     tol = 0.0 if pol.backend == "tabular" else 1e-12
     reordered = False  # whether some stacked forward was not in np.unique order
-    for batch, epsilon in ((33, 0.0), (33, 0.5), (1, 0.5)):
+    for batch, epsilon in ((33, 0.0), (33, 0.5), (33, 1.0), (1, 0.5)):
         steps = sample_batch(pol, space, batch, epsilon, rng, want_steps=True)
         ref = replay_steps(pol, space, steps.tb)
         assert ref.tb is steps.tb
@@ -241,6 +242,49 @@ def test_sampled_step_record_is_the_replay_record(case, rng):
         assert fwd[1][-1] is None
         reordered |= bool(np.any(np.diff(space.depth(uniq)) < 0))
     assert reordered == (not space.complete)  # the lazy case needs the permutation
+
+
+@pytest.mark.parametrize("space_name", ["phylo4_space", "mset33_space"])
+def test_sampler_evaluates_each_distinct_state_of_a_step_once(space_name, request, rng, monkeypatch):
+    space = request.getfixturevalue(space_name)
+    pol = random_tabular(space, rng)
+    seen = []
+    original = pol.logits_rows
+
+    def counted(space, idx):
+        seen.append(idx.size)
+        return original(space, idx)
+
+    monkeypatch.setattr(pol, "logits_rows", counted)
+    tb = sample_batch(pol, space, 64, 0.5, rng)
+    valid = tb.valid()
+    distinct = [np.unique(tb.states[valid[:, t], t]).size for t in range(tb.horizon) if valid[:, t].any()]
+    assert seen == distinct and sum(seen) < valid.sum()
+
+
+def test_slot_count_is_the_row_count():
+    gen = np.random.default_rng(3)
+    p = gen.random((200, 7))
+    p[gen.random(p.shape) < 0.4] = 0.0  # zero-probability slots repeat a cumulative sum
+    c = np.cumsum(p, axis=1)
+    cols = gen.integers(0, 7, 200)
+    draws = {
+        "random": gen.random(200) * c[:, -1],
+        "on a cumulative sum": c[np.arange(200), cols],
+        "zero": np.zeros(200),
+    }
+    for name, r in draws.items():
+        got = _count_below(np.ascontiguousarray(c.T), r)
+        want = (c < r[:, None]).sum(axis=1)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+@pytest.mark.parametrize("want_steps", [False, True])
+def test_sample_batch_rejects_an_empty_batch(grid3_space, batch, want_steps):
+    pol = TabularPolicy(grid3_space)
+    with pytest.raises(ValueError, match="batch"):
+        sample_batch(pol, grid3_space, batch, 0.0, np.random.default_rng(0), want_steps=want_steps)
 
 
 def test_forced_single_path_log_pf_zero():
