@@ -1,6 +1,6 @@
 """Server side: train a global sampler from frozen client snapshots via the
-aggregating-balance criterion, plus the parameter-averaging and factorized
-categorical baselines.
+aggregating-balance criterion on the clients' `fit` loop and `FitConfig`
+settings, plus the parameter-averaging and factorized categorical baselines.
 
 `aggregate_ab` receives snapshots and (optionally) a precomputed evaluation
 target; it has no access to any reward function, and its sampler never
@@ -10,8 +10,6 @@ the bytes exchanged are exactly the snapshots.
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
 from math import lgamma
 
@@ -19,41 +17,32 @@ import numpy as np
 
 from . import evaluation
 from .envs.base import Environment
-from .envs.space import CHILD_ILLEGAL, DEFAULT_STATE_GUARD, StateSpace
+from .envs.space import CHILD_ILLEGAL, StateSpace
 from .errors import SnapshotError, UnsupportedLossError
 from .losses import PooledLocals, ab_loss_batch, pooling_weights
-from .policy import ForwardPolicy, TabularPolicy, load_snapshot, save_snapshot, snapshot_doc, snapshot_params
-from .train import build_space, check_fit_settings, fit
+from .policy import (
+    ForwardPolicy,
+    TabularPolicy,
+    load_snapshot,
+    save_snapshot,
+    snapshot_bytes,
+    snapshot_doc,
+    snapshot_params,
+)
+from .train import FitConfig, FitResult, build_space, fit
 
 
 @dataclass(frozen=True)
-class AggregateConfig:
-    epochs: int
-    batch: int
-    seed: int
+class AggregateConfig(FitConfig):
+    """The server's settings: the loop's, and the pooling weights."""
+
     epsilon: float = 0.5  # half on-policy, half uniform while pairing
-    lr: float = 3e-3
-    weight_decay: float = 1e-4
-    backend: str = "tabular"
-    hidden: tuple[int, ...] = (64, 64)
     weights: tuple[float, ...] | None = None
-    eval_every: int = 100
-    eval_mode: str = "auto"
-    eval_samples: int = 100_000
-    state_guard: int = DEFAULT_STATE_GUARD
 
     def __post_init__(self):
-        check_fit_settings(self)
+        super().__post_init__()
         if self.weights is not None:
             pooling_weights(self.weights)
-
-
-@dataclass
-class AggregateResult:
-    snapshot: bytes
-    metrics: list[dict]
-    policy: ForwardPolicy
-    space: StateSpace
 
 
 def load_local_policies(env: Environment, snapshots: list[bytes], space: StateSpace) -> list[ForwardPolicy]:
@@ -68,7 +57,7 @@ def aggregate_ab(
     cfg: AggregateConfig,
     eval_target: evaluation.DistributionTable | None = None,
     space: StateSpace | None = None,
-) -> AggregateResult:
+) -> FitResult:
     """Train a fresh global policy by minimizing the aggregating-balance loss
     over trajectory pairs from the exploration mixture, delegating the loop
     to `fit`. Local rewards are never evaluated: batches are sampled without
@@ -90,7 +79,7 @@ def aggregate_ab(
     def ab_loss_fn(model, steps):
         return ab_loss_batch(model.policy, space, steps, pooled)
 
-    model, metrics = fit(env, space, cfg, ab_loss_fn, epsilon=cfg.epsilon, rewards=False, target=eval_target)
+    model, metrics = fit(env, space, cfg, ab_loss_fn, rewards=False, target=eval_target)
     meta = {
         "role": "global",
         "n_locals": len(pooled),
@@ -98,7 +87,7 @@ def aggregate_ab(
         "epochs": cfg.epochs,
         "seed": cfg.seed,
     }
-    return AggregateResult(save_snapshot(model.policy, env, meta=meta), metrics, model.policy, space)
+    return FitResult(save_snapshot(model.policy, env, meta=meta), metrics, model.policy, space)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +108,8 @@ def fedavg_average(snapshots: list[bytes]) -> bytes:
     stacks = [snapshot_params(d) for d in docs]
     if len({s.size for s in stacks}) != 1:
         raise SnapshotError("parameter payload sizes differ")
-    mean = np.mean(np.stack(stacks), axis=0)
-    doc = dict(head)
-    doc["params_b64"] = base64.b64encode(mean.astype("<f8").tobytes()).decode()
-    doc["meta"] = {"baseline": "fedavg", "n_locals": len(docs)}
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    meta = {"baseline": "fedavg", "n_locals": len(docs)}
+    return snapshot_bytes({**head, "meta": meta}, np.mean(np.stack(stacks), axis=0))
 
 
 def naive_policy_product(local_policies: list[ForwardPolicy], space: StateSpace) -> TabularPolicy:

@@ -84,7 +84,7 @@ def _parse_weights(source: str, raw: list[str], n: int) -> list[float]:
 
 def _probe_target(envs, space, cfg) -> evaluation.DistributionTable | None:
     """The product target, built only when aggregation probes will read it."""
-    if cfg.eval_every <= 0 or cfg.eval_mode == "off" or not space.complete:
+    if cfg.eval_every == 0 or not space.complete:
         return None
     if cfg.weights is not None and len(cfg.weights) != len(envs):
         msg = f"{len(cfg.weights)} weighted snapshots for {len(envs)} clients; set aggregate.eval_every=0 to skip probes"
@@ -325,7 +325,7 @@ def cmd_sweep(args) -> int:
                 elif axis == "logz_lr":
                     envs = cell_run.client_envs()
                     cfg = cell_run.client_train_configs()[0]
-                    cfg = replace(cfg, loss=LossSpec("TB", logz_lr=float(value), epsilon=cfg.loss.epsilon))
+                    cfg = replace(cfg, loss=LossSpec("TB", logz_lr=float(value)))
                     metrics = train_local(envs[0], cfg).metrics
                 else:  # loss
                     envs = cell_run.client_envs()

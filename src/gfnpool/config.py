@@ -4,7 +4,7 @@ construction of client environments and module configs from one file."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .envs import (
 )
 from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec, pooling_weights
-from .train import TrainConfig, client_configs, derive_seed
+from .train import FitConfig, TrainConfig, client_configs, derive_seed
 
 OUTPUT_ROOT_VAR = "GFNPOOL_OUTPUT_ROOT"
 
@@ -125,8 +125,8 @@ class RunConfig:
             raise ConfigError("clients.n", f"expected a positive integer, got {n!r}")
         return n
 
-    def _loss_spec(self, kind: str | None = None) -> LossSpec:
-        k = kind or _get(self.doc, "loss.kind", default="CB", kind=str)
+    def _loss_spec(self) -> LossSpec:
+        k = _get(self.doc, "loss.kind", default="CB", kind=str)
         if k not in LOSS_KINDS:
             raise ConfigError("loss.kind", f"expected one of {LOSS_KINDS}, got {k!r}")
         weights = _get(self.doc, "loss.weights")
@@ -139,62 +139,54 @@ class RunConfig:
             return LossSpec(
                 kind=k,
                 logz_lr=_number(self.doc, "loss.logz_lr", default=1e-1),
-                epsilon=_number(self.doc, "loss.epsilon", default=0.1),
                 weights=weights,
             )
         except ValueError as exc:
             raise ConfigError("loss", str(exc)) from exc
 
-    def train_template(self) -> TrainConfig:
-        d = self.doc
-        backend = _get(d, "train.backend", default="tabular", kind=str)
-        hidden = _get(d, "train.hidden", default=[64, 64], kind=list)
+    def _fit_config(self, section: str, cls, fallback: dict, **given):
+        """The `train` or `aggregate` section as a `cls`, one of the two
+        FitConfigs, which checks every value. A field the section leaves out
+        takes its `fallback` value, then the dataclass default; `given` sets
+        fields that come from elsewhere, which the section does not set. An
+        empty section (YAML null) takes every default."""
+        node = _get(self.doc, section) or {}
+        if not isinstance(node, dict):
+            raise ConfigError(section, f"expected dict, got {type(node).__name__}")
+        kw = {"epochs": 5000, "batch": 512, **fallback, **given}
+        kw.update((f.name, node[f.name]) for f in fields(FitConfig) if f.name in node and f.name not in given)
+        if isinstance(kw.get("hidden"), list):
+            kw["hidden"] = tuple(kw["hidden"])
         try:
-            return TrainConfig(
-                loss=self.loss_spec,
-                epochs=_positive_int(d, "train.epochs", default=5000),
-                batch=_positive_int(d, "train.batch", default=512),
-                seed=self.seed,
-                lr=_number(d, "train.lr", default=3e-3),
-                weight_decay=_number(d, "train.weight_decay", default=1e-4),
-                backend=backend,
-                hidden=tuple(int(h) for h in hidden),
-                eval_every=int(_get(d, "train.eval_every", default=100)),
-                eval_mode=_get(d, "train.eval_mode", default="auto", kind=str),
-                eval_samples=_positive_int(d, "train.eval_samples", default=100_000),
-                state_guard=_positive_int(d, "train.state_guard", default=5_000_000),
-            )
+            return cls(**kw)
         except ValueError as exc:
-            raise ConfigError("train", str(exc)) from exc
+            raise ConfigError(section, str(exc)) from exc
+
+    def train_template(self) -> TrainConfig:
+        """The clients' settings. Their exploration weight is `loss.epsilon`,
+        checked once the `train` section has passed."""
+        t = self._fit_config("train", TrainConfig, {}, seed=self.seed, loss=self.loss_spec, epsilon=0.1)
+        try:
+            return replace(t, epsilon=_get(self.doc, "loss.epsilon", default=0.1))
+        except ValueError as exc:
+            raise ConfigError("loss.epsilon", str(exc)) from exc
 
     def client_train_configs(self) -> list[TrainConfig]:
         return client_configs(self.train_template(), self.seed, self.n_clients)
 
     def aggregate_config(self) -> AggregateConfig:
-        d = self.doc
-        try:
-            return AggregateConfig(
-                epochs=_positive_int(d, "aggregate.epochs", default=5000),
-                batch=_positive_int(d, "aggregate.batch", default=512),
-                seed=derive_seed(self.seed, 1_000_003),
-                epsilon=_number(d, "aggregate.epsilon", default=0.5),
-                lr=_number(d, "aggregate.lr", default=3e-3),
-                weight_decay=_number(d, "aggregate.weight_decay", default=1e-4),
-                backend=_get(d, "aggregate.backend", default=_get(d, "train.backend", default="tabular"), kind=str),
-                hidden=tuple(int(h) for h in _get(d, "aggregate.hidden", default=_get(d, "train.hidden", default=[64, 64]))),
-                weights=self.loss_spec.weights,
-                eval_every=int(_get(d, "aggregate.eval_every", default=100)),
-                eval_mode=_get(d, "aggregate.eval_mode", default="auto", kind=str),
-                eval_samples=_positive_int(d, "aggregate.eval_samples", default=100_000),
-                state_guard=_positive_int(d, "train.state_guard", default=5_000_000),
-            )
-        except ValueError as exc:
-            raise ConfigError("aggregate", str(exc)) from exc
+        """The server's settings. Its backend and hidden sizes default to the
+        clients', and it keeps their state guard."""
+        t = self.train_template()
+        return self._fit_config(
+            "aggregate", AggregateConfig, {"backend": t.backend, "hidden": t.hidden},
+            seed=derive_seed(self.seed, 1_000_003), weights=self.loss_spec.weights, state_guard=t.state_guard,
+        )
 
     # -- environments --------------------------------------------------------
 
-    def client_envs(self, n: int | None = None) -> list[Environment]:
-        n = n or self.n_clients
+    def client_envs(self) -> list[Environment]:
+        n = self.n_clients
         kind = self.env_kind
         if kind == "grid":
             return self._grid_envs(n)

@@ -141,8 +141,8 @@ class StateSpace:
             self._feats = np.zeros((self._featurized.shape[0], fd))
         idx = np.asarray(idx)
         missing = idx[~self._featurized[idx]]
-        for i in np.unique(missing):
-            self._feats[i] = self.env._featurize(self.keys[int(i)])
+        for i in missing.tolist():
+            self._feats[i] = self.env._featurize(self.keys[i])
         self._featurized[missing] = True
         return self._feats[idx]
 

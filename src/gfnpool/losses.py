@@ -60,7 +60,6 @@ class LossSpec:
 
     kind: str
     logz_lr: float = 1e-1  # learning rate override for log Z (TB only)
-    epsilon: float = 0.1  # exploration-mixture weight while sampling
     weights: tuple[float, ...] | None = None  # pooling weights (AB only)
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if not (math.isfinite(self.logz_lr) and self.logz_lr > 0):
             raise ValueError(f"logz_lr must be a finite number > 0, got {self.logz_lr!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
         if self.weights is not None:
             pooling_weights(self.weights)
 

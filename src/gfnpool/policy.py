@@ -504,11 +504,18 @@ def save_snapshot(policy: ForwardPolicy, env: Environment, meta: dict | None = N
         "env_fingerprint": env.fingerprint(),
         "backend": policy.backend,
         "arch": policy.arch_descriptor(),
-        "params_b64": base64.b64encode(policy.get_params().astype("<f8").tobytes()).decode(),
         "backward": {"mode": "uniform"},
         "meta": meta or {},
     }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return snapshot_bytes(doc, policy.get_params())
+
+
+def snapshot_bytes(doc: dict, params: np.ndarray) -> bytes:
+    """The snapshot of `doc` with `params` as its little-endian float64
+    payload, as sorted, compact JSON; the inverse of `snapshot_doc` and
+    `snapshot_params`."""
+    payload = base64.b64encode(np.asarray(params, dtype="<f8").tobytes()).decode()
+    return (json.dumps({**doc, "params_b64": payload}, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def snapshot_doc(blob: bytes) -> dict:

@@ -1,15 +1,16 @@
 """Training: the one `fit` loop that clients and the server share (batched
 sampling, a loss closure, in-place AdamW over one flat parameter buffer,
-metric logging), local-client training on top of it, and the embarrassingly
-parallel fan-out over clients."""
+metric logging) and its one settings class `FitConfig`, local-client
+training on top of it, and the embarrassingly parallel fan-out over clients."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,54 +27,70 @@ from .losses import (
     vl_loss_batch,
 )
 from .nn import AdamWState, MlpSpec, ParamGroup, adamw_step, mlp_init
-from .policy import MlpPolicy, Steps, TabularPolicy, sample_batch, save_snapshot
+from .policy import ForwardPolicy, MlpPolicy, Steps, TabularPolicy, sample_batch, save_snapshot
 
 
-def check_fit_settings(cfg) -> None:
-    """The settings `fit` reads, validated the same way for a TrainConfig
-    and an AggregateConfig."""
-    if cfg.epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
-        raise ValueError(f"lr must be a finite number > 0, got {cfg.lr!r}")
-    if not (math.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
-        raise ValueError(f"weight_decay must be a finite number >= 0, got {cfg.weight_decay!r}")
-    if cfg.batch < 2:
-        raise ValueError("batch must be >= 2 (pair losses halve it)")
-    if cfg.backend not in ("tabular", "mlp"):
-        raise ValueError(f"unknown backend {cfg.backend!r}")
-    if cfg.eval_mode not in ("auto", "exact", "sampled", "off"):
-        raise ValueError(f"unknown eval mode {cfg.eval_mode!r}")
-    if cfg.eval_every < 0:
-        raise ValueError(f"eval_every must be >= 0 (0 disables the probes), got {cfg.eval_every}")
+def _whole(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    loss: LossSpec
+class FitConfig:
+    """Every setting `fit` reads, checked once on construction. A client's
+    `TrainConfig` adds its local loss, the server's `AggregateConfig` its
+    pooling weights."""
+
     epochs: int
     batch: int
     seed: int
+    epsilon: float = 0.1  # exploration-mixture weight while sampling
     lr: float = 3e-3
     weight_decay: float = 1e-4  # decaying groups only (MLP backends)
     backend: str = "tabular"
     hidden: tuple[int, ...] = (64, 64)
-    eval_every: int = 100  # 0 disables periodic probes
-    eval_mode: str = "auto"  # auto | exact | sampled | off
+    eval_every: int = 100  # 0 turns the L1 probes off
+    eval_mode: str = "exact"  # exact | sampled
     eval_samples: int = 100_000
     state_guard: int = DEFAULT_STATE_GUARD
 
     def __post_init__(self):
-        check_fit_settings(self)
+        def need(ok: bool, name: str, what: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        need(_whole(self.epochs) and self.epochs >= 1, "epochs", "an integer >= 1")
+        need(_whole(self.batch) and self.batch >= 2, "batch", "an integer >= 2 (pair losses halve it)")
+        need(_real(self.epsilon) and 0 <= self.epsilon <= 1, "epsilon", "a number in [0, 1]")
+        need(_real(self.lr) and self.lr > 0, "lr", "a finite number > 0")
+        need(_real(self.weight_decay) and self.weight_decay >= 0, "weight_decay", "a finite number >= 0")
+        need(self.backend in ("tabular", "mlp"), "backend", "tabular or mlp")
+        sizes = isinstance(self.hidden, tuple) and self.hidden != () and all(_whole(h) and h >= 1 for h in self.hidden)
+        need(sizes, "hidden", "a non-empty tuple of integers >= 1")
+        need(_whole(self.eval_every) and self.eval_every >= 0, "eval_every", "an integer >= 0 (0 turns the probes off)")
+        need(self.eval_mode in ("exact", "sampled"), "eval_mode", "one of the eval modes exact and sampled")
+        need(_whole(self.eval_samples) and self.eval_samples >= 1, "eval_samples", "an integer >= 1")
+        need(_whole(self.state_guard) and self.state_guard >= 1, "state_guard", "an integer >= 1")
+
+
+@dataclass(frozen=True)
+class TrainConfig(FitConfig):
+    """A client's settings: the loop's, and the local balance loss."""
+
+    loss: LossSpec = field(kw_only=True)
 
 
 @dataclass
-class TrainResult:
+class FitResult:
+    """A trained policy, frozen into its snapshot, with its metrics rows."""
+
     snapshot: bytes
     metrics: list[dict]
-    policy: object
+    policy: ForwardPolicy
     space: StateSpace
-    logz: float
 
 
 @dataclass
@@ -89,9 +106,8 @@ def derive_seed(master_seed: int, k: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(k)]).generate_state(1)[0])
 
 
-def build_space(env: Environment, cfg) -> StateSpace:
-    """Enumerate when feasible; the tabular backend requires it. `cfg` is a
-    TrainConfig or an AggregateConfig."""
+def build_space(env: Environment, cfg: FitConfig) -> StateSpace:
+    """Enumerate when feasible; the tabular backend requires it."""
     try:
         return StateSpace.enumerated(env, cfg.state_guard)
     except EnumerationGuardError:
@@ -145,10 +161,9 @@ class Model:
 def fit(
     env: Environment,
     space: StateSpace,
-    cfg,
+    cfg: FitConfig,
     loss_fn: Callable[[Model, Steps], tuple[float, dict]],
     *,
-    epsilon: float,
     rewards: bool = True,
     target: evaluation.DistributionTable | None = None,
     logz_lr: float | None = None,
@@ -156,19 +171,20 @@ def fit(
 ) -> tuple[Model, list[dict]]:
     """The training loop that clients and the server share.
 
-    `cfg` is a TrainConfig or an AggregateConfig; its seed spawns the
-    training, evaluation and initialisation streams. Each epoch samples
-    `cfg.batch` trajectories from the epsilon-mixture of the current policy
-    (with terminal rewards only if `rewards`) as one step record, takes
+    `cfg` is a client's TrainConfig or the server's AggregateConfig; its
+    seed spawns the training, evaluation and initialisation streams. Each
+    epoch samples `cfg.batch` trajectories from the mixture of the current
+    policy and the uniform one, with weight `cfg.epsilon` on the uniform
+    (and terminal rewards only if `rewards`), as one step record, takes
     `loss_fn(model, steps)` -> (loss, gradient per AdamW group name), and
     makes one AdamW step. The loss reads the policy's rows off the record
-    instead of replaying the batch. On the `eval_every` cadence and at the
-    last epoch it probes the L1 to `target`: NaN without a target or with
-    eval mode "off", sampled in mode "sampled", exact otherwise. A target
-    needs a complete space, so every probe runs on one. `logz_lr` adds a
-    log Z group and `flow` a state-flow block. Returns the model and one
-    metrics row per epoch: the loss, the L1, the epoch's `wall_ms`, and the
-    part of it spent in each phase, `sample_ms`, `loss_ms` (loss and
+    instead of replaying the batch. Every `eval_every` epochs (never if 0)
+    and at the last one it probes the L1 to `target`, exactly or from
+    `eval_samples` draws as `eval_mode` says; without a target it is NaN. A
+    target needs a complete space, so every probe runs on one. `logz_lr`
+    adds a log Z group and `flow` a state-flow block. Returns the model and
+    one metrics row per epoch: the loss, the L1, the epoch's `wall_ms`, and
+    the part of it spent in each phase, `sample_ms`, `loss_ms` (loss and
     gradient), `step_ms` (AdamW) and `eval_ms`.
     """
     train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -177,11 +193,11 @@ def fit(
     model = Model(env, space, cfg, init_ss, logz_lr, flow)
     opt = AdamWState(model.groups, lr=cfg.lr, weight_decay=cfg.weight_decay)
     grad = np.empty(opt.n_params)
-    probed = cfg.eval_every > 0 and cfg.eval_mode != "off" and target is not None
+    probed = cfg.eval_every > 0 and target is not None
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        steps = sample_batch(model.policy, space, cfg.batch, epsilon, rng, compute_rewards=rewards, want_steps=True)
+        steps = sample_batch(model.policy, space, cfg.batch, cfg.epsilon, rng, compute_rewards=rewards, want_steps=True)
         t_sample = time.perf_counter()
         loss, grads = loss_fn(model, steps)
         t_loss = time.perf_counter()
@@ -208,7 +224,7 @@ def fit(
     return model, metrics
 
 
-def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = None) -> TrainResult:
+def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = None) -> FitResult:
     """Train one client's policy on its own reward with the configured local
     loss, delegating the loop to `fit`, and freeze it into a snapshot. L1
     probes compare against the client's normalized reward.
@@ -217,8 +233,7 @@ def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = N
     another env of the same DAG; training uses its view for `env`.
     """
     space = build_space(env, cfg) if space is None else space.for_env(env)
-    probed = cfg.eval_every > 0 and cfg.eval_mode != "off" and space.complete
-    target = evaluation.reward_table([env], space) if probed else None
+    target = evaluation.reward_table([env], space) if cfg.eval_every > 0 and space.complete else None
     kind = cfg.loss.kind
 
     def loss_fn(model, steps):
@@ -233,12 +248,12 @@ def train_local(env: Environment, cfg: TrainConfig, space: StateSpace | None = N
         return dbc_loss_batch(model.policy, space, steps)
 
     model, metrics = fit(
-        env, space, cfg, loss_fn, epsilon=cfg.loss.epsilon, target=target,
+        env, space, cfg, loss_fn, target=target,
         logz_lr=cfg.loss.logz_lr if kind == "TB" else None, flow=kind == "DB",
     )
     meta = {"loss": kind, "epochs": cfg.epochs, "seed": cfg.seed, "role": "client"}
     snapshot = save_snapshot(model.policy, env, meta=meta)
-    return TrainResult(snapshot, metrics, model.policy, space, model.logz)
+    return FitResult(snapshot, metrics, model.policy, space)
 
 
 def _client_worker(job) -> ClientResult:

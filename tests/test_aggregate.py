@@ -88,7 +88,7 @@ def trained_clients(envs, epochs=800, seed=3):
     out = []
     for k, env in enumerate(envs):
         cfg = TrainConfig(
-            loss=LossSpec("CB", epsilon=0.1),
+            loss=LossSpec("CB"),
             epochs=epochs,
             batch=64,
             seed=seed + k,
@@ -165,7 +165,7 @@ def test_aggregation_requires_snapshots_and_matching_weights(grid3, grid3_space,
         aggregate_ab(grid3, [snap], AggregateConfig(epochs=10, batch=16, seed=1, weights=(1.0, 2.0)))
 
 
-def test_aggregation_eval_mode_off_never_probes(grid3, grid3_space, rng, monkeypatch):
+def test_aggregation_eval_every_zero_never_probes(grid3, grid3_space, rng, monkeypatch):
     import gfnpool.evaluation as evaluation_module
 
     calls = []
@@ -173,7 +173,7 @@ def test_aggregation_eval_mode_off_never_probes(grid3, grid3_space, rng, monkeyp
     monkeypatch.setattr(evaluation_module, "exact_pT", lambda *a, **k: calls.append(1) or real(*a, **k))
     snap = save_snapshot(random_tabular(grid3_space, rng), grid3)
     target = reward_table([grid3], grid3_space)
-    cfg = AggregateConfig(epochs=5, batch=16, seed=1, eval_every=1, eval_mode="off")
+    cfg = AggregateConfig(epochs=5, batch=16, seed=1, eval_every=0)
     res = aggregate_ab(grid3, [snap], cfg, eval_target=target, space=grid3_space)
     assert calls == []
     assert all(np.isnan(r["l1"]) for r in res.metrics)
@@ -235,6 +235,18 @@ def test_fedavg_identity_and_sign_cancellation(grid3, grid3_space, rng):
         fedavg_average([snap, save_snapshot(neg, grid3)]), grid3, grid3_space
     )
     assert np.all(zero.table == 0.0)
+
+
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_fedavg_writes_the_snapshot_format(grid3, grid3_space, rng, backend):
+    # averaging one policy with itself gives the bytes save_snapshot writes
+    if backend == "tabular":
+        pol = random_tabular(grid3_space, rng)
+    else:
+        pol = MlpPolicy.create(grid3, (8, 8), rng)
+    snap = save_snapshot(pol, grid3)
+    meta = {"baseline": "fedavg", "n_locals": 2}
+    assert fedavg_average([snap, snap]) == save_snapshot(pol, grid3, meta=meta)
 
 
 def test_fedavg_architecture_mismatch(grid3, grid3_space, rng):

@@ -36,7 +36,7 @@ def test_tracer_installs_over_a_round_and_uninstalls(grid3, grid3_space):
     tracing.install(tr)
     try:
         assert train.sample_batch is not originals[2]
-        cfg = TrainConfig(LossSpec("CB"), epochs=2, batch=8, seed=1, eval_every=0)
+        cfg = TrainConfig(loss=LossSpec("CB"), epochs=2, batch=8, seed=1, eval_every=0)
         snap = train_local(grid3, cfg, grid3_space).snapshot
         aggregate_ab(grid3, [snap, snap], AggregateConfig(epochs=3, batch=8, seed=2, eval_every=0), space=grid3_space)
         metrics = tracing.layer_metrics(tr)

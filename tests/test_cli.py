@@ -226,6 +226,83 @@ def test_bad_learning_rate_or_decay_is_config_error(outroot, capsys, override):
     assert section in err and field in err
 
 
+BAD_FIT_SETTINGS = [
+    (["aggregate.epsilon=2"], "aggregate"),
+    (["aggregate.epsilon=-0.5"], "aggregate"),
+    (["train.backend=mlp", "train.hidden=[]"], "train"),
+    (["train.backend=mlp", "train.hidden=[0]"], "train"),
+    (["aggregate.backend=mlp", "aggregate.hidden=[]"], "aggregate"),
+    (["aggregate.backend=mlp", "aggregate.hidden=[0]"], "aggregate"),
+    (["aggregate.hidden=5"], "aggregate"),
+    (["train.eval_every=1.7"], "train"),
+    (["aggregate.eval_every=2.5"], "aggregate"),
+    (["train.eval_mode=off"], "train"),  # unquoted YAML off is the boolean false
+    (["loss.epsilon=2"], "loss.epsilon"),  # the clients' exploration weight
+]
+
+
+@pytest.mark.parametrize("overrides, section", BAD_FIT_SETTINGS, ids=[",".join(o) for o, _ in BAD_FIT_SETTINGS])
+def test_bad_fit_setting_is_config_error(outroot, capsys, overrides, section):
+    argv = ["train-local", "--config", write_cfg(outroot, TINY_GRID), "--client", "0"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    field = overrides[-1].split("=")[0].split(".")[1]
+    err = capsys.readouterr().err
+    assert f"config error: {section}: " in err and field in err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the README's 7-leaf phylogenetics smoke test
+PHYLO_7_LEAVES = [
+    "env.phylo.leaves=7", "env.phylo.sites=2500", "env.phylo.clients=5", "clients.n=5",
+    "train.epochs=300", "train.batch=256", "train.eval_every=150",
+    "train.eval_mode=sampled", "train.eval_samples=20000",
+    "aggregate.epochs=300", "aggregate.batch=256", "aggregate.eval_every=150",
+    "aggregate.eval_mode=sampled", "aggregate.eval_samples=20000",
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("grid", []), ("multiset", []), ("phylo", []), ("sequence", []), ("phylo", PHYLO_7_LEAVES)],
+    ids=["grid", "multiset", "phylo", "sequence", "phylo-7-leaves"],
+)
+def test_shipped_configs_parse(name, overrides):
+    doc = apply_overrides(load_config(CONFIGS / f"{name}.yaml"), overrides)
+    run = RunConfig(doc)
+    template = run.train_template()
+    clients = run.client_train_configs()
+    server = run.aggregate_config()
+    assert len(clients) == run.n_clients == doc["clients"]["n"]
+    assert {c.epsilon for c in clients} == {template.epsilon} == {doc["loss"]["epsilon"]}
+    assert server.epsilon == doc["aggregate"]["epsilon"]
+    assert server.backend == template.backend and server.state_guard == template.state_guard
+    mode = "sampled" if overrides else "exact"
+    assert template.eval_mode == server.eval_mode == mode
+
+
+@pytest.mark.parametrize("loss_eps", [0.25, None], ids=["loss-eps-set", "loss-eps-absent"])
+def test_train_epsilon_is_not_a_key(loss_eps):
+    # the clients' exploration weight comes from loss.epsilon only
+    doc = load_config(CONFIGS / "grid.yaml")
+    doc["loss"].pop("epsilon")
+    if loss_eps is not None:
+        doc["loss"]["epsilon"] = loss_eps
+    run = RunConfig(apply_overrides(doc, ["train.epsilon=0.3"]))
+    want = 0.1 if loss_eps is None else loss_eps
+    assert run.train_template().epsilon == want
+    assert {c.epsilon for c in run.client_train_configs()} == {want}
+
+
+def test_empty_sections_take_the_defaults():
+    base = RunConfig(apply_overrides(load_config(CONFIGS / "grid.yaml"), ["train={}", "aggregate={}", "loss={}"]))
+    empty = RunConfig(apply_overrides(load_config(CONFIGS / "grid.yaml"), ["train=null", "aggregate=null", "loss=null"]))
+    assert empty.train_template() == base.train_template()
+    assert empty.aggregate_config() == base.aggregate_config()
+    assert empty.loss_spec == base.loss_spec
+
+
 def test_enumeration_guard_exit_code(outroot):
     cfg = write_cfg(outroot, TINY_MULTISET)
     rc = main(["train-local", "--config", cfg, "--client", "0", "--set", "train.state_guard=3"])

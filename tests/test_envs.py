@@ -161,6 +161,19 @@ def test_space_views_share_structure_not_rewards():
     assert not np.array_equal(got_a, got_b)
 
 
+@pytest.mark.parametrize("view", [False, True])
+def test_space_features_are_the_env_features(view):
+    # repeated, unsorted indices, some featurized on an earlier call
+    space = StateSpace.enumerated(MultisetEnv(values=(0.1, 0.5, 0.9), target_size=3))
+    if view:
+        space = space.for_env(MultisetEnv(values=(0.7, 0.2, 0.4), target_size=3))
+    for idx in ([5, 2, 5, 0], [13, 2, 9, 5, 9, 0, 19]):
+        got = space.features(np.array(idx))
+        assert got.shape == (len(idx), space.env.feature_dim)
+        for row, i in zip(got, idx):
+            assert np.array_equal(row, space.env._featurize(space.keys[i]))
+
+
 def test_space_view_rejects_other_dag():
     space = StateSpace.enumerated(MultisetEnv(values=(0.1, 0.5, 0.9), target_size=3))
     with pytest.raises(FingerprintMismatchError):

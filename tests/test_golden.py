@@ -43,7 +43,7 @@ def _sha(blob: bytes) -> str:
 
 def _client_cfg(kind, backend, seed, eval_every):
     return TrainConfig(
-        loss=LossSpec(kind, epsilon=0.1),
+        loss=LossSpec(kind),
         epochs=8,
         batch=16,
         seed=seed,

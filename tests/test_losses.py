@@ -60,8 +60,6 @@ def test_loss_spec_validation():
         LossSpec("XX")
     with pytest.raises(ValueError):
         LossSpec("CB", weights=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        LossSpec("CB", epsilon=1.5)
 
 
 # -- TB ------------------------------------------------------------------------

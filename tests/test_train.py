@@ -27,7 +27,7 @@ from tests.conftest import count_replays
 
 def small_cfg(kind="CB", **kw):
     base = dict(
-        loss=LossSpec(kind, epsilon=0.1),
+        loss=LossSpec(kind),
         epochs=400,
         batch=64,
         seed=5,
@@ -46,6 +46,20 @@ def test_config_validation():
         small_cfg(backend="gpu")
     with pytest.raises(ValueError):
         small_cfg(kind="AB")  # aggregation-only criterion
+    for bad in (
+        {"epsilon": 1.5},
+        {"epsilon": -0.5},
+        {"hidden": ()},
+        {"hidden": (0,)},
+        {"hidden": (8, 2.5)},
+        {"hidden": 5},
+        {"eval_every": 1.7},
+        {"eval_every": -1},
+        {"eval_mode": "off"},
+        {"eval_mode": "auto"},
+    ):
+        with pytest.raises(ValueError):
+            small_cfg(**bad)
 
 
 def test_reproducibility_same_seed(mset33):
@@ -176,7 +190,7 @@ def test_model_blocks_are_views_of_one_buffer(grid3, grid3_space, backend):
     def db(model, steps):
         return db_loss_batch(model.policy, model.flow, grid3_space, steps)
 
-    trained, _ = fit(grid3, grid3_space, cfg, db, epsilon=0.1, flow=True)
+    trained, _ = fit(grid3, grid3_space, cfg, db, flow=True)
     assert np.shares_memory(values(trained.flow), trained.params)
     assert not np.array_equal(values(trained.flow), start)
 
