@@ -87,6 +87,25 @@ def _number(doc, path, default=None, required=False) -> float:
     return float(v)
 
 
+FIT_KEYS = frozenset(f.name for f in fields(FitConfig))
+LOSS_KEYS = frozenset({"kind", "epsilon", "logz_lr", "weights"})
+
+
+def _section(doc: dict, section: str, keys: frozenset, elsewhere: dict[str, str]) -> dict:
+    """The mapping at `section` ({} for a missing or null one). Every key in
+    it must be one of `keys` and none of `elsewhere`, which names the key
+    that sets each field the section may not."""
+    node = _get(doc, section) or {}
+    if not isinstance(node, dict):
+        raise ConfigError(section, f"expected dict, got {type(node).__name__}")
+    for key in node:
+        if key in elsewhere:
+            raise ConfigError(f"{section}.{key}", f"not read here; it comes from {elsewhere[key]}")
+        if key not in keys:
+            raise ConfigError(f"{section}.{key}", "unknown key")
+    return node
+
+
 @dataclass
 class RunConfig:
     """Validated view over one experiment's YAML document."""
@@ -126,6 +145,7 @@ class RunConfig:
         return n
 
     def _loss_spec(self) -> LossSpec:
+        _section(self.doc, "loss", LOSS_KEYS, {})
         k = _get(self.doc, "loss.kind", default="CB", kind=str)
         if k not in LOSS_KINDS:
             raise ConfigError("loss.kind", f"expected one of {LOSS_KINDS}, got {k!r}")
@@ -144,17 +164,15 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError("loss", str(exc)) from exc
 
-    def _fit_config(self, section: str, cls, fallback: dict, **given):
+    def _fit_config(self, section: str, cls, fallback: dict, given: dict[str, tuple[str, object]]):
         """The `train` or `aggregate` section as a `cls`, one of the two
         FitConfigs, which checks every value. A field the section leaves out
-        takes its `fallback` value, then the dataclass default; `given` sets
-        fields that come from elsewhere, which the section does not set. An
-        empty section (YAML null) takes every default."""
-        node = _get(self.doc, section) or {}
-        if not isinstance(node, dict):
-            raise ConfigError(section, f"expected dict, got {type(node).__name__}")
-        kw = {"epochs": 5000, "batch": 512, **fallback, **given}
-        kw.update((f.name, node[f.name]) for f in fields(FitConfig) if f.name in node and f.name not in given)
+        takes its `fallback` value, then the dataclass default. `given` maps
+        each field that comes from elsewhere to the key that sets it and its
+        value; the section may not set it. An empty section (YAML null)
+        takes every default."""
+        node = _section(self.doc, section, FIT_KEYS, {k: where for k, (where, _) in given.items()})
+        kw = {"epochs": 5000, "batch": 512, **fallback, **{k: v for k, (_, v) in given.items()}, **node}
         if isinstance(kw.get("hidden"), list):
             kw["hidden"] = tuple(kw["hidden"])
         try:
@@ -165,7 +183,8 @@ class RunConfig:
     def train_template(self) -> TrainConfig:
         """The clients' settings. Their exploration weight is `loss.epsilon`,
         checked once the `train` section has passed."""
-        t = self._fit_config("train", TrainConfig, {}, seed=self.seed, loss=self.loss_spec, epsilon=0.1)
+        given = {"seed": ("seed", self.seed), "loss": ("loss", self.loss_spec), "epsilon": ("loss.epsilon", 0.1)}
+        t = self._fit_config("train", TrainConfig, {}, given)
         try:
             return replace(t, epsilon=_get(self.doc, "loss.epsilon", default=0.1))
         except ValueError as exc:
@@ -178,10 +197,12 @@ class RunConfig:
         """The server's settings. Its backend and hidden sizes default to the
         clients', and it keeps their state guard."""
         t = self.train_template()
-        return self._fit_config(
-            "aggregate", AggregateConfig, {"backend": t.backend, "hidden": t.hidden},
-            seed=derive_seed(self.seed, 1_000_003), weights=self.loss_spec.weights, state_guard=t.state_guard,
-        )
+        given = {
+            "seed": ("seed", derive_seed(self.seed, 1_000_003)),
+            "weights": ("loss.weights", self.loss_spec.weights),
+            "state_guard": ("train.state_guard", t.state_guard),
+        }
+        return self._fit_config("aggregate", AggregateConfig, {"backend": t.backend, "hidden": t.hidden}, given)
 
     # -- environments --------------------------------------------------------
 

@@ -6,10 +6,16 @@ optimizer updates the parameter vector and its moments in place. Parameters
 live in a single flat array laid out layer-major (weight matrix row-major,
 then bias, for each layer in order), so snapshots and parameter averaging are
 trivial.
+
+The optimizer keeps moments only for the parameters a gradient has ever
+reached, and for every parameter of a group with weight decay. A step reads
+the whole gradient once; its other work and its temporaries are the size of
+that live set, and its results have the dense update's bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,8 +139,30 @@ class ParamGroup:
 
 
 @dataclass
+class _Live:
+    """One group's live parameters: their positions in the flat vector, and
+    their moments."""
+
+    pos: np.ndarray | slice  # the group's slice when all of it is live
+    m: np.ndarray
+    v: np.ndarray
+
+    def add(self, fresh: np.ndarray) -> None:
+        """Make the parameters at `fresh` live, with zero moments."""
+        zeros = np.zeros(fresh.size)
+        self.pos = np.concatenate([self.pos, fresh])
+        self.m = np.concatenate([self.m, zeros])
+        self.v = np.concatenate([self.v, zeros])
+
+
+@dataclass
 class AdamWState:
-    """Moments and hyperparameters for decoupled-weight-decay Adam."""
+    """Moments and hyperparameters for decoupled-weight-decay Adam.
+
+    Moments are kept for the live parameters only: per group, those a
+    gradient has ever reached, and every parameter of a group with nonzero
+    decay. Any other parameter has zero moments, and an AdamW step leaves it
+    as it is, so `m` and `v` read as the dense moments."""
 
     groups: list[ParamGroup]
     lr: float = 3e-3
@@ -143,21 +171,55 @@ class AdamWState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
-    m: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
-    workspace: np.ndarray = field(init=False, repr=False)  # two rows of temporaries for adamw_step
+    live: list[_Live] = field(init=False, repr=False)  # one per group
+    seen: np.ndarray = field(init=False, repr=False)  # True where a parameter is live
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        def need(ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(what)
+
+        # with lr and eps finite and > 0, the dense update leaves a parameter
+        # with zero gradient and moments alone; with eps = 0 it would be 0 / 0
+        need(math.isfinite(self.lr) and self.lr > 0, "lr must be a finite number > 0")
+        need(math.isfinite(self.eps) and self.eps > 0, "eps must be a finite number > 0")
+        need(0 <= self.beta1 < 1, "beta1 must be in [0, 1)")
+        need(0 <= self.beta2 < 1, "beta2 must be in [0, 1)")
         n = sum(g.size for g in self.groups)
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.workspace = np.empty((2, n))
+        self.seen = np.zeros(n, dtype=bool)
+        self.live = []
+        for g, sl in self.group_slices():
+            lr, wd = self.settings(g)
+            need(math.isfinite(lr) and lr > 0, f"group {g.name}: lr must be a finite number > 0")
+            need(math.isfinite(wd) and wd >= 0, f"group {g.name}: weight_decay must be a finite number >= 0")
+            whole = wd > 0  # decay moves every parameter at every step
+            self.seen[sl] = whole
+            n = g.size if whole else 0
+            self.live.append(_Live(sl if whole else np.empty(0, np.intp), np.zeros(n), np.zeros(n)))
 
     @property
     def n_params(self) -> int:
-        return self.m.shape[0]
+        return self.seen.shape[0]
+
+    @property
+    def m(self) -> np.ndarray:
+        """The first moment of every parameter, as a new dense vector."""
+        return self._dense("m")
+
+    @property
+    def v(self) -> np.ndarray:
+        """The second moment of every parameter, as a new dense vector."""
+        return self._dense("v")
+
+    def _dense(self, moment: str) -> np.ndarray:
+        out = np.zeros(self.n_params)
+        for lv in self.live:
+            out[lv.pos] = getattr(lv, moment)
+        return out
+
+    def settings(self, g: ParamGroup) -> tuple[float, float]:
+        """A group's learning rate and weight decay."""
+        return (self.lr if g.lr is None else g.lr), (self.weight_decay if g.weight_decay is None else g.weight_decay)
 
     def group_slices(self) -> list[tuple[ParamGroup, slice]]:
         out, pos = [], 0
@@ -169,32 +231,49 @@ class AdamWState:
 
 def adamw_step(state: AdamWState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """One AdamW update in place: mutates the moments and `params`, and
-    returns `params`. It allocates no parameter-sized temporaries. Per group,
-    the decoupled decay is taken from the parameters before the Adam step
-    and subtracted after it."""
+    returns `params`. Per group, the decoupled decay is taken from the
+    parameters before the Adam step and subtracted after it.
+
+    It reads the whole gradient once, to find its nonzero entries, and makes
+    them live. Then it gathers the live parameters and gradient entries, runs
+    the dense update's arithmetic in the dense update's order on them, and
+    scatters the parameters back. Its temporaries are the size of the live
+    set, not of the parameter vector. A parameter that is not live has zero
+    moments and gradient and no decay, so the dense update would move it by
+    0 / (0 + eps) = 0: the result has the dense update's bits. A non-finite
+    gradient entry is nonzero, so it is found and refused before anything
+    changes."""
     if params.shape != (state.n_params,) or grad.shape != (state.n_params,):
         raise ValueError("parameter/gradient shape does not match optimizer state")
-    if not np.all(np.isfinite(grad)):
+    touched = np.flatnonzero(grad != 0)  # NaN != 0, so non-finite entries are found
+    if not np.isfinite(grad[touched]).all():
         raise NumericError("non-finite gradient passed to adamw_step")
+    fresh = touched[~state.seen[touched]]
+    slices = state.group_slices()
+    if fresh.size:
+        state.seen[fresh] = True
+        cuts = np.searchsorted(fresh, [sl.stop for _, sl in slices[:-1]])
+        for lv, new in zip(state.live, np.split(fresh, cuts)):
+            if new.size:
+                lv.add(new)
     state.step += 1
     t = state.step
-    m, v, (a, b) = state.m, state.v, state.workspace
-    np.multiply(grad, 1 - state.beta1, out=a)
-    m *= state.beta1
-    m += a
-    np.multiply(grad, 1 - state.beta2, out=a)
-    a *= grad
-    v *= state.beta2
-    v += a
     c1, c2 = 1 - state.beta1**t, 1 - state.beta2**t
-    for g, sl in state.group_slices():
-        lr = state.lr if g.lr is None else g.lr
-        wd = state.weight_decay if g.weight_decay is None else g.weight_decay
-        p, step, denom = params[sl], a[sl], b[sl]
-        np.divide(v[sl], c2, out=denom)
+    for (g, _), lv in zip(slices, state.live):
+        lr, wd = state.settings(g)
+        m, v = lv.m, lv.v
+        gl, p = grad[lv.pos], params[lv.pos]
+        a = np.multiply(gl, 1 - state.beta1)
+        m *= state.beta1
+        m += a
+        np.multiply(gl, 1 - state.beta2, out=a)
+        a *= gl
+        v *= state.beta2
+        v += a
+        denom = np.divide(v, c2)
         np.sqrt(denom, out=denom)
         denom += state.eps
-        np.divide(m[sl], c1, out=step)
+        step = np.divide(m, c1, out=a)
         step *= lr
         step /= denom
         if wd:
@@ -202,4 +281,5 @@ def adamw_step(state: AdamWState, params: np.ndarray, grad: np.ndarray) -> np.nd
         p -= step
         if wd:
             p -= denom
+        params[lv.pos] = p
     return params

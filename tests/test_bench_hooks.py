@@ -44,6 +44,7 @@ def test_tracer_installs_over_a_round_and_uninstalls(grid3, grid3_space):
         tr.uninstall()
     assert [policy.sample_batch, losses.ab_loss_batch, train.sample_batch, aggregate.load_local_policies] == originals
     assert metrics["policy.sample_batch_calls"][0] == 5
+    assert metrics["nn.adamw_step_calls"][0] == 5  # 2 client and 3 AB epochs
     assert metrics["policy.replay_log_pf_calls"][0] == 0
     assert tracing.calls_under(tr, "policy.apply_log_pf_grad", "losses.ab") == 3
     assert tracing.calls_under(tr, "policy.apply_log_pf_grad", "losses.cb") == 2

@@ -284,15 +284,39 @@ def test_shipped_configs_parse(name, overrides):
 
 @pytest.mark.parametrize("loss_eps", [0.25, None], ids=["loss-eps-set", "loss-eps-absent"])
 def test_train_epsilon_is_not_a_key(loss_eps):
-    # the clients' exploration weight comes from loss.epsilon only
+    # the clients' exploration weight comes from loss.epsilon only, and the
+    # train section may not set it
     doc = load_config(CONFIGS / "grid.yaml")
     doc["loss"].pop("epsilon")
     if loss_eps is not None:
         doc["loss"]["epsilon"] = loss_eps
-    run = RunConfig(apply_overrides(doc, ["train.epsilon=0.3"]))
-    want = 0.1 if loss_eps is None else loss_eps
-    assert run.train_template().epsilon == want
-    assert {c.epsilon for c in run.client_train_configs()} == {want}
+    with pytest.raises(ConfigError, match="loss.epsilon") as err:
+        RunConfig(apply_overrides(doc, ["train.epsilon=0.3"]))
+    assert err.value.key == "train.epsilon"
+
+
+UNREAD_KEYS = [
+    ("train.epoch=3", None),
+    ("train.seed=7", "seed"),
+    ("train.loss=TB", "loss"),
+    ("train.weights=[1, 2]", None),
+    ("aggregate.state_guard=10", "train.state_guard"),
+    ("aggregate.seed=7", "seed"),
+    ("aggregate.weights=[1, 2]", "loss.weights"),
+    ("aggregate.logz_lr=0.1", None),
+    ("loss.lr=0.1", None),
+    ("loss.epsilonn=0.2", None),
+]
+
+
+@pytest.mark.parametrize("override, where", UNREAD_KEYS, ids=[o for o, _ in UNREAD_KEYS])
+def test_unread_key_is_config_error(outroot, capsys, override, where):
+    argv = ["train-local", "--config", write_cfg(outroot, TINY_GRID), "--client", "0", "--set", override]
+    assert main(argv) == 2
+    key = override.split("=")[0]
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err
+    assert ("unknown key" in err) if where is None else (f"comes from {where}" in err)
 
 
 def test_empty_sections_take_the_defaults():

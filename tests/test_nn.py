@@ -174,18 +174,19 @@ def test_adamw_permutation_invariance(rng):
     assert np.max(np.abs(out1[perm] - out2)) == 0.0
 
 
-def test_adamw_in_place_matches_functional_reference(rng):
+def _textbook_adamw(p, m, v, g, t, groups, b1=0.9, b2=0.999, eps=1e-8):
     # the textbook update, written without mutation, with the decay taken
     # from the pre-step parameters
-    def reference(p, m, v, g, t, groups, b1=0.9, b2=0.999, eps=1e-8):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mhat, vhat = m / (1 - b1**t), v / (1 - b2**t)
-        new = p.copy()
-        for sl, lr, wd in groups:
-            new[sl] = p[sl] - lr * mhat[sl] / (np.sqrt(vhat[sl]) + eps) - lr * wd * p[sl]
-        return new, m, v
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    mhat, vhat = m / (1 - b1**t), v / (1 - b2**t)
+    new = p.copy()
+    for sl, lr, wd in groups:
+        new[sl] = p[sl] - lr * mhat[sl] / (np.sqrt(vhat[sl]) + eps) - lr * wd * p[sl]
+    return new, m, v
 
+
+def test_adamw_in_place_matches_functional_reference(rng):
     state = AdamWState([ParamGroup("a", 6), ParamGroup("b", 4, lr=0.1, weight_decay=0.0)], lr=3e-3, weight_decay=0.2)
     groups = [(slice(0, 6), 3e-3, 0.2), (slice(6, 10), 0.1, 0.0)]
     params = rng.normal(0, 1, 10)
@@ -193,7 +194,92 @@ def test_adamw_in_place_matches_functional_reference(rng):
     for t in range(1, 8):
         g = rng.normal(0, 1, 10)
         out = adamw_step(state, params, g)
-        ref, m, v = reference(ref, m, v, g, t, groups)
+        ref, m, v = _textbook_adamw(ref, m, v, g, t, groups)
         assert out is params
         assert params.tobytes() == ref.tobytes()
         assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+# Two groups without decay, one with its own lr, and one decaying group: a
+# sparse step keeps moments for the parameters a gradient has reached only.
+SPARSE_GROUPS = [ParamGroup("policy", 40), ParamGroup("logz", 4, lr=0.1), ParamGroup("mlp", 16, weight_decay=0.2)]
+SPARSE_SLICES = [(slice(0, 40), 3e-3, 0.0), (slice(40, 44), 0.1, 0.0), (slice(44, 60), 3e-3, 0.2)]
+NEVER = np.r_[30:40, 42]  # no gradient ever reaches these, bar -0.0
+ONCE = np.r_[0:3, 43]  # nonzero at step 1 only
+TINY = np.array([20, 21])  # first reached at step 5 by 1e-170, whose square underflows to 0
+
+
+def _sparse_grad(rng, t):
+    g = np.where(rng.random(60) < 0.15, rng.normal(0, 1, 60), 0.0)
+    g[rng.random(60) < 0.1] = -0.0
+    g[NEVER] = (0.0, -0.0) * (NEVER.size // 2) + (0.0,) * (NEVER.size % 2)
+    g[ONCE] = rng.normal(0, 1, ONCE.size) if t == 1 else 0.0
+    g[TINY] = 0.0 if t < 5 else (1e-170, -1e-170)[t % 2]
+    return g
+
+
+def test_adamw_sparse_steps_keep_the_dense_bits(rng):
+    state = AdamWState(SPARSE_GROUPS, lr=3e-3)
+    params = rng.normal(0, 1, 60)
+    params[TINY] = 0.0  # as in a fresh table, so a step of ~1e-165 shows
+    start = params.copy()
+    ref, m, v = params.copy(), np.zeros(60), np.zeros(60)
+    for t in range(1, 41):
+        g = _sparse_grad(rng, t)
+        adamw_step(state, params, g)
+        ref, m, v = _textbook_adamw(ref, m, v, g, t, SPARSE_SLICES)
+        assert params.tobytes() == ref.tobytes(), t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
+        if t == 5:  # v stays 0 while m moves the parameter
+            assert np.all(state.v[TINY] == 0.0) and np.all(state.m[TINY] != 0.0)
+            assert np.all(params[TINY] != start[TINY])
+    assert params[NEVER].tobytes() == start[NEVER].tobytes()
+    assert not state.seen[NEVER].any() and state.seen[ONCE].all() and state.seen[44:].all()
+    assert np.all(params[ONCE] != start[ONCE])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adamw_refuses_a_nonfinite_entry_before_any_change(rng, bad):
+    state = AdamWState(SPARSE_GROUPS, lr=3e-3)
+    params = rng.normal(0, 1, 60)
+    for t in range(1, 4):
+        adamw_step(state, params, _sparse_grad(rng, t))
+    before = params.copy(), state.m, state.v, state.seen.copy()
+    g = _sparse_grad(rng, 4)
+    g[NEVER[0]] = bad
+    with pytest.raises(NumericError):
+        adamw_step(state, params, g)
+    after = params, state.m, state.v, state.seen
+    assert state.step == 3
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"lr": 0.0}, {"lr": -1e-3}, {"lr": np.inf}, {"lr": np.nan},
+        {"eps": 0.0}, {"eps": -1e-8}, {"eps": np.inf}, {"eps": np.nan},
+        {"beta1": -0.1}, {"beta1": 1.0}, {"beta1": np.nan},
+        {"beta2": -0.1}, {"beta2": 1.0}, {"beta2": np.nan},
+    ],
+    ids=lambda kw: "{}={}".format(*next(iter(kw.items()))),
+)
+def test_adamw_rejects_bad_hyperparameters(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        _opt(3, **kw)
+
+
+@pytest.mark.parametrize(
+    "group", [ParamGroup("p", 3, lr=0.0), ParamGroup("p", 3, lr=np.inf), ParamGroup("p", 3, weight_decay=-0.1),
+              ParamGroup("p", 3, weight_decay=np.nan)],
+    ids=["lr=0", "lr=inf", "weight_decay=-0.1", "weight_decay=nan"],
+)
+def test_adamw_rejects_bad_group_settings(group):
+    with pytest.raises(ValueError, match="group p"):
+        AdamWState([group])
+
+
+def test_adamw_accepts_the_edges():
+    state = AdamWState([ParamGroup("p", 2)], beta1=0.0, beta2=0.0, eps=1e-300)
+    out = adamw_step(state, np.zeros(2), np.array([2.0, 0.0]))
+    assert out[1] == 0.0 and out[0] == pytest.approx(-state.lr)
