@@ -42,6 +42,7 @@ class StateSpace:
         self._feats = None  # allocated by the first `features` call
         self._featurized = np.zeros(cap, dtype=bool)
         self.complete = False
+        self._edges: dict = {}  # the edge map, built on first use; `for_env` views share this dict
         self._initial = env.initial_key()
         self.root = self._register(self._initial, depth=0)
 
@@ -214,9 +215,9 @@ class StateSpace:
         """This space if it belongs to `env`; otherwise a view of this
         complete space for `env`, which must have the same DAG.
 
-        A view shares keys, child table, parent counts, depths and features,
-        and keeps its own reward cache, so clients whose rewards differ can
-        share one enumeration.
+        A view shares keys, child table, parent counts, depths, features and
+        the edge map, and keeps its own reward cache, so clients whose
+        rewards differ can share one enumeration.
         """
         if env is self.env:
             return self
@@ -230,6 +231,26 @@ class StateSpace:
         view._logr = np.full(self.n_states, np.nan)
         view.features = self.features  # one lazily allocated feature buffer
         return view
+
+    def edge_ids(self) -> np.ndarray:
+        """(n_states, arity) parameter id of each (state, slot): the legal
+        slots, stop included, are numbered 0..n_edges-1 in row-major order,
+        and every illegal slot holds n_edges, one past the last id. Built on
+        the first call and kept; views from `for_env` share it."""
+        self.require_complete()
+        if "ids" not in self._edges:
+            legal = self._children[: self.n_states] != CHILD_ILLEGAL
+            n_edges = int(np.count_nonzero(legal))
+            ids = np.full(legal.shape, n_edges, dtype=np.intp)
+            ids[legal] = np.arange(n_edges)
+            self._edges.update(ids=ids, n=n_edges)
+        return self._edges["ids"]
+
+    @property
+    def n_edges(self) -> int:
+        """The number of legal (state, slot) pairs of a complete space."""
+        self.edge_ids()
+        return self._edges["n"]
 
     def require_complete(self) -> None:
         if not self.complete:

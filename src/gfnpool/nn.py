@@ -234,28 +234,34 @@ def adamw_step(state: AdamWState, params: np.ndarray, grad: np.ndarray) -> np.nd
     returns `params`. Per group, the decoupled decay is taken from the
     parameters before the Adam step and subtracted after it.
 
-    It reads the whole gradient once, to find its nonzero entries, and makes
-    them live. Then it gathers the live parameters and gradient entries, runs
-    the dense update's arithmetic in the dense update's order on them, and
-    scatters the parameters back. Its temporaries are the size of the live
-    set, not of the parameter vector. A parameter that is not live has zero
-    moments and gradient and no decay, so the dense update would move it by
-    0 / (0 + eps) = 0: the result has the dense update's bits. A non-finite
-    gradient entry is nonzero, so it is found and refused before anything
-    changes."""
+    It reads the gradient of each group that is not live as a whole once,
+    to find its nonzero entries, and makes them live; a group live as a
+    whole is only checked to be finite. Then it gathers the live parameters
+    and gradient entries, runs the dense update's arithmetic in the dense
+    update's order on them, and scatters the parameters back. Its
+    temporaries are the size of the live set, not of the parameter vector.
+    A parameter that is not live has zero moments and gradient and no
+    decay, so the dense update would move it by 0 / (0 + eps) = 0: the
+    result has the dense update's bits. A non-finite gradient entry is
+    nonzero, so it is found and refused before anything changes."""
     if params.shape != (state.n_params,) or grad.shape != (state.n_params,):
         raise ValueError("parameter/gradient shape does not match optimizer state")
-    touched = np.flatnonzero(grad != 0)  # NaN != 0, so non-finite entries are found
-    if not np.isfinite(grad[touched]).all():
-        raise NumericError("non-finite gradient passed to adamw_step")
-    fresh = touched[~state.seen[touched]]
     slices = state.group_slices()
-    if fresh.size:
-        state.seen[fresh] = True
-        cuts = np.searchsorted(fresh, [sl.stop for _, sl in slices[:-1]])
-        for lv, new in zip(state.live, np.split(fresh, cuts)):
-            if new.size:
-                lv.add(new)
+    fresh = []  # per group, the offsets in it that this step makes live
+    for (_, sl), lv in zip(slices, state.live):
+        gs = grad[sl]
+        if isinstance(lv.pos, slice):  # live as a whole
+            ok, new = np.isfinite(gs).all(), None
+        else:
+            touched = np.flatnonzero(gs != 0)  # NaN != 0, so non-finite entries are found
+            ok, new = np.isfinite(gs[touched]).all(), touched[~state.seen[sl][touched]]
+        if not ok:
+            raise NumericError("non-finite gradient passed to adamw_step")
+        fresh.append(new)
+    for (_, sl), lv, new in zip(slices, state.live, fresh):
+        if new is not None and new.size:
+            state.seen[sl][new] = True
+            lv.add(new + sl.start)
     state.step += 1
     t = state.step
     c1, c2 = 1 - state.beta1**t, 1 - state.beta2**t

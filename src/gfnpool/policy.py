@@ -30,7 +30,10 @@ order a loop over t would, and tabular results keep their bits.
 A block has k output columns per state: the arity for a policy, one for
 the state flow log F(s) that DB trains, so a flow is a
 `TabularPolicy(space, zeros((n, 1)))` or an `MlpPolicy` whose last width is
-1. Each block returns the flat gradient of its outputs, `logits_grad`.
+1. Each block returns the flat gradient of its outputs, `logits_grad`. A
+tabular policy block holds one parameter per legal edge, numbered by
+`StateSpace.edge_ids`: its rows are gathers through that map, and its
+gradient is one `np.bincount` into the edges.
 
 An MLP evaluates each distinct state of a call once: `MlpPolicy.logits_rows`
 runs the forward over the unique state indices and expands the rows back,
@@ -38,6 +41,14 @@ and `MlpPolicy.logits_grad` sums each state's output gradients before one
 backward. The sampler's record stacks the forwards of its steps in
 `np.unique` order, so its cache is the one `logits_rows` would build.
 Tabular rows are plain gathers and skip the dedupe.
+
+A snapshot (version 2) is sorted, compact JSON: the version, the
+environment fingerprint, the backend, its `arch`, the backward mode, free
+`meta`, and `params_b64`, the base64 of the flat parameters as
+little-endian float64. A tabular payload has one value per legal edge in
+row-major (state, slot) order, and its arch holds `n_states`, `arity` and
+`n_edges`; an MLP payload is its flat vector, and its arch holds `widths`
+and `negative_slope`. A snapshot of any other version is refused.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from .errors import (
 )
 from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init, mlp_stack_caches
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def masked_log_softmax(logits: np.ndarray, legal: np.ndarray):
@@ -140,39 +151,84 @@ class ForwardPolicy:
 
 
 class TabularPolicy(ForwardPolicy):
-    """One row of k outputs per enumerated state; k defaults to the arity."""
+    """k outputs per enumerated state, k the arity by default, held in one
+    flat `params` vector. A policy block (k = arity) holds one parameter per
+    legal edge, in the order of `StateSpace.edge_ids`: an illegal slot is
+    masked out of every softmax and never gets a gradient, so it has no
+    parameter. Any other block, such as the one-column state flow, holds
+    every (state, column) cell row-major.
+
+    It is built from a dense (n_states, k) `table`, whose legal cells it
+    gathers (all zeros if omitted), or from `params`, a flat vector it keeps
+    as it is, without a copy, so that it can be a view of a larger buffer."""
 
     backend = "tabular"
 
-    def __init__(self, space: StateSpace, table: np.ndarray | None = None):
+    def __init__(self, space: StateSpace, table: np.ndarray | None = None, *, k: int | None = None, params=None):
         space.require_complete()
         n = space.n_states
-        self.table = np.zeros((n, space.arity)) if table is None else np.asarray(table, dtype=np.float64)
-        if self.table.ndim != 2 or self.table.shape[0] != n:
-            raise ValueError(f"table shape {self.table.shape} does not have {n} rows")
+        if table is not None:
+            table = np.asarray(table, dtype=np.float64)
+            if table.ndim != 2 or table.shape[0] != n:
+                raise ValueError(f"table shape {table.shape} does not have {n} rows")
+            k = table.shape[1]
+        self.n_states, self.k = n, space.arity if k is None else k
+        self._ids = space.edge_ids() if self.k == space.arity else None
+        size = self.size(space, self.k)
+        if table is not None:
+            params = table.ravel() if self._ids is None else table[self._ids < size]
+        self.params = np.zeros(size) if params is None else params
+        if self.params.shape != (size,):
+            raise ValueError(f"a tabular block of {self.k} columns has {size} parameters, got {self.params.shape}")
+
+    @staticmethod
+    def size(space: StateSpace, k: int) -> int:
+        """The parameter count of a k-column block on `space`."""
+        return space.n_edges if k == space.arity else space.n_states * k
 
     @property
     def arity(self) -> int:
-        return self.table.shape[1]
+        return self.k
 
     @property
     def n_params(self) -> int:
-        return self.table.size
+        return self.params.size
+
+    @property
+    def table(self) -> np.ndarray:
+        """The outputs as a new, read-only dense (n_states, k) array, 0 on
+        every illegal slot."""
+        if self._ids is None:
+            out = self.params.reshape(self.n_states, self.k).copy()
+        else:
+            out = np.append(self.params, 0.0)[self._ids]
+        out.flags.writeable = False
+        return out
 
     def get_params(self) -> np.ndarray:
-        return self.table.ravel().copy()
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
-        self.table = flat.reshape(self.table.shape).copy()
+        self.params = flat.copy()
 
     def logits_rows(self, space, idx):
-        return self.table[idx], None
+        """The rows of `idx`; an illegal slot reads some other parameter,
+        which every caller masks."""
+        if self._ids is None:
+            return self.params.reshape(self.n_states, self.k)[idx], None
+        return self.params.take(self._ids.take(idx, axis=0), mode="clip"), None
 
     def logits_grad(self, idx, dlogits, cache) -> np.ndarray:
-        return row_sums(idx, dlogits, self.table.shape[0]).ravel()
+        """One `np.bincount` over the cells of `idx` in input order, so each
+        parameter sums its terms as `np.add.at` would; the illegal cells
+        fall into one extra bin, which is dropped."""
+        if self._ids is None:
+            return row_sums(idx, dlogits, self.n_states).ravel()
+        cells = self._ids.take(idx, axis=0).ravel()
+        return np.bincount(cells, weights=dlogits.ravel(), minlength=self.n_params + 1)[:-1]
 
     def arch_descriptor(self) -> dict:
-        return {"n_states": self.table.shape[0], "arity": self.table.shape[1]}
+        return {"n_states": self.n_states, "arity": self.k, "n_edges": self.n_params}
 
 
 class MlpPolicy(ForwardPolicy):
@@ -528,7 +584,9 @@ def snapshot_doc(blob: bytes) -> dict:
     if not isinstance(doc, dict):
         raise SnapshotError("a snapshot must be a JSON object")
     if doc.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotError(f"unknown snapshot version: {doc.get('version')!r}")
+        raise SnapshotError(
+            f"unsupported snapshot version {doc.get('version')!r}: this reader supports version {SNAPSHOT_VERSION} only"
+        )
     return doc
 
 
@@ -565,14 +623,19 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
         if space is None:
             space = StateSpace.enumerated(env)
         space.require_complete()
-        n, a = arch.get("n_states"), arch.get("arity")
+        n, a, e = arch.get("n_states"), arch.get("arity"), arch.get("n_edges")
         if (n, a) != (space.n_states, space.arity):
             raise SnapshotError(
                 f"tabular arch ({n}, {a}) does not match enumeration ({space.n_states}, {space.arity})"
             )
-        if params.size != space.n_states * space.arity:
-            raise SnapshotError("truncated tabular parameter payload")
-        policy: ForwardPolicy = TabularPolicy(space, params.reshape(space.n_states, space.arity))
+        if e != space.n_edges:
+            raise SnapshotError(f"tabular arch has n_edges {e!r}, but the space has {space.n_edges} legal edges")
+        if params.size != space.n_edges:
+            dense = " (n_states x arity, the dense layout of version 1)" if params.size == n * a else ""
+            raise SnapshotError(
+                f"tabular payload holds {params.size} values{dense}, not one per legal edge ({space.n_edges})"
+            )
+        policy: ForwardPolicy = TabularPolicy(space, params=params)
     elif doc.get("backend") == "mlp":
         widths, slope = arch.get("widths"), arch.get("negative_slope", 0.01)
         try:  # `type(...) is int` also turns away JSON booleans

@@ -132,7 +132,7 @@ class Model:
             return MlpSpec((env.feature_dim, *cfg.hidden, k))
 
         def size(k):
-            return space.n_states * k if tabular else spec(k).n_params
+            return TabularPolicy.size(space, k) if tabular else spec(k).n_params
 
         self.groups = [ParamGroup("policy", size(env.max_arity), weight_decay=decay)]
         if logz_lr is not None:
@@ -145,7 +145,7 @@ class Model:
 
         def block(view, k):
             if tabular:
-                return TabularPolicy(space, view.reshape(space.n_states, k))
+                return TabularPolicy(space, k=k, params=view)
             view[:] = mlp_init(spec(k), np.random.default_rng(init_ss))
             return MlpPolicy(spec(k), view)
 

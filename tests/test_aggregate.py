@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -261,7 +263,7 @@ def test_fedavg_architecture_mismatch(grid3, grid3_space, rng):
         )
 
 
-@pytest.mark.parametrize("blob", [b"[1]", b'{"version":1}', b"\xff", b"not json"])
+@pytest.mark.parametrize("blob", [b"[1]", b'{"version":1}', b'{"version":2}', b"\xff", b"not json"])
 def test_fedavg_rejects_malformed_snapshots(grid3, grid3_space, rng, blob):
     good = save_snapshot(random_tabular(grid3_space, rng), grid3)
     for blobs in ([blob], [good, blob], [blob, good]):
@@ -270,6 +272,38 @@ def test_fedavg_rejects_malformed_snapshots(grid3, grid3_space, rng, blob):
 
 
 # -- naive policy product --------------------------------------------------------
+
+
+# sha256 of the exact terminal distributions the three baselines give for
+# three fixed random tabular locals; pinned while the tables were dense, so
+# that holding them on legal edges is seen to change no output
+BASELINE_SHA256 = {
+    "grid3": {
+        "naive": "dfd04a316008b3c19cf2327725dcc9e5127c7aa8dc715894d65b820a8ab4b978",
+        "fedavg": "0bb3aa4e85c45071e5166e77e00ac83ebe0cd32b78b45c83a5802f57129aa2bc",
+        "pcvi": "7135045498ca8092be542431b4a272717466a263c7bfae0054a5a0db7646bbef",
+    },
+    "mset33": {
+        "naive": "5578a0069c14b1213ea8432d2295005355ee413fdf7166bc84a699654df1aee9",
+        "fedavg": "ca5453cc8562282c537051b16f41b00cf4ea3d4743d04d61e3c7707f1f23dfab",
+        "pcvi": "31769e190a00aa4852bd8ccbc0e0b8be5696f5312cecee48b11ee432d7e81aec",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_SHA256))
+def test_baselines_keep_their_outputs(name, request):
+    env, space = request.getfixturevalue(name), request.getfixturevalue(f"{name}_space")
+    gen = np.random.default_rng(17)
+    pols = [TabularPolicy(space, gen.normal(0, 1, (space.n_states, space.arity))) for _ in range(3)]
+    fedavg = load_snapshot(fedavg_average([save_snapshot(p, env) for p in pols]), env, space)[0]
+    fits = [pcvi_fit(p, space, 2000, np.random.default_rng(3 + k)) for k, p in enumerate(pols)]
+    out = {
+        "naive": exact_pT(naive_policy_product(pols, space), space).p,
+        "fedavg": exact_pT(fedavg, space).p,
+        "pcvi": pcvi_distribution(pcvi_pool(fits), space).p,
+    }
+    assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in out.items()} == BASELINE_SHA256[name]
 
 
 def test_naive_product_is_per_state_renormalized_product(grid3, grid3_space, rng):

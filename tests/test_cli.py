@@ -161,6 +161,17 @@ def test_manifest_snapshots_must_be_readable(outroot, capsys, entry):
     assert "config error" in err and "bad.manifest" in err
 
 
+def test_aggregate_of_a_version_1_snapshot_is_a_snapshot_error(outroot, capsys):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    path = outroot / "out" / "tiny" / "client1.gfnpolicy"
+    path.write_bytes(path.read_bytes().replace(b'"version":2', b'"version":1'))
+    capsys.readouterr()
+    assert main(["aggregate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "version 1" in err and "version 2" in err
+
+
 def test_baselines_with_a_missing_client_snapshot_is_config_error(outroot, capsys):
     # a partial train-clients leaves one snapshot of two
     cfg = write_cfg(outroot, TINY_GRID)

@@ -2,7 +2,10 @@
 
 The ROADMAP rule is that, with fixed seeds, snapshots stay byte-identical:
 a change that alters any hash below must say why in CHANGES.md and update
-the hash in the same change. Each run is a few AdamW steps on grid 3x3,
+the hash in the same change. Each snapshot is also rewritten in the
+version 1 layout (a dense tabular payload), whose hashes are the ones
+pinned before the version 2 format: a format change that moves no trained
+value keeps them. Each run is a few AdamW steps on grid 3x3,
 through `train_local` for every local loss and both backends, and through
 `aggregate_ab` for both backends. Between them they cover log Z (TB), the
 flow group (DB), MLP weight decay, the exploration mixture and the AB loss;
@@ -16,9 +19,29 @@ import pytest
 from gfnpool.aggregate import AggregateConfig, aggregate_ab
 from gfnpool.losses import LossSpec
 from gfnpool.envs import GridEnv
+from gfnpool.policy import load_snapshot, snapshot_bytes, snapshot_doc, snapshot_params
 from gfnpool.train import TrainConfig, train_local
 
 CLIENT_SHA256 = {
+    ("TB", "tabular"): "c5281e01369ed3398a870e6c08c789a03deefc458b72f0f08c628980449eb684",
+    ("DB", "tabular"): "8731112d80380b231b8b530054dbf4f23e511b1eb6425e3c19bd1a11ad3b96df",
+    ("DBC", "tabular"): "a8d43e17fdaaef110fd7f44e6a9153a7ce82cd6536d6418107d588d473ea8db2",
+    ("CB", "tabular"): "dbdab1f3a58e25818c7d256a0b20065b1d8b5d26eb526635d820c1abb05df98e",
+    ("VL", "tabular"): "ae88560a4d6d353111f03f9b6dc04abe2a245814176971ae5dae1430ead83c98",
+    ("TB", "mlp"): "fe9bd4b61971224359cf1016cf06662f210b51a8642ab386c154c1726bd645d3",
+    ("DB", "mlp"): "3a13582fe51cc749c18c4664b703dab1f03b65826680a85459687a4e601d2a8c",
+    ("DBC", "mlp"): "af89f8184ba0c2e8ef016cd3f570eac763188f9d53a5926e7af6e56e6473e9c7",
+    ("CB", "mlp"): "6942719852e3d902093fafc723f3bb3f96bfd9da1608c69c321dd2998158aa40",
+    ("VL", "mlp"): "ac0828c6e83a7aad443749945023c6e01d48cd8f4b5a143ea9a248fc2e3b4244",
+}
+
+GLOBAL_SHA256 = {
+    "tabular": "13fb051e154701d94f04952dbd7da13229af24486d62d1cb4553a4b90e8bd8a9",
+    "mlp": "20f61b3fca29582ae0824894ae5f1a82a4f6728ce420cd86c0ee23d386b91424",
+}
+
+# the same runs as version 1 wrote them
+CLIENT_SHA256_V1 = {
     ("TB", "tabular"): "53f03a1f61b8491f6f90004a2f9ba9430b4b066aad7f15131b56c12e2b350f12",
     ("DB", "tabular"): "a2c530110651cadffe1a62bef407a830ab596cd5066c66b7fbd078cda6d23a77",
     ("DBC", "tabular"): "e3e2916d4241f0ba1bfd182faeec8e829cb72f07436118c70d427e1365b6b56b",
@@ -31,7 +54,7 @@ CLIENT_SHA256 = {
     ("VL", "mlp"): "d9c2c99776a09a23b5f7a6f14dd4948b1573d4758fbe0ea5b39aee9ab52e936e",
 }
 
-GLOBAL_SHA256 = {
+GLOBAL_SHA256_V1 = {
     "tabular": "79b0a96ea523a08eabbbcde8c0775bc4311218855c15967bfffdab9501b4d232",
     "mlp": "144bf3d29bfd7781ab263030288d30879b90322a8fbe5d148e3fb975ae34c223",
 }
@@ -39,6 +62,19 @@ GLOBAL_SHA256 = {
 
 def _sha(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def _v1_layout(blob: bytes, env, space) -> bytes:
+    """A snapshot rewritten as version 1 wrote it: a tabular payload is the
+    dense `.table`, and its arch has no edge count; an MLP payload is
+    unchanged."""
+    doc = snapshot_doc(blob)
+    params = snapshot_params(doc)
+    if doc["backend"] == "tabular":
+        params = load_snapshot(blob, env, space)[0].table
+        del doc["arch"]["n_edges"]
+    del doc["params_b64"]
+    return snapshot_bytes({**doc, "version": 1}, params)
 
 
 def _client_cfg(kind, backend, seed, eval_every):
@@ -57,6 +93,7 @@ def _client_cfg(kind, backend, seed, eval_every):
 def test_client_snapshot_bytes_are_pinned(grid3, grid3_space, kind, backend):
     res = train_local(grid3, _client_cfg(kind, backend, seed=7, eval_every=2), grid3_space)
     assert _sha(res.snapshot) == CLIENT_SHA256[(kind, backend)]
+    assert _sha(_v1_layout(res.snapshot, grid3, grid3_space)) == CLIENT_SHA256_V1[(kind, backend)]
 
 
 @pytest.mark.parametrize("backend", sorted(GLOBAL_SHA256))
@@ -69,3 +106,4 @@ def test_global_snapshot_bytes_are_pinned(grid3_space, backend):
     cfg = AggregateConfig(epochs=8, batch=16, seed=13, backend=backend, hidden=(8, 8), eval_every=2)
     res = aggregate_ab(envs[0], snaps, cfg, space=grid3_space)
     assert _sha(res.snapshot) == GLOBAL_SHA256[backend]
+    assert _sha(_v1_layout(res.snapshot, envs[0], grid3_space)) == GLOBAL_SHA256_V1[backend]

@@ -246,12 +246,15 @@ def test_adamw_refuses_a_nonfinite_entry_before_any_change(rng, bad):
         adamw_step(state, params, _sparse_grad(rng, t))
     before = params.copy(), state.m, state.v, state.seen.copy()
     g = _sparse_grad(rng, 4)
-    g[NEVER[0]] = bad
-    with pytest.raises(NumericError):
-        adamw_step(state, params, g)
-    after = params, state.m, state.v, state.seen
-    assert state.step == 3
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    assert not state.seen[np.flatnonzero(g[:44])].all()  # the step would make some parameter live
+    for pos in (NEVER[0], 50):  # a sparse group's untouched entry, and one of the group live as a whole
+        bad_g = g.copy()
+        bad_g[pos] = bad
+        with pytest.raises(NumericError):
+            adamw_step(state, params, bad_g)
+        after = params, state.m, state.v, state.seen
+        assert state.step == 3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
+from gfnpool.envs.space import CHILD_ILLEGAL
 from gfnpool.errors import FingerprintMismatchError, SnapshotError
 from gfnpool.policy import (
     MlpPolicy,
@@ -18,8 +19,12 @@ from gfnpool.policy import (
     replay_log_pb,
     replay_log_pf,
     replay_steps,
+    row_sums,
     sample_batch,
     save_snapshot,
+    snapshot_bytes,
+    snapshot_doc,
+    snapshot_params,
 )
 from gfnpool.nn import mlp_backward, mlp_forward
 from tests.conftest import RECORD_CASES, mlp_flow, one_row_batch, paths, random_tabular, record_case
@@ -198,12 +203,13 @@ def test_masked_log_softmax_column_max_keeps_the_bits(arity, rng):
 
 def test_tabular_scatters_keep_the_bits_of_add_at(grid3_space, rng):
     idx = rng.integers(0, grid3_space.n_states, 200)
-    for k in (grid3_space.arity, 1):  # a policy, and a one-column flow
+    legal = grid3_space.edge_ids() < grid3_space.n_edges
+    for k in (grid3_space.arity, 1):  # a policy on its legal edges, and a one-column flow
         block = TabularPolicy(grid3_space, np.zeros((grid3_space.n_states, k)))
         dl = rng.normal(0.0, 1.0, (idx.size, k))
         ref = np.zeros((grid3_space.n_states, k))
         np.add.at(ref, idx, dl)
-        assert np.array_equal(block.logits_grad(idx, dl, None), ref.ravel())
+        assert np.array_equal(block.logits_grad(idx, dl, None), ref[legal] if k > 1 else ref.ravel())
 
 
 def assert_rows_match(got, want, tol):
@@ -387,6 +393,84 @@ def test_malformed_snapshot_is_a_snapshot_error(case, grid3, grid3_space, rng):
         doc = json.loads(save_snapshot(random_tabular(grid3_space, rng), grid3))
         with pytest.raises(SnapshotError):
             load_snapshot(json.dumps(_with_nan_param(doc)).encode(), grid3, grid3_space)
+
+
+def _rewritten(blob, **changes):
+    """`blob` with the document keys in `changes` replaced; a `params` key
+    replaces the payload."""
+    doc = snapshot_doc(blob)
+    params = changes.pop("params", snapshot_params(doc))
+    del doc["params_b64"]
+    return snapshot_bytes({**doc, **changes}, params)
+
+
+def test_snapshot_loading_is_strict_about_version_2(mset33, mset33_space, rng):
+    space = mset33_space
+    pol = random_tabular(space, rng)
+    blob = save_snapshot(pol, mset33)
+    arch = snapshot_doc(blob)["arch"]
+    assert arch == {"n_states": space.n_states, "arity": space.arity, "n_edges": space.n_edges}
+    cases = {
+        r"version 1\b.*version 2": _rewritten(blob, version=1),
+        "dense layout of version 1": _rewritten(blob, params=pol.table),
+        f"holds {space.n_edges - 1} values, not one per legal edge": _rewritten(blob, params=pol.params[:-1]),
+        "n_edges": _rewritten(blob, arch={**arch, "n_edges": space.n_edges + 1}),
+    }
+    for cause, bad in cases.items():
+        with pytest.raises(SnapshotError, match=cause):
+            load_snapshot(bad, mset33, space)
+    mlp = save_snapshot(MlpPolicy.create(mset33, (4,), rng), mset33)
+    with pytest.raises(SnapshotError, match=r"version 1\b.*version 2"):
+        load_snapshot(_rewritten(mlp, version=1), mset33, space)
+
+
+# -- tabular parameters on legal edges ------------------------------------------
+
+EDGE_SPACES = ["grid3_space", "mset33_space", "seq22_space", "phylo4_space"]
+
+
+@pytest.mark.parametrize("name", EDGE_SPACES)
+def test_edge_map_numbers_the_legal_slots_row_major(name, request):
+    space = request.getfixturevalue(name)
+    legal = space.children_rows(np.arange(space.n_states)) != CHILD_ILLEGAL
+    ids = space.edge_ids()
+    assert space.n_edges == legal.sum() < legal.size
+    assert np.array_equal(ids[legal], np.arange(space.n_edges))
+    assert np.all(ids[~legal] == space.n_edges)
+
+
+def test_edge_map_is_built_on_first_use_and_shared_by_views(grid3):
+    space = StateSpace.enumerated(grid3)
+    assert space._edges == {}  # enumeration does not pay for it
+    view = space.for_env(GridEnv(side=3, beacons=((2, 0),)))
+    assert view.edge_ids() is space.edge_ids()
+    assert view.n_edges == space.n_edges
+
+
+@pytest.mark.parametrize("name", EDGE_SPACES)
+def test_tabular_policy_on_edges_keeps_the_dense_rows_and_gradients(name, request, rng):
+    space = request.getfixturevalue(name)
+    n, k = space.n_states, space.arity
+    table = rng.normal(0.0, 1.0, (n, k))
+    pol = TabularPolicy(space, table)
+    legal = space.children_rows(np.arange(n)) != CHILD_ILLEGAL
+    assert pol.n_params == space.n_edges
+    assert np.array_equal(pol.table, np.where(legal, table, 0.0))
+    assert not pol.table.flags.writeable
+    idx = rng.integers(0, n, 300)
+    rows, _ = pol.logits_rows(space, idx)
+    assert np.array_equal(rows[legal[idx]], table[idx][legal[idx]])
+    dl = rng.normal(0.0, 1.0, (idx.size, k))
+    assert np.array_equal(pol.logits_grad(idx, dl, None), row_sums(idx, dl, n)[legal])
+    # a one-column flow keeps one value per state
+    col = rng.normal(0.0, 1.0, (n, 1))
+    flow = TabularPolicy(space, col)
+    assert flow.n_params == n and np.array_equal(flow.table, col)
+    assert np.array_equal(flow.logits_rows(space, idx)[0], col[idx])
+    # the snapshot payload is one float64 per legal edge
+    doc = snapshot_doc(save_snapshot(pol, space.env))
+    assert len(base64.b64decode(doc["params_b64"])) == 8 * space.n_edges
+    assert np.array_equal(load_snapshot(save_snapshot(pol, space.env), space.env, space)[0].table, pol.table)
 
 
 def test_balanced_policy_satisfies_trajectory_balance(mset33, mset33_space, rng):

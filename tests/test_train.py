@@ -178,21 +178,18 @@ def test_model_blocks_are_views_of_one_buffer(grid3, grid3_space, backend):
     cfg = small_cfg("DB", epochs=1, batch=16, backend=backend, hidden=(8, 8), eval_every=0)
     init_ss = np.random.SeedSequence(cfg.seed).spawn(3)[2]
 
-    def values(block):
-        return block.table if backend == "tabular" else block.params
-
     model = Model(grid3, grid3_space, cfg, init_ss, logz_lr=0.1, flow=True)
-    for view in (values(model.policy), model._logz, values(model.flow)):
+    for view in (model.policy.params, model._logz, model.flow.params):
         assert np.shares_memory(view, model.params)
     assert model.flow.arity == 1
-    start = values(model.flow).copy()
+    start = model.flow.params.copy()
 
     def db(model, steps):
         return db_loss_batch(model.policy, model.flow, grid3_space, steps)
 
     trained, _ = fit(grid3, grid3_space, cfg, db, flow=True)
-    assert np.shares_memory(values(trained.flow), trained.params)
-    assert not np.array_equal(values(trained.flow), start)
+    assert np.shares_memory(trained.flow.params, trained.params)
+    assert not np.array_equal(trained.flow.params, start)
 
 
 def test_derive_seed_deterministic_and_distinct():
