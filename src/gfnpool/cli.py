@@ -22,7 +22,7 @@ from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
 from .losses import LOSS_KINDS, LossSpec, PooledLocals, pooling_weights
 from .policy import balanced_tabular_policy, load_snapshot, replay_log_pb, replay_log_pf
-from .train import build_space, derive_seed, train_clients, train_local
+from .train import build_space, derive_seed, enumerate_or_none, train_clients, train_local
 
 
 TIME_COLUMNS = ("wall_ms", "sample_ms", "loss_ms", "step_ms", "eval_ms")
@@ -293,6 +293,13 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows: list[list] = []
     errors: dict[str, str] = {}
+    # every cell has the same DAG, so one enumeration serves them all, each
+    # cell on its own views; past the guard, or if the base run cannot build
+    # its clients, each cell builds its own and records its own error
+    try:
+        space = enumerate_or_none(run.client_envs()[0], run.train_template().state_guard)
+    except GfnError:
+        space = None
     for value in values:
         for seed in seeds:
             cell = f"{axis}={value},seed={seed}"
@@ -308,30 +315,32 @@ def cmd_sweep(args) -> int:
                         doc["env"]["phylo"]["clients"] = int(value)
                 cell_run = RunConfig(doc, path=run.path)
                 if axis == "clients":
-                    metrics, _ = _pipeline_final_l1(cell_run, cell_run.client_envs())
+                    metrics, _ = _pipeline_final_l1(cell_run, cell_run.client_envs(), space=space)
                 elif axis == "noise":
                     envs = cell_run.client_envs()
-                    space = StateSpace.enumerated(envs[0], cell_run.aggregate_config().state_guard)
+                    # the wrap would enumerate under the default guard, not the run's
+                    guard = cell_run.aggregate_config().state_guard
+                    noise_space = space if space is not None else StateSpace.enumerated(envs[0], guard)
                     noisy = [
                         evaluation.noisy_reward_wrap(
                             e,
                             float(value),
                             np.random.default_rng(np.random.SeedSequence([seed, 55, k])),
-                            space=space,
+                            space=noise_space,
                         )
                         for k, e in enumerate(envs)
                     ]
-                    metrics, _ = _pipeline_final_l1(cell_run, noisy, space=space)
+                    metrics, _ = _pipeline_final_l1(cell_run, noisy, space=noise_space)
                 elif axis == "logz_lr":
                     envs = cell_run.client_envs()
                     cfg = cell_run.client_train_configs()[0]
                     cfg = replace(cfg, loss=LossSpec("TB", logz_lr=float(value)))
-                    metrics = train_local(envs[0], cfg).metrics
+                    metrics = train_local(envs[0], cfg, space=space).metrics
                 else:  # loss
                     envs = cell_run.client_envs()
                     cfg = cell_run.client_train_configs()[0]
                     cfg = replace(cfg, loss=replace(cfg.loss, kind=str(value)))
-                    metrics = train_local(envs[0], cfg).metrics
+                    metrics = train_local(envs[0], cfg, space=space).metrics
                 for r in metrics:
                     if np.isfinite(r["l1"]):
                         rows.append([axis, value, seed, r["epoch"], f"{r['loss']:.8g}", f"{r['l1']:.6f}"])

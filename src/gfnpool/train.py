@@ -265,9 +265,9 @@ def _client_worker(job) -> ClientResult:
         return ClientResult(False, None, None, f"{type(exc).__name__}: {exc}")
 
 
-def _enumerate_or_none(env: Environment, guard: int) -> StateSpace | None:
-    """The complete space, or None past the guard; each client then builds
-    its own (lazily for MLP) or reports the guard error."""
+def enumerate_or_none(env: Environment, guard: int) -> StateSpace | None:
+    """The complete space, or None past the guard; a client or sweep cell
+    given None builds its own (lazily for MLP) or reports the guard error."""
     try:
         return StateSpace.enumerated(env, guard)
     except EnumerationGuardError:
@@ -298,7 +298,7 @@ def train_clients(
     for env, cfg in jobs:
         key = (env.fingerprint(), cfg.state_guard)
         if key not in shared:
-            shared[key] = _enumerate_or_none(env, cfg.state_guard)
+            shared[key] = enumerate_or_none(env, cfg.state_guard)
         space = shared[key]
         results.append(_client_worker((env, cfg, None if space is None else space.for_env(env))))
     return results

@@ -360,11 +360,7 @@ def test_sweep_noise_zero_matches_direct_run(outroot):
     assert final_sweep == pytest.approx(final_direct, abs=1e-6)
 
 
-def test_sweep_noise_enumerates_once_per_cell(outroot, monkeypatch):
-    doc = json.loads(json.dumps(TINY_MULTISET))
-    doc["train"].update(epochs=4, eval_every=0)
-    doc["aggregate"].update(epochs=4, eval_every=2)
-    doc["sweep"] = {"axis": "noise", "values": [0.0, 0.5], "seeds": [1, 2]}
+def _count_enumerations(monkeypatch) -> list:
     calls = []
     enumerate_ = StateSpace.enumerated.__func__
 
@@ -373,13 +369,36 @@ def test_sweep_noise_enumerates_once_per_cell(outroot, monkeypatch):
         return enumerate_(cls, env, guard)
 
     monkeypatch.setattr(StateSpace, "enumerated", classmethod(counted_enumerate))
+    return calls
+
+
+@pytest.mark.parametrize("axis, values", [("noise", [0.0, 0.5]), ("loss", ["CB", "TB"])], ids=["noise", "loss"])
+def test_sweep_enumerates_once_per_sweep(outroot, monkeypatch, axis, values):
+    doc = json.loads(json.dumps(TINY_MULTISET))
+    doc["train"].update(epochs=4, eval_every=2)
+    doc["aggregate"].update(epochs=4, eval_every=2)
+    doc["sweep"] = {"axis": axis, "values": values, "seeds": [1, 2]}
+    calls = _count_enumerations(monkeypatch)
     assert main(["sweep", "--config", write_cfg(outroot, doc)]) == 0
     out = outroot / "out" / "tinymset"
     assert not (out / "sweep_errors.json").exists()
     assert {(r["value"], r["seed"]) for r in read_csv_rows(out / "sweep.csv")} == {
-        (v, s) for v in ("0.0", "0.5") for s in ("1", "2")
+        (str(v), s) for v in values for s in ("1", "2")
     }
-    assert len(calls) == 4  # one per (noise, seed) cell
+    assert len(calls) == 1  # four cells, one enumeration
+
+
+@pytest.mark.parametrize("axis, values", [("noise", [0.0, 0.5]), ("loss", ["CB", "TB"])], ids=["noise", "loss"])
+def test_sweep_past_the_guard_records_an_error_per_cell(outroot, monkeypatch, axis, values):
+    doc = json.loads(json.dumps(TINY_MULTISET))
+    doc["train"].update(epochs=4, state_guard=3)
+    doc["sweep"] = {"axis": axis, "values": values, "seeds": [1, 2]}
+    calls = _count_enumerations(monkeypatch)
+    assert main(["sweep", "--config", write_cfg(outroot, doc)]) == 0
+    errors = json.loads((outroot / "out" / "tinymset" / "sweep_errors.json").read_text())
+    assert sorted(errors) == sorted(f"{axis}={v},seed={s}" for v in values for s in (1, 2))
+    assert all(e.startswith("EnumerationGuardError") for e in errors.values())
+    assert len(calls) == 5  # the sweep's try, then one per cell
 
 
 def test_sweep_loss_axis(outroot):

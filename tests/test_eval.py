@@ -396,7 +396,8 @@ def test_bound_check_degenerate_unreachable_support():
     space = StateSpace.enumerated(env)
     logits = np.zeros((space.n_states, space.arity))
     logits[space.root, 0] = 2000.0  # second terminal underflows to probability 0
-    chk = robustness_bound_check([TabularPolicy(space, logits)], [env], space)
+    with pytest.warns(UserWarning, match="KL support violation"):
+        chk = robustness_bound_check([TabularPolicy(space, logits)], [env], space)
     assert chk.degenerate and chk.bound == float("inf") and chk.holds
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,8 +202,8 @@ def test_adamw_in_place_matches_functional_reference(rng):
         assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
-# Two groups without decay, one with its own lr, and one decaying group: a
-# sparse step keeps moments for the parameters a gradient has reached only.
+# Two groups without decay, one with its own lr, and one decaying group, under
+# gradients that reach few parameters: every step must keep the textbook bits.
 SPARSE_GROUPS = [ParamGroup("policy", 40), ParamGroup("logz", 4, lr=0.1), ParamGroup("mlp", 16, weight_decay=0.2)]
 SPARSE_SLICES = [(slice(0, 40), 3e-3, 0.0), (slice(40, 44), 0.1, 0.0), (slice(44, 60), 3e-3, 0.2)]
 NEVER = np.r_[30:40, 42]  # no gradient ever reaches these, bar -0.0
@@ -234,7 +236,6 @@ def test_adamw_sparse_steps_keep_the_dense_bits(rng):
             assert np.all(state.v[TINY] == 0.0) and np.all(state.m[TINY] != 0.0)
             assert np.all(params[TINY] != start[TINY])
     assert params[NEVER].tobytes() == start[NEVER].tobytes()
-    assert not state.seen[NEVER].any() and state.seen[ONCE].all() and state.seen[44:].all()
     assert np.all(params[ONCE] != start[ONCE])
 
 
@@ -244,17 +245,34 @@ def test_adamw_refuses_a_nonfinite_entry_before_any_change(rng, bad):
     params = rng.normal(0, 1, 60)
     for t in range(1, 4):
         adamw_step(state, params, _sparse_grad(rng, t))
-    before = params.copy(), state.m, state.v, state.seen.copy()
+    before = params.copy(), state.m.copy(), state.v.copy()
     g = _sparse_grad(rng, 4)
-    assert not state.seen[np.flatnonzero(g[:44])].all()  # the step would make some parameter live
-    for pos in (NEVER[0], 50):  # a sparse group's untouched entry, and one of the group live as a whole
+    for pos in (NEVER[0], 50):  # one no gradient reached in a group without decay, one in the decaying group
         bad_g = g.copy()
         bad_g[pos] = bad
         with pytest.raises(NumericError):
             adamw_step(state, params, bad_g)
-        after = params, state.m, state.v, state.seen
         assert state.step == 3
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (params, state.m, state.v)))
+
+
+def test_adamw_step_allocates_no_parameter_sized_array(rng):
+    n = 200_000
+    state = _opt(n, lr=3e-3)
+    params = rng.normal(0, 1, n)
+    grads = rng.normal(0, 1, (3, n))
+    held = state.m, state.v, state.workspace
+    adamw_step(state, params, grads[0])  # numpy's first call may cache small objects
+    tracemalloc.start()
+    try:
+        for g in grads[1:]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            adamw_step(state, params, g)
+            assert tracemalloc.get_traced_memory()[1] - base < 8 * n
+    finally:
+        tracemalloc.stop()
+    assert all(a is b for a, b in zip(held, (state.m, state.v, state.workspace)))
 
 
 @pytest.mark.parametrize(

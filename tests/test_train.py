@@ -216,5 +216,5 @@ def test_nonfinite_loss_aborts():
     env = MultisetEnv(values=(1e308, 1e308), target_size=3)  # reward overflow
     from gfnpool.errors import RewardSupportError, NumericError
 
-    with pytest.raises((RewardSupportError, NumericError)):
+    with pytest.raises((RewardSupportError, NumericError)), pytest.warns(RuntimeWarning, match="overflow"):
         train_local(env, small_cfg(epochs=5))
