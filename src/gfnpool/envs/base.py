@@ -3,7 +3,8 @@
 Every environment is a graded DAG: the initial state has depth 0 and every
 non-stop transition increases depth by exactly 1. All concrete environments
 here satisfy this, and the breadth-first enumerator in `space.py` relies on
-it to produce a topological order.
+it to produce a topological order, and its level walk to find equal keys
+within one level.
 
 States are identified by canonical hashable keys. Keys of equal states are
 identical Python objects under `==`, and canonicalization is idempotent.
@@ -82,6 +83,18 @@ class Environment(ABC):
         if type(self).is_terminal is Environment.is_terminal:
             raise NotImplementedError(f"{type(self).__name__} implements neither is_terminal nor _is_terminal")
         return self.is_terminal(s)
+
+    # An env whose keys are tuples of at most `key_width` ints may also give
+    # `_children_rows(rows, lengths)`: `_children` of a whole batch of keys,
+    # passed as an (n, key_width) matrix zero-padded on the right, as
+    # `int_key_matrix` builds it, and the keys' lengths. It returns
+    # (child, child_lengths, legal, stop): `legal` and `stop` are
+    # (n, max_arity) masks of the slots that hold a non-stop child and of
+    # the stop slots, and `child` holds the keys of the legal slots in
+    # row-major (key, slot) order, in an integer dtype wide enough for their
+    # values. The state space then enumerates the DAG a level at a time.
+    key_width: int | None = None
+    _children_rows = None
 
     def _featurize(self, s: StateKey) -> np.ndarray:
         if type(self).featurize is Environment.featurize:

@@ -60,6 +60,22 @@ class MultisetEnv(Environment):
             (u, s[:u] + (s[u] + 1,) + s[u + 1 :], False) for u in range(self.dict_size)
         ]
 
+    @property
+    def key_width(self) -> int:
+        return self.dict_size
+
+    def _children_rows(self, rows: np.ndarray, lengths: np.ndarray) -> tuple:
+        k = self.dict_size
+        full = rows.sum(axis=1) == self.target_size
+        legal = np.zeros((len(rows), self.max_arity), dtype=bool)
+        legal[~full, :k] = True
+        stop = np.zeros_like(legal)
+        stop[full, k] = True
+        # k copies of each open row, the u-th with item u added
+        child = np.repeat(rows[~full].astype(np.min_scalar_type(self.target_size)), k, axis=0)
+        child.reshape(-1, k, k)[:, np.arange(k), np.arange(k)] += 1
+        return child, np.full(len(child), k), legal, stop
+
     def parents(self, s: StateKey) -> list:
         self.validate_key(s)
         if sum(s) == 0:
@@ -79,7 +95,7 @@ class MultisetEnv(Environment):
         return float(np.dot(s, self._values))
 
     def _log_rewards(self, keys: list) -> np.ndarray:
-        got = int_key_matrix(keys, self.dict_size)
+        got = int_key_matrix(keys, self.key_width)
         if got is None or np.any(got[1] != self.dict_size):
             return None
         counts = got[0]

@@ -61,6 +61,23 @@ class SequenceEnv(Environment):
         out.append((self.stop_action, None, True))
         return out
 
+    @property
+    def key_width(self) -> int:
+        return self.max_len
+
+    def _children_rows(self, rows: np.ndarray, lengths: np.ndarray) -> tuple:
+        t = self.num_tokens
+        grow = lengths < self.max_len
+        legal = np.zeros((len(rows), self.max_arity), dtype=bool)
+        legal[grow, :t] = True
+        stop = np.zeros_like(legal)
+        stop[:, t] = True
+        # t copies of each growing row, the u-th with token u appended
+        child = np.repeat(rows[grow].astype(np.min_scalar_type(t - 1)), t, axis=0)
+        child_lengths = np.repeat(lengths[grow], t)
+        child[np.arange(len(child)), child_lengths] = np.tile(np.arange(t), np.count_nonzero(grow))
+        return child, child_lengths + 1, legal, stop
+
     def parents(self, s: StateKey) -> list:
         self.validate_key(s)
         if not s:
@@ -75,7 +92,7 @@ class SequenceEnv(Environment):
         return float(sum(self.pos_scores[i] * self.token_scores[u] for i, u in enumerate(s)))
 
     def _log_rewards(self, keys: list) -> np.ndarray:
-        got = int_key_matrix(keys, self.max_len)
+        got = int_key_matrix(keys, self.key_width)
         if got is None:
             return None
         tokens, lengths = got

@@ -7,7 +7,11 @@ replay, and exact dynamic programs all run as batched array operations.
 
 `StateSpace.enumerated` walks the whole graph breadth-first; because every
 environment is a graded DAG, discovery order is then a topological order
-(index i's depth never exceeds index i+1's).
+(index i's depth never exceeds index i+1's). Envs whose keys are tuples of
+ints are walked a whole level at a time with array operations; the others
+one key at a time. Both walks number the states alike, so a space's
+indices, and every table and snapshot built on them, do not depend on
+which walk built it.
 """
 
 from __future__ import annotations
@@ -17,12 +21,36 @@ import copy
 import numpy as np
 
 from ..errors import EnumerationGuardError, FingerprintMismatchError
-from .base import Environment, StateKey
+from .base import Environment, StateKey, int_key_matrix
 
 CHILD_ILLEGAL = -1
 CHILD_STOP = -2
 
 DEFAULT_STATE_GUARD = 5_000_000
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _key_codes(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One int64 per key, equal exactly for equal (row, length) pairs: a
+    mixed-radix number over the length and the columns, each radix the span
+    of its column. Before a radix would overflow int64, the codes so far are
+    renumbered densely, so any key width works."""
+    code = np.zeros(len(lengths), dtype=np.int64)
+    if not code.size:
+        return code
+    span = 1
+    for col in (lengths, *rows.T):
+        lo = int(col.min())
+        radix = int(col.max()) - lo + 1
+        if radix == 1:
+            continue
+        if span * radix > _INT64_MAX:
+            _, code = np.unique(code, return_inverse=True)
+            span = int(code.max()) + 1
+        code = code * radix + (col.astype(np.int64) - lo)
+        span *= radix
+    return code
 
 
 class StateSpace:
@@ -66,16 +94,20 @@ class StateSpace:
         if self._feats is not None:
             self._feats = np.concatenate([self._feats, np.zeros((pad, self._feats.shape[1]))])
 
+    def _check_guard(self, count: int) -> None:
+        """Raise if `count` more states would cross the guard."""
+        if len(self.keys) + count > self.guard:
+            raise EnumerationGuardError(
+                f"{self.env.kind} state space exceeds guard of {self.guard}"
+            )
+
     def _register(self, key: StateKey, depth: int) -> int:
         """Add a key the env produced, or one `lookup` has validated."""
         idx = self.index.get(key)
         if idx is not None:
             return idx
+        self._check_guard(1)
         idx = len(self.keys)
-        if idx >= self.guard:
-            raise EnumerationGuardError(
-                f"{self.env.kind} state space exceeds guard of {self.guard}"
-            )
         self._grow(idx + 1)
         self.keys.append(key)
         self.index[key] = idx
@@ -162,9 +194,14 @@ class StateSpace:
     def enumerated(cls, env: Environment, guard: int = DEFAULT_STATE_GUARD) -> "StateSpace":
         """Breadth-first enumeration of the whole DAG.
 
-        Every key it visits comes from `env._children`, so it calls the
-        env's unchecked forms; parent counts are in-degrees of the finished
-        child table.
+        States are numbered in the order a breadth-first walk discovers
+        them: level by level, and within a level by first occurrence over
+        (parent index, slot). An env that gives `_children_rows` and whose
+        initial key is a tuple of ints is walked a whole level per env call;
+        any other env is walked one key at a time. The two walks number
+        every state alike and fill every array with the same values. Parent
+        counts are in-degrees of the finished child table, and a state is
+        terminal exactly when its stop slot is legal.
         """
         est = env.n_states_estimate()
         if est > guard:
@@ -172,11 +209,30 @@ class StateSpace:
                 f"{env.kind} has ~{est} states, above the guard of {guard}"
             )
         space = cls(env, guard=guard)
-        keys, index, depth = space.keys, space.index, [0]
+        children_rows = env._children_rows
+        root = None if children_rows is None else int_key_matrix([space._initial], env.key_width)
+        if root is None:
+            children, depth = space._walk_keys()
+        else:
+            children, depth = space._walk_levels(children_rows, *root)
+        n = len(space.keys)
+        space._children = children
+        space._expanded = np.ones(n, dtype=bool)
+        space._nparents = np.bincount(children[children >= 0], minlength=n)
+        space._terminal = children[:, env.stop_action] == CHILD_STOP
+        space._depth = depth
+        space._logr = np.full(n, np.nan)
+        space._featurized = np.zeros(n, dtype=bool)
+        space.complete = True
+        return space
+
+    def _walk_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-key walk: any env, one `_children` call per state."""
+        keys, index, depth = self.keys, self.index, [0]
         src: list[int] = []
         slot: list[int] = []
         code: list[int] = []
-        children, find = env._children, index.get
+        children, find = self.env._children, index.get
         i = 0
         while i < len(keys):
             for action, child, is_stop in children(keys[i]):
@@ -185,11 +241,8 @@ class StateSpace:
                 else:
                     c = find(child)
                     if c is None:
+                        self._check_guard(1)
                         c = len(keys)
-                        if c >= space.guard:
-                            raise EnumerationGuardError(
-                                f"{env.kind} state space exceeds guard of {space.guard}"
-                            )
                         keys.append(child)
                         index[child] = c
                         depth.append(depth[i] + 1)
@@ -197,19 +250,44 @@ class StateSpace:
                 slot.append(action)
                 code.append(c)
             i += 1
-        n = len(keys)
-        codes = np.array(code, dtype=np.int64)
-        space._children = np.full((n, space.arity), CHILD_ILLEGAL, dtype=np.int64)
-        space._children[src, slot] = codes
-        space._expanded = np.ones(n, dtype=bool)
-        space._nparents = np.bincount(codes[codes >= 0], minlength=n)
-        is_terminal = env._is_terminal
-        space._terminal = np.fromiter((is_terminal(k) for k in keys), dtype=bool, count=n)
-        space._depth = np.array(depth, dtype=np.int64)
-        space._logr = np.full(n, np.nan)
-        space._featurized = np.zeros(n, dtype=bool)
-        space.complete = True
-        return space
+        table = np.full((len(keys), self.arity), CHILD_ILLEGAL, dtype=np.int64)
+        table[src, slot] = code
+        return table, np.array(depth, dtype=np.int64)
+
+    def _walk_levels(
+        self, children_rows, rows: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The level walk: one `_children_rows` call per breadth-first level.
+
+        In a graded DAG a level's children are exactly the next level, so
+        equal keys are found within the level alone. `np.unique` gives each
+        distinct child its first (parent, slot) occurrence, and the new
+        states take their numbers in that order. A level costs some tens of
+        microseconds of numpy calls however few states it holds, so a deep,
+        narrow DAG is walked faster key by key.
+        """
+        keys = self.keys
+        blocks, sizes = [], [1]
+        while len(rows):
+            child, child_lengths, legal, stop = children_rows(rows, lengths)
+            _, first, inverse = np.unique(
+                _key_codes(child, child_lengths), return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            self._check_guard(order.size)
+            number = np.empty_like(order)
+            number[order] = np.arange(len(keys), len(keys) + order.size)
+            block = np.full(legal.shape, CHILD_ILLEGAL, dtype=np.int64)
+            block[legal] = number[inverse]
+            block[stop] = CHILD_STOP
+            blocks.append(block)
+            new = first[order]
+            rows, lengths = child[new], child_lengths[new]
+            # plain ints: `int_key_matrix` takes no numpy scalars
+            keys.extend(tuple(r[:m]) for r, m in zip(rows.tolist(), lengths.tolist()))
+            sizes.append(order.size)
+        self.index.update(zip(keys, range(len(keys))))
+        return np.concatenate(blocks), np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
     def for_env(self, env: Environment) -> "StateSpace":
         """This space if it belongs to `env`; otherwise a view of this

@@ -284,8 +284,9 @@ def train_clients(
     among the jobs, and each client trains on its own view of it; `space`,
     if given, is a complete space the caller already enumerated, and serves
     the jobs of its DAG and guard. Worker processes enumerate their own: a
-    pickled multiset 10x8 space is ~10 MB and takes a third as long to ship
-    as to build, so shipping one per job saves little.
+    pickled multiset 10x8 space is ~6 MB, and its pickle round trip takes
+    ~0.05 s against ~0.09 s to build it, so shipping one per job saves
+    little.
     """
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:

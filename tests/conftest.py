@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, PhyloEnv, StateSpace
 from gfnpool.envs import random_topology, simulate_sites
+from gfnpool.envs.space import DEFAULT_STATE_GUARD
 
 
 @pytest.fixture
@@ -62,6 +65,39 @@ def phylo4():
 @pytest.fixture(scope="session")
 def phylo4_space(phylo4):
     return StateSpace.enumerated(phylo4)
+
+
+def _with(env, **attrs):
+    """A copy of `env` with some attributes replaced."""
+    env = copy.copy(env)
+    for name, value in attrs.items():
+        object.__setattr__(env, name, value)
+    return env
+
+
+def level_walk(env, guard=DEFAULT_STATE_GUARD):
+    """`StateSpace.enumerated` by the level walk alone: any per-key
+    `_children` call fails."""
+
+    def per_key(s):
+        raise AssertionError(f"the level walk expanded {s!r} on its own")
+
+    return StateSpace.enumerated(_with(env, _children=per_key), guard)
+
+
+def key_walk(env, guard=DEFAULT_STATE_GUARD):
+    """`StateSpace.enumerated` by the per-key walk, the reference."""
+    return StateSpace.enumerated(_with(env, _children_rows=None), guard)
+
+
+def assert_same_space(a, b):
+    """Two complete spaces agree on every key, number and table, dtypes
+    included, and `a`'s keys hold plain ints only."""
+    assert a.keys == b.keys and a.index == b.index
+    assert all(type(v) is int for key in a.keys for v in key)
+    for name in ("_children", "_nparents", "_terminal", "_depth"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def random_tabular(space, gen, scale=1.0):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from gfnpool.errors import (
     NotTerminalError,
     UnsupportedFeaturizationError,
 )
+from gfnpool.envs.space import _key_codes
+from tests.conftest import assert_same_space, key_walk, level_walk
 
 ALL_ENV_FIXTURES = ["grid3", "mset33", "seq22", "phylo4"]
 
@@ -65,6 +68,73 @@ def test_enumeration_topological_and_unique(fixture, request):
     for i in range(space.n_states):
         if i != space.root:
             assert space.nparents(i) == len(env.parents(space.keys[i]))
+
+
+@pytest.mark.parametrize("fixture", ALL_ENV_FIXTURES)
+def test_terminal_exactly_when_stop_is_legal(fixture, request):
+    env = request.getfixturevalue(fixture)
+    for space in (StateSpace.enumerated(env), key_walk(env)):
+        every = np.arange(space.n_states)
+        assert space.terminal_mask(every).tolist() == [env.is_terminal(k) for k in space.keys]
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        MultisetEnv(values=(0.1, -0.2, 0.3), target_size=3),
+        MultisetEnv(values=(0.0,) * 4, target_size=8),
+        MultisetEnv(values=(0.0,) * 10, target_size=8),
+        MultisetEnv(values=(0.0,) * 40, target_size=2),  # 3**40 codes overflow int64
+        MultisetEnv(values=(0.0,) * 70, target_size=2),  # 2**70 codes would wrap onto each other
+        MultisetEnv(values=(0.0,), target_size=40_000),  # counts past int16
+        SequenceEnv(pos_scores=(0.0,), token_scores=(0.0,)),
+        SequenceEnv(pos_scores=(0.0,) * 2, token_scores=(0.0,) * 2),
+        SequenceEnv(pos_scores=(0.0,) * 4, token_scores=(0.0,) * 4),
+        SequenceEnv(pos_scores=(0.0,) * 6, token_scores=(0.0,) * 6),
+    ],
+    ids=lambda env: "{}-{}x{}".format(*env.structure().values()),
+)
+def test_level_walk_equals_per_key_walk(env):
+    # the estimate is exact here, so a walk that runs away stops at once
+    guard = env.n_states_estimate()
+    assert_same_space(level_walk(env, guard), key_walk(env, guard))
+
+
+@pytest.mark.parametrize("width,top", [(3, 2), (70, 1)])  # 2**70 keys need renumbering
+def test_key_codes_equal_exactly_for_equal_keys(width, top):
+    gen = np.random.default_rng(width)
+    lengths = gen.integers(0, width + 1, 300)
+    rows = gen.integers(0, top + 1, (300, width)).astype(np.uint8)
+    rows[np.arange(width) >= lengths[:, None]] = 0  # zero padding: (1,) and (1, 0) share a row
+    keys = [tuple(r[:m]) for r, m in zip(rows.tolist(), lengths.tolist())]
+    codes = _key_codes(rows, lengths).tolist()
+    assert len(set(zip(keys, codes))) == len(set(keys)) == len(set(codes))
+
+
+class UnderCountedMultiset(MultisetEnv):
+    def n_states_estimate(self) -> int:
+        return 1
+
+
+@pytest.mark.parametrize("walk", [level_walk, key_walk])
+def test_guard_crossed_during_the_walk_raises(walk):
+    env = UnderCountedMultiset(values=(0.0,) * 4, target_size=8)
+    assert walk(env, guard=495).n_states == 495
+    with pytest.raises(EnumerationGuardError, match="exceeds guard of 494"):
+        walk(env, guard=494)
+
+
+def test_level_walk_peak_memory_within_the_per_key_walk():
+    env = MultisetEnv(values=(0.0,) * 10, target_size=6)
+    peaks = []
+    for walk in (level_walk, key_walk):
+        tracemalloc.start()
+        try:
+            walk(env)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 @pytest.mark.parametrize("fixture", ALL_ENV_FIXTURES)

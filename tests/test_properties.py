@@ -14,6 +14,7 @@ from gfnpool.policy import (
     replay_log_pf,
     sample_batch,
 )
+from tests.conftest import assert_same_space, key_walk, level_walk
 
 small_envs = st.one_of(
     st.builds(
@@ -32,6 +33,26 @@ small_envs = st.one_of(
         token_scores=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
     ),
 )
+
+
+small_int_key_envs = st.one_of(
+    st.builds(
+        MultisetEnv,
+        values=st.lists(st.floats(-1, 1), min_size=1, max_size=5).map(tuple),
+        target_size=st.integers(1, 5),
+    ),
+    st.builds(
+        SequenceEnv,
+        pos_scores=st.lists(st.floats(-1, 1), min_size=1, max_size=4).map(tuple),
+        token_scores=st.lists(st.floats(-1, 1), min_size=1, max_size=4).map(tuple),
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(env=small_int_key_envs)
+def test_level_walk_equals_per_key_walk_everywhere(env):
+    assert_same_space(level_walk(env), key_walk(env))
 
 
 @settings(max_examples=25, deadline=None)
