@@ -96,7 +96,17 @@ class Environment(ABC):
     key_width: int | None = None
     _children_rows = None
 
+    # An env with a feature encoding gives it as `_featurize_rows(rows,
+    # lengths)`: the (n, feature_dim) float64 features of a key matrix as
+    # `int_key_matrix` builds it. The state space featurizes with one such
+    # call, and `_featurize` of one key is derived from it.
+    _featurize_rows = None
+
     def _featurize(self, s: StateKey) -> np.ndarray:
+        if self._featurize_rows is not None:
+            rows = np.zeros((1, self.key_width), dtype=np.int64)
+            rows[0, : len(s)] = s
+            return self._featurize_rows(rows, np.array([len(s)]))[0]
         if type(self).featurize is Environment.featurize:
             raise UnsupportedFeaturizationError(
                 f"{self.kind} environment has no feature encoding; use the tabular backend"

@@ -87,8 +87,10 @@ class GridEnv(Environment):
     def feature_dim(self) -> int:
         return 2
 
-    def _featurize(self, s: StateKey) -> np.ndarray:
-        return np.array([s[0] / self.side, s[1] / self.side])
+    key_width = 2
+
+    def _featurize_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        return rows / self.side
 
     def n_states_estimate(self) -> int:
         return self.side * self.side

@@ -109,8 +109,8 @@ class MultisetEnv(Environment):
     def feature_dim(self) -> int:
         return self.dict_size
 
-    def _featurize(self, s: StateKey) -> np.ndarray:
-        return np.asarray(s, dtype=np.float64) / self.target_size
+    def _featurize_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        return rows / self.target_size
 
     def n_states_estimate(self) -> int:
         # count vectors with sum <= S over |U| items

@@ -111,13 +111,12 @@ class SequenceEnv(Environment):
         # per-position one-hot over tokens plus a blank symbol, then length
         return self.max_len * (self.num_tokens + 1) + 1
 
-    def _featurize(self, s: StateKey) -> np.ndarray:
-        width = self.num_tokens + 1
-        out = np.zeros(self.feature_dim)
-        for i in range(self.max_len):
-            sym = s[i] if i < len(s) else self.num_tokens  # blank beyond length
-            out[i * width + sym] = 1.0
-        out[-1] = len(s) / self.max_len
+    def _featurize_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        pos = np.arange(self.max_len)
+        sym = np.where(pos < lengths[:, None], rows, self.num_tokens)  # blank beyond length
+        out = np.zeros((len(rows), self.feature_dim))
+        out[np.arange(len(rows))[:, None], pos * (self.num_tokens + 1) + sym] = 1.0
+        out[:, -1] = lengths / self.max_len
         return out
 
     def n_states_estimate(self) -> int:

@@ -166,17 +166,27 @@ class StateSpace:
 
     def features(self, idx) -> np.ndarray:
         """Feature rows, each computed on first use. The buffer itself is
-        allocated on the first call, so a tabular run never holds one."""
+        allocated on the first call, so a tabular run never holds one.
+
+        The missing rows take one `int_key_matrix` and one `_featurize_rows`
+        call; an env without the batch form, or keys the matrix does not
+        take, go one key at a time through `_featurize`."""
+        env = self.env
         if self._feats is None:
-            fd = self.env.feature_dim
+            fd = env.feature_dim
             if not fd:
-                return self.env.featurize(self.keys[0])  # raises the env's error
+                return env.featurize(self.keys[0])  # raises the env's error
             self._feats = np.zeros((self._featurized.shape[0], fd))
         idx = np.asarray(idx)
-        missing = idx[~self._featurized[idx]]
-        for i in missing.tolist():
-            self._feats[i] = self.env._featurize(self.keys[i])
-        self._featurized[missing] = True
+        missing = np.unique(idx[~self._featurized[idx]])
+        if missing.size:
+            keys = [self.keys[i] for i in missing.tolist()]
+            got = None if env._featurize_rows is None else int_key_matrix(keys, env.key_width)
+            if got is None:
+                self._feats[missing] = [env._featurize(k) for k in keys]
+            else:
+                self._feats[missing] = env._featurize_rows(*got)
+            self._featurized[missing] = True
         return self._feats[idx]
 
     def log_rewards(self, idx: np.ndarray) -> np.ndarray:

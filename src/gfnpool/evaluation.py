@@ -33,7 +33,7 @@ from .policy import (
     ForwardPolicy,
     TrajectoryBatch,
     apply_log_pf_grad,
-    policy_rows,
+    policy_probs,
     replay_log_pb,
     replay_steps,
     sample_batch,
@@ -104,13 +104,14 @@ def _logsumexp(a: np.ndarray) -> float:
 
 def exact_pT(policy: ForwardPolicy, space: StateSpace) -> DistributionTable:
     """Exact terminal marginal of the policy, by pushing unit mass through the
-    DAG level by level (equals the sum over all trajectories)."""
+    DAG level by level (equals the sum over all trajectories). Each level is
+    one cache-free `policy_probs` read."""
     space.require_complete()
     mass = np.zeros(space.n_states)
     mass[space.root] = 1.0
     p_term = np.zeros(space.n_states)
     for lv in space.levels():
-        rows, _, p = policy_rows(policy, space, lv)[:3]  # free the MLP cache before the next level
+        rows, _, p = policy_probs(policy, space, lv)
         contrib = mass[lv][:, None] * p
         p_term[lv] += np.where(rows == CHILD_STOP, contrib, 0.0).sum(axis=1)
         interior = rows >= 0
@@ -337,7 +338,7 @@ def robustness_bound_check(
     for k, (policy, vals) in enumerate(zip(local_policies, own)):
         # log p_F(tau) - log p_B(tau|x), summed edge by edge over the client's
         # own masked log-softmax rows, less log pi_k(x)
-        rows = lambda lv, p=policy: policy_rows(p, space, lv)[1]
+        rows = lambda lv, p=policy: policy_probs(p, space, lv)[1]
         log_pi = vals - _logsumexp(vals)
         lo[k] = np.min(_dag_pass(space, rows, 1.0, np.minimum)[term] - log_pi)
         hi[k] = np.max(_dag_pass(space, rows, 1.0, np.maximum)[term] - log_pi)

@@ -45,7 +45,7 @@ from .policy import (
     TrajectoryBatch,
     apply_log_pf_grad,
     cache_rows,
-    policy_rows,
+    policy_probs,
     replay_log_pb,
     step_log_pf,
     step_sums,
@@ -169,7 +169,7 @@ class PooledLocals:
             n = self.space.n_states
             for lo in range(0, n, FILL_CHUNK):
                 idx = np.arange(lo, min(lo + FILL_CHUNK, n))
-                self._table[idx] += w * policy_rows(policy, self.space, idx)[1]
+                self._table[idx] += w * policy_probs(policy, self.space, idx)[1]
         else:
             if self._filled.any():
                 raise ValueError("add every MLP local before the first read of the pool")
@@ -188,7 +188,7 @@ class PooledLocals:
             missing = np.unique(idx[~self._filled[idx]])
             if missing.size:
                 for policy, w in self._lazy:
-                    self._table[missing] += w * policy_rows(policy, self.space, missing)[1]
+                    self._table[missing] += w * policy_probs(policy, self.space, missing)[1]
                 self._filled[missing] = True
         return self._table
 

@@ -89,10 +89,12 @@ def mlp_forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
 
 
 def mlp_stack_caches(caches, order: np.ndarray):
-    """The cache of one forward over the inputs of `caches` stacked in turn,
-    with its rows taken in `order`: a row's activations do not depend on the
-    other rows of its call, so :func:`mlp_backward` takes it as the cache of
-    a forward over those rows."""
+    """The cache of the forwards of `caches` stacked in turn, with its rows
+    taken in `order`, which :func:`mlp_backward` takes as the cache of one
+    forward over those rows. It equals that forward's cache in value, though
+    not always in bits: BLAS may pick its kernel by the size of a call, so a
+    row's activations can differ in the last place with the number of rows
+    that share its call."""
     inputs = [np.concatenate(layer)[order] for layer in zip(*(c[0] for c in caches))]
     preacts = [None if layer[0] is None else np.concatenate(layer)[order] for layer in zip(*(c[1] for c in caches))]
     return inputs, preacts

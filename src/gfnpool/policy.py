@@ -17,9 +17,10 @@ Everything computed per step afterwards reads the batch's step record,
 backend cache). It is the one input of every loss.
 `sample_batch(..., want_steps=True)` returns it as one gather from the
 distinct rows the sampler drew with, stacked in step order; `replay_steps`
-builds the same record under the current parameters, with one masked
-softmax over every step, for a batch that was not just sampled.
-`step_sums` adds the steps up in t order.
+builds the record under the current parameters, with one masked softmax
+over every step, for a batch that was not just sampled. The two records
+are equal bit for bit for a tabular policy, and within rounding for an
+MLP (see below). `step_sums` adds the steps up in t order.
 
 Every environment's DAG is graded, so a state appears only at the step t
 equal to its depth, and the distinct states of different steps never
@@ -39,8 +40,16 @@ An MLP evaluates each distinct state of a call once: `MlpPolicy.logits_rows`
 runs the forward over the unique state indices and expands the rows back,
 and `MlpPolicy.logits_grad` sums each state's output gradients before one
 backward. The sampler's record stacks the forwards of its steps in
-`np.unique` order, so its cache is the one `logits_rows` would build.
-Tabular rows are plain gathers and skip the dedupe.
+`np.unique` order, so its cache holds the rows `logits_rows` would build.
+Their bits, though, may differ in the last place: BLAS picks its matrix
+kernel by the size of a call (OpenBLAS does), so an MLP row depends on how
+many rows share its forward. Tabular rows are plain gathers and skip the
+dedupe, and their bits never depend on the call.
+
+A read that takes no gradient (exact evaluation, the pooled locals, the
+theorem checks) goes through `policy_probs`, which keeps no cache: an MLP
+runs its forward in `FORWARD_CHUNK`-sized parts and keeps only their
+outputs, so the memory of a read is bounded by the part, not the call.
 
 A snapshot (version 2) is sorted, compact JSON: the version, the
 environment fingerprint, the backend, its `arch`, the backward mode, free
@@ -72,6 +81,12 @@ from .errors import (
 from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init, mlp_stack_caches
 
 SNAPSHOT_VERSION = 2
+# rows per MLP forward in a cache-free read. A call of n rows runs as
+# ceil(n / FORWARD_CHUNK) near-equal parts, never as full parts plus a small
+# remainder: with OpenBLAS 0.3.31 (Haswell, one thread), forwards over parts
+# of 256 rows or more kept the bits of one whole call on sequence 6x6, and
+# parts of 100 rows or fewer changed every row in the last place.
+FORWARD_CHUNK = 1024
 
 
 def masked_log_softmax(logits: np.ndarray, legal: np.ndarray):
@@ -142,6 +157,11 @@ class ForwardPolicy:
         """((batch, k) raw outputs, an opaque cache for the matching
         logits_grad call)."""
         raise NotImplementedError
+
+    def outputs(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
+        """The (batch, k) raw outputs alone, for a read that takes no
+        gradient."""
+        return self.logits_rows(space, idx)[0]
 
     def logits_grad(self, idx: np.ndarray, dlogits: np.ndarray, cache) -> np.ndarray:
         """Flat parameter gradient of sum(dlogits * outputs at `idx`); `cache`
@@ -271,6 +291,15 @@ class MlpPolicy(ForwardPolicy):
         out, cache = mlp_forward(self.spec, self.params, space.features(uniq))
         return out[inv], (cache, inv, uniq)
 
+    def outputs(self, space, idx):
+        """The forward over the rows of `idx` as given, in near-equal parts
+        of at most `FORWARD_CHUNK` rows, keeping each part's output and
+        dropping its cache. Callers pass distinct states; a call of at most
+        `FORWARD_CHUNK` rows is one forward, as in `logits_rows`."""
+        idx = np.asarray(idx)
+        parts = np.array_split(idx, max(1, -(-idx.size // FORWARD_CHUNK)))
+        return np.concatenate([mlp_forward(self.spec, self.params, space.features(part))[0] for part in parts])
+
     def logits_grad(self, idx, dlogits, cache) -> np.ndarray:
         """The `dlogits` rows of each distinct state are summed, then one
         backward runs over the distinct states. The backward is linear in its
@@ -351,6 +380,18 @@ def policy_rows(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
     return rows, logp, p, cache
 
 
+def policy_probs(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
+    """(child codes, masked log-softmax, softmax) of the policy at the state
+    indices `idx`, as `policy_rows` gives them, from `outputs`: no cache is
+    kept, so nothing can take a gradient through them."""
+    rows = space.children_rows(idx)
+    legal = rows != CHILD_ILLEGAL
+    if not legal.any(axis=1).all():
+        raise MalformedStateError("reached a state with no legal transitions")
+    logp, p = masked_log_softmax(policy.outputs(space, idx), legal)
+    return rows, logp, p
+
+
 def step_sums(valid: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Per-trajectory sums of the flat per-step values `vals` (one per True
     cell of `valid`, row-major), added one column at a time in t order: the
@@ -396,9 +437,11 @@ def sample_batch(
     trajectory takes its state's row: step (b, t) reads row slot[b, t] of
     the steps' distinct rows stacked in t order.
 
-    With want_steps, returns the batch's step record instead: the record
-    `replay_steps` would build under the unchanged parameters, gathered from
-    the rows the sampler already computed."""
+    With want_steps, returns the batch's step record instead, gathered from
+    the rows the sampler already computed: the record `replay_steps` would
+    build under the unchanged parameters, bit for bit for a tabular policy
+    and within rounding for an MLP, whose forward bits depend on the size
+    of the call."""
     if batch < 1:
         raise ValueError("batch must be at least 1")
     if not 0.0 <= epsilon <= 1.0:
@@ -512,7 +555,7 @@ def replay_log_pb(space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:
 def action_distribution(policy: ForwardPolicy, space: StateSpace, s: StateKey) -> np.ndarray:
     """Masked-softmax action probabilities at one state (full arity vector,
     exactly 0 on illegal slots)."""
-    return policy_rows(policy, space, np.array([space.lookup(s)]))[2][0]
+    return policy_probs(policy, space, np.array([space.lookup(s)]))[2][0]
 
 
 # ---------------------------------------------------------------------------

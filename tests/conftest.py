@@ -193,3 +193,44 @@ def record_case(case, gen):
         for _ in range(2):
             sample_batch(pol, space, 32, 1.0, gen, compute_rewards=False)
     return pol, flow, space
+
+
+def reference_exact_pT(policy, space):
+    """`exact_pT`'s terminal array with each level read by one cache-keeping
+    `policy_rows` call over the whole level: the reference a chunked read
+    must equal byte for byte."""
+    from gfnpool.envs.space import CHILD_STOP
+    from gfnpool.policy import policy_rows
+
+    mass = np.zeros(space.n_states)
+    mass[space.root] = 1.0
+    p_term = np.zeros(space.n_states)
+    for lv in space.levels():
+        rows, _, p, _ = policy_rows(policy, space, lv)
+        contrib = mass[lv][:, None] * p
+        p_term[lv] += np.where(rows == CHILD_STOP, contrib, 0.0).sum(axis=1)
+        interior = rows >= 0
+        np.add.at(mass, rows[interior], contrib[interior])
+    return p_term
+
+
+def reference_pooled_table(space, policies, weights):
+    """The pooled local log-policy of `PooledLocals`, with each level of
+    each local read by one cache-keeping `policy_rows` call, the locals
+    summed in order."""
+    from gfnpool.policy import policy_rows
+
+    table = np.zeros((space.n_states, space.arity))
+    for lv in space.levels():
+        for policy, w in zip(policies, weights):
+            table[lv] += w * policy_rows(policy, space, lv)[1]
+    return table
+
+
+def reference_effective_target(space, policies, weights):
+    """`effective_target`'s array over `reference_pooled_table`."""
+    from gfnpool.evaluation import _dag_pass, _logsumexp
+
+    table = reference_pooled_table(space, policies, weights)
+    log_mass = _dag_pass(space, lambda lv: table[lv], sum(weights) - 1.0, np.logaddexp)
+    return np.exp(log_mass - _logsumexp(log_mass[space.terminal_indices()]))

@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from gfnpool import aggregate, losses, policy, train
+import pytest
+
+from gfnpool import aggregate, evaluation, losses, policy, train
 from gfnpool.aggregate import AggregateConfig, aggregate_ab
+from gfnpool.envs import SequenceEnv, StateSpace
 from gfnpool.losses import LossSpec
-from gfnpool.policy import TrajectoryBatch, replay_log_pf, sample_batch
+from gfnpool.policy import MlpPolicy, TrajectoryBatch, replay_log_pf, sample_batch
 from gfnpool.train import TrainConfig, train_local
 from tests.conftest import random_tabular
 
@@ -56,3 +59,25 @@ def test_a_batch_builds_from_six_positional_arrays(grid3_space, rng):
     b, h = tb.batch_size, tb.horizon
     rebuilt = TrajectoryBatch(tb.states, tb.actions, tb.lengths, np.zeros((b, h)), np.zeros((b, h)), None)
     assert np.array_equal(replay_log_pf(pol, grid3_space, rebuilt), replay_log_pf(pol, grid3_space, tb))
+
+
+@pytest.mark.parametrize("chunk", [policy.FORWARD_CHUNK, 7])
+def test_traced_forward_rows_count_each_state_of_exact_pT_once(chunk, rng, monkeypatch):
+    # the tracer counts rows per `mlp_forward` call, so a chunked read must
+    # neither hide rows from it nor count any twice
+    env = SequenceEnv(pos_scores=(0.4, -0.2, 0.3, 0.1), token_scores=(0.5, -0.3, 0.2))
+    space = StateSpace.enumerated(env)
+    pol = MlpPolicy.create(env, (8, 8), rng)
+    monkeypatch.setattr(policy, "FORWARD_CHUNK", chunk)
+    tracing = _tracing()
+    tr = tracing.Tracer()
+    tracing.install(tr)
+    try:
+        evaluation.exact_pT(pol, space)
+        metrics = tracing.layer_metrics(tr)
+    finally:
+        tr.uninstall()
+    assert metrics["evaluation.exact_pT_calls"][0] == 1
+    assert metrics["nn.mlp_forward_rows"][0] == space.n_states
+    calls = sum(acc[0] for (name, _), acc in tr.leaves.items() if name == "nn.mlp_forward")
+    assert calls == sum(-(-lv.size // chunk) for lv in space.levels())

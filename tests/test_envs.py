@@ -21,6 +21,7 @@ from gfnpool.errors import (
 )
 from gfnpool.envs.space import _key_codes
 from tests.conftest import assert_same_space, key_walk, level_walk
+from tests.test_aggregate import RewardCallCounter
 
 ALL_ENV_FIXTURES = ["grid3", "mset33", "seq22", "phylo4"]
 
@@ -242,6 +243,88 @@ def test_space_features_are_the_env_features(view):
         assert got.shape == (len(idx), space.env.feature_dim)
         for row, i in zip(got, idx):
             assert np.array_equal(row, space.env._featurize(space.keys[i]))
+
+
+def per_key_features(env, s):
+    """The per-key encodings each env gave before featurization went by key
+    matrix, kept as the reference the batch form must equal byte for byte."""
+    if isinstance(env, GridEnv):
+        return np.array([s[0] / env.side, s[1] / env.side])
+    if isinstance(env, MultisetEnv):
+        return np.asarray(s, dtype=np.float64) / env.target_size
+    width = env.num_tokens + 1
+    out = np.zeros(env.feature_dim)
+    for i in range(env.max_len):
+        sym = s[i] if i < len(s) else env.num_tokens  # blank beyond length
+        out[i * width + sym] = 1.0
+    out[-1] = len(s) / env.max_len
+    return out
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ALL_ENV_FIXTURES)
+def test_features_equal_the_per_key_encodings_byte_for_byte(fixture, request):
+    env = request.getfixturevalue(fixture)
+    space = StateSpace.enumerated(env)
+    every = np.arange(space.n_states)
+    if env.feature_dim is None:
+        with pytest.raises(UnsupportedFeaturizationError):
+            space.features(every)
+        return
+    want = np.array([per_key_features(env, k) for k in space.keys])
+    assert_same_bytes(space.features(every), want)
+    for k, row in zip(space.keys, want):
+        assert_same_bytes(env.featurize(k), row)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        GridEnv(side=5, beacons=((1, 1),)),
+        MultisetEnv(values=(0.1, 0.5, 0.9), target_size=4),
+        SequenceEnv(pos_scores=(0.1,) * 4, token_scores=(0.2,) * 3),
+    ],
+    ids=["grid", "multiset", "sequence"],
+)
+def test_features_on_a_lazy_space_equal_the_per_key_encodings(env, rng):
+    space = StateSpace(env)
+    for _ in range(3):  # expand a few states, so the space is incomplete
+        space.children_rows(rng.integers(0, space.n_states, 4))
+    assert not space.complete
+    idx = rng.integers(0, space.n_states, 3 * space.n_states)  # unsorted and repeated
+    for part in np.array_split(idx, 3):  # later calls meet rows an earlier one filled
+        want = np.array([per_key_features(env, space.keys[i]) for i in part])
+        assert_same_bytes(space.features(part), want)
+
+
+class FeaturizeCounter(RewardCallCounter):
+    """The delegating test wrapper, which overrides the public `featurize`
+    and gives no batch form; here it also counts its calls and doubles the
+    base's features."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.featurized = 0
+
+    def featurize(self, s):
+        self.featurized += 1
+        return super().featurize(s) * 2.0
+
+
+def test_a_wrapper_that_overrides_featurize_is_read_key_by_key():
+    env = FeaturizeCounter(SequenceEnv(pos_scores=(0.1,) * 3, token_scores=(0.2,) * 2))
+    space = StateSpace.enumerated(env)
+    idx = np.array([3, 1, 3, 0, 9])
+    got = space.features(idx)
+    assert env.featurized == 4  # one call per distinct missing state
+    want = np.array([2.0 * per_key_features(env.base, space.keys[i]) for i in idx])
+    assert_same_bytes(got, want)
+    assert_same_bytes(space.features(idx), want)
+    assert env.featurized == 4
 
 
 def test_space_view_rejects_other_dag():

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +32,21 @@ from gfnpool.evaluation import (
 )
 from gfnpool.losses import PooledLocals
 from gfnpool.policy import (
+    FORWARD_CHUNK,
+    MlpPolicy,
     TabularPolicy,
     action_distribution,
     balanced_tabular_policy,
+    policy_rows,
     replay_log_pb,
     replay_log_pf,
 )
-from tests.conftest import random_tabular
+from tests.conftest import (
+    random_tabular,
+    reference_effective_target,
+    reference_exact_pT,
+    reference_pooled_table,
+)
 
 
 def brute_force_pT(policy, space, env):
@@ -500,3 +509,68 @@ def test_l1_does_not_depend_on_string_hashing():
         run = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
         outs.add(run.stdout.strip())
     assert len(outs) == 1
+
+
+# -- cache-free reads in row chunks ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def seq66_mlps():
+    """Sequence 6x6 (levels of 1, 6, 36, 216, 1296, 7776 and 46656 states)
+    and two MLP locals of the shipped widths [64, 64]."""
+    gen = np.random.default_rng(66)
+    env = SequenceEnv(pos_scores=tuple(gen.normal(0, 1, 6)), token_scores=tuple(gen.normal(0, 1, 6)))
+    space = StateSpace.enumerated(env)
+    pols = []
+    for _ in range(2):
+        pol = MlpPolicy.create(env, (64, 64), gen)
+        pol.params = gen.normal(0.0, 0.3, pol.n_params)
+        pols.append(pol)
+    space.features(np.arange(space.n_states))
+    return space, pols
+
+
+# levels below the chunk in every case, then: the shipped chunk, of which no
+# level is a multiple or a divisor; a chunk equal to a level, whose larger
+# levels are multiples of it; a chunk between two levels; and one just below
+# a level, where full parts and a remainder would leave a part of 4 rows
+@pytest.mark.parametrize("chunk", [FORWARD_CHUNK, 1296, 3000, 1292])
+def test_chunked_reads_equal_the_whole_level_call_byte_for_byte(chunk, seq66_mlps, monkeypatch):
+    import gfnpool.policy
+
+    space, pols = seq66_mlps
+    sizes = [lv.size for lv in space.levels()]
+    assert min(sizes) < chunk < max(sizes)
+    monkeypatch.setattr(gfnpool.policy, "FORWARD_CHUNK", chunk)
+    weights = (0.5, 2.0)
+    for pol in pols:
+        assert exact_pT(pol, space).p.tobytes() == reference_exact_pT(pol, space).tobytes()
+    want = reference_effective_target(space, pols, weights)
+    assert effective_target(pols, space, weights).p.tobytes() == want.tobytes()
+    table = reference_pooled_table(space, pols, weights)
+    pooled = PooledLocals(space, pols, weights)
+    for lv in space.levels():
+        assert pooled.rows(lv).tobytes() == table[lv].tobytes()
+    # a sampled batch's states, unsorted and repeated, as AB reads them
+    idx = np.random.default_rng(chunk).integers(0, space.n_states, 5000)
+    uniq = np.unique(idx)
+    assert uniq.size > chunk
+    ref = sum(w * policy_rows(pol, space, uniq)[1] for pol, w in zip(pols, weights))
+    got = PooledLocals(space, pols, weights).rows(idx)
+    assert got.tobytes() == ref[np.searchsorted(uniq, idx)].tobytes()
+
+
+def test_exact_pT_peak_memory_is_bounded_by_the_chunk(seq66_mlps):
+    space, (pol, _) = seq66_mlps
+
+    def peak(read) -> int:
+        tracemalloc.start()
+        try:
+            read(pol, space)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kept = peak(reference_exact_pT)  # every level's forward cache, 46,656 rows at the last
+    free = peak(exact_pT)
+    assert free < kept / 4

@@ -250,6 +250,22 @@ def test_sampled_step_record_is_the_replay_record(case, rng):
     assert reordered == (not space.complete)  # the lazy case needs the permutation
 
 
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_sampled_record_at_scale_is_the_replay_record(backend):
+    # sequence 6x6 with the shipped [64, 64] MLP: its steps share forwards of
+    # tens to thousands of rows, and BLAS may pick its kernel by the size of
+    # a call, so an MLP record equals the replay within rounding only
+    env = SequenceEnv(pos_scores=(0.4, -0.2, 0.3, 0.1, -0.5, 0.2), token_scores=(0.5, -0.3, 0.2, 0.1, -0.4, 0.6))
+    space = StateSpace.enumerated(env)
+    gen = np.random.default_rng(1)
+    pol = random_tabular(space, gen) if backend == "tabular" else MlpPolicy.create(env, (64, 64), gen)
+    steps = sample_batch(pol, space, 512, 0.1, gen, want_steps=True)
+    ref = replay_steps(pol, space, steps.tb)
+    tol = 0.0 if backend == "tabular" else 1e-12
+    assert_rows_match(steps.logp, ref.logp, tol)
+    assert_rows_match(steps.p, ref.p, tol)
+
+
 @pytest.mark.parametrize("space_name", ["phylo4_space", "mset33_space"])
 def test_sampler_evaluates_each_distinct_state_of_a_step_once(space_name, request, rng, monkeypatch):
     space = request.getfixturevalue(space_name)

@@ -3,18 +3,27 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import gfnpool.policy
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
 from gfnpool.envs.phylo import encode_tree, parse_tree
-from gfnpool.losses import cb_loss_batch, tb_violations, vl_loss_batch
+from gfnpool.evaluation import exact_pT
+from gfnpool.losses import PooledLocals, cb_loss_batch, tb_violations, vl_loss_batch
 from gfnpool.nn import AdamWState, ParamGroup, adamw_step
 from gfnpool.policy import (
+    MlpPolicy,
     TabularPolicy,
     masked_log_softmax,
     replay_log_pb,
     replay_log_pf,
     sample_batch,
 )
-from tests.conftest import assert_same_space, key_walk, level_walk
+from tests.conftest import (
+    assert_same_space,
+    key_walk,
+    level_walk,
+    reference_exact_pT,
+    reference_pooled_table,
+)
 
 small_envs = st.one_of(
     st.builds(
@@ -53,6 +62,37 @@ small_int_key_envs = st.one_of(
 @given(env=small_int_key_envs)
 def test_level_walk_equals_per_key_walk_everywhere(env):
     assert_same_space(level_walk(env), key_walk(env))
+
+
+@settings(max_examples=25, deadline=None)
+@given(env=small_envs, seed=st.integers(0, 2**31 - 1), chunk=st.integers(1, 12))
+def test_chunked_reads_match_the_whole_level_call_everywhere(env, seed, chunk):
+    # any chunk reads every row once and in place; a chunk no smaller than
+    # any level reads each level in one call, and so keeps its bits
+    gen = np.random.default_rng(seed)
+    space = StateSpace.enumerated(env)
+    pols = [MlpPolicy.create(env, (5, 4), gen) for _ in range(2)]
+    for pol in pols:
+        pol.params = gen.normal(0.0, 1.0, pol.n_params)
+    weights = (0.5, 1.5)
+    want_p = reference_exact_pT(pols[0], space)
+    want_rows = reference_pooled_table(space, pols, weights)
+    widest = max(lv.size for lv in space.levels())
+    shipped = gfnpool.policy.FORWARD_CHUNK
+    for c, exact in ((chunk, chunk >= widest), (widest, True)):
+        gfnpool.policy.FORWARD_CHUNK = c
+        try:
+            got_p = exact_pT(pols[0], space).p
+            pooled = PooledLocals(space, pols, weights)
+            got_rows = np.concatenate([pooled.rows(lv) for lv in space.levels()])
+        finally:
+            gfnpool.policy.FORWARD_CHUNK = shipped
+        want = want_rows[np.concatenate(space.levels())]
+        if exact:
+            assert got_p.tobytes() == want_p.tobytes() and got_rows.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_rows, want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
