@@ -125,6 +125,9 @@ class RunConfig:
         # construct eagerly so schema errors surface before any work starts
         self.train_template()
         self.aggregate_config()
+        budget, k = self.eval_sample_budget(), self.eval_topk()
+        if budget < k:  # the top-k statistic fills k slots from the budget's draws
+            raise ConfigError("eval.sample_budget", f"must be at least eval.topk ({k}), got {budget}")
 
     # -- sections ----------------------------------------------------------
 

@@ -30,6 +30,15 @@ DEFAULT_STATE_GUARD = 5_000_000
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# the reductions `StateSpace.forward` takes: op -> (the root's start, every
+# other state's start); np.add pushes linear mass, the others log-space sums
+_FORWARD_STARTS = {
+    np.add: (1.0, 0.0),
+    np.logaddexp: (0.0, -np.inf),
+    np.minimum: (0.0, np.inf),
+    np.maximum: (0.0, -np.inf),
+}
+
 
 def _key_codes(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """One int64 per key, equal exactly for equal (row, length) pairs: a
@@ -349,7 +358,33 @@ class StateSpace:
         return np.flatnonzero(self._terminal[: self.n_states])
 
     def levels(self) -> list[np.ndarray]:
-        """State indices grouped by depth, ascending (a topological layering)."""
+        """State indices grouped by depth, ascending (a topological layering).
+        A complete space is numbered breadth-first, so each depth is a run of
+        consecutive indices."""
         self.require_complete()
         d = self._depth[: self.n_states]
-        return [np.flatnonzero(d == lv) for lv in range(int(d.max()) + 1)]
+        return np.split(np.arange(self.n_states), np.flatnonzero(np.diff(d)) + 1)
+
+    def forward(self, step, op) -> np.ndarray:
+        """`op` (np.add, np.logaddexp, np.minimum or np.maximum) over every
+        trajectory into each terminal, by one pass over `levels()`.
+
+        The root holds op's unit (1 for np.add, else 0) and every other state
+        op's identity. At each level `step(lv, held, rows)` gives the value of
+        every slot of the states `lv`, from their held values and child codes.
+        A stop slot's value is the state's result; a child slot's value goes
+        into the child's held value by `op.at`, in row-major order. Off the
+        terminals the result is op's identity."""
+        self.require_complete()
+        unit, identity = _FORWARD_STARTS[op]
+        held = np.full(self.n_states, identity)
+        held[self.root] = unit
+        out = np.full(self.n_states, identity)
+        for lv in self.levels():
+            rows = self.children_rows(lv)
+            vals = step(lv, held[lv], rows)
+            r, a = np.nonzero(rows == CHILD_STOP)
+            out[lv[r]] = vals[r, a]  # at most one stop slot per state
+            interior = rows >= 0
+            op.at(held, rows[interior], vals[interior])
+        return out

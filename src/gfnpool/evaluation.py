@@ -1,9 +1,9 @@
-"""Exact and sampled evaluation of terminal-state distributions.
+"""Exact evaluation of terminal-state distributions.
 
 A terminal distribution is a `DistributionTable`: an array `p` over the
 state indices of one enumerated `StateSpace`, exactly 0 off the terminals,
 with that space and a provenance tag. Every producer here (`exact_pT`,
-`sampled_pT`, `target_table`, `effective_target`) fills it directly, and
+`target_table`, `effective_target`) fills it directly, and
 every metric (L1, KL, Jeffrey, top-K) is a vector operation on it. Two
 tables are comparable when they index the same DAG: views from
 `StateSpace.for_env` of one enumeration are, and a metric on tables from
@@ -12,9 +12,10 @@ different DAGs raises `FingerprintMismatchError`.
 Also here: the normalized (product-of-)reward targets, the effective target
 an aggregated sampler actually draws from when its inputs are imperfect,
 the Jeffrey-divergence bound checker for that gap, and the exact
-KL-gradient identity check for the contrastive criterion. The effective
-target and the bound are exact forward passes over the DAG's levels
-(`_dag_pass`); trajectory enumeration stays as their brute-force oracle.
+KL-gradient identity check for the contrastive criterion. Every exact
+figure (the marginal, the trajectory count, the effective target and the
+bound's extrema) is one `StateSpace.forward` pass over the DAG; trajectory
+enumeration stays as their brute-force oracle.
 """
 
 from __future__ import annotations
@@ -106,17 +107,11 @@ def exact_pT(policy: ForwardPolicy, space: StateSpace) -> DistributionTable:
     """Exact terminal marginal of the policy, by pushing unit mass through the
     DAG level by level (equals the sum over all trajectories). Each level is
     one cache-free `policy_probs` read."""
-    space.require_complete()
-    mass = np.zeros(space.n_states)
-    mass[space.root] = 1.0
-    p_term = np.zeros(space.n_states)
-    for lv in space.levels():
-        rows, _, p = policy_probs(policy, space, lv)
-        contrib = mass[lv][:, None] * p
-        p_term[lv] += np.where(rows == CHILD_STOP, contrib, 0.0).sum(axis=1)
-        interior = rows >= 0
-        np.add.at(mass, rows[interior], contrib[interior])
-    return DistributionTable(p_term, space, provenance="exact-dp")
+
+    def step(lv, mass, rows):
+        return mass[:, None] * policy_probs(policy, space, lv)[2]
+
+    return DistributionTable(space.forward(step, np.add), space, provenance="exact-dp")
 
 
 def sample_terminals(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,12 +122,6 @@ def sample_terminals(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.r
         b = min(SAMPLE_CHUNK, n - lo)
         out.append(sample_batch(policy, space, b, epsilon=0.0, rng=rng, compute_rewards=False).terminal_idx())
     return np.concatenate(out)
-
-
-def sampled_pT(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.random.Generator) -> DistributionTable:
-    """Empirical terminal frequencies over n on-policy draws."""
-    idx = sample_terminals(policy, space, n, rng)
-    return DistributionTable(np.bincount(idx, minlength=space.n_states) / n, space, provenance=f"sampled({n})")
 
 
 def terminal_log_rewards(env: Environment, space: StateSpace) -> np.ndarray:
@@ -181,25 +170,20 @@ def reward_table(envs: list[Environment], space: StateSpace, weights=None) -> Di
     return target_table(space, product_log_rewards(envs, space, weights))
 
 
-def topk_avg_log_reward(source, space: StateSpace, log_r: np.ndarray, k: int, sample_budget: int = 1_000_000) -> float:
-    """Mean log-reward of the K best-scoring samples, multiplicity counted.
-
-    `source` is either an array of sampled terminal state indices or a
-    DistributionTable; for a table the statistic is the infinite-sample
-    limit of the same quantity at `sample_budget` draws (slots filled by
-    expected counts in decreasing reward order).
-    """
-    if isinstance(source, DistributionTable):
-        term = space.terminal_indices()
-        expect = source.p[term] * sample_budget
-        order = np.argsort(log_r[term])[::-1]
-        take = np.minimum(expect[order], np.maximum(0.0, k - np.concatenate([[0.0], np.cumsum(expect[order])[:-1]])))
-        return float(np.sum(take * log_r[term][order]) / k)
-    samples = np.asarray(source)
-    if samples.size < k:
-        raise ValueError(f"need at least {k} samples, got {samples.size}")
-    vals = log_r[samples]
-    return float(np.mean(np.sort(vals)[-k:]))
+def topk_avg_log_reward(
+    table: DistributionTable, space: StateSpace, log_r: np.ndarray, k: int, sample_budget: int = 1_000_000
+) -> float:
+    """Mean log-reward of the K best-scoring of `sample_budget` draws from
+    `table`, multiplicity counted, in the infinite-sample limit: the K slots
+    are filled by expected counts in decreasing reward order. A budget below
+    K cannot fill them and raises."""
+    if sample_budget < k:
+        raise ValueError(f"top-{k} needs a sample budget of at least {k}, got {sample_budget}")
+    term = space.terminal_indices()
+    expect = table.p[term] * sample_budget
+    order = np.argsort(log_r[term])[::-1]
+    take = np.minimum(expect[order], np.maximum(0.0, k - np.concatenate([[0.0], np.cumsum(expect[order])[:-1]])))
+    return float(np.sum(take * log_r[term][order]) / k)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +192,7 @@ def topk_avg_log_reward(source, space: StateSpace, log_r: np.ndarray, k: int, sa
 
 def count_trajectories(space: StateSpace) -> int:
     """Number of complete trajectories, by path-count dynamic programming."""
-    space.require_complete()
-    paths = np.zeros(space.n_states, dtype=np.float64)
-    paths[space.root] = 1.0
-    for lv in space.levels():
-        rows = space.children_rows(lv)
-        interior = rows >= 0
-        np.add.at(
-            paths,
-            rows[interior],
-            np.broadcast_to(paths[lv][:, None], rows.shape)[interior],
-        )
+    paths = space.forward(lambda lv, held, rows: np.broadcast_to(held[:, None], rows.shape), np.add)
     return int(round(paths[space.terminal_indices()].sum()))
 
 
@@ -227,8 +201,9 @@ def enumerate_trajectory_batches(
 ):
     """Yield every complete trajectory, packed into TrajectoryBatch chunks.
 
-    Depth-first over the enumerated DAG; raises if the trajectory count
-    exceeds the guard (callers fall back to sampled evaluation).
+    Depth-first over the enumerated DAG; raises `EnumerationGuardError` if
+    the trajectory count exceeds the guard. No exact figure needs it: it is
+    their brute-force oracle, and the gradient check's pair expectation.
     """
     space.require_complete()
     total = count_trajectories(space)
@@ -272,27 +247,19 @@ def enumerate_trajectory_batches(
         yield flush()
 
 
-def _dag_pass(space: StateSpace, edge_rows, parents_coef: float, op) -> np.ndarray:
-    """`op` (np.logaddexp, np.minimum or np.maximum) over every trajectory
-    into each terminal of the sum of its edge values, by one forward pass
-    over `space.levels()`. At level `lv` the edge s -> s' by action a is
-    worth edge_rows(lv)[s, a] + parents_coef * log|parents(s')|, and the
-    stop edge of s is worth edge_rows(lv)[s, stop]. Off the terminals the
-    result is op's identity."""
-    space.require_complete()
-    empty = np.inf if op is np.minimum else -np.inf
-    node = np.full(space.n_states, empty)
-    node[space.root] = 0.0
-    out = np.full(space.n_states, empty)
-    for lv in space.levels():
-        rows = space.children_rows(lv)
-        vals = node[lv][:, None] + edge_rows(lv)
-        r, a = np.nonzero(rows == CHILD_STOP)
-        op.at(out, lv[r], vals[r, a])
-        r, a = np.nonzero(rows >= 0)
-        child = rows[r, a]
-        op.at(node, child, vals[r, a] + parents_coef * np.log(space.nparents(child)))
-    return out
+def _log_path_step(space: StateSpace, edge_rows, parents_coef: float):
+    """A `StateSpace.forward` step that sums edge values along each path:
+    the edge s -> s' by action a is worth edge_rows(lv)[s, a] +
+    parents_coef * log|parents(s')|, and the stop edge of s is worth
+    edge_rows(lv)[s, stop]."""
+
+    def step(lv, held, rows):
+        vals = held[:, None] + edge_rows(lv)
+        interior = rows >= 0
+        vals[interior] += parents_coef * np.log(space.nparents(rows[interior]))
+        return vals
+
+    return step
 
 
 def effective_target(local_policies: list[ForwardPolicy], space: StateSpace, weights=None) -> DistributionTable:
@@ -302,7 +269,7 @@ def effective_target(local_policies: list[ForwardPolicy], space: StateSpace, wei
     log-sum-exp pass over the pooled local log-policy L, with edge weight
     L[s, a] + (sum w - 1) log|parents(s')| (a stop edge takes L[s, stop])."""
     pooled = PooledLocals(space, local_policies, weights)
-    log_mass = _dag_pass(space, pooled.rows, pooled.total_weight - 1.0, np.logaddexp)
+    log_mass = space.forward(_log_path_step(space, pooled.rows, pooled.total_weight - 1.0), np.logaddexp)
     z = _logsumexp(log_mass[space.terminal_indices()])
     return DistributionTable(np.exp(log_mass - z), space, provenance="effective-target")
 
@@ -328,8 +295,8 @@ def robustness_bound_check(
 ) -> BoundCheckResult:
     """Check the Jeffrey-divergence bound between the product target and the
     effective aggregated target against per-client trajectory-ratio extrema.
-    Each client's extrema come from a min and a max `_dag_pass` over its own
-    log-softmax rows; the bound is stated for unit pooling weights."""
+    Each client's extrema come from a min and a max forward pass over its
+    own log-softmax rows; the bound is stated for unit pooling weights."""
     if len(local_policies) != len(client_envs):
         raise ValueError("need one environment per local policy")
     own = [terminal_log_rewards(env, space) for env in client_envs]
@@ -338,10 +305,10 @@ def robustness_bound_check(
     for k, (policy, vals) in enumerate(zip(local_policies, own)):
         # log p_F(tau) - log p_B(tau|x), summed edge by edge over the client's
         # own masked log-softmax rows, less log pi_k(x)
-        rows = lambda lv, p=policy: policy_probs(p, space, lv)[1]
+        step = _log_path_step(space, lambda lv, p=policy: policy_probs(p, space, lv)[1], 1.0)
         log_pi = vals - _logsumexp(vals)
-        lo[k] = np.min(_dag_pass(space, rows, 1.0, np.minimum)[term] - log_pi)
-        hi[k] = np.max(_dag_pass(space, rows, 1.0, np.maximum)[term] - log_pi)
+        lo[k] = np.min(space.forward(step, np.minimum)[term] - log_pi)
+        hi[k] = np.max(space.forward(step, np.maximum)[term] - log_pi)
     alphas = 1.0 - np.exp(lo)
     betas = np.exp(hi) - 1.0
     degenerate = bool(np.any(~np.isfinite(lo)) or np.any(np.exp(lo) <= 0.0))

@@ -53,8 +53,6 @@ class FitConfig:
     backend: str = "tabular"
     hidden: tuple[int, ...] = (64, 64)
     eval_every: int = 100  # 0 turns the L1 probes off
-    eval_mode: str = "exact"  # exact | sampled
-    eval_samples: int = 100_000
     state_guard: int = DEFAULT_STATE_GUARD
 
     def __post_init__(self):
@@ -71,8 +69,6 @@ class FitConfig:
         sizes = isinstance(self.hidden, tuple) and self.hidden != () and all(_whole(h) and h >= 1 for h in self.hidden)
         need(sizes, "hidden", "a non-empty tuple of integers >= 1")
         need(_whole(self.eval_every) and self.eval_every >= 0, "eval_every", "an integer >= 0 (0 turns the probes off)")
-        need(self.eval_mode in ("exact", "sampled"), "eval_mode", "one of the eval modes exact and sampled")
-        need(_whole(self.eval_samples) and self.eval_samples >= 1, "eval_samples", "an integer >= 1")
         need(_whole(self.state_guard) and self.state_guard >= 1, "state_guard", "an integer >= 1")
 
 
@@ -172,24 +168,24 @@ def fit(
     """The training loop that clients and the server share.
 
     `cfg` is a client's TrainConfig or the server's AggregateConfig; its
-    seed spawns the training, evaluation and initialisation streams. Each
-    epoch samples `cfg.batch` trajectories from the mixture of the current
-    policy and the uniform one, with weight `cfg.epsilon` on the uniform
-    (and terminal rewards only if `rewards`), as one step record, takes
+    seed spawns the training and initialisation streams. Each epoch samples
+    `cfg.batch` trajectories from the mixture of the current policy and the
+    uniform one, with weight `cfg.epsilon` on the uniform (and terminal
+    rewards only if `rewards`), as one step record, takes
     `loss_fn(model, steps)` -> (loss, gradient per AdamW group name), and
     makes one AdamW step. The loss reads the policy's rows off the record
     instead of replaying the batch. Every `eval_every` epochs (never if 0)
-    and at the last one it probes the L1 to `target`, exactly or from
-    `eval_samples` draws as `eval_mode` says; without a target it is NaN. A
-    target needs a complete space, so every probe runs on one. `logz_lr`
-    adds a log Z group and `flow` a state-flow block. Returns the model and
-    one metrics row per epoch: the loss, the L1, the epoch's `wall_ms`, and
-    the part of it spent in each phase, `sample_ms`, `loss_ms` (loss and
-    gradient), `step_ms` (AdamW) and `eval_ms`.
+    and at the last one it probes the exact L1 of `exact_pT` to `target`;
+    without a target it is NaN. A target needs a complete space, so every
+    probe runs on one. `logz_lr` adds a log Z group and `flow` a state-flow
+    block. Returns the model and one metrics row per epoch: the loss, the
+    L1, the epoch's `wall_ms`, and the part of it spent in each phase,
+    `sample_ms`, `loss_ms` (loss and gradient), `step_ms` (AdamW) and
+    `eval_ms`.
     """
-    train_ss, eval_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    # the middle stream is unused; spawning three keeps the init stream's bits
+    train_ss, _, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.default_rng(train_ss)
-    eval_rng = np.random.default_rng(eval_ss)
     model = Model(env, space, cfg, init_ss, logz_lr, flow)
     opt = AdamWState(model.groups, lr=cfg.lr, weight_decay=cfg.weight_decay)
     grad = np.empty(opt.n_params)
@@ -210,11 +206,7 @@ def fit(
         t_eval = time.perf_counter()
         l1_val = float("nan")
         if probed and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            if cfg.eval_mode == "sampled":
-                approx = evaluation.sampled_pT(model.policy, space, cfg.eval_samples, eval_rng)
-            else:
-                approx = evaluation.exact_pT(model.policy, space)
-            l1_val = evaluation.l1(approx, target)
+            l1_val = evaluation.l1(evaluation.exact_pT(model.policy, space), target)
         t1 = time.perf_counter()
         metrics.append({
             "epoch": epoch, "loss": float(loss), "l1": l1_val, "wall_ms": (t1 - t0) * 1e3,

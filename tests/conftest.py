@@ -227,10 +227,32 @@ def reference_pooled_table(space, policies, weights):
     return table
 
 
+def reference_levels(space):
+    """State indices grouped by depth, one comparison pass per depth: the
+    grouping `StateSpace.levels` must equal."""
+    d = space.depth(np.arange(space.n_states))
+    return [np.flatnonzero(d == lv) for lv in range(int(d.max()) + 1)]
+
+
 def reference_effective_target(space, policies, weights):
-    """`effective_target`'s array over `reference_pooled_table`."""
-    from gfnpool.evaluation import _dag_pass, _logsumexp
+    """`effective_target`'s array over `reference_pooled_table`, by a
+    hand-written forward log-sum-exp loop over `reference_levels`: each
+    state's log mass scattered into its children with `np.logaddexp.at`,
+    each terminal's taken from its stop edge."""
+    from gfnpool.envs.space import CHILD_STOP
+    from gfnpool.evaluation import _logsumexp
 
     table = reference_pooled_table(space, policies, weights)
-    log_mass = _dag_pass(space, lambda lv: table[lv], sum(weights) - 1.0, np.logaddexp)
+    coef = sum(weights) - 1.0
+    node = np.full(space.n_states, -np.inf)
+    node[space.root] = 0.0
+    log_mass = np.full(space.n_states, -np.inf)
+    for lv in reference_levels(space):
+        rows = space.children_rows(lv)
+        vals = node[lv][:, None] + table[lv]
+        r, a = np.nonzero(rows == CHILD_STOP)
+        np.logaddexp.at(log_mass, lv[r], vals[r, a])
+        r, a = np.nonzero(rows >= 0)
+        child = rows[r, a]
+        np.logaddexp.at(node, child, vals[r, a] + coef * np.log(space.nparents(child)))
     return np.exp(log_mass - _logsumexp(log_mass[space.terminal_indices()]))

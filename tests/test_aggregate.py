@@ -181,11 +181,6 @@ def test_aggregation_eval_every_zero_never_probes(grid3, grid3_space, rng, monke
     assert all(np.isnan(r["l1"]) for r in res.metrics)
 
 
-def test_aggregate_config_rejects_unknown_eval_mode():
-    with pytest.raises(ValueError, match="eval mode"):
-        AggregateConfig(epochs=10, batch=16, seed=1, eval_mode="bogus")
-
-
 @pytest.mark.parametrize("backend", ["tabular", "mlp"])
 def test_aggregation_replays_only_the_global_policy(grid3, grid3_space, rng, monkeypatch, backend):
     # AB reads the locals off the pooled table and the global policy off the

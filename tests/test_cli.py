@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,20 +211,19 @@ def test_short_manifest_aggregates_with_default_weights(outroot, capsys):
     assert main(argv + ["--set", "aggregate.eval_every=0"]) == 0
 
 
-def test_aggregate_unknown_eval_mode_is_config_error(outroot, capsys):
-    cfg = write_cfg(outroot, TINY_GRID)
-    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
-    capsys.readouterr()
-    assert main(["aggregate", "--config", cfg, "--set", "aggregate.eval_mode=bogus"]) == 2
-    err = capsys.readouterr().err
-    assert "aggregate" in err and "eval mode" in err
-
-
 @pytest.mark.parametrize("key", ["train.eval_every", "aggregate.eval_every"])
 def test_negative_eval_every_is_config_error(outroot, capsys, key):
     cfg = write_cfg(outroot, TINY_MULTISET)
     assert main(["train-clients", "--config", cfg, "--set", f"{key}=-3"]) == 2
     assert "eval_every" in capsys.readouterr().err
+
+
+def test_sample_budget_below_topk_is_config_error(outroot, capsys):
+    # the top-k statistic fills eval.topk slots from eval.sample_budget draws
+    argv = ["train-local", "--config", write_cfg(outroot, TINY_GRID), "--client", "0", "--set", "eval.sample_budget=4"]
+    assert main(argv) == 2
+    assert "config error: eval.sample_budget: " in capsys.readouterr().err
+    assert main(argv[:-1] + ["eval.sample_budget=5", "--set", "train.epochs=2"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -247,7 +247,6 @@ BAD_FIT_SETTINGS = [
     (["aggregate.hidden=5"], "aggregate"),
     (["train.eval_every=1.7"], "train"),
     (["aggregate.eval_every=2.5"], "aggregate"),
-    (["train.eval_mode=off"], "train"),  # unquoted YAML off is the boolean false
     (["loss.epsilon=2"], "loss.epsilon"),  # the clients' exploration weight
 ]
 
@@ -264,23 +263,20 @@ def test_bad_fit_setting_is_config_error(outroot, capsys, overrides, section):
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-# the README's 7-leaf phylogenetics smoke test
-PHYLO_7_LEAVES = [
-    "env.phylo.leaves=7", "env.phylo.sites=2500", "env.phylo.clients=5", "clients.n=5",
-    "train.epochs=300", "train.batch=256", "train.eval_every=150",
-    "train.eval_mode=sampled", "train.eval_samples=20000",
-    "aggregate.epochs=300", "aggregate.batch=256", "aggregate.eval_every=150",
-    "aggregate.eval_mode=sampled", "aggregate.eval_samples=20000",
-]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize(
-    "name, overrides",
-    [("grid", []), ("multiset", []), ("phylo", []), ("sequence", []), ("phylo", PHYLO_7_LEAVES)],
-    ids=["grid", "multiset", "phylo", "sequence", "phylo-7-leaves"],
-)
-def test_shipped_configs_parse(name, overrides):
-    doc = apply_overrides(load_config(CONFIGS / f"{name}.yaml"), overrides)
+def readme_block(after: str, lang: str) -> str:
+    """The body of the README's first fenced `lang` block after the text `after`."""
+    text = README.read_text()
+    fence = f"```{lang}\n"
+    start = text.index(fence, text.index(after)) + len(fence)
+    return text[start : text.index("```", start)]
+
+
+@pytest.mark.parametrize("name", ["grid", "multiset", "phylo", "sequence"])
+def test_shipped_configs_parse(name):
+    doc = load_config(CONFIGS / f"{name}.yaml")
     run = RunConfig(doc)
     template = run.train_template()
     clients = run.client_train_configs()
@@ -289,8 +285,20 @@ def test_shipped_configs_parse(name, overrides):
     assert {c.epsilon for c in clients} == {template.epsilon} == {doc["loss"]["epsilon"]}
     assert server.epsilon == doc["aggregate"]["epsilon"]
     assert server.backend == template.backend and server.state_guard == template.state_guard
-    mode = "sampled" if overrides else "exact"
-    assert template.eval_mode == server.eval_mode == mode
+
+
+@pytest.mark.parametrize("block", ["sketch", "phylo-7-leaves"])
+def test_readme_config_blocks_parse(block):
+    if block == "sketch":
+        doc = yaml.safe_load(readme_block("### Config sketch", "yaml"))
+    else:  # the smoke test's overrides, on the shipped phylogenetics config
+        overrides = re.findall(r"--set (\S+)", readme_block("7-leaf phylogenetics smoke test", "bash"))
+        assert len(overrides) >= 10
+        doc = apply_overrides(load_config(CONFIGS / "phylo.yaml"), overrides)
+    run = RunConfig(doc)
+    for section, cfg in (("train", run.train_template()), ("aggregate", run.aggregate_config())):
+        for field, value in doc[section].items():
+            assert getattr(cfg, field) == (tuple(value) if isinstance(value, list) else value)
 
 
 @pytest.mark.parametrize("loss_eps", [0.25, None], ids=["loss-eps-set", "loss-eps-absent"])
@@ -315,6 +323,10 @@ UNREAD_KEYS = [
     ("aggregate.seed=7", "seed"),
     ("aggregate.weights=[1, 2]", "loss.weights"),
     ("aggregate.logz_lr=0.1", None),
+    ("train.eval_mode=sampled", None),
+    ("train.eval_samples=20000", None),
+    ("aggregate.eval_mode=sampled", None),
+    ("aggregate.eval_samples=20000", None),
     ("loss.lr=0.1", None),
     ("loss.epsilonn=0.2", None),
 ]

@@ -20,7 +20,7 @@ from gfnpool.errors import (
     UnsupportedFeaturizationError,
 )
 from gfnpool.envs.space import _key_codes
-from tests.conftest import assert_same_space, key_walk, level_walk
+from tests.conftest import assert_same_space, key_walk, level_walk, reference_levels
 from tests.test_aggregate import RewardCallCounter
 
 ALL_ENV_FIXTURES = ["grid3", "mset33", "seq22", "phylo4"]
@@ -336,6 +336,24 @@ def test_space_view_rejects_other_dag():
     lazy = StateSpace(MultisetEnv(values=(0.1, 0.5, 0.9), target_size=3))
     with pytest.raises(EnumerationGuardError):
         lazy.for_env(MultisetEnv(values=(0.3, 0.2, 0.1), target_size=3))
+
+
+@pytest.mark.parametrize("env", [*ALL_ENV_FIXTURES, "grid2", "deep-multiset"])
+def test_levels_are_the_depth_groups(env, request):
+    if env == "deep-multiset":  # one item: 2,001 levels of one state each
+        env = MultisetEnv(values=(0.3,), target_size=2_000)
+    else:
+        env = request.getfixturevalue(env)
+    space = StateSpace.enumerated(env)
+    got, want = space.levels(), reference_levels(space)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_forward_needs_a_complete_space(grid3):
+    lazy = StateSpace(grid3)
+    with pytest.raises(EnumerationGuardError):
+        lazy.forward(lambda lv, held, rows: np.broadcast_to(held[:, None], rows.shape), np.add)
 
 
 # -- multiset -----------------------------------------------------------------

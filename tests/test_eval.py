@@ -27,7 +27,7 @@ from gfnpool.evaluation import (
     product_log_rewards,
     reward_table,
     robustness_bound_check,
-    sampled_pT,
+    sample_terminals,
     topk_avg_log_reward,
 )
 from gfnpool.losses import PooledLocals
@@ -161,18 +161,23 @@ def test_terminal_tables_are_zero_off_the_terminals(fixture, rng, request):
     off = ~space.terminal_mask(np.arange(space.n_states))
     assert off.any()
     pol = random_tabular(space, rng)
-    for table in (exact_pT(pol, space), sampled_pT(pol, space, 2_000, rng)):
-        assert table.p.shape == (space.n_states,)
-        assert np.all(table.p[off] == 0.0)
-        assert table.total() == pytest.approx(1.0, abs=1e-12)
+    table = exact_pT(pol, space)
+    assert table.p.shape == (space.n_states,)
+    assert np.all(table.p[off] == 0.0)
+    assert table.total() == pytest.approx(1.0, abs=1e-12)
+    drawn = np.bincount(sample_terminals(pol, space, 2_000, rng), minlength=space.n_states)
+    assert np.all(drawn[off] == 0) and drawn.sum() == 2_000
 
 
 def test_sampled_pt_monte_carlo_convergence(grid3, grid3_space):
     pol = random_tabular(grid3_space, np.random.default_rng(8))
-    exact = exact_pT(pol, grid3_space)
-    l1_small = l1(sampled_pT(pol, grid3_space, 1_000, np.random.default_rng(1)), exact)
-    l1_big = l1(sampled_pT(pol, grid3_space, 100_000, np.random.default_rng(2)), exact)
-    assert l1_big < l1_small / 3  # ~ n^(-1/2) scaling
+    exact = exact_pT(pol, grid3_space).p
+
+    def sampled_l1(n, seed):
+        drawn = sample_terminals(pol, grid3_space, n, np.random.default_rng(seed))
+        return np.abs(np.bincount(drawn, minlength=grid3_space.n_states) / n - exact).sum()
+
+    assert sampled_l1(100_000, 2) < sampled_l1(1_000, 1) / 3  # ~ n^(-1/2) scaling
 
 
 # -- reward tables and top-K ------------------------------------------------------
@@ -215,14 +220,25 @@ def test_grid_product_argmax_minimizes_summed_distance():
     assert argmax in minimizers
 
 
-def test_topk_point_mass_and_samples(grid3, grid3_space):
+def test_topk_point_mass_table(grid3, grid3_space):
     log_r = product_log_rewards([grid3], grid3_space)
-    i = grid3_space.index[(1, 1)]
-    samples = np.full(100, i)
-    got = topk_avg_log_reward(samples, grid3_space, log_r, 10)
-    assert got == pytest.approx(grid3.log_reward((1, 1)), abs=1e-12)
-    with pytest.raises(ValueError):
-        topk_avg_log_reward(samples, grid3_space, log_r, 101)
+    p = np.zeros(grid3_space.n_states)
+    p[grid3_space.index[(1, 1)]] = 1.0
+    point = DistributionTable(p, grid3_space, provenance="point")
+    for budget in (10, 100, 10**6):
+        got = topk_avg_log_reward(point, grid3_space, log_r, 10, sample_budget=budget)
+        assert got == pytest.approx(grid3.log_reward((1, 1)), abs=1e-12)
+
+
+def test_topk_rejects_a_budget_below_k(grid3, grid3_space):
+    # one draw cannot fill ten slots: dividing its reward by ten read above
+    # the largest log-reward
+    log_r = product_log_rewards([grid3], grid3_space)
+    table = reward_table([grid3], grid3_space)
+    with pytest.raises(ValueError, match="sample budget"):
+        topk_avg_log_reward(table, grid3_space, log_r, 10, sample_budget=1)
+    with pytest.raises(ValueError, match="sample budget"):
+        topk_avg_log_reward(table, grid3_space, log_r, 10, sample_budget=9)
 
 
 def test_topk_table_concentrates_with_budget(grid3, grid3_space):

@@ -55,8 +55,6 @@ def test_config_validation():
         {"hidden": 5},
         {"eval_every": 1.7},
         {"eval_every": -1},
-        {"eval_mode": "off"},
-        {"eval_mode": "auto"},
     ):
         with pytest.raises(ValueError):
             small_cfg(**bad)
