@@ -121,7 +121,7 @@ def cmd_train_clients(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     failed = []
     manifest_lines = []
-    weights = run.loss_spec.weights or [1.0] * len(envs)
+    weights = run.weights or [1.0] * len(envs)
     for k, res in enumerate(results):
         if not res.ok:
             failed.append((k, res.error))
@@ -145,10 +145,8 @@ def cmd_aggregate(args) -> int:
         raise ConfigError(str(manifest), "snapshot manifest not found; run train-clients first")
     blobs, weights = _read_manifest(manifest)
     cfg = run.aggregate_config()
-    # --weights, else loss.weights, else the manifest's weight column
-    if args.weights:
-        weights = _parse_weights("--weights", args.weights.split(","), len(blobs))
-    elif cfg.weights is not None:
+    # loss.weights, else the manifest's weight column
+    if cfg.weights is not None:
         weights = _parse_weights("loss.weights", cfg.weights, len(blobs))
     # unit weights stay None: a manifest short of failed clients still probes
     # against the product of every configured client's reward
@@ -172,13 +170,14 @@ def cmd_evaluate(args) -> int:
     space = StateSpace.enumerated(envs[0], run.train_template().state_guard)
     # each client's rewards are computed once and feed every figure below
     own = [evaluation.terminal_log_rewards(e, space) for e in envs]
-    log_r = evaluation.pooled_log_rewards(space, own, run.loss_spec.weights)
+    log_r = evaluation.pooled_log_rewards(space, own, run.weights)
     target = evaluation.target_table(space, log_r)
+    weights = list(run.weights) if run.weights else [1.0] * len(envs)
     report: dict = {
         "experiment": run.name,
         "env_fingerprint": envs[0].fingerprint(),
         "n_clients": len(envs),
-        "weights": list(run.loss_spec.weights) if run.loss_spec.weights else [1.0] * len(envs),
+        "weights": weights,
         "guards": {"n_states": space.n_states, "exact": space.complete},
         "models": {},
     }
@@ -189,6 +188,10 @@ def cmd_evaluate(args) -> int:
         if not path.exists():
             continue
         policy, meta = load_snapshot(path.read_bytes(), envs[0], space)
+        pooled = meta.get("weights", [])
+        # unit weights of any length are equal: a manifest short of failed clients pools them
+        if name == "global" and pooled != weights and not all(w == 1.0 for w in (*pooled, *weights)):
+            raise ConfigError("loss.weights", f"the global model was pooled with weights {pooled}, not {weights}")
         table = evaluation.exact_pT(policy, space)
         row = {"provenance": table.provenance, "meta": meta}
         if name.startswith("client"):
@@ -213,7 +216,7 @@ def cmd_baselines(args) -> int:
     envs = run.client_envs()
     out = run.out_dir()
     space = StateSpace.enumerated(envs[0], run.train_template().state_guard)
-    target = evaluation.reward_table(envs, space, run.loss_spec.weights)
+    target = evaluation.reward_table(envs, space, run.weights)
     blobs = [_read_snapshot(_snapshot_path(out, k), "clients.n") for k in range(len(envs))]
     locals_ = agg.load_local_policies(envs[0], blobs, space)
     report: dict = {"experiment": run.name, "baselines": {}}
@@ -444,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallelism", type=int, default=1)
     p = add("aggregate", cmd_aggregate, help="train the global model from client snapshots")
     p.add_argument("--manifest", default=None, help="snapshot manifest (default: out dir)")
-    p.add_argument("--weights", default=None, help="comma-separated pooling weights")
     add("evaluate", cmd_evaluate, help="score saved models against the product target")
     add("baselines", cmd_baselines, help="PCVI / parameter-averaging / naive-product baselines")
     p = add("sweep", cmd_sweep, help="rerun the pipeline along one axis")

@@ -88,21 +88,36 @@ def _number(doc, path, default=None, required=False) -> float:
 
 
 FIT_KEYS = frozenset(f.name for f in fields(FitConfig))
-LOSS_KEYS = frozenset({"kind", "epsilon", "logz_lr", "weights"})
+# the keys each section reads, the top level's under None; `env` holds `kind`
+# and the section of that kind, and `train` and `aggregate` are checked as
+# they are read
+SECTION_KEYS = {
+    None: "name seed out_dir env clients loss train aggregate eval sweep",
+    "clients": "n",
+    "loss": "kind epsilon logz_lr weights",
+    "eval": "topk samples sample_budget",
+    "sweep": "axis values seeds",
+    "env.grid": "size beacons kappa delta",
+    "env.multiset": "dict_size target_size values_seed",
+    "env.sequence": "max_len num_tokens scores_seed",
+    "env.phylo": "leaves sites sites_file branch_length mu gamma clients data_seed randomized_split",
+}
 
 
-def _section(doc: dict, section: str, keys: frozenset, elsewhere: dict[str, str]) -> dict:
-    """The mapping at `section` ({} for a missing or null one). Every key in
-    it must be one of `keys` and none of `elsewhere`, which names the key
-    that sets each field the section may not."""
-    node = _get(doc, section) or {}
+def _section(doc: dict, section: str | None, keys, elsewhere: dict[str, str] | None = None) -> dict:
+    """The mapping at `section`, the whole document for None ({} for a
+    missing or null section). Every key in it must be one of `keys` and none
+    of `elsewhere`, which names the key that sets each field the section may
+    not."""
+    node = doc if section is None else _get(doc, section) or {}
     if not isinstance(node, dict):
         raise ConfigError(section, f"expected dict, got {type(node).__name__}")
     for key in node:
-        if key in elsewhere:
-            raise ConfigError(f"{section}.{key}", f"not read here; it comes from {elsewhere[key]}")
+        path = key if section is None else f"{section}.{key}"
+        if elsewhere and key in elsewhere:
+            raise ConfigError(path, f"not read here; it comes from {elsewhere[key]}")
         if key not in keys:
-            raise ConfigError(f"{section}.{key}", "unknown key")
+            raise ConfigError(path, "unknown key")
     return node
 
 
@@ -114,13 +129,17 @@ class RunConfig:
     path: str = "<memory>"
 
     def __post_init__(self):
+        for section, keys in SECTION_KEYS.items():
+            _section(self.doc, section, keys.split())
         self.name = _get(self.doc, "name", required=True, kind=str)
         self.seed = _positive_int(self.doc, "seed", required=True)
         kind = _get(self.doc, "env.kind", required=True, kind=str)
         if kind not in ENV_KINDS:
             raise ConfigError("env.kind", f"expected one of {ENV_KINDS}, got {kind!r}")
+        _section(self.doc, "env", ("kind", kind))  # another kind's section is unread
         self.env_kind = kind
         self.n_clients = self._resolve_n_clients()
+        self.weights = self._weights()
         self.loss_spec = self._loss_spec()
         # construct eagerly so schema errors surface before any work starts
         self.train_template()
@@ -147,22 +166,27 @@ class RunConfig:
             raise ConfigError("clients.n", f"expected a positive integer, got {n!r}")
         return n
 
+    def _weights(self) -> tuple[float, ...] | None:
+        """ω, `loss.weights`: one per client, or None for unit weights."""
+        weights = _get(self.doc, "loss.weights")
+        if weights is None:
+            return None
+        try:
+            return tuple(pooling_weights(weights, self.n_clients).tolist())
+        except ValueError as exc:
+            raise ConfigError("loss.weights", str(exc)) from exc
+
     def _loss_spec(self) -> LossSpec:
-        _section(self.doc, "loss", LOSS_KEYS, {})
         k = _get(self.doc, "loss.kind", default="CB", kind=str)
         if k not in LOSS_KINDS:
             raise ConfigError("loss.kind", f"expected one of {LOSS_KINDS}, got {k!r}")
-        weights = _get(self.doc, "loss.weights")
-        if weights is not None:
-            try:
-                weights = tuple(pooling_weights(weights, self.n_clients).tolist())
-            except ValueError as exc:
-                raise ConfigError("loss.weights", str(exc)) from exc
         try:
+            # `weights` is read by no loss; benchmarks/pipeline.py reads ω as
+            # `loss_spec.weights`, so the field stays until it reads `weights`
             return LossSpec(
                 kind=k,
                 logz_lr=_number(self.doc, "loss.logz_lr", default=1e-1),
-                weights=weights,
+                weights=self.weights,
             )
         except ValueError as exc:
             raise ConfigError("loss", str(exc)) from exc
@@ -202,7 +226,7 @@ class RunConfig:
         t = self.train_template()
         given = {
             "seed": ("seed", derive_seed(self.seed, 1_000_003)),
-            "weights": ("loss.weights", self.loss_spec.weights),
+            "weights": ("loss.weights", self.weights),
             "state_guard": ("train.state_guard", t.state_guard),
         }
         return self._fit_config("aggregate", AggregateConfig, {"backend": t.backend, "hidden": t.hidden}, given)

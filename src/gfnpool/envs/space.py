@@ -9,9 +9,10 @@ replay, and exact dynamic programs all run as batched array operations.
 environment is a graded DAG, discovery order is then a topological order
 (index i's depth never exceeds index i+1's). Envs whose keys are tuples of
 ints are walked a whole level at a time with array operations; the others
-one key at a time. Both walks number the states alike, so a space's
-indices, and every table and snapshot built on them, do not depend on
-which walk built it.
+by the lazy space's own expansion, `_expand` on each state in index order.
+Both walks number the states alike, so a space's indices, and every table
+and snapshot built on them, do not depend on which walk built it. A space
+that is not complete fills each row on first use, and has no terminal flags.
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ class StateSpace:
         cap = 256
         self._children = np.full((cap, self.arity), CHILD_ILLEGAL, dtype=np.int64)
         self._expanded = np.zeros(cap, dtype=bool)
-        self._nparents = np.zeros(cap, dtype=np.int64)
-        self._terminal = np.zeros(cap, dtype=bool)
+        self._nparents = np.full(cap, -1, dtype=np.int64)  # -1: not counted yet
         self._depth = np.zeros(cap, dtype=np.int64)
         self._logr = np.full(cap, np.nan)
         self._feats = None  # allocated by the first `features` call
@@ -82,6 +82,7 @@ class StateSpace:
         self._edges: dict = {}  # the edge map, built on first use; `for_env` views share this dict
         self._initial = env.initial_key()
         self.root = self._register(self._initial, depth=0)
+        self._nparents[self.root] = 0
 
     # -- registration ------------------------------------------------------
 
@@ -95,8 +96,7 @@ class StateSpace:
             [self._children, np.full((pad, self.arity), CHILD_ILLEGAL, dtype=np.int64)]
         )
         self._expanded = np.concatenate([self._expanded, np.zeros(pad, dtype=bool)])
-        self._nparents = np.concatenate([self._nparents, np.zeros(pad, dtype=np.int64)])
-        self._terminal = np.concatenate([self._terminal, np.zeros(pad, dtype=bool)])
+        self._nparents = np.concatenate([self._nparents, np.full(pad, -1, dtype=np.int64)])
         self._depth = np.concatenate([self._depth, np.zeros(pad, dtype=np.int64)])
         self._logr = np.concatenate([self._logr, np.full(pad, np.nan)])
         self._featurized = np.concatenate([self._featurized, np.zeros(pad, dtype=bool)])
@@ -120,8 +120,6 @@ class StateSpace:
         self._grow(idx + 1)
         self.keys.append(key)
         self.index[key] = idx
-        self._nparents[idx] = 0 if key == self._initial else len(self.env.parents(key))
-        self._terminal[idx] = self.env._is_terminal(key)
         self._depth[idx] = depth
         return idx
 
@@ -165,9 +163,16 @@ class StateSpace:
         return self._children[idx]
 
     def nparents(self, idx) -> np.ndarray:
+        """Parent counts; a space that is not complete counts each state's
+        parents the first time it reads them."""
+        if not self.complete:
+            pending = np.asarray(idx)[self._nparents[idx] < 0]
+            for i in np.unique(pending).tolist():
+                self._nparents[i] = len(self.env.parents(self.keys[i]))
         return self._nparents[idx]
 
     def terminal_mask(self, idx) -> np.ndarray:
+        self.require_complete()
         return self._terminal[idx]
 
     def depth(self, idx) -> np.ndarray:
@@ -217,10 +222,11 @@ class StateSpace:
         them: level by level, and within a level by first occurrence over
         (parent index, slot). An env that gives `_children_rows` and whose
         initial key is a tuple of ints is walked a whole level per env call;
-        any other env is walked one key at a time. The two walks number
-        every state alike and fill every array with the same values. Parent
-        counts are in-degrees of the finished child table, and a state is
-        terminal exactly when its stop slot is legal.
+        any other env is walked by `_expand` on each state in index order,
+        until no new state appears. The two walks number every state alike
+        and fill every array with the same values. Parent counts are
+        in-degrees of the finished child table, and a state is terminal
+        exactly when its stop slot is legal.
         """
         est = env.n_states_estimate()
         if est > guard:
@@ -231,7 +237,11 @@ class StateSpace:
         children_rows = env._children_rows
         root = None if children_rows is None else int_key_matrix([space._initial], env.key_width)
         if root is None:
-            children, depth = space._walk_keys()
+            i = 0
+            while i < len(space.keys):
+                space._expand(i)
+                i += 1
+            children, depth = space._children[:i], space._depth[:i]
         else:
             children, depth = space._walk_levels(children_rows, *root)
         n = len(space.keys)
@@ -244,34 +254,6 @@ class StateSpace:
         space._featurized = np.zeros(n, dtype=bool)
         space.complete = True
         return space
-
-    def _walk_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The per-key walk: any env, one `_children` call per state."""
-        keys, index, depth = self.keys, self.index, [0]
-        src: list[int] = []
-        slot: list[int] = []
-        code: list[int] = []
-        children, find = self.env._children, index.get
-        i = 0
-        while i < len(keys):
-            for action, child, is_stop in children(keys[i]):
-                if is_stop:
-                    c = CHILD_STOP
-                else:
-                    c = find(child)
-                    if c is None:
-                        self._check_guard(1)
-                        c = len(keys)
-                        keys.append(child)
-                        index[child] = c
-                        depth.append(depth[i] + 1)
-                src.append(i)
-                slot.append(action)
-                code.append(c)
-            i += 1
-        table = np.full((len(keys), self.arity), CHILD_ILLEGAL, dtype=np.int64)
-        table[src, slot] = code
-        return table, np.array(depth, dtype=np.int64)
 
     def _walk_levels(
         self, children_rows, rows: np.ndarray, lengths: np.ndarray

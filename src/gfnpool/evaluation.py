@@ -269,7 +269,12 @@ def effective_target(local_policies: list[ForwardPolicy], space: StateSpace, wei
     log-sum-exp pass over the pooled local log-policy L, with edge weight
     L[s, a] + (sum w - 1) log|parents(s')| (a stop edge takes L[s, stop])."""
     pooled = PooledLocals(space, local_policies, weights)
-    log_mass = space.forward(_log_path_step(space, pooled.rows, pooled.total_weight - 1.0), np.logaddexp)
+    return _effective_table(space, pooled.rows, pooled.total_weight)
+
+
+def _effective_table(space: StateSpace, pooled_rows, total_weight: float) -> DistributionTable:
+    """`effective_target` over the pooled rows `pooled_rows(lv)`."""
+    log_mass = space.forward(_log_path_step(space, pooled_rows, total_weight - 1.0), np.logaddexp)
     z = _logsumexp(log_mass[space.terminal_indices()])
     return DistributionTable(np.exp(log_mass - z), space, provenance="effective-target")
 
@@ -295,17 +300,20 @@ def robustness_bound_check(
 ) -> BoundCheckResult:
     """Check the Jeffrey-divergence bound between the product target and the
     effective aggregated target against per-client trajectory-ratio extrema.
-    Each client's extrema come from a min and a max forward pass over its
-    own log-softmax rows; the bound is stated for unit pooling weights."""
+    Each local is read once, into a single-local `PooledLocals` whose rows
+    give its min and max passes; the effective target sums the pools in
+    client order, the bits of one unit-weight pool, for which the bound is
+    stated."""
     if len(local_policies) != len(client_envs):
         raise ValueError("need one environment per local policy")
     own = [terminal_log_rewards(env, space) for env in client_envs]
     term = space.terminal_indices()
-    lo, hi = np.empty((2, len(local_policies)))
-    for k, (policy, vals) in enumerate(zip(local_policies, own)):
+    pools = [PooledLocals(space, [policy]) for policy in local_policies]
+    lo, hi = np.empty((2, len(pools)))
+    for k, (pool, vals) in enumerate(zip(pools, own)):
         # log p_F(tau) - log p_B(tau|x), summed edge by edge over the client's
         # own masked log-softmax rows, less log pi_k(x)
-        step = _log_path_step(space, lambda lv, p=policy: policy_probs(p, space, lv)[1], 1.0)
+        step = _log_path_step(space, pool.rows, 1.0)
         log_pi = vals - _logsumexp(vals)
         lo[k] = np.min(space.forward(step, np.minimum)[term] - log_pi)
         hi[k] = np.max(space.forward(step, np.maximum)[term] - log_pi)
@@ -314,7 +322,8 @@ def robustness_bound_check(
     degenerate = bool(np.any(~np.isfinite(lo)) or np.any(np.exp(lo) <= 0.0))
     bound = float("inf") if degenerate else float(np.sum(hi - lo))
     pi = target_table(space, pooled_log_rewards(space, own))
-    dj = jeffrey(pi, effective_target(local_policies, space))
+    eff = _effective_table(space, lambda lv: sum(pool.rows(lv) for pool in pools), float(len(pools)))
+    dj = jeffrey(pi, eff)
     return BoundCheckResult(alphas, betas, dj, bound, holds=dj <= bound + 1e-9, degenerate=degenerate)
 
 

@@ -32,9 +32,9 @@ A block has k output columns per state: the arity for a policy, one for
 the state flow log F(s) that DB trains, so a flow is a
 `TabularPolicy(space, zeros((n, 1)))` or an `MlpPolicy` whose last width is
 1. Each block returns the flat gradient of its outputs, `logits_grad`. A
-tabular policy block holds one parameter per legal edge, numbered by
-`StateSpace.edge_ids`: its rows are gathers through that map, and its
-gradient is one `np.bincount` into the edges.
+tabular block's rows are gathers through one (n_states, k) id map, and its
+gradient is one `np.bincount` into the ids: a policy block maps its legal
+edges by `StateSpace.edge_ids`, any other block every cell row-major.
 
 An MLP evaluates each distinct state of a call once: `MlpPolicy.logits_rows`
 runs the forward over the unique state indices and expands the rows back,
@@ -172,11 +172,11 @@ class ForwardPolicy:
 
 class TabularPolicy(ForwardPolicy):
     """k outputs per enumerated state, k the arity by default, held in one
-    flat `params` vector. A policy block (k = arity) holds one parameter per
-    legal edge, in the order of `StateSpace.edge_ids`: an illegal slot is
-    masked out of every softmax and never gets a gradient, so it has no
-    parameter. Any other block, such as the one-column state flow, holds
-    every (state, column) cell row-major.
+    flat `params` vector, read through one (n_states, k) id map. A policy
+    block (k = arity) maps through `StateSpace.edge_ids`, one parameter per
+    legal edge: an illegal slot is masked out of every softmax and never
+    gets a gradient, so it has no parameter. Any other block, such as the
+    one-column state flow, maps every (state, column) cell row-major.
 
     It is built from a dense (n_states, k) `table`, whose legal cells it
     gathers (all zeros if omitted), or from `params`, a flat vector it keeps
@@ -193,10 +193,10 @@ class TabularPolicy(ForwardPolicy):
                 raise ValueError(f"table shape {table.shape} does not have {n} rows")
             k = table.shape[1]
         self.n_states, self.k = n, space.arity if k is None else k
-        self._ids = space.edge_ids() if self.k == space.arity else None
         size = self.size(space, self.k)
+        self._ids = space.edge_ids() if self.k == space.arity else np.arange(size).reshape(n, self.k)
         if table is not None:
-            params = table.ravel() if self._ids is None else table[self._ids < size]
+            params = table[self._ids < size]
         self.params = np.zeros(size) if params is None else params
         if self.params.shape != (size,):
             raise ValueError(f"a tabular block of {self.k} columns has {size} parameters, got {self.params.shape}")
@@ -218,10 +218,7 @@ class TabularPolicy(ForwardPolicy):
     def table(self) -> np.ndarray:
         """The outputs as a new, read-only dense (n_states, k) array, 0 on
         every illegal slot."""
-        if self._ids is None:
-            out = self.params.reshape(self.n_states, self.k).copy()
-        else:
-            out = np.append(self.params, 0.0)[self._ids]
+        out = np.append(self.params, 0.0)[self._ids]
         out.flags.writeable = False
         return out
 
@@ -234,16 +231,12 @@ class TabularPolicy(ForwardPolicy):
     def logits_rows(self, space, idx):
         """The rows of `idx`; an illegal slot reads some other parameter,
         which every caller masks."""
-        if self._ids is None:
-            return self.params.reshape(self.n_states, self.k)[idx], None
         return self.params.take(self._ids.take(idx, axis=0), mode="clip"), None
 
     def logits_grad(self, idx, dlogits, cache) -> np.ndarray:
         """One `np.bincount` over the cells of `idx` in input order, so each
         parameter sums its terms as `np.add.at` would; the illegal cells
         fall into one extra bin, which is dropped."""
-        if self._ids is None:
-            return row_sums(idx, dlogits, self.n_states).ravel()
         cells = self._ids.take(idx, axis=0).ravel()
         return np.bincount(cells, weights=dlogits.ravel(), minlength=self.n_params + 1)[:-1]
 

@@ -86,8 +86,54 @@ def level_walk(env, guard=DEFAULT_STATE_GUARD):
 
 
 def key_walk(env, guard=DEFAULT_STATE_GUARD):
-    """`StateSpace.enumerated` by the per-key walk, the reference."""
+    """`StateSpace.enumerated` by the per-key walk, the lazy space's own
+    expansion."""
     return StateSpace.enumerated(_with(env, _children_rows=None), guard)
+
+
+def reference_key_walk(env, guard=DEFAULT_STATE_GUARD):
+    """A complete space built by the per-key walk that `StateSpace` kept
+    before the lazy expansion took its place: one `_children` call per
+    state, the child table filled from flat (state, slot, code) lists. The
+    reference both walks must equal, and the memory the level walk must
+    stay within."""
+    from gfnpool.envs.space import CHILD_ILLEGAL, CHILD_STOP
+
+    space = StateSpace(env, guard=guard)
+    keys, index, depth = space.keys, space.index, [0]
+    src: list[int] = []
+    slot: list[int] = []
+    code: list[int] = []
+    children, find = env._children, index.get
+    i = 0
+    while i < len(keys):
+        for action, child, is_stop in children(keys[i]):
+            if is_stop:
+                c = CHILD_STOP
+            else:
+                c = find(child)
+                if c is None:
+                    space._check_guard(1)
+                    c = len(keys)
+                    keys.append(child)
+                    index[child] = c
+                    depth.append(depth[i] + 1)
+            src.append(i)
+            slot.append(action)
+            code.append(c)
+        i += 1
+    n = len(keys)
+    table = np.full((n, space.arity), CHILD_ILLEGAL, dtype=np.int64)
+    table[src, slot] = code
+    space._children = table
+    space._expanded = np.ones(n, dtype=bool)
+    space._nparents = np.bincount(table[table >= 0], minlength=n)
+    space._terminal = table[:, env.stop_action] == CHILD_STOP
+    space._depth = np.array(depth, dtype=np.int64)
+    space._logr = np.full(n, np.nan)
+    space._featurized = np.zeros(n, dtype=bool)
+    space.complete = True
+    return space
 
 
 def assert_same_space(a, b):

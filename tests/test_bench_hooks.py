@@ -8,6 +8,7 @@ rebuild the checks' batch, so such a rename fails here instead.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,26 @@ from tests.conftest import random_tabular
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # a dataclass looks its module up while it is built
     spec.loader.exec_module(mod)
     return mod
+
+
+def _tracing():
+    return _bench_module("tracing")
+
+
+def test_benchmark_configs_pass_the_schema(tmp_path):
+    # each workload's config as the benchmark writes it, through the
+    # benchmark's own set-up: `RunConfig`, the client envs, one enumeration
+    pipeline = _bench_module("pipeline")
+    for name, wl in pipeline.WORKLOADS.items():
+        su = pipeline.setup(pipeline.write_inputs(wl, 1, tmp_path / name))
+        assert su.run.name == name and len(su.envs) == wl.clients
+        assert su.space.complete and su.target.total() == pytest.approx(1.0)
 
 
 def test_tracer_installs_over_a_round_and_uninstalls(grid3, grid3_space):

@@ -121,12 +121,12 @@ def test_aggregate_without_manifest_is_config_error(outroot, capsys):
 @pytest.mark.parametrize(
     "bad",
     [
-        "--weights=1,2,3",
-        "--weights=abc,1",
-        "--weights=-1,1",
-        "--weights=0,1",
-        "--weights=nan,1",
-        "--weights=inf,1",
+        "--set=loss.weights=[1, 2, 3]",
+        "--set=loss.weights=[abc, 1]",
+        "--set=loss.weights=[-1, 1]",
+        "--set=loss.weights=[0, 1]",
+        "--set=loss.weights=[.nan, 1]",
+        "--set=loss.weights=[1, .inf]",
         "--set=loss.weights=[.inf, 1.0]",
     ],
     ids=["count", "abc", "negative", "zero", "nan", "inf", "config-inf"],
@@ -195,6 +195,26 @@ def test_config_weights_must_match_manifest(outroot, capsys):
     assert "loss.weights" in capsys.readouterr().err
 
 
+def test_evaluate_scores_the_global_against_its_own_weights(outroot, capsys):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    weighted = ["--set", "loss.weights=[0.5, 3]"]
+    assert main(["aggregate", "--config", cfg, "--set", "aggregate.epochs=5", *weighted]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert "config error: loss.weights: " in capsys.readouterr().err
+    assert main(["evaluate", "--config", cfg, *weighted]) == 0
+    report = json.loads((outroot / "out" / "tiny" / "report.json").read_text())
+    assert report["weights"] == [0.5, 3.0]
+    # a weight column edited into the manifest is caught the same way
+    manifest = outroot / "out" / "tiny" / "clients.manifest"
+    manifest.write_text("client0.gfnpolicy\t2.0\nclient1.gfnpolicy\t1.0\n")
+    assert main(["aggregate", "--config", cfg, "--set", "aggregate.epochs=5"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert "loss.weights" in capsys.readouterr().err
+
+
 def test_short_manifest_aggregates_with_default_weights(outroot, capsys):
     # a manifest short of a failed client still aggregates and probes
     cfg = write_cfg(outroot, TINY_GRID)
@@ -203,6 +223,7 @@ def test_short_manifest_aggregates_with_default_weights(outroot, capsys):
     manifest.write_text("client0.gfnpolicy\t1.0\n")  # as if client 1 had failed
     argv = ["aggregate", "--config", cfg, "--manifest", str(manifest), "--set", "aggregate.epochs=5"]
     assert main(argv) == 0
+    assert main(["evaluate", "--config", cfg]) == 0  # unit weights of any length are equal
     # a weighted probe target needs one weight per client
     manifest.write_text("client0.gfnpolicy\t2.0\n")
     capsys.readouterr()
@@ -329,6 +350,13 @@ UNREAD_KEYS = [
     ("aggregate.eval_samples=20000", None),
     ("loss.lr=0.1", None),
     ("loss.epsilonn=0.2", None),
+    ("seeed=3", None),
+    ("env.size=3", None),
+    ("env.grid.sise=3", None),
+    ("env.multiset={dict_size: 3}", None),  # another env kind's section
+    ("clients.count=3", None),
+    ("eval.topK=5", None),
+    ("sweep.axes=noise", None),
 ]
 
 

@@ -20,7 +20,7 @@ from gfnpool.errors import (
     UnsupportedFeaturizationError,
 )
 from gfnpool.envs.space import _key_codes
-from tests.conftest import assert_same_space, key_walk, level_walk, reference_levels
+from tests.conftest import _with, assert_same_space, key_walk, level_walk, reference_key_walk, reference_levels
 from tests.test_aggregate import RewardCallCounter
 
 ALL_ENV_FIXTURES = ["grid3", "mset33", "seq22", "phylo4"]
@@ -98,7 +98,44 @@ def test_terminal_exactly_when_stop_is_legal(fixture, request):
 def test_level_walk_equals_per_key_walk(env):
     # the estimate is exact here, so a walk that runs away stops at once
     guard = env.n_states_estimate()
-    assert_same_space(level_walk(env, guard), key_walk(env, guard))
+    want = reference_key_walk(env, guard)
+    assert_same_space(level_walk(env, guard), want)
+    assert_same_space(key_walk(env, guard), want)
+
+
+@pytest.mark.parametrize("fixture", ["grid3", "phylo4"])
+def test_per_key_walk_equals_the_reference_and_reads_no_parents(fixture, request):
+    env = request.getfixturevalue(fixture)
+    calls = []
+
+    def parents(s):
+        calls.append(s)
+        return env.parents(s)
+
+    space = StateSpace.enumerated(_with(env, parents=parents))
+    assert calls == []
+    want = reference_key_walk(env)
+    assert space.keys == want.keys and space.index == want.index
+    for name in ("_children", "_nparents", "_terminal", "_depth"):
+        x, y = getattr(space, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("fixture", ALL_ENV_FIXTURES)
+def test_lazy_space_counts_parents_on_read(fixture, request, rng):
+    env = request.getfixturevalue(fixture)
+    space = StateSpace(env)
+    for _ in range(3):  # expand a few states, so the space is incomplete
+        space.children_rows(rng.integers(0, space.n_states, 4))
+    assert not space.complete and space.n_states > 1
+    read = rng.integers(0, space.n_states, 5)
+    got = space.nparents(read)
+    assert got.tolist() == [0 if i == space.root else len(env.parents(space.keys[i])) for i in read]
+    counted = np.flatnonzero(space._nparents[: space.n_states] >= 0)
+    assert set(counted.tolist()) == {space.root, *read.tolist()}
+    assert space.nparents(int(read[0])) == got[0]
+    with pytest.raises(EnumerationGuardError):
+        space.terminal_mask(read)
 
 
 @pytest.mark.parametrize("width,top", [(3, 2), (70, 1)])  # 2**70 keys need renumbering
@@ -128,7 +165,7 @@ def test_guard_crossed_during_the_walk_raises(walk):
 def test_level_walk_peak_memory_within_the_per_key_walk():
     env = MultisetEnv(values=(0.0,) * 10, target_size=6)
     peaks = []
-    for walk in (level_walk, key_walk):
+    for walk in (level_walk, reference_key_walk):
         tracemalloc.start()
         try:
             walk(env)

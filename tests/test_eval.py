@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pickle
 import subprocess
@@ -424,6 +425,39 @@ def test_bound_check_degenerate_unreachable_support():
     with pytest.warns(UserWarning, match="KL support violation"):
         chk = robustness_bound_check([TabularPolicy(space, logits)], [env], space)
     assert chk.degenerate and chk.bound == float("inf") and chk.holds
+
+
+# sha256 of (alphas, betas, Jeffrey value, bound) as float64 bytes, as the
+# check gave them when it read each local three times
+BOUND_CHECK_MLP_SHA256 = "90a078dd21476c6485bfecaf82f30b96236ab5f41574b16c2573ee63e43d84e3"
+
+
+def test_bound_check_reads_each_mlp_local_once(monkeypatch):
+    import gfnpool.policy
+    from gfnpool.nn import mlp_forward
+
+    gen = np.random.default_rng(29)
+    envs = [
+        SequenceEnv(pos_scores=tuple(gen.normal(0, 1, 4)), token_scores=tuple(gen.normal(0, 1, 3)))
+        for _ in range(2)
+    ]
+    space = StateSpace.enumerated(envs[0])
+    pols = []
+    for env in envs:
+        pol = MlpPolicy.create(env, (8, 8), gen)
+        pol.params = gen.normal(0.0, 0.5, pol.n_params)
+        pols.append(pol)
+    rows = {id(pol.params): 0 for pol in pols}
+
+    def counted(spec, params, x):
+        rows[id(params)] += x.shape[0]
+        return mlp_forward(spec, params, x)
+
+    monkeypatch.setattr(gfnpool.policy, "mlp_forward", counted)
+    chk = robustness_bound_check(pols, envs, space)
+    assert list(rows.values()) == [space.n_states] * len(pols)
+    got = b"".join(np.float64(v).tobytes() for v in (chk.alphas, chk.betas, chk.jeffrey, chk.bound))
+    assert hashlib.sha256(got).hexdigest() == BOUND_CHECK_MLP_SHA256
 
 
 def test_cb_kl_identity_random_and_balanced(grid2, grid2_space, rng):

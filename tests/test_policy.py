@@ -489,6 +489,25 @@ def test_tabular_policy_on_edges_keeps_the_dense_rows_and_gradients(name, reques
     assert np.array_equal(load_snapshot(save_snapshot(pol, space.env), space.env, space)[0].table, pol.table)
 
 
+@pytest.mark.parametrize("name", EDGE_SPACES)
+def test_one_column_block_equals_the_dense_row_major_reference(name, request, rng):
+    # the dense reference a non-policy block kept before every block read
+    # through an id map: a reshape of its params, and `row_sums` for the gradient
+    space = request.getfixturevalue(name)
+    n = space.n_states
+    flow = TabularPolicy(space, k=1, params=rng.normal(0.0, 1.0, n))
+    dense = flow.params.reshape(n, 1)
+    idx = rng.integers(0, n, 300)
+    dl = rng.normal(0.0, 1.0, (idx.size, 1))
+    for got, want in [
+        (flow.table, dense),
+        (flow.logits_rows(space, idx)[0], dense[idx]),
+        (flow.logits_grad(idx, dl, None), row_sums(idx, dl, n).ravel()),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_balanced_policy_satisfies_trajectory_balance(mset33, mset33_space, rng):
     pol = balanced_tabular_policy(mset33_space)
     tb = sample_batch(pol, mset33_space, 64, 0.5, rng)

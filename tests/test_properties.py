@@ -22,6 +22,7 @@ from tests.conftest import (
     key_walk,
     level_walk,
     reference_exact_pT,
+    reference_key_walk,
     reference_pooled_table,
 )
 
@@ -61,7 +62,9 @@ small_int_key_envs = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(env=small_int_key_envs)
 def test_level_walk_equals_per_key_walk_everywhere(env):
-    assert_same_space(level_walk(env), key_walk(env))
+    want = reference_key_walk(env)
+    assert_same_space(level_walk(env), want)
+    assert_same_space(key_walk(env), want)
 
 
 @settings(max_examples=25, deadline=None)
