@@ -121,7 +121,7 @@ def cmd_train_clients(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     failed = []
     manifest_lines = []
-    weights = run.weights or [1.0] * len(envs)
+    weights = run.loss_spec.weights or [1.0] * len(envs)
     for k, res in enumerate(results):
         if not res.ok:
             failed.append((k, res.error))
@@ -170,9 +170,9 @@ def cmd_evaluate(args) -> int:
     space = StateSpace.enumerated(envs[0], run.train_template().state_guard)
     # each client's rewards are computed once and feed every figure below
     own = [evaluation.terminal_log_rewards(e, space) for e in envs]
-    log_r = evaluation.pooled_log_rewards(space, own, run.weights)
+    log_r = evaluation.pooled_log_rewards(space, own, run.loss_spec.weights)
     target = evaluation.target_table(space, log_r)
-    weights = list(run.weights) if run.weights else [1.0] * len(envs)
+    weights = list(run.loss_spec.weights) if run.loss_spec.weights else [1.0] * len(envs)
     report: dict = {
         "experiment": run.name,
         "env_fingerprint": envs[0].fingerprint(),
@@ -216,7 +216,7 @@ def cmd_baselines(args) -> int:
     envs = run.client_envs()
     out = run.out_dir()
     space = StateSpace.enumerated(envs[0], run.train_template().state_guard)
-    target = evaluation.reward_table(envs, space, run.weights)
+    target = evaluation.reward_table(envs, space, run.loss_spec.weights)
     blobs = [_read_snapshot(_snapshot_path(out, k), "clients.n") for k in range(len(envs))]
     locals_ = agg.load_local_policies(envs[0], blobs, space)
     report: dict = {"experiment": run.name, "baselines": {}}

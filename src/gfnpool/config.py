@@ -88,9 +88,8 @@ def _number(doc, path, default=None, required=False) -> float:
 
 
 FIT_KEYS = frozenset(f.name for f in fields(FitConfig))
-# the keys each section reads, the top level's under None; `env` holds `kind`
-# and the section of that kind, and `train` and `aggregate` are checked as
-# they are read
+# the keys each section reads, the top level's under None; `env` holds `kind` and
+# that kind's section, and `train` and `aggregate` are checked as they are read
 SECTION_KEYS = {
     None: "name seed out_dir env clients loss train aggregate eval sweep",
     "clients": "n",
@@ -105,10 +104,9 @@ SECTION_KEYS = {
 
 
 def _section(doc: dict, section: str | None, keys, elsewhere: dict[str, str] | None = None) -> dict:
-    """The mapping at `section`, the whole document for None ({} for a
-    missing or null section). Every key in it must be one of `keys` and none
-    of `elsewhere`, which names the key that sets each field the section may
-    not."""
+    """The mapping at `section`, the whole document for None ({} for a missing
+    or null section). Every key in it must be one of `keys` and none of
+    `elsewhere`, which names the key that sets each field the section may not."""
     node = doc if section is None else _get(doc, section) or {}
     if not isinstance(node, dict):
         raise ConfigError(section, f"expected dict, got {type(node).__name__}")
@@ -139,7 +137,6 @@ class RunConfig:
         _section(self.doc, "env", ("kind", kind))  # another kind's section is unread
         self.env_kind = kind
         self.n_clients = self._resolve_n_clients()
-        self.weights = self._weights()
         self.loss_spec = self._loss_spec()
         # construct eagerly so schema errors surface before any work starts
         self.train_template()
@@ -166,27 +163,21 @@ class RunConfig:
             raise ConfigError("clients.n", f"expected a positive integer, got {n!r}")
         return n
 
-    def _weights(self) -> tuple[float, ...] | None:
-        """ω, `loss.weights`: one per client, or None for unit weights."""
-        weights = _get(self.doc, "loss.weights")
-        if weights is None:
-            return None
-        try:
-            return tuple(pooling_weights(weights, self.n_clients).tolist())
-        except ValueError as exc:
-            raise ConfigError("loss.weights", str(exc)) from exc
-
     def _loss_spec(self) -> LossSpec:
         k = _get(self.doc, "loss.kind", default="CB", kind=str)
         if k not in LOSS_KINDS:
             raise ConfigError("loss.kind", f"expected one of {LOSS_KINDS}, got {k!r}")
+        weights = _get(self.doc, "loss.weights")
+        if weights is not None:
+            try:
+                weights = tuple(pooling_weights(weights, self.n_clients).tolist())
+            except ValueError as exc:
+                raise ConfigError("loss.weights", str(exc)) from exc
         try:
-            # `weights` is read by no loss; benchmarks/pipeline.py reads ω as
-            # `loss_spec.weights`, so the field stays until it reads `weights`
             return LossSpec(
                 kind=k,
                 logz_lr=_number(self.doc, "loss.logz_lr", default=1e-1),
-                weights=self.weights,
+                weights=weights,
             )
         except ValueError as exc:
             raise ConfigError("loss", str(exc)) from exc
@@ -226,7 +217,7 @@ class RunConfig:
         t = self.train_template()
         given = {
             "seed": ("seed", derive_seed(self.seed, 1_000_003)),
-            "weights": ("loss.weights", self.weights),
+            "weights": ("loss.weights", self.loss_spec.weights),
             "state_guard": ("train.state_guard", t.state_guard),
         }
         return self._fit_config("aggregate", AggregateConfig, {"backend": t.backend, "hidden": t.hidden}, given)

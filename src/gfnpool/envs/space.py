@@ -241,7 +241,8 @@ class StateSpace:
             while i < len(space.keys):
                 space._expand(i)
                 i += 1
-            children, depth = space._children[:i], space._depth[:i]
+            # copies, so the growth buffers' spare rows are freed
+            children, depth = space._children[:i].copy(), space._depth[:i].copy()
         else:
             children, depth = space._walk_levels(children_rows, *root)
         n = len(space.keys)

@@ -300,30 +300,31 @@ def robustness_bound_check(
 ) -> BoundCheckResult:
     """Check the Jeffrey-divergence bound between the product target and the
     effective aggregated target against per-client trajectory-ratio extrema.
-    Each local is read once, into a single-local `PooledLocals` whose rows
-    give its min and max passes; the effective target sums the pools in
-    client order, the bits of one unit-weight pool, for which the bound is
-    stated."""
+    Each local is read once, into a one-local `PooledLocals` whose rows give
+    its min and max passes, then go into a running sum in client order: the
+    bits of one unit-weight pool, for which the bound is stated. At most two
+    full tables are held at a time, the sum and the current local's."""
     if len(local_policies) != len(client_envs):
         raise ValueError("need one environment per local policy")
     own = [terminal_log_rewards(env, space) for env in client_envs]
     term = space.terminal_indices()
-    pools = [PooledLocals(space, [policy]) for policy in local_policies]
-    lo, hi = np.empty((2, len(pools)))
-    for k, (pool, vals) in enumerate(zip(pools, own)):
+    pooled = np.zeros((space.n_states, space.arity))
+    lo, hi = np.empty((2, len(local_policies)))
+    for k, (policy, vals) in enumerate(zip(local_policies, own)):
         # log p_F(tau) - log p_B(tau|x), summed edge by edge over the client's
         # own masked log-softmax rows, less log pi_k(x)
+        pool = PooledLocals(space, [policy])
         step = _log_path_step(space, pool.rows, 1.0)
         log_pi = vals - _logsumexp(vals)
         lo[k] = np.min(space.forward(step, np.minimum)[term] - log_pi)
         hi[k] = np.max(space.forward(step, np.maximum)[term] - log_pi)
+        pooled += pool.rows(np.arange(space.n_states))
     alphas = 1.0 - np.exp(lo)
     betas = np.exp(hi) - 1.0
     degenerate = bool(np.any(~np.isfinite(lo)) or np.any(np.exp(lo) <= 0.0))
     bound = float("inf") if degenerate else float(np.sum(hi - lo))
     pi = target_table(space, pooled_log_rewards(space, own))
-    eff = _effective_table(space, lambda lv: sum(pool.rows(lv) for pool in pools), float(len(pools)))
-    dj = jeffrey(pi, eff)
+    dj = jeffrey(pi, _effective_table(space, lambda lv: pooled[lv], float(len(local_policies))))
     return BoundCheckResult(alphas, betas, dj, bound, holds=dj <= bound + 1e-9, degenerate=degenerate)
 
 

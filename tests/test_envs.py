@@ -119,6 +119,8 @@ def test_per_key_walk_equals_the_reference_and_reads_no_parents(fixture, request
     for name in ("_children", "_nparents", "_terminal", "_depth"):
         x, y = getattr(space, name), getattr(want, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+        # no view into the walk's growth buffers, which hold spare rows
+        assert x.base is None, name
 
 
 @pytest.mark.parametrize("fixture", ALL_ENV_FIXTURES)
@@ -165,7 +167,7 @@ def test_guard_crossed_during_the_walk_raises(walk):
 def test_level_walk_peak_memory_within_the_per_key_walk():
     env = MultisetEnv(values=(0.0,) * 10, target_size=6)
     peaks = []
-    for walk in (level_walk, reference_key_walk):
+    for walk in (level_walk, reference_key_walk, key_walk):
         tracemalloc.start()
         try:
             walk(env)
@@ -173,6 +175,8 @@ def test_level_walk_peak_memory_within_the_per_key_walk():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+    # the program's per-key walk stays within the walk it replaced
+    assert peaks[2] <= peaks[1]
 
 
 @pytest.mark.parametrize("fixture", ALL_ENV_FIXTURES)
