@@ -86,8 +86,9 @@ class Environment(ABC):
 
     # An env whose keys are tuples of at most `key_width` ints may also give
     # `_children_rows(rows, lengths)`: `_children` of a whole batch of keys,
-    # passed as an (n, key_width) matrix zero-padded on the right, as
-    # `int_key_matrix` builds it, and the keys' lengths. It returns
+    # passed as a key matrix, an (n, key_width) integer matrix of any dtype
+    # zero-padded on the right, as `int_key_matrix` builds it, and the
+    # keys' lengths. It returns
     # (child, child_lengths, legal, stop): `legal` and `stop` are
     # (n, max_arity) masks of the slots that hold a non-stop child and of
     # the stop slots, and `child` holds the keys of the legal slots in
@@ -97,9 +98,9 @@ class Environment(ABC):
     _children_rows = None
 
     # An env with a feature encoding gives it as `_featurize_rows(rows,
-    # lengths)`: the (n, feature_dim) float64 features of a key matrix as
-    # `int_key_matrix` builds it. The state space featurizes with one such
-    # call, and `_featurize` of one key is derived from it.
+    # lengths)`: the (n, feature_dim) float64 features of a key matrix. The
+    # state space featurizes with one such call, on its own key matrix if
+    # the level walk built it, and `_featurize` of one key is derived from it.
     _featurize_rows = None
 
     def _featurize(self, s: StateKey) -> np.ndarray:
@@ -126,6 +127,16 @@ class Environment(ABC):
     # returns None for a batch it does not take (a malformed key), which
     # then goes through the loop and so raises the scalar's error.
     _batched_log_reward = None
+
+    # An env whose keys are tuples of ints may give its batch form on a key
+    # matrix too, as `_log_reward_rows(rows, lengths)`: the log-rewards of
+    # terminal keys it produced, passed as `_featurize_rows` takes them. Its
+    # `_log_rewards` is then `int_key_matrix`, the key checks, and this row
+    # form. A level-walked state space hands its key rows straight to it,
+    # exactly where `log_rewards` would take the batch form (see
+    # `reward_rows`); every other env, override or patched class is given
+    # keys, so anything that counts them still sees every evaluation.
+    _log_reward_rows = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -170,6 +181,19 @@ class Environment(ABC):
         """
         blob = json.dumps(self.structure(), sort_keys=True).encode()
         return f"{self.kind}:{hashlib.sha256(blob).hexdigest()[:16]}"
+
+
+def reward_rows(env):
+    """`env._log_reward_rows` where `env.log_rewards` would take its batch
+    form, else None: the class's `log_rewards` must be `Environment`'s and
+    its `log_reward` the one defined beside `_log_rewards`. Both are read
+    off the class first, because a wrapper that forwards attributes to its
+    base (`NoisyRewardEnv`) would hand out the base's row form, which lacks
+    the wrapper's own terms."""
+    cls = type(env)
+    if cls.log_rewards is not Environment.log_rewards or cls.log_reward is not cls._batched_log_reward:
+        return None
+    return env._log_reward_rows
 
 
 def int_key_matrix(keys: list, width: int):

@@ -101,9 +101,12 @@ class MultisetEnv(Environment):
         counts = got[0]
         if np.any(counts < 0) or np.any(counts.sum(axis=1) != self.target_size):
             return None
-        # one dot per row: a single matrix product sums in another order
-        v = self._values
-        return np.fromiter((v.dot(row) for row in counts.astype(np.float64)), dtype=np.float64, count=len(keys))
+        return self._log_reward_rows(*got)
+
+    def _log_reward_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        # one dot per row, summed as the scalar's np.dot sums; a matrix
+        # product or einsum sums in another order
+        return np.vecdot(rows.astype(np.float64), self._values)
 
     @property
     def feature_dim(self) -> int:

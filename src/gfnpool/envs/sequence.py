@@ -93,17 +93,17 @@ class SequenceEnv(Environment):
 
     def _log_rewards(self, keys: list) -> np.ndarray:
         got = int_key_matrix(keys, self.key_width)
-        if got is None:
+        if got is None or np.any(got[0] < 0) or np.any(got[0] >= self.num_tokens):
             return None
-        tokens, lengths = got
-        if np.any(tokens < 0) or np.any(tokens >= self.num_tokens):
-            return None
+        return self._log_reward_rows(*got)
+
+    def _log_reward_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         # position by position, in the scalar's summation order; adding 0.0
         # past a key's end leaves its sum's bits unchanged
         tok = np.asarray(self.token_scores, dtype=np.float64)
-        out = np.zeros(len(keys))
+        out = np.zeros(len(rows))
         for i, p in enumerate(self.pos_scores):
-            out += np.where(i < lengths, p * tok[tokens[:, i]], 0.0)
+            out += np.where(i < lengths, p * tok[rows[:, i]], 0.0)
         return out
 
     @property
@@ -113,7 +113,8 @@ class SequenceEnv(Environment):
 
     def _featurize_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         pos = np.arange(self.max_len)
-        sym = np.where(pos < lengths[:, None], rows, self.num_tokens)  # blank beyond length
+        # blank beyond length, as an int64: the blank need not fit the rows' dtype
+        sym = np.where(pos < lengths[:, None], rows, np.int64(self.num_tokens))
         out = np.zeros((len(rows), self.feature_dim))
         out[np.arange(len(rows))[:, None], pos * (self.num_tokens + 1) + sym] = 1.0
         out[:, -1] = lengths / self.max_len

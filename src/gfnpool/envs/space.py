@@ -13,6 +13,12 @@ by the lazy space's own expansion, `_expand` on each state in index order.
 Both walks number the states alike, so a space's indices, and every table
 and snapshot built on them, do not depend on which walk built it. A space
 that is not complete fills each row on first use, and has no terminal flags.
+
+A level-walked space keeps the walk's rows as its keys: one zero-padded
+(n_states, key_width) integer matrix and the key lengths. Its rewards and
+features are computed from slices of that matrix, and the tuple `keys` and
+the `index` dict are built only when something reads them. Every other space
+keeps `keys` and `index` from the start.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import copy
 import numpy as np
 
 from ..errors import EnumerationGuardError, FingerprintMismatchError
-from .base import Environment, StateKey, int_key_matrix
+from .base import Environment, StateKey, int_key_matrix, reward_rows
 
 CHILD_ILLEGAL = -1
 CHILD_STOP = -2
@@ -68,8 +74,9 @@ class StateSpace:
         self.env = env
         self.guard = int(guard)
         self.arity = env.max_arity
-        self.keys: list[StateKey] = []
-        self.index: dict[StateKey, int] = {}
+        self._n = 0  # states registered so far
+        # a level-walked space's key matrix and key lengths; None on any other
+        self._rows = self._lengths = None
         cap = 256
         self._children = np.full((cap, self.arity), CHILD_ILLEGAL, dtype=np.int64)
         self._expanded = np.zeros(cap, dtype=bool)
@@ -79,7 +86,9 @@ class StateSpace:
         self._feats = None  # allocated by the first `features` call
         self._featurized = np.zeros(cap, dtype=bool)
         self.complete = False
-        self._edges: dict = {}  # the edge map, built on first use; `for_env` views share this dict
+        # keys, index and edge map; some are built on first use, and views
+        # from `for_env` share this dict
+        self._shared: dict = {"keys": [], "index": {}}
         self._initial = env.initial_key()
         self.root = self._register(self._initial, depth=0)
         self._nparents[self.root] = 0
@@ -105,21 +114,23 @@ class StateSpace:
 
     def _check_guard(self, count: int) -> None:
         """Raise if `count` more states would cross the guard."""
-        if len(self.keys) + count > self.guard:
+        if self._n + count > self.guard:
             raise EnumerationGuardError(
                 f"{self.env.kind} state space exceeds guard of {self.guard}"
             )
 
     def _register(self, key: StateKey, depth: int) -> int:
         """Add a key the env produced, or one `lookup` has validated."""
-        idx = self.index.get(key)
+        index = self._shared["index"]
+        idx = index.get(key)
         if idx is not None:
             return idx
         self._check_guard(1)
-        idx = len(self.keys)
+        idx = self._n
         self._grow(idx + 1)
-        self.keys.append(key)
-        self.index[key] = idx
+        self._shared["keys"].append(key)
+        index[key] = idx
+        self._n = idx + 1
         self._depth[idx] = depth
         return idx
 
@@ -147,11 +158,28 @@ class StateSpace:
             )
         self._expanded[idx] = True
 
+    @property
+    def keys(self) -> list[StateKey]:
+        """Every state's key, by index; a level-walked space builds them
+        from its key matrix the first time they are read."""
+        shared = self._shared
+        if "keys" not in shared:
+            # plain ints, as the env's own keys hold
+            keys = [tuple(r[:m]) for r, m in zip(self._rows.tolist(), self._lengths.tolist())]
+            shared.update(keys=keys, index=dict(zip(keys, range(len(keys)))))
+        return shared["keys"]
+
+    @property
+    def index(self) -> dict[StateKey, int]:
+        """Each key's state index; built with `keys`."""
+        self.keys  # builds the index with the keys
+        return self._shared["index"]
+
     # -- vectorized accessors ------------------------------------------------
 
     @property
     def n_states(self) -> int:
-        return len(self.keys)
+        return self._n
 
     def children_rows(self, idx: np.ndarray) -> np.ndarray:
         """(batch, arity) child codes; CHILD_STOP marks the sink, CHILD_ILLEGAL a masked slot."""
@@ -182,35 +210,54 @@ class StateSpace:
         """Feature rows, each computed on first use. The buffer itself is
         allocated on the first call, so a tabular run never holds one.
 
-        The missing rows take one `int_key_matrix` and one `_featurize_rows`
-        call; an env without the batch form, or keys the matrix does not
-        take, go one key at a time through `_featurize`."""
+        The missing rows take one `_featurize_rows` call: a level-walked
+        space passes it the rows of its key matrix, any other space the
+        `int_key_matrix` of its keys. An env without the batch form, or keys
+        the matrix does not take, go one key at a time through `_featurize`."""
         env = self.env
         if self._feats is None:
             fd = env.feature_dim
             if not fd:
-                return env.featurize(self.keys[0])  # raises the env's error
+                return env.featurize(self._initial)  # raises the env's error
             self._feats = np.zeros((self._featurized.shape[0], fd))
         idx = np.asarray(idx)
         missing = np.unique(idx[~self._featurized[idx]])
         if missing.size:
-            keys = [self.keys[i] for i in missing.tolist()]
-            got = None if env._featurize_rows is None else int_key_matrix(keys, env.key_width)
+            if env._featurize_rows is None:
+                got = None
+            elif self._rows is not None:
+                got = self._rows[missing], self._lengths[missing]
+            else:
+                got = int_key_matrix([self.keys[i] for i in missing.tolist()], env.key_width)
             if got is None:
-                self._feats[missing] = [env._featurize(k) for k in keys]
+                self._feats[missing] = [env._featurize(self.keys[i]) for i in missing.tolist()]
             else:
                 self._feats[missing] = env._featurize_rows(*got)
             self._featurized[missing] = True
         return self._feats[idx]
 
     def log_rewards(self, idx: np.ndarray) -> np.ndarray:
-        """Cached log-rewards; the states not cached yet take one batch call."""
+        """Cached log-rewards; the states not cached yet take one
+        `log_rewards_of` batch, which a level-walked space computes from
+        its key matrix without building its keys."""
         idx = np.asarray(idx)
         missing = np.unique(idx[np.isnan(self._logr[idx])])
         if missing.size:
-            keys = self.keys
-            self._logr[missing] = self.env.log_rewards([keys[i] for i in missing])
+            self._logr[missing] = self.log_rewards_of(self.env, missing)
         return self._logr[idx]
+
+    def log_rewards_of(self, env: Environment, idx: np.ndarray) -> np.ndarray:
+        """log R of `env` at the states `idx`, not cached, bit for bit equal
+        to `env.log_rewards` of their keys. A level-walked space passes the
+        rows of its key matrix to the env's row form, where `reward_rows`
+        gives one and every state is terminal; otherwise the keys go to
+        `env.log_rewards`, so an override sees each of them and a
+        non-terminal key raises the scalar's error."""
+        rows_form = reward_rows(env)
+        if rows_form is not None and self._rows is not None and self._terminal[idx].all():
+            return rows_form(self._rows[idx], self._lengths[idx])
+        keys = self.keys
+        return env.log_rewards([keys[i] for i in idx])
 
     # -- enumeration ---------------------------------------------------------
 
@@ -238,14 +285,14 @@ class StateSpace:
         root = None if children_rows is None else int_key_matrix([space._initial], env.key_width)
         if root is None:
             i = 0
-            while i < len(space.keys):
+            while i < space._n:
                 space._expand(i)
                 i += 1
             # copies, so the growth buffers' spare rows are freed
             children, depth = space._children[:i].copy(), space._depth[:i].copy()
         else:
             children, depth = space._walk_levels(children_rows, *root)
-        n = len(space.keys)
+        n = space._n
         space._children = children
         space._expanded = np.ones(n, dtype=bool)
         space._nparents = np.bincount(children[children >= 0], minlength=n)
@@ -267,9 +314,13 @@ class StateSpace:
         states take their numbers in that order. A level costs some tens of
         microseconds of numpy calls however few states it holds, so a deep,
         narrow DAG is walked faster key by key.
+
+        The levels' rows, the root's included, become the space's key
+        matrix, in one integer dtype wide enough for each of them; the root
+        registered by the constructor is dropped from `keys`, which are
+        rebuilt from that matrix when read.
         """
-        keys = self.keys
-        blocks, sizes = [], [1]
+        blocks, row_blocks, length_blocks = [], [rows], [lengths]
         while len(rows):
             child, child_lengths, legal, stop = children_rows(rows, lengths)
             _, first, inverse = np.unique(
@@ -278,26 +329,33 @@ class StateSpace:
             order = np.argsort(first)
             self._check_guard(order.size)
             number = np.empty_like(order)
-            number[order] = np.arange(len(keys), len(keys) + order.size)
+            number[order] = np.arange(self._n, self._n + order.size)
             block = np.full(legal.shape, CHILD_ILLEGAL, dtype=np.int64)
             block[legal] = number[inverse]
             block[stop] = CHILD_STOP
             blocks.append(block)
             new = first[order]
             rows, lengths = child[new], child_lengths[new]
-            # plain ints: `int_key_matrix` takes no numpy scalars
-            keys.extend(tuple(r[:m]) for r, m in zip(rows.tolist(), lengths.tolist()))
-            sizes.append(order.size)
-        self.index.update(zip(keys, range(len(keys))))
+            row_blocks.append(rows)
+            length_blocks.append(lengths)
+            self._n += order.size
+        root = row_blocks[0]
+        dtype = np.result_type(
+            np.min_scalar_type(int(root.min())), np.min_scalar_type(int(root.max())), *row_blocks[1:]
+        )
+        self._rows = np.concatenate([b.astype(dtype, copy=False) for b in row_blocks])
+        self._lengths = np.concatenate(length_blocks)
+        del self._shared["keys"], self._shared["index"]
+        sizes = [len(b) for b in row_blocks]  # one block per depth
         return np.concatenate(blocks), np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
     def for_env(self, env: Environment) -> "StateSpace":
         """This space if it belongs to `env`; otherwise a view of this
         complete space for `env`, which must have the same DAG.
 
-        A view shares keys, child table, parent counts, depths, features and
-        the edge map, and keeps its own reward cache, so clients whose
-        rewards differ can share one enumeration.
+        A view shares keys (built or not), key matrix, child table, parent
+        counts, depths, features and the edge map, and keeps its own reward
+        cache, so clients whose rewards differ can share one enumeration.
         """
         if env is self.env:
             return self
@@ -318,19 +376,19 @@ class StateSpace:
         and every illegal slot holds n_edges, one past the last id. Built on
         the first call and kept; views from `for_env` share it."""
         self.require_complete()
-        if "ids" not in self._edges:
+        if "ids" not in self._shared:
             legal = self._children[: self.n_states] != CHILD_ILLEGAL
             n_edges = int(np.count_nonzero(legal))
             ids = np.full(legal.shape, n_edges, dtype=np.intp)
             ids[legal] = np.arange(n_edges)
-            self._edges.update(ids=ids, n=n_edges)
-        return self._edges["ids"]
+            self._shared.update(ids=ids, n=n_edges)
+        return self._shared["ids"]
 
     @property
     def n_edges(self) -> int:
         """The number of legal (state, slot) pairs of a complete space."""
         self.edge_ids()
-        return self._edges["n"]
+        return self._shared["n"]
 
     def require_complete(self) -> None:
         if not self.complete:

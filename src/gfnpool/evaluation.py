@@ -126,9 +126,8 @@ def sample_terminals(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.r
 
 def terminal_log_rewards(env: Environment, space: StateSpace) -> np.ndarray:
     """log R(x) of one env at every enumerated terminal, in `terminal_indices`
-    order, from one `log_rewards` batch."""
-    keys = space.keys
-    return env.log_rewards([keys[i] for i in space.terminal_indices()])
+    order, from one `StateSpace.log_rewards_of` batch."""
+    return space.log_rewards_of(env, space.terminal_indices())
 
 
 def pooled_log_rewards(space: StateSpace, per_client: list[np.ndarray], weights=None) -> np.ndarray:

@@ -276,9 +276,10 @@ def train_clients(
     among the jobs, and each client trains on its own view of it; `space`,
     if given, is a complete space the caller already enumerated, and serves
     the jobs of its DAG and guard. Worker processes enumerate their own: a
-    pickled multiset 10x8 space is ~6 MB, and its pickle round trip takes
-    ~0.05 s against ~0.09 s to build it, so shipping one per job saves
-    little.
+    pickled multiset 10x8 space is 5.8 MB, most of it the child table, and
+    its pickle round trip takes ~6 ms against ~30 ms to build it (sequence
+    6x6: 5.4 MB, ~5 ms against ~10 ms; one core), so shipping one per job
+    would save some tens of milliseconds per worker.
     """
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:

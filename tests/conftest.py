@@ -5,6 +5,7 @@ import pytest
 
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, PhyloEnv, StateSpace
 from gfnpool.envs import random_topology, simulate_sites
+from gfnpool.envs.base import int_key_matrix
 from gfnpool.envs.space import DEFAULT_STATE_GUARD
 
 
@@ -117,6 +118,7 @@ def reference_key_walk(env, guard=DEFAULT_STATE_GUARD):
                     c = len(keys)
                     keys.append(child)
                     index[child] = c
+                    space._n += 1
                     depth.append(depth[i] + 1)
             src.append(i)
             slot.append(action)
@@ -144,6 +146,16 @@ def assert_same_space(a, b):
     for name in ("_children", "_nparents", "_terminal", "_depth"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_key_matrix(space, want):
+    """A level-walked space holds `want`'s keys as one zero-padded key
+    matrix in the narrowest integer dtype of its values, and has not built
+    its tuple keys yet."""
+    assert "keys" not in space._shared and "index" not in space._shared
+    rows, lengths = int_key_matrix(want.keys, space.env.key_width)
+    assert space._rows.dtype == np.min_scalar_type(int(rows.max()))
+    assert np.array_equal(space._rows, rows) and np.array_equal(space._lengths, lengths)
 
 
 def random_tabular(space, gen, scale=1.0):

@@ -20,7 +20,15 @@ from gfnpool.errors import (
     UnsupportedFeaturizationError,
 )
 from gfnpool.envs.space import _key_codes
-from tests.conftest import _with, assert_same_space, key_walk, level_walk, reference_key_walk, reference_levels
+from tests.conftest import (
+    _with,
+    assert_key_matrix,
+    assert_same_space,
+    key_walk,
+    level_walk,
+    reference_key_walk,
+    reference_levels,
+)
 from tests.test_aggregate import RewardCallCounter
 
 ALL_ENV_FIXTURES = ["grid3", "mset33", "seq22", "phylo4"]
@@ -99,7 +107,9 @@ def test_level_walk_equals_per_key_walk(env):
     # the estimate is exact here, so a walk that runs away stops at once
     guard = env.n_states_estimate()
     want = reference_key_walk(env, guard)
-    assert_same_space(level_walk(env, guard), want)
+    got = level_walk(env, guard)
+    assert_key_matrix(got, want)
+    assert_same_space(got, want)  # builds the keys from the matrix
     assert_same_space(key_walk(env, guard), want)
 
 
@@ -320,6 +330,14 @@ def test_features_equal_the_per_key_encodings_byte_for_byte(fixture, request):
     assert_same_bytes(space.features(every), want)
     for k, row in zip(space.keys, want):
         assert_same_bytes(env.featurize(k), row)
+
+
+def test_features_take_a_blank_wider_than_the_key_matrix_dtype():
+    env = SequenceEnv(pos_scores=(0.0,), token_scores=(0.0,) * 256)
+    space = StateSpace.enumerated(env)
+    assert space._rows.dtype == np.uint8  # tokens 0..255; the blank is 256
+    want = np.array([per_key_features(env, k) for k in space.keys])
+    assert_same_bytes(space.features(np.arange(space.n_states)), want)
 
 
 @pytest.mark.parametrize(

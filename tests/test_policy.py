@@ -457,7 +457,7 @@ def test_edge_map_numbers_the_legal_slots_row_major(name, request):
 
 def test_edge_map_is_built_on_first_use_and_shared_by_views(grid3):
     space = StateSpace.enumerated(grid3)
-    assert space._edges == {}  # enumeration does not pay for it
+    assert "ids" not in space._shared  # enumeration does not pay for it
     view = space.for_env(GridEnv(side=3, beacons=((2, 0),)))
     assert view.edge_ids() is space.edge_ids()
     assert view.n_edges == space.n_edges

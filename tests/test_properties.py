@@ -18,6 +18,7 @@ from gfnpool.policy import (
     sample_batch,
 )
 from tests.conftest import (
+    assert_key_matrix,
     assert_same_space,
     key_walk,
     level_walk,
@@ -63,7 +64,9 @@ small_int_key_envs = st.one_of(
 @given(env=small_int_key_envs)
 def test_level_walk_equals_per_key_walk_everywhere(env):
     want = reference_key_walk(env)
-    assert_same_space(level_walk(env), want)
+    got = level_walk(env)
+    assert_key_matrix(got, want)
+    assert_same_space(got, want)  # builds the keys from the matrix
     assert_same_space(key_walk(env), want)
 
 

@@ -16,8 +16,11 @@ from gfnpool.envs import (
     simulate_sites,
     split_sites,
 )
-from gfnpool.errors import MalformedStateError, NotTerminalError
-from gfnpool.evaluation import noisy_reward_wrap, terminal_log_rewards
+from gfnpool.aggregate import AggregateConfig, aggregate_ab
+from gfnpool.errors import MalformedStateError, NotTerminalError, UnsupportedFeaturizationError
+from gfnpool.evaluation import noisy_reward_wrap, reward_table, terminal_log_rewards
+from gfnpool.losses import LossSpec
+from gfnpool.train import TrainConfig, train_local
 
 
 def _multiset(items, size):
@@ -168,3 +171,139 @@ def test_feature_buffer_is_allocated_on_first_use():
     lazy = StateSpace(env)
     lazy.children_rows(np.array([0]))
     assert np.array_equal(lazy.features(np.arange(lazy.n_states)), [env.featurize(k) for k in lazy.keys])
+
+
+# -- the key matrix of a level-walked space -------------------------------------
+
+LEVEL_WALKED = {"multiset4x8": lambda: _multiset(4, 8), "sequence4x4": lambda: _sequence(4, 4)}
+
+
+def _other(env):
+    """The same DAG as `env` with other rewards."""
+    if isinstance(env, MultisetEnv):
+        return MultisetEnv(values=tuple(v + 0.5 for v in env.values), target_size=env.target_size)
+    return SequenceEnv(pos_scores=env.pos_scores[::-1], token_scores=env.token_scores)
+
+
+def _bytes_of_scalars(env, keys):
+    return np.array([env.log_reward(k) for k in keys], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_WALKED))
+def test_level_walked_rewards_read_rows_bit_for_bit(name):
+    env = LEVEL_WALKED[name]()
+    space = StateSpace.enumerated(env)
+    other = _other(env)
+    view = space.for_env(other)
+    term = space.terminal_indices()
+    got = {
+        "space": space.log_rewards(term),
+        "terminal_log_rewards": terminal_log_rewards(env, space),
+        "view": view.log_rewards(term),
+        "view terminal_log_rewards": terminal_log_rewards(other, space),
+    }
+    assert "keys" not in space._shared  # every batch above read the key matrix
+    keys = _terminal_keys(space)
+    for what, vals in got.items():
+        want = _bytes_of_scalars(other if what.startswith("view") else env, keys)
+        assert vals.dtype == np.float64 and vals.tobytes() == want, what
+
+
+def test_level_walked_rows_raise_the_scalar_error_off_the_terminals():
+    space = StateSpace.enumerated(_multiset(4, 8))
+    inner = np.flatnonzero(~space.terminal_mask(np.arange(space.n_states)))[:3]
+    with pytest.raises(NotTerminalError):
+        space.log_rewards(np.concatenate([space.terminal_indices()[:2], inner]))
+
+
+def _counting_env(env):
+    """A subclass of `env`'s class whose `log_reward` counts its calls."""
+    calls = [0]
+    cls = type(env)
+
+    def log_reward(self, s):
+        calls[0] += 1
+        return cls.log_reward(self, s)
+
+    counted = type(f"Counted{cls.__name__}", (cls,), {"log_reward": log_reward})
+    return counted(*(getattr(env, f) for f in env.__dataclass_fields__)), calls
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_WALKED))
+def test_every_override_sees_every_key_of_a_level_walked_space(name, monkeypatch):
+    env = LEVEL_WALKED[name]()
+    space = StateSpace.enumerated(env)
+    term = space.terminal_indices()
+    keys = _terminal_keys(space)
+    # the wrapper's own batch form adds the offsets; its base's rows would not
+    noisy = noisy_reward_wrap(env, 0.1, np.random.default_rng(0), space)
+    want = _bytes_of_scalars(noisy, keys)
+    assert terminal_log_rewards(noisy, space).tobytes() == want
+    assert space.for_env(noisy).log_rewards(term).tobytes() == want
+    assert want != _bytes_of_scalars(env, keys)
+    # a subclass that overrides log_reward counts every terminal
+    counted, calls = _counting_env(env)
+    assert terminal_log_rewards(counted, space).tobytes() == _bytes_of_scalars(env, keys)
+    assert calls[0] == len(keys)
+    assert space.for_env(counted).log_rewards(term).tobytes() == _bytes_of_scalars(env, keys)
+    assert calls[0] == 2 * len(keys)
+    # and so does a patched class attribute, as the bench tracer sets one
+    scalar, seen = type(env).log_reward, [0]
+
+    def patched(self, s):
+        seen[0] += 1
+        return scalar(self, s)
+
+    monkeypatch.setattr(type(env), "log_reward", patched)
+    fresh = StateSpace.enumerated(env)
+    assert fresh.log_rewards(term).tobytes() == _bytes_of_scalars(env, keys)
+    assert seen[0] == 2 * len(keys)  # the batch, then the reference loop
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_multiset_row_rewards_are_the_per_row_dot(draw):
+    gen = np.random.default_rng(draw)
+    env = MultisetEnv(values=tuple(gen.normal(0, 1 + draw, 10)), target_size=8)
+    space = StateSpace.enumerated(env)
+    term = space.terminal_indices()
+    v = env._values
+    want = np.array([v.dot(row) for row in space._rows[term].astype(np.float64)])
+    assert term.size == 24_310
+    assert terminal_log_rewards(env, space).tobytes() == want.tobytes()
+    assert env.log_rewards(_terminal_keys(space)).tobytes() == want.tobytes()
+
+
+class FeaturelessMultiset(MultisetEnv):
+    _featurize_rows = None
+
+    @property
+    def feature_dim(self):
+        return None
+
+
+@pytest.mark.parametrize(
+    "env, backend",
+    [(_multiset(4, 4), "tabular"), (_sequence(3, 3), "mlp")],
+    ids=["multiset4x4-tabular", "sequence3x3-mlp"],
+)
+def test_commands_on_a_level_walked_space_build_no_tuple_keys(env, backend, monkeypatch):
+    def no_keys(self):
+        raise AssertionError("the tuple keys were built")
+
+    space = StateSpace.enumerated(env)
+    monkeypatch.setattr(StateSpace, "keys", property(no_keys))
+    other = _other(env)
+    common = dict(batch=16, backend=backend, hidden=(8,), eval_every=2)
+    snaps = [
+        train_local(e, TrainConfig(loss=LossSpec("CB"), epochs=4, seed=k, **common), space).snapshot
+        for k, e in enumerate((env, other))
+    ]
+    target = reward_table([env, other], space)
+    res = aggregate_ab(env, snaps, AggregateConfig(epochs=4, seed=9, **common), eval_target=target, space=space)
+    assert np.isfinite(res.metrics[-1]["l1"])
+    terminal_log_rewards(env, space)
+    assert "keys" not in space._shared
+    featureless = StateSpace.enumerated(FeaturelessMultiset(values=(0.1, 0.2), target_size=2))
+    with pytest.raises(UnsupportedFeaturizationError):
+        featureless.features(np.array([0]))
+    assert "keys" not in featureless._shared
