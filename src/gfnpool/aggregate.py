@@ -2,10 +2,11 @@
 aggregating-balance criterion on the clients' `fit` loop and `FitConfig`
 settings, plus the parameter-averaging and factorized categorical baselines.
 
-`aggregate_ab` receives snapshots and (optionally) a precomputed evaluation
-target; it has no access to any reward function, and its sampler never
-computes terminal rewards. That is the single-communication-round contract:
-the bytes exchanged are exactly the snapshots.
+`aggregate_ab` receives snapshots, their pooling weights and (optionally) a
+precomputed evaluation target. It reads no reward: the AB loss reads the
+pooled local log-policy where a client's loss reads log R from the space's
+cache. That is the single-communication-round contract: the bytes
+exchanged are exactly the snapshots.
 """
 
 from __future__ import annotations
@@ -34,15 +35,9 @@ from .train import FitConfig, FitResult, build_space, fit
 
 @dataclass(frozen=True)
 class AggregateConfig(FitConfig):
-    """The server's settings: the loop's, and the pooling weights."""
+    """The server's settings: the loop's, with its own default ε."""
 
     epsilon: float = 0.5  # half on-policy, half uniform while pairing
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.weights is not None:
-            pooling_weights(self.weights)
 
 
 def load_local_policies(env: Environment, snapshots: list[bytes], space: StateSpace) -> list[ForwardPolicy]:
@@ -57,21 +52,23 @@ def aggregate_ab(
     cfg: AggregateConfig,
     eval_target: evaluation.DistributionTable | None = None,
     space: StateSpace | None = None,
+    *,
+    weights=None,
 ) -> FitResult:
     """Train a fresh global policy by minimizing the aggregating-balance loss
     over trajectory pairs from the exploration mixture, delegating the loop
-    to `fit`. Local rewards are never evaluated: batches are sampled without
-    terminal rewards, and `eval_target`, if given, only feeds the L1 probes.
-    `space`, if given, is the env's state space (or a complete one of the
-    same DAG) and is used instead of enumerating again.
+    to `fit`. Local rewards are never evaluated: AB asks for none, and
+    `eval_target`, if given, only feeds the L1 probes. `space`, if given, is
+    the env's state space (or a complete one of the same DAG) and is used
+    instead of enumerating again.
 
     The snapshots are loaded one at a time into one `PooledLocals` table
-    with weights `cfg.weights`, so every epoch reads the pooled local
-    log-policy off it instead of replaying each local."""
+    with `weights` (one per snapshot, 1 for None), so every epoch reads the
+    pooled local log-policy off it instead of replaying each local."""
     space = build_space(env, cfg) if space is None else space.for_env(env)
     if not snapshots:
         raise SnapshotError("aggregation needs at least one client snapshot")
-    weights = pooling_weights(cfg.weights, len(snapshots))
+    weights = pooling_weights(weights, len(snapshots))
     pooled = PooledLocals(space)
     for blob, w in zip(snapshots, weights):
         pooled.add(load_snapshot(blob, env, space)[0], w)
@@ -79,11 +76,11 @@ def aggregate_ab(
     def ab_loss_fn(model, steps):
         return ab_loss_batch(model.policy, space, steps, pooled)
 
-    model, metrics = fit(env, space, cfg, ab_loss_fn, rewards=False, target=eval_target)
+    model, metrics = fit(env, space, cfg, ab_loss_fn, target=eval_target)
     meta = {
         "role": "global",
         "n_locals": len(pooled),
-        "weights": list(cfg.weights) if cfg.weights else [1.0] * len(pooled),
+        "weights": weights.tolist(),
         "epochs": cfg.epochs,
         "seed": cfg.seed,
     }

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import aggregate as agg
 from . import evaluation
-from .config import RunConfig, apply_overrides, load_config
+from .config import SWEEP_AXES, RunConfig, apply_overrides, load_config
 from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
-from .losses import LOSS_KINDS, LossSpec, PooledLocals, pooling_weights
+from .losses import LossSpec, PooledLocals
 from .policy import balanced_tabular_policy, load_snapshot, replay_log_pb, replay_log_pf
 from .train import build_space, derive_seed, enumerate_or_none, train_clients, train_local
 
@@ -56,40 +56,27 @@ def _load_run(args) -> RunConfig:
     return RunConfig(doc, path=args.config)
 
 
-def _read_manifest(path: Path) -> tuple[list[bytes], list[float]]:
-    blobs, raw = [], []
-    base = path.parent
+def _read_manifest(path: Path) -> list[bytes]:
+    """The snapshots a manifest lists, one path per line relative to it; ω
+    comes from `loss.weights`, so a line with a tab is refused."""
+    blobs = []
     for line in path.read_text().splitlines():
-        line = line.strip()
+        line = line.strip(" ")
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        snap = Path(parts[0])
-        if not snap.is_absolute():
-            snap = base / snap
-        blobs.append(_read_snapshot(snap, str(path)))
-        raw.append(parts[1] if len(parts) > 1 else "1.0")
+        if "\t" in line:
+            raise ConfigError(str(path), f"{line!r}: one snapshot path per line; pooling weights come from loss.weights")
+        blobs.append(_read_snapshot(path.parent / line, str(path)))
     if not blobs:
         raise ConfigError(str(path), "manifest lists no snapshots")
-    return blobs, _parse_weights(str(path), raw, len(blobs))
+    return blobs
 
 
-def _parse_weights(source: str, raw: list[str], n: int) -> list[float]:
-    """Pooling weights from text, one per snapshot; a bad one is a config error."""
-    try:
-        return pooling_weights([float(w) for w in raw], n).tolist()
-    except ValueError as exc:
-        raise ConfigError(source, str(exc)) from exc
-
-
-def _probe_target(envs, space, cfg) -> evaluation.DistributionTable | None:
+def _probe_target(envs, space, cfg, weights) -> evaluation.DistributionTable | None:
     """The product target, built only when aggregation probes will read it."""
     if cfg.eval_every == 0 or not space.complete:
         return None
-    if cfg.weights is not None and len(cfg.weights) != len(envs):
-        msg = f"{len(cfg.weights)} weighted snapshots for {len(envs)} clients; set aggregate.eval_every=0 to skip probes"
-        raise ConfigError("clients.n", msg)
-    return evaluation.reward_table(envs, space, cfg.weights)
+    return evaluation.reward_table(envs, space, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +108,13 @@ def cmd_train_clients(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     failed = []
     manifest_lines = []
-    weights = run.loss_spec.weights or [1.0] * len(envs)
     for k, res in enumerate(results):
         if not res.ok:
             failed.append((k, res.error))
             continue
         _snapshot_path(out, k).write_bytes(res.snapshot)
         write_metrics_csv(out / f"client{k}.metrics.csv", res.metrics)
-        manifest_lines.append(f"client{k}.gfnpolicy\t{weights[k]!r}")
+        manifest_lines.append(_snapshot_path(out, k).name)
     (out / "clients.manifest").write_text("\n".join(manifest_lines) + "\n")
     for k, err in failed:
         print(f"client {k} FAILED: {err}", file=sys.stderr)
@@ -143,17 +129,15 @@ def cmd_aggregate(args) -> int:
     manifest = Path(args.manifest) if args.manifest else out / "clients.manifest"
     if not manifest.exists():
         raise ConfigError(str(manifest), "snapshot manifest not found; run train-clients first")
-    blobs, weights = _read_manifest(manifest)
+    blobs = _read_manifest(manifest)
+    weights = run.loss_spec.weights
+    # unweighted, a manifest short of failed clients still pools and probes
+    if weights is not None and len(weights) != len(blobs):
+        raise ConfigError("loss.weights", f"{len(weights)} weights for the {len(blobs)} snapshots of {manifest}")
     cfg = run.aggregate_config()
-    # loss.weights, else the manifest's weight column
-    if cfg.weights is not None:
-        weights = _parse_weights("loss.weights", cfg.weights, len(blobs))
-    # unit weights stay None: a manifest short of failed clients still probes
-    # against the product of every configured client's reward
-    cfg = replace(cfg, weights=None if all(w == 1.0 for w in weights) else tuple(weights))
     space = build_space(envs[0], cfg)
-    target = _probe_target(envs, space, cfg)
-    res = agg.aggregate_ab(envs[0], blobs, cfg, eval_target=target, space=space)
+    target = _probe_target(envs, space, cfg, weights)
+    res = agg.aggregate_ab(envs[0], blobs, cfg, eval_target=target, space=space, weights=weights)
     out.mkdir(parents=True, exist_ok=True)
     (out / "global.gfnpolicy").write_bytes(res.snapshot)
     write_metrics_csv(out / "global.metrics.csv", res.metrics)
@@ -266,8 +250,10 @@ def _pipeline_final_l1(
     bad = [r for r in results if not r.ok]
     if bad:
         raise NumericError(f"client failure during sweep: {bad[0].error}")
-    target = _probe_target(envs, space, cfg)
-    res = agg.aggregate_ab(envs[0], [r.snapshot for r in results], cfg, eval_target=target, space=space)
+    weights = run.loss_spec.weights
+    target = _probe_target(envs, space, cfg, weights)
+    snapshots = [r.snapshot for r in results]
+    res = agg.aggregate_ab(envs[0], snapshots, cfg, eval_target=target, space=space, weights=weights)
     finals = [r["l1"] for r in res.metrics if np.isfinite(r["l1"])]
     return res.metrics, finals[-1] if finals else float("nan")
 
@@ -275,14 +261,7 @@ def _pipeline_final_l1(
 def _check_sweep_values(axis: str, values: list) -> None:
     """Reject a `sweep.values` entry its axis cannot run, before any cell runs."""
     for v in values:
-        real = isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
-        ok = {
-            "clients": real and isinstance(v, int) and v >= 1,
-            "logz_lr": real and v > 0,
-            "noise": real and v >= 0,  # a variance
-            "loss": v in LOSS_KINDS,
-        }[axis]
-        if not ok:
+        if not SWEEP_AXES[axis](v):
             raise ConfigError("sweep.values", f"{v!r} is not a valid {axis} value")
 
 
@@ -291,6 +270,10 @@ def cmd_sweep(args) -> int:
     axis = args.axis or run.sweep_axis()
     values = run.sweep_values()
     _check_sweep_values(axis, values)
+    if axis == "clients" and run.env_kind == "grid":
+        raise ConfigError("sweep.axis", "client sweep needs seeded rewards, not beacon lists")
+    if axis == "clients" and run.loss_spec.weights and any(v != run.n_clients for v in values):
+        raise ConfigError("loss.weights", f"one weight per client cannot serve a sweep over {values} clients")
     seeds = run.sweep_seeds()
     out = run.out_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -310,8 +293,6 @@ def cmd_sweep(args) -> int:
                 doc = json.loads(json.dumps(run.doc))  # deep copy
                 doc["seed"] = seed
                 if axis == "clients":
-                    if run.env_kind == "grid":
-                        raise ConfigError("sweep.axis", "client sweep needs seeded rewards, not beacon lists")
                     # set the count before RunConfig derives configs and weights from it
                     doc.setdefault("clients", {})["n"] = int(value)
                     if "clients" in doc["env"].get("phylo", {}):
@@ -450,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("evaluate", cmd_evaluate, help="score saved models against the product target")
     add("baselines", cmd_baselines, help="PCVI / parameter-averaging / naive-product baselines")
     p = add("sweep", cmd_sweep, help="rerun the pipeline along one axis")
-    p.add_argument("--axis", choices=["clients", "logz_lr", "noise", "loss"], default=None)
+    p.add_argument("--axis", choices=tuple(SWEEP_AXES), default=None)
     p = add("identity-checks", cmd_identity_checks, help="numeric checks of the core identities")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)

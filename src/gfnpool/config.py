@@ -24,11 +24,19 @@ from .envs import (
 )
 from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec, pooling_weights
-from .train import FitConfig, TrainConfig, client_configs, derive_seed
+from .train import FitConfig, TrainConfig, _real, _whole, client_configs, derive_seed
 
 OUTPUT_ROOT_VAR = "GFNPOOL_OUTPUT_ROOT"
 
 ENV_KINDS = ("grid", "multiset", "sequence", "phylo")
+
+# each sweep axis, and which of its values can run
+SWEEP_AXES = {
+    "clients": lambda v: _whole(v) and v >= 1,
+    "logz_lr": lambda v: _real(v) and v > 0,
+    "noise": lambda v: _real(v) and v >= 0,  # a variance
+    "loss": lambda v: v in LOSS_KINDS,
+}
 
 
 def load_config(path) -> dict:
@@ -182,14 +190,16 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError("loss", str(exc)) from exc
 
-    def _fit_config(self, section: str, cls, fallback: dict, given: dict[str, tuple[str, object]]):
+    def _fit_config(self, section: str, cls, fallback: dict, given: dict[str, tuple[str, object]], unread=None):
         """The `train` or `aggregate` section as a `cls`, one of the two
         FitConfigs, which checks every value. A field the section leaves out
         takes its `fallback` value, then the dataclass default. `given` maps
         each field that comes from elsewhere to the key that sets it and its
-        value; the section may not set it. An empty section (YAML null)
-        takes every default."""
-        node = _section(self.doc, section, FIT_KEYS, {k: where for k, (where, _) in given.items()})
+        value; the section may not set it, nor a key of `unread` (no field,
+        mapped to the key that sets it). An empty section (YAML null) takes
+        every default."""
+        elsewhere = {k: where for k, (where, _) in given.items()} | (unread or {})
+        node = _section(self.doc, section, FIT_KEYS, elsewhere)
         kw = {"epochs": 5000, "batch": 512, **fallback, **{k: v for k, (_, v) in given.items()}, **node}
         if isinstance(kw.get("hidden"), list):
             kw["hidden"] = tuple(kw["hidden"])
@@ -213,14 +223,14 @@ class RunConfig:
 
     def aggregate_config(self) -> AggregateConfig:
         """The server's settings. Its backend and hidden sizes default to the
-        clients', and it keeps their state guard."""
+        clients', and it keeps their state guard. `aggregate_ab` takes ω apart."""
         t = self.train_template()
         given = {
             "seed": ("seed", derive_seed(self.seed, 1_000_003)),
-            "weights": ("loss.weights", self.loss_spec.weights),
             "state_guard": ("train.state_guard", t.state_guard),
         }
-        return self._fit_config("aggregate", AggregateConfig, {"backend": t.backend, "hidden": t.hidden}, given)
+        fallback = {"backend": t.backend, "hidden": t.hidden}
+        return self._fit_config("aggregate", AggregateConfig, fallback, given, {"weights": "loss.weights"})
 
     # -- environments --------------------------------------------------------
 
@@ -330,7 +340,7 @@ class RunConfig:
 
     def sweep_axis(self) -> str:
         axis = _get(self.doc, "sweep.axis", required=True, kind=str)
-        if axis not in ("clients", "logz_lr", "noise", "loss"):
+        if axis not in SWEEP_AXES:
             raise ConfigError("sweep.axis", f"unknown sweep axis {axis!r}")
         return axis
 

@@ -120,7 +120,7 @@ def sample_terminals(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.r
     out = []
     for lo in range(0, n, SAMPLE_CHUNK):
         b = min(SAMPLE_CHUNK, n - lo)
-        out.append(sample_batch(policy, space, b, epsilon=0.0, rng=rng, compute_rewards=False).terminal_idx())
+        out.append(sample_batch(policy, space, b, epsilon=0.0, rng=rng).terminal_idx())
     return np.concatenate(out)
 
 
@@ -349,7 +349,7 @@ def cb_kl_gradient_identity_check(
     pf = step_log_pf(steps)
     pb = replay_log_pb(space, tb)
     if pooled is None:
-        tb.log_reward = log_target = space.log_rewards(tb.terminal_idx())
+        log_target = space.log_rewards(tb.terminal_idx())
         pair_loss = cb_loss_batch
     else:
         log_target = pooled.log_pf(tb) - pooled.total_weight * pb

@@ -8,6 +8,9 @@ block's `logits_grad` returns. `fit` passes the record of the sampling
 pass it just made, so nothing is computed twice; a caller with a batch
 that was not just sampled passes `replay_steps(policy, space, tb)`.
 
+Local losses read log R through the space's cache, `StateSpace.log_rewards`
+(TB, CB, VL and DB at the terminals, DBC at every state); AB reads none.
+
   TB   squared trajectory-balance violation; trains policy + log Z
   DB   edgewise detailed balance with boundary terms; trains policy + the
        state flow log F(s), a one-column block of the policy's backend
@@ -75,18 +78,18 @@ class LossSpec:
 # helpers
 
 
-def _require_rewards(tb: TrajectoryBatch) -> np.ndarray:
-    if tb.log_reward is None:
-        raise RewardSupportError("trajectory batch carries no terminal rewards")
-    if not np.all(np.isfinite(tb.log_reward)):
+def _require_rewards(space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:
+    """log R at the terminals of `tb`, through the space's cache; a zero R raises."""
+    log_r = space.log_rewards(tb.terminal_idx())
+    if not np.all(np.isfinite(log_r)):
         raise RewardSupportError("zero or non-finite reward at a terminal state")
-    return tb.log_reward
+    return log_r
 
 
 def tb_violations(space: StateSpace, steps: Steps, logz: float = 0.0) -> np.ndarray:
     """Signed trajectory-balance violations log p_F + log Z - log p_B - log R
     of the batch `steps` records, read off its rows."""
-    log_r = _require_rewards(steps.tb)
+    log_r = _require_rewards(space, steps.tb)
     return logz + step_log_pf(steps) - replay_log_pb(space, steps.tb) - log_r
 
 
@@ -243,7 +246,7 @@ def db_loss_batch(policy, flow, space, steps: Steps):
     terms concatenated with the own-state terms: the order a loop over t
     meets them in."""
     tb = steps.tb
-    log_r = _require_rewards(tb)
+    log_r = _require_rewards(space, tb)
     s, a, logp, p = steps.states, steps.actions, steps.logp, steps.p
     total = s.size
     lp_a = logp[np.arange(total), a]

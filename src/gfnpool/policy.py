@@ -9,7 +9,8 @@ step's distinct states: one masked softmax, legal mask, uniform row and
 cumulative sum of each per distinct state, which every trajectory at that
 state then reads. A row's softmax and cumulative sum do not depend on the
 other rows, so the draws are those of one row per trajectory. `log_pf` and
-`log_pb` are filled in one pass after the last step.
+`log_pb` are filled in one pass after the last step. Sampling evaluates no
+reward; a loss reads log R from the space's cache, `StateSpace.log_rewards`.
 
 Everything computed per step afterwards reads the batch's step record,
 `Steps`: the batch itself, then its steps flattened row-major over
@@ -318,6 +319,7 @@ class TrajectoryBatch:
     lengths: np.ndarray  # (B,) transition counts, stop included
     log_pf: np.ndarray  # (B, T) on-policy log-probs recorded at sampling
     log_pb: np.ndarray  # (B, T) uniform-backward log-probs (stop step: 0)
+    # nothing in gfnpool sets it; kept for callers that pass six positional fields
     log_reward: np.ndarray | None
 
     @property
@@ -360,14 +362,20 @@ class Steps(NamedTuple):
     cache: object  # the backend cache `logits_grad` takes for `states`
 
 
-def policy_rows(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
-    """(child codes, masked log-softmax, softmax, backend cache) of the
-    policy at the state indices `idx`, one row each; the cache is the one
-    `logits_grad` takes for the same `idx`."""
+def _legal_rows(space: StateSpace, idx: np.ndarray):
+    """(child codes, legal mask) at `idx`; a state with no legal move raises."""
     rows = space.children_rows(idx)
     legal = rows != CHILD_ILLEGAL
     if not legal.any(axis=1).all():
         raise MalformedStateError("reached a state with no legal transitions")
+    return rows, legal
+
+
+def policy_rows(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
+    """(child codes, masked log-softmax, softmax, backend cache) of the
+    policy at the state indices `idx`, one row each; the cache is the one
+    `logits_grad` takes for the same `idx`."""
+    rows, legal = _legal_rows(space, idx)
     logits, cache = policy.logits_rows(space, idx)
     logp, p = masked_log_softmax(logits, legal)
     return rows, logp, p, cache
@@ -377,10 +385,7 @@ def policy_probs(policy: ForwardPolicy, space: StateSpace, idx: np.ndarray):
     """(child codes, masked log-softmax, softmax) of the policy at the state
     indices `idx`, as `policy_rows` gives them, from `outputs`: no cache is
     kept, so nothing can take a gradient through them."""
-    rows = space.children_rows(idx)
-    legal = rows != CHILD_ILLEGAL
-    if not legal.any(axis=1).all():
-        raise MalformedStateError("reached a state with no legal transitions")
+    rows, legal = _legal_rows(space, idx)
     logp, p = masked_log_softmax(policy.outputs(space, idx), legal)
     return rows, logp, p
 
@@ -419,12 +424,11 @@ def sample_batch(
     batch: int,
     epsilon: float,
     rng: np.random.Generator,
-    compute_rewards: bool = True,
     want_steps: bool = False,
 ):
     """Sample `batch` trajectories from the epsilon-mixture of the policy and
     the uniform forward policy. Recorded log p_F is always the on-policy
-    value - the mixture is only a proposal.
+    value - the mixture is only a proposal. No reward is evaluated.
 
     Each step computes its rows once per distinct state it leaves, and each
     trajectory takes its state's row: step (b, t) reads row slot[b, t] of
@@ -480,8 +484,6 @@ def sample_batch(
     tb.log_pf[valid] = logp[g, a]
     enter = valid[:, 1:]  # non-stop steps enter states[:, 1:]
     tb.log_pb[:, :-1][enter] = -np.log(space.nparents(states[:, 1:][enter]))
-    if compute_rewards:
-        tb.log_reward = space.log_rewards(tb.terminal_idx())
     if not want_steps:
         return tb
     bc = None if caches[0] is None else _stack_mlp_rows(caches, g)

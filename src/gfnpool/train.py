@@ -1,7 +1,8 @@
 """Training: the one `fit` loop that clients and the server share (batched
 sampling, a loss closure, in-place AdamW over one flat parameter buffer,
 metric logging) and its one settings class `FitConfig`, local-client
-training on top of it, and the embarrassingly parallel fan-out over clients."""
+training on top of it, and the embarrassingly parallel fan-out over clients.
+`fit` reads no reward; a client's loss reads log R from its space's cache."""
 
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def _real(v) -> bool:
 class FitConfig:
     """Every setting `fit` reads, checked once on construction. A client's
     `TrainConfig` adds its local loss, the server's `AggregateConfig` its
-    pooling weights."""
+    default exploration weight."""
 
     epochs: int
     batch: int
@@ -160,7 +161,6 @@ def fit(
     cfg: FitConfig,
     loss_fn: Callable[[Model, Steps], tuple[float, dict]],
     *,
-    rewards: bool = True,
     target: evaluation.DistributionTable | None = None,
     logz_lr: float | None = None,
     flow: bool = False,
@@ -170,17 +170,16 @@ def fit(
     `cfg` is a client's TrainConfig or the server's AggregateConfig; its
     seed spawns the training and initialisation streams. Each epoch samples
     `cfg.batch` trajectories from the mixture of the current policy and the
-    uniform one, with weight `cfg.epsilon` on the uniform (and terminal
-    rewards only if `rewards`), as one step record, takes
-    `loss_fn(model, steps)` -> (loss, gradient per AdamW group name), and
-    makes one AdamW step. The loss reads the policy's rows off the record
-    instead of replaying the batch. Every `eval_every` epochs (never if 0)
-    and at the last one it probes the exact L1 of `exact_pT` to `target`;
-    without a target it is NaN. A target needs a complete space, so every
-    probe runs on one. `logz_lr` adds a log Z group and `flow` a state-flow
-    block. Returns the model and one metrics row per epoch: the loss, the
-    L1, the epoch's `wall_ms`, and the part of it spent in each phase,
-    `sample_ms`, `loss_ms` (loss and gradient), `step_ms` (AdamW) and
+    uniform one, with weight `cfg.epsilon` on the uniform, as one step
+    record, takes `loss_fn(model, steps)` -> (loss, gradient per AdamW group
+    name), and makes one AdamW step. The loss reads the policy's rows off
+    the record instead of replaying the batch. Every `eval_every` epochs
+    (never if 0) and at the last one it probes the exact L1 of `exact_pT` to
+    `target`; without a target it is NaN. A target needs a complete space,
+    so every probe runs on one. `logz_lr` adds a log Z group and `flow` a
+    state-flow block. Returns the model and one metrics row per epoch: the
+    loss, the L1, the epoch's `wall_ms`, and the part of it spent in each
+    phase, `sample_ms`, `loss_ms` (loss and gradient), `step_ms` (AdamW) and
     `eval_ms`.
     """
     # the middle stream is unused; spawning three keeps the init stream's bits
@@ -193,7 +192,7 @@ def fit(
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        steps = sample_batch(model.policy, space, cfg.batch, cfg.epsilon, rng, compute_rewards=rewards, want_steps=True)
+        steps = sample_batch(model.policy, space, cfg.batch, cfg.epsilon, rng, want_steps=True)
         t_sample = time.perf_counter()
         loss, grads = loss_fn(model, steps)
         t_loss = time.perf_counter()

@@ -183,8 +183,7 @@ def paths(space, tb):
 
 
 def one_row_batch(space, keys, actions):
-    """The one-trajectory batch through `keys` taking `actions` (stop last),
-    with its terminal reward."""
+    """The one-trajectory batch through `keys` taking `actions` (stop last)."""
     from gfnpool.policy import TrajectoryBatch
 
     h = space.env.max_traj_len
@@ -193,8 +192,22 @@ def one_row_batch(space, keys, actions):
     acts = np.full((1, h), -1, dtype=np.int64)
     acts[0, : len(actions)] = actions
     tb = TrajectoryBatch(states, acts, np.array([len(actions)]), np.zeros((1, h)), np.zeros((1, h)), None)
-    tb.log_reward = space.log_rewards(tb.terminal_idx())
     return tb
+
+
+def counting_rewards(env):
+    """A copy of `env` whose class counts the keys its `log_rewards` is given,
+    and the one-element list that holds the count. Overriding `log_rewards`
+    also sends every read of a space through the keys."""
+    seen = [0]
+    cls = type(env)
+
+    def log_rewards(self, keys):
+        seen[0] += len(keys)
+        return cls.log_rewards(self, keys)
+
+    counted = type(f"Counted{cls.__name__}", (cls,), {"log_rewards": log_rewards})
+    return counted(*(getattr(env, f) for f in env.__dataclass_fields__)), seen
 
 
 def count_replays(monkeypatch) -> list:
@@ -249,7 +262,7 @@ def record_case(case, gen):
     flow.params = gen.normal(0, 0.5, flow.n_params)
     if not space.complete:
         for _ in range(2):
-            sample_batch(pol, space, 32, 1.0, gen, compute_rewards=False)
+            sample_batch(pol, space, 32, 1.0, gen)
     return pol, flow, space
 
 

@@ -151,10 +151,8 @@ def test_aggregation_weighted_pooling_limits(rng):
         save_snapshot(balanced_tabular_policy(StateSpace.enumerated(e)), e) for e in envs
     ]
     client1 = exact_pT(load_local_policies(envs[0], [snaps[0]], space)[0], space)
-    cfg = AggregateConfig(
-        epochs=2500, batch=128, seed=5, eval_every=500, weights=(1.0, 1e-6)
-    )
-    res = aggregate_ab(envs[0], snaps, cfg, eval_target=client1)
+    cfg = AggregateConfig(epochs=2500, batch=128, seed=5, eval_every=500)
+    res = aggregate_ab(envs[0], snaps, cfg, eval_target=client1, weights=(1.0, 1e-6))
     assert res.metrics[-1]["l1"] <= 0.05
 
 
@@ -164,7 +162,7 @@ def test_aggregation_requires_snapshots_and_matching_weights(grid3, grid3_space,
         aggregate_ab(grid3, [], cfg)
     snap = save_snapshot(random_tabular(grid3_space, rng), grid3)
     with pytest.raises(ValueError):
-        aggregate_ab(grid3, [snap], AggregateConfig(epochs=10, batch=16, seed=1, weights=(1.0, 2.0)))
+        aggregate_ab(grid3, [snap], cfg, weights=(1.0, 2.0))
 
 
 def test_aggregation_eval_every_zero_never_probes(grid3, grid3_space, rng, monkeypatch):
@@ -210,7 +208,7 @@ def test_mlp_aggregation_on_a_lazily_grown_space(rng):
     pooled = PooledLocals(res.space, pols)
     sizes = []
     for _ in range(3):  # later batches register states the pool has not seen
-        tb = sample_batch(res.policy, res.space, 32, 1.0, rng, compute_rewards=False)
+        tb = sample_batch(res.policy, res.space, 32, 1.0, rng)
         ref = sum(replay_log_pf(pol, res.space, tb) for pol in pols)
         assert np.max(np.abs(pooled.log_pf(tb) - ref)) <= 1e-12
         sizes.append(res.space.n_states)
@@ -343,7 +341,7 @@ def test_pcvi_fit_is_local_ml_optimum(rng, monkeypatch):
     n = 8000  # single sampling chunk, reproducible below
     monkeypatch.setattr(agg_module, "PCVI_ALPHA", 1e-9)  # near-raw ML
     params = pcvi_fit(pol, space, n, np.random.default_rng(55))
-    tb = sample_batch(pol, space, n, 0.0, np.random.default_rng(55), compute_rewards=False)
+    tb = sample_batch(pol, space, n, 0.0, np.random.default_rng(55))
     samples = [space.keys[i] for i in tb.terminal_idx()]
 
     def loglik(par):

@@ -98,7 +98,7 @@ def test_full_pipeline_and_reports(outroot):
     assert main(["train-clients", "--config", cfg, "--parallelism", "2"]) == 0
     out = outroot / "out" / "tiny"
     manifest = (out / "clients.manifest").read_text().splitlines()
-    assert len(manifest) == 2
+    assert manifest == ["client0.gfnpolicy", "client1.gfnpolicy"]  # one path per line
     assert main(["aggregate", "--config", cfg]) == 0
     assert (out / "global.gfnpolicy").exists()
     assert main(["evaluate", "--config", cfg]) == 0
@@ -139,15 +139,17 @@ def test_weights_flag_must_match_count(outroot, capsys, bad):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["abc", "-1", "0", "nan", "inf"])
-def test_manifest_weights_must_be_positive_and_finite(outroot, capsys, bad):
+@pytest.mark.parametrize("column", ["1.0", "abc", "-1", "0", "nan", "inf"])
+def test_manifest_line_with_a_weight_column_is_config_error(outroot, capsys, column):
+    # the pooling weights come from loss.weights alone, whatever the column says
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
     manifest = outroot / "out" / "tiny" / "bad.manifest"
-    manifest.write_text(f"client0.gfnpolicy\t{bad}\nclient1.gfnpolicy\t1.0\n")
+    manifest.write_text(f"client0.gfnpolicy\t{column}\nclient1.gfnpolicy\n")
     capsys.readouterr()
     assert main(["aggregate", "--config", cfg, "--manifest", str(manifest)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.manifest" in err and "loss.weights" in err
 
 
 @pytest.mark.parametrize("entry", ["nosuch.gfnpolicy", "."], ids=["missing", "directory"])
@@ -155,11 +157,12 @@ def test_manifest_snapshots_must_be_readable(outroot, capsys, entry):
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
     manifest = outroot / "out" / "tiny" / "bad.manifest"
-    manifest.write_text(f"client0.gfnpolicy\t1.0\n{entry}\t1.0\n")
+    manifest.write_text(f"client0.gfnpolicy\n{entry}\n")
     capsys.readouterr()
     assert main(["aggregate", "--config", cfg, "--manifest", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "bad.manifest" in err
+    assert f"cannot read snapshot {manifest.parent / entry}" in err
 
 
 def test_aggregate_of_a_version_1_snapshot_is_a_snapshot_error(outroot, capsys):
@@ -188,11 +191,11 @@ def test_config_weights_must_match_manifest(outroot, capsys):
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
     manifest = outroot / "out" / "tiny" / "one.manifest"
-    manifest.write_text("client0.gfnpolicy\t1.0\n")  # as if client 1 had failed
+    manifest.write_text("client0.gfnpolicy\n")  # as if client 1 had failed
     capsys.readouterr()
     argv = ["aggregate", "--config", cfg, "--manifest", str(manifest), "--set", "loss.weights=[1.0, 2.0]"]
     assert main(argv) == 2
-    assert "loss.weights" in capsys.readouterr().err
+    assert "config error: loss.weights: 2 weights for the 1 snapshots" in capsys.readouterr().err
 
 
 def test_evaluate_scores_the_global_against_its_own_weights(outroot, capsys):
@@ -206,13 +209,6 @@ def test_evaluate_scores_the_global_against_its_own_weights(outroot, capsys):
     assert main(["evaluate", "--config", cfg, *weighted]) == 0
     report = json.loads((outroot / "out" / "tiny" / "report.json").read_text())
     assert report["weights"] == [0.5, 3.0]
-    # a weight column edited into the manifest is caught the same way
-    manifest = outroot / "out" / "tiny" / "clients.manifest"
-    manifest.write_text("client0.gfnpolicy\t2.0\nclient1.gfnpolicy\t1.0\n")
-    assert main(["aggregate", "--config", cfg, "--set", "aggregate.epochs=5"]) == 0
-    capsys.readouterr()
-    assert main(["evaluate", "--config", cfg]) == 2
-    assert "loss.weights" in capsys.readouterr().err
 
 
 def test_short_manifest_aggregates_with_default_weights(outroot, capsys):
@@ -220,16 +216,10 @@ def test_short_manifest_aggregates_with_default_weights(outroot, capsys):
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
     manifest = outroot / "out" / "tiny" / "one.manifest"
-    manifest.write_text("client0.gfnpolicy\t1.0\n")  # as if client 1 had failed
+    manifest.write_text("client0.gfnpolicy\n")  # as if client 1 had failed
     argv = ["aggregate", "--config", cfg, "--manifest", str(manifest), "--set", "aggregate.epochs=5"]
     assert main(argv) == 0
     assert main(["evaluate", "--config", cfg]) == 0  # unit weights of any length are equal
-    # a weighted probe target needs one weight per client
-    manifest.write_text("client0.gfnpolicy\t2.0\n")
-    capsys.readouterr()
-    assert main(argv) == 2
-    assert "clients.n" in capsys.readouterr().err
-    assert main(argv + ["--set", "aggregate.eval_every=0"]) == 0
 
 
 @pytest.mark.parametrize("key", ["train.eval_every", "aggregate.eval_every"])
@@ -448,6 +438,29 @@ def test_sweep_loss_axis(outroot):
     assert main(["sweep", "--config", cfg]) == 0
     rows = read_csv_rows(outroot / "out" / "tinymset" / "sweep.csv")
     assert {r["value"] for r in rows} == {"CB", "TB"}
+
+
+@pytest.mark.parametrize(
+    "base, weights, key",
+    [(TINY_GRID, None, "sweep.axis"), (TINY_MULTISET, [1.0, 2.0], "loss.weights")],
+    ids=["grid", "weighted"],
+)
+def test_client_sweep_the_config_cannot_run_is_config_error_before_any_cell(
+    outroot, capsys, monkeypatch, base, weights, key
+):
+    # a grid's beacon lists and loss.weights each fix the client count
+    def cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli_module, "_pipeline_final_l1", cell)
+    doc = json.loads(json.dumps(base))
+    if weights:
+        doc["loss"]["weights"] = weights
+    doc["sweep"] = {"axis": "clients", "values": [2, 3], "seeds": [1]}
+    assert main(["sweep", "--config", write_cfg(outroot, doc)]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+    out = outroot / "out" / doc["name"]
+    assert not (out / "sweep.csv").exists() and not (out / "sweep_errors.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -107,11 +107,15 @@ def test_tb_value_matches_formula_oracle(grid3, grid3_space, rng):
     assert single == pytest.approx(expected[0], rel=1e-12)
 
 
-def test_tb_rejects_missing_rewards(grid3, grid3_space, rng):
-    pol = random_tabular(grid3_space, rng)
-    steps = sample_batch(pol, grid3_space, 4, 0.0, rng, compute_rewards=False, want_steps=True)
-    with pytest.raises(RewardSupportError):
-        tb_loss_batch(pol, grid3_space, steps, 0.0)
+def test_tb_rejects_a_zero_reward(grid3, rng):
+    # the loss reads log R from the space, and a terminal of zero reward raises
+    zero = type("ZeroGrid", (GridEnv,), {"log_reward": lambda self, s: -np.inf})
+    env = zero(side=grid3.side, beacons=grid3.beacons, kappa=grid3.kappa, delta=grid3.delta)
+    space = StateSpace.enumerated(env)
+    pol = random_tabular(space, rng)
+    steps = sample_batch(pol, space, 4, 0.0, rng, want_steps=True)
+    with pytest.raises(RewardSupportError, match="zero or non-finite reward"):
+        tb_loss_batch(pol, space, steps, 0.0)
 
 
 # -- DB ------------------------------------------------------------------------
@@ -314,12 +318,12 @@ def test_cb_vl_pair_identity_sixteen(grid3, grid3_space, rng):
 
 def test_ab_identical_pair_and_self_pooling(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 8, 0.5, rng, compute_rewards=False)
+    tb = sample_batch(pol, grid3_space, 8, 0.5, rng)
     pooled = PooledLocals(grid3_space, [pol])
     twice = tb.subset(np.tile(np.arange(8), 2))  # trajectory k paired with itself
     loss, _ = ab_loss_batch(pol, grid3_space, replay_steps(pol, grid3_space, twice), pooled)
     assert loss == 0.0  # identical pairs: both deltas vanish
-    steps = sample_batch(pol, grid3_space, 16, 0.5, rng, compute_rewards=False, want_steps=True)
+    steps = sample_batch(pol, grid3_space, 16, 0.5, rng, want_steps=True)
     loss, grads = ab_loss_batch(pol, grid3_space, steps, pooled)
     assert loss == 0.0  # global == single local: deltas cancel exactly
     assert np.all(grads["policy"] == 0.0)
@@ -329,7 +333,7 @@ def test_ab_value_matches_formula_oracle(grid3, grid3_space, rng):
     glob = random_tabular(grid3_space, rng)
     locs = [random_tabular(grid3_space, rng) for _ in range(3)]
     omega = (0.5, 1.0, 2.0)
-    steps = sample_batch(glob, grid3_space, 2, 0.5, rng, compute_rewards=False, want_steps=True)
+    steps = sample_batch(glob, grid3_space, 2, 0.5, rng, want_steps=True)
     tr1, tr2 = paths(grid3_space, steps.tb)
 
     def delta(policy):
@@ -344,7 +348,7 @@ def test_ab_value_matches_formula_oracle(grid3, grid3_space, rng):
 
 def test_ab_requires_locals(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    steps = sample_batch(pol, grid3_space, 4, 0.5, rng, compute_rewards=False, want_steps=True)
+    steps = sample_batch(pol, grid3_space, 4, 0.5, rng, want_steps=True)
     with pytest.raises(ValueError):
         ab_loss_batch(pol, grid3_space, steps, PooledLocals(grid3_space))
     for bad in [(1.0, 2.0), (0.0,), (-1.0,), (float("nan"),), (float("inf"),), ("1",)]:
@@ -359,7 +363,7 @@ def test_ab_requires_locals(grid3, grid3_space, rng):
 def test_ab_never_touches_rewards(grid3, grid3_space, rng):
     # batches without rewards are accepted: the loss cannot depend on R
     pol = random_tabular(grid3_space, rng)
-    steps = sample_batch(pol, grid3_space, 8, 0.5, rng, compute_rewards=False, want_steps=True)
+    steps = sample_batch(pol, grid3_space, 8, 0.5, rng, want_steps=True)
     loss, _ = ab_loss_batch(pol, grid3_space, steps, PooledLocals(grid3_space, [random_tabular(grid3_space, rng)]))
     assert np.isfinite(loss)
 
@@ -381,7 +385,7 @@ def test_pooled_locals_log_pf_equals_replay(env, rng):
     omega = (0.5, 1.0, 2.0)
     for sampler in (tabular[0], mlp[0]):
         for epsilon in (0.0, 0.5, 1.0):
-            tb = sample_batch(sampler, space, 64, epsilon, rng, compute_rewards=False)
+            tb = sample_batch(sampler, space, 64, epsilon, rng)
             # the flat step gather of replay_log_pf against the per-step loop
             for pol in tabular:
                 assert np.array_equal(replay_log_pf(pol, space, tb), loop_log_pf(pol, space, tb))

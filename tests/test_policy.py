@@ -27,7 +27,15 @@ from gfnpool.policy import (
     snapshot_params,
 )
 from gfnpool.nn import mlp_backward, mlp_forward
-from tests.conftest import RECORD_CASES, mlp_flow, one_row_batch, paths, random_tabular, record_case
+from tests.conftest import (
+    RECORD_CASES,
+    counting_rewards,
+    mlp_flow,
+    one_row_batch,
+    paths,
+    random_tabular,
+    record_case,
+)
 
 
 def test_uniform_softmax_three_actions(grid3, grid3_space):
@@ -508,10 +516,27 @@ def test_one_column_block_equals_the_dense_row_major_reference(name, request, rn
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_sample_batch_evaluates_no_reward(seq22, backend, rng):
+    # sampling reads no reward; a loss reads log R through the space's cache
+    env, seen = counting_rewards(seq22)
+    if backend == "tabular":
+        space = StateSpace.enumerated(env)
+        pol = random_tabular(space, rng)
+    else:  # a lazily expanded space
+        space = StateSpace(env)
+        pol = MlpPolicy.create(env, (8,), rng)
+    tb = sample_batch(pol, space, 32, 0.5, rng)
+    sample_batch(pol, space, 32, 0.5, rng, want_steps=True)
+    assert seen[0] == 0
+    space.log_rewards(tb.terminal_idx())  # the count sees a read
+    assert seen[0] == np.unique(tb.terminal_idx()).size
+
+
 def test_balanced_policy_satisfies_trajectory_balance(mset33, mset33_space, rng):
     pol = balanced_tabular_policy(mset33_space)
     tb = sample_batch(pol, mset33_space, 64, 0.5, rng)
     pf = replay_log_pf(pol, mset33_space, tb)
     pb = replay_log_pb(mset33_space, tb)
-    v = pf - pb - tb.log_reward  # should be constant -log Z across trajectories
+    v = pf - pb - mset33_space.log_rewards(tb.terminal_idx())  # should be constant -log Z across trajectories
     assert np.max(v) - np.min(v) <= 1e-10

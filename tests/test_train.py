@@ -22,7 +22,7 @@ from gfnpool.train import (
     train_clients,
     train_local,
 )
-from tests.conftest import count_replays
+from tests.conftest import count_replays, counting_rewards
 
 
 def small_cfg(kind="CB", **kw):
@@ -216,3 +216,28 @@ def test_nonfinite_loss_aborts():
 
     with pytest.raises((RewardSupportError, NumericError)), pytest.warns(RuntimeWarning, match="overflow"):
         train_local(env, small_cfg(epochs=5))
+
+
+@pytest.mark.parametrize("kind", ["CB", "DB"])
+def test_fit_reads_each_new_terminal_once_through_the_space(mset33, kind, monkeypatch):
+    import gfnpool.train as train_module
+
+    env, seen = counting_rewards(mset33)
+    epochs = []  # per epoch: the keys read before it, and its terminals
+
+    def sampled(*args, **kwargs):
+        steps = sample_batch(*args, **kwargs)
+        epochs.append((seen[0], steps.tb.terminal_idx()))
+        return steps
+
+    monkeypatch.setattr(train_module, "sample_batch", sampled)
+    res = train_local(env, small_cfg(kind, epochs=3, batch=8, eval_every=0))
+    marks = [before for before, _ in epochs] + [seen[0]]
+    assert len(epochs) == 3 and marks[0] == 0 < marks[1]
+    read = np.zeros(res.space.n_states, dtype=bool)
+    for k, (_, term) in enumerate(epochs):
+        # one env key per terminal no earlier epoch read
+        assert marks[k + 1] - marks[k] == np.setdiff1d(term, np.flatnonzero(read)).size
+        read[term] = True
+    res.space.log_rewards(np.flatnonzero(read))  # every one is in the cache now
+    assert seen[0] == read.sum()
