@@ -236,22 +236,3 @@ def pcvi_write(params: PcviParams, path) -> None:
             shape = "x".join(str(d) for d in block.shape)
             fh.write(f"block {name} {shape}\n")
             fh.write(" ".join(repr(float(v)) for v in block.ravel()) + "\n")
-
-
-def pcvi_read(path) -> PcviParams:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("kind "):
-        raise ValueError("malformed PCVI parameter file")
-    kind = lines[0].split(" ", 1)[1]
-    blocks: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        if not lines[i].startswith("block "):
-            raise ValueError(f"expected a block header at line {i + 1}")
-        _, name, shape = lines[i].split(" ")
-        dims = tuple(int(d) for d in shape.split("x"))
-        vals = np.array([float(v) for v in lines[i + 1].split()])
-        blocks[name] = vals.reshape(dims)
-        i += 2
-    return PcviParams(kind, blocks)

@@ -22,7 +22,7 @@ from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
 from .losses import LossSpec, PooledLocals
 from .policy import balanced_tabular_policy, load_snapshot, replay_log_pb, replay_log_pf
-from .train import build_space, derive_seed, enumerate_or_none, train_clients, train_local
+from .train import build_space, enumerate_or_none, train_clients, train_local
 
 
 TIME_COLUMNS = ("wall_ms", "sample_ms", "loss_ms", "step_ms", "eval_ms")
@@ -235,14 +235,10 @@ def cmd_baselines(args) -> int:
     return 0
 
 
-def _pipeline_final_l1(
-    run: RunConfig, envs, agg_seed_salt: int = 0, space: StateSpace | None = None
-) -> tuple[list[dict], float]:
+def _pipeline_final_l1(run: RunConfig, envs, space: StateSpace | None = None) -> tuple[list[dict], float]:
     """Train clients, aggregate, return aggregation metrics and final L1.
     Both run on one enumeration: `space` if given, else one built here."""
     cfg = run.aggregate_config()
-    if agg_seed_salt:
-        cfg = replace(cfg, seed=derive_seed(cfg.seed, agg_seed_salt))
     if space is None:
         space = StateSpace.enumerated(envs[0], cfg.state_guard)
     cfgs = run.client_train_configs()

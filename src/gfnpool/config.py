@@ -61,7 +61,9 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
         node = doc
         parts = key.split(".")
         for p in parts[:-1]:
-            node = node.setdefault(p, {})
+            if node.get(p) is None:  # a section left null takes every default
+                node[p] = {}
+            node = node[p]
             if not isinstance(node, dict):
                 raise ConfigError(key, f"cannot descend through non-mapping at {p!r}")
         node[parts[-1]] = yaml.safe_load(raw)
@@ -167,7 +169,7 @@ class RunConfig:
         if self.env_kind == "grid" and n is None:
             beacons = _get(self.doc, "env.grid.beacons", kind=list)
             n = len(beacons) if beacons else None
-        if not isinstance(n, int) or n < 1:
+        if not (_whole(n) and n >= 1):  # `_whole` turns away YAML's booleans
             raise ConfigError("clients.n", f"expected a positive integer, got {n!r}")
         return n
 
@@ -352,6 +354,6 @@ class RunConfig:
 
     def sweep_seeds(self) -> list[int]:
         seeds = _get(self.doc, "sweep.seeds", default=[self.seed], kind=list)
-        if not all(isinstance(s, int) and s >= 1 for s in seeds):
+        if not all(_whole(s) and s >= 1 for s in seeds):
             raise ConfigError("sweep.seeds", "expected positive integers")
         return seeds

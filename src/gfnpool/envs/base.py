@@ -56,10 +56,9 @@ class Environment(ABC):
         """Raise MalformedStateError if `s` is not a reachable state."""
 
     # The public methods below validate their key once and then call the
-    # unchecked `_` form, which environments implement. Callers that only
-    # hold keys the env produced itself (the state space) call the unchecked
-    # forms directly. A wrapper may override the public forms instead; the
-    # inherited unchecked forms then go through its overrides.
+    # unchecked `_` form, which every environment implements. Callers that
+    # only hold keys the env produced itself (the state space) call the
+    # unchecked forms directly.
 
     def children(self, s: StateKey) -> list:
         """All legal transitions from `s` as (action_id, child, is_stop)."""
@@ -74,15 +73,11 @@ class Environment(ABC):
         self.validate_key(s)
         return self._featurize(s)
 
-    def _children(self, s: StateKey) -> list:
-        if type(self).children is Environment.children:
-            raise NotImplementedError(f"{type(self).__name__} implements neither children nor _children")
-        return self.children(s)
+    @abstractmethod
+    def _children(self, s: StateKey) -> list: ...
 
-    def _is_terminal(self, s: StateKey) -> bool:
-        if type(self).is_terminal is Environment.is_terminal:
-            raise NotImplementedError(f"{type(self).__name__} implements neither is_terminal nor _is_terminal")
-        return self.is_terminal(s)
+    @abstractmethod
+    def _is_terminal(self, s: StateKey) -> bool: ...
 
     # An env whose keys are tuples of at most `key_width` ints may also give
     # `_children_rows(rows, lengths)`: `_children` of a whole batch of keys,
@@ -101,18 +96,17 @@ class Environment(ABC):
     # lengths)`: the (n, feature_dim) float64 features of a key matrix. The
     # state space featurizes with one such call, on its own key matrix if
     # the level walk built it, and `_featurize` of one key is derived from it.
+    # An env without it has no features.
     _featurize_rows = None
 
     def _featurize(self, s: StateKey) -> np.ndarray:
-        if self._featurize_rows is not None:
-            rows = np.zeros((1, self.key_width), dtype=np.int64)
-            rows[0, : len(s)] = s
-            return self._featurize_rows(rows, np.array([len(s)]))[0]
-        if type(self).featurize is Environment.featurize:
+        if self._featurize_rows is None:
             raise UnsupportedFeaturizationError(
                 f"{self.kind} environment has no feature encoding; use the tabular backend"
             )
-        return self.featurize(s)
+        rows = np.zeros((1, self.key_width), dtype=np.int64)
+        rows[0, : len(s)] = s
+        return self._featurize_rows(rows, np.array([len(s)]))[0]
 
     @abstractmethod
     def parents(self, s: StateKey) -> list:

@@ -120,7 +120,7 @@ class StateSpace:
             )
 
     def _register(self, key: StateKey, depth: int) -> int:
-        """Add a key the env produced, or one `lookup` has validated."""
+        """Add a key the env produced."""
         index = self._shared["index"]
         idx = index.get(key)
         if idx is not None:
@@ -133,22 +133,6 @@ class StateSpace:
         self._n = idx + 1
         self._depth[idx] = depth
         return idx
-
-    def lookup(self, key: StateKey) -> int:
-        """Index of a state, registering it if new (validates via env)."""
-        idx = self.index.get(key)
-        if idx is not None:
-            return idx
-        self.env.validate_key(key)
-        depth = 0 if key == self._initial else self._depth_of(key)
-        return self._register(key, depth)
-
-    def _depth_of(self, key: StateKey) -> int:
-        parent, _ = self.env.parents(key)[0]
-        pidx = self.index.get(parent)
-        if pidx is not None:
-            return int(self._depth[pidx]) + 1
-        return self._depth_of(parent) + 1
 
     def _expand(self, idx: int) -> None:
         depth = int(self._depth[idx]) + 1
@@ -212,8 +196,7 @@ class StateSpace:
 
         The missing rows take one `_featurize_rows` call: a level-walked
         space passes it the rows of its key matrix, any other space the
-        `int_key_matrix` of its keys. An env without the batch form, or keys
-        the matrix does not take, go one key at a time through `_featurize`."""
+        `int_key_matrix` of its keys."""
         env = self.env
         if self._feats is None:
             fd = env.feature_dim
@@ -223,16 +206,11 @@ class StateSpace:
         idx = np.asarray(idx)
         missing = np.unique(idx[~self._featurized[idx]])
         if missing.size:
-            if env._featurize_rows is None:
-                got = None
-            elif self._rows is not None:
+            if self._rows is not None:
                 got = self._rows[missing], self._lengths[missing]
             else:
                 got = int_key_matrix([self.keys[i] for i in missing.tolist()], env.key_width)
-            if got is None:
-                self._feats[missing] = [env._featurize(self.keys[i]) for i in missing.tolist()]
-            else:
-                self._feats[missing] = env._featurize_rows(*got)
+            self._feats[missing] = env._featurize_rows(*got)
             self._featurized[missing] = True
         return self._feats[idx]
 

@@ -220,9 +220,7 @@ def enumerate_trajectory_batches(
             lengths[r] = len(aa)
             states[r, : len(ss)] = ss
             actions[r, : len(aa)] = aa
-        tb = TrajectoryBatch(
-            states, actions, lengths, np.zeros((b, horizon)), np.zeros((b, horizon)), None
-        )
+        tb = TrajectoryBatch(states, actions, lengths)
         buf_states.clear()
         buf_actions.clear()
         return tb

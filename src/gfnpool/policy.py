@@ -1,16 +1,15 @@
 """Forward policies, trajectory sampling and replay, and the snapshot
 format clients ship to the server. The backward policy is always uniform,
-p_B(s' -> s) = 1 / |parents(s')|: `sample_batch` records it in `log_pb`
-and `replay_log_pb` recomputes it.
+p_B(s' -> s) = 1 / |parents(s')|, and `replay_log_pb` computes it.
 
-Trajectories exist only as a `TrajectoryBatch`; a single trajectory is a
-one-row batch. Sampling advances a batch in lockstep and works on each
-step's distinct states: one masked softmax, legal mask, uniform row and
-cumulative sum of each per distinct state, which every trajectory at that
-state then reads. A row's softmax and cumulative sum do not depend on the
-other rows, so the draws are those of one row per trajectory. `log_pf` and
-`log_pb` are filled in one pass after the last step. Sampling evaluates no
-reward; a loss reads log R from the space's cache, `StateSpace.log_rewards`.
+Trajectories exist only as a `TrajectoryBatch`, which holds the path alone:
+states, actions and lengths. A single trajectory is a one-row batch.
+Sampling advances a batch in lockstep and works on each step's distinct
+states: one masked softmax, legal mask, uniform row and cumulative sum of
+each per distinct state, which every trajectory at that state then reads.
+A row's softmax and cumulative sum do not depend on the other rows, so the
+draws are those of one row per trajectory. Sampling evaluates no reward; a
+loss reads log R from the space's cache, `StateSpace.log_rewards`.
 
 Everything computed per step afterwards reads the batch's step record,
 `Steps`: the batch itself, then its steps flattened row-major over
@@ -66,12 +65,12 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .envs.base import Environment, StateKey
+from .envs.base import Environment
 from .envs.space import CHILD_ILLEGAL, CHILD_STOP, StateSpace
 from .errors import (
     FingerprintMismatchError,
@@ -317,10 +316,12 @@ class TrajectoryBatch:
     states: np.ndarray  # (B, T) state indices, -1 beyond the path
     actions: np.ndarray  # (B, T) action ids, -1 beyond the path
     lengths: np.ndarray  # (B,) transition counts, stop included
-    log_pf: np.ndarray  # (B, T) on-policy log-probs recorded at sampling
-    log_pb: np.ndarray  # (B, T) uniform-backward log-probs (stop step: 0)
-    # nothing in gfnpool sets it; kept for callers that pass six positional fields
-    log_reward: np.ndarray | None
+    # accepted and dropped, for callers that pass six positional arrays: log
+    # p_F is the step record's (`step_log_pf`), log p_B `replay_log_pb`'s, and
+    # log R the space's
+    log_pf: InitVar[np.ndarray | None] = None
+    log_pb: InitVar[np.ndarray | None] = None
+    log_reward: InitVar[np.ndarray | None] = None
 
     @property
     def batch_size(self) -> int:
@@ -339,14 +340,7 @@ class TrajectoryBatch:
         return np.arange(self.horizon) < self.lengths[:, None]
 
     def subset(self, idx) -> "TrajectoryBatch":
-        return TrajectoryBatch(
-            self.states[idx],
-            self.actions[idx],
-            self.lengths[idx],
-            self.log_pf[idx],
-            self.log_pb[idx],
-            None if self.log_reward is None else self.log_reward[idx],
-        )
+        return TrajectoryBatch(self.states[idx], self.actions[idx], self.lengths[idx])
 
 
 class Steps(NamedTuple):
@@ -427,8 +421,8 @@ def sample_batch(
     want_steps: bool = False,
 ):
     """Sample `batch` trajectories from the epsilon-mixture of the policy and
-    the uniform forward policy. Recorded log p_F is always the on-policy
-    value - the mixture is only a proposal. No reward is evaluated.
+    the uniform forward policy. The step record holds the policy's own rows
+    - the mixture is only a proposal. No reward is evaluated.
 
     Each step computes its rows once per distinct state it leaves, and each
     trajectory takes its state's row: step (b, t) reads row slot[b, t] of
@@ -476,18 +470,14 @@ def sample_batch(
                 raise NumericError("non-stop transition at the step budget boundary")
             states[alive, t + 1] = nxt
         t += 1
-    tb = TrajectoryBatch(states, actions, lengths, np.zeros((batch, horizon)), np.zeros((batch, horizon)), None)
+    tb = TrajectoryBatch(states, actions, lengths)
+    if not want_steps:
+        return tb
     valid = tb.valid()
     g, a = slot[valid], actions[valid]
     logps, ps, caches = zip(*record)
-    logp = np.concatenate(logps)
-    tb.log_pf[valid] = logp[g, a]
-    enter = valid[:, 1:]  # non-stop steps enter states[:, 1:]
-    tb.log_pb[:, :-1][enter] = -np.log(space.nparents(states[:, 1:][enter]))
-    if not want_steps:
-        return tb
     bc = None if caches[0] is None else _stack_mlp_rows(caches, g)
-    return Steps(tb, valid, states[valid], a, logp[g], np.concatenate(ps)[g], bc)
+    return Steps(tb, valid, states[valid], a, np.concatenate(logps)[g], np.concatenate(ps)[g], bc)
 
 
 def _stack_mlp_rows(caches, g: np.ndarray):
@@ -545,12 +535,6 @@ def replay_log_pb(space: StateSpace, tb: TrajectoryBatch) -> np.ndarray:
     nxt = np.where(mask, tb.states[:, 1:], 0)
     npar = np.where(mask, space.nparents(nxt), 1)
     return -np.log(npar).sum(axis=1)
-
-
-def action_distribution(policy: ForwardPolicy, space: StateSpace, s: StateKey) -> np.ndarray:
-    """Masked-softmax action probabilities at one state (full arity vector,
-    exactly 0 on illegal slots)."""
-    return policy_probs(policy, space, np.array([space.lookup(s)]))[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +638,11 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
     params = snapshot_params(doc)
     if not np.all(np.isfinite(params)):
         raise SnapshotError("non-finite parameter in the payload")
-    arch = doc.get("arch")
+    arch, meta = doc.get("arch"), doc.get("meta", {})
     if not isinstance(arch, dict):
         raise SnapshotError(f"snapshot arch must be an object, got {arch!r}")
+    if not isinstance(meta, dict):
+        raise SnapshotError(f"snapshot meta must be an object, got {meta!r}")
     if doc.get("backend") == "tabular":
         if space is None:
             space = StateSpace.enumerated(env)
@@ -689,5 +675,5 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
         policy = MlpPolicy(spec, params)
     else:
         raise SnapshotError(f"unknown backend {doc.get('backend')!r}")
-    return policy, doc.get("meta", {})
+    return policy, meta
 

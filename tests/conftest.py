@@ -188,11 +188,40 @@ def one_row_batch(space, keys, actions):
 
     h = space.env.max_traj_len
     states = np.full((1, h), -1, dtype=np.int64)
-    states[0, : len(keys)] = [space.lookup(k) for k in keys]
+    states[0, : len(keys)] = [space.index[k] for k in keys]
     acts = np.full((1, h), -1, dtype=np.int64)
     acts[0, : len(actions)] = actions
-    tb = TrajectoryBatch(states, acts, np.array([len(actions)]), np.zeros((1, h)), np.zeros((1, h)), None)
-    return tb
+    return TrajectoryBatch(states, acts, np.array([len(actions)]))
+
+
+def action_distribution(policy, space, key):
+    """The policy's action probabilities at the state `key` of `space`: the
+    full arity vector, exactly 0 on illegal slots."""
+    from gfnpool.policy import policy_probs
+
+    return policy_probs(policy, space, np.array([space.index[key]]))[2][0]
+
+
+def pcvi_read(path):
+    """The `PcviParams` that `aggregate.pcvi_write` wrote to `path`."""
+    from gfnpool.aggregate import PcviParams
+
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    if not lines or not lines[0].startswith("kind "):
+        raise ValueError("malformed PCVI parameter file")
+    kind = lines[0].split(" ", 1)[1]
+    blocks: dict[str, np.ndarray] = {}
+    i = 1
+    while i < len(lines):
+        if not lines[i].startswith("block "):
+            raise ValueError(f"expected a block header at line {i + 1}")
+        _, name, shape = lines[i].split(" ")
+        dims = tuple(int(d) for d in shape.split("x"))
+        vals = np.array([float(v) for v in lines[i + 1].split()])
+        blocks[name] = vals.reshape(dims)
+        i += 2
+    return PcviParams(kind, blocks)
 
 
 def counting_rewards(env):

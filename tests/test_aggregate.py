@@ -14,7 +14,6 @@ from gfnpool.aggregate import (
     pcvi_distribution,
     pcvi_fit,
     pcvi_pool,
-    pcvi_read,
     pcvi_write,
 )
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
@@ -25,7 +24,6 @@ from gfnpool.losses import LossSpec, PooledLocals
 from gfnpool.policy import (
     MlpPolicy,
     TabularPolicy,
-    action_distribution,
     balanced_tabular_policy,
     load_snapshot,
     replay_log_pf,
@@ -33,7 +31,7 @@ from gfnpool.policy import (
     save_snapshot,
 )
 from gfnpool.train import TrainConfig, train_local
-from tests.conftest import count_replays, random_tabular
+from tests.conftest import action_distribution, count_replays, pcvi_read, random_tabular
 
 
 class RewardCallCounter(Environment):
@@ -63,17 +61,22 @@ class RewardCallCounter(Environment):
     def validate_key(self, s):
         self.base.validate_key(s)
 
-    def children(self, s):
-        return self.base.children(s)
+    def _children(self, s):
+        return self.base._children(s)
 
     def parents(self, s):
         return self.base.parents(s)
 
-    def is_terminal(self, s):
-        return self.base.is_terminal(s)
+    def _is_terminal(self, s):
+        return self.base._is_terminal(s)
 
-    def featurize(self, s):
-        return self.base.featurize(s)
+    @property
+    def key_width(self):
+        return self.base.key_width
+
+    @property
+    def _featurize_rows(self):
+        return self.base._featurize_rows
 
     def n_states_estimate(self):
         return self.base.n_states_estimate()

@@ -211,6 +211,27 @@ def test_evaluate_scores_the_global_against_its_own_weights(outroot, capsys):
     assert report["weights"] == [0.5, 3.0]
 
 
+def test_evaluate_refuses_a_snapshot_whose_meta_is_not_an_object(outroot, capsys):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    assert main(["aggregate", "--config", cfg, "--set", "aggregate.epochs=5"]) == 0
+    path = outroot / "out" / "tiny" / "global.gfnpolicy"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "meta": [1]}))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: snapshot meta must be an object" in err and "Traceback" not in err
+
+
+def test_set_reaches_a_section_left_null(outroot):
+    # a null section takes every default, and an override fills it in
+    doc = {**TINY_GRID, "aggregate": None}
+    cfg = write_cfg(outroot, doc)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
+    assert main(["aggregate", "--config", cfg, "--set", "aggregate.epochs=3"]) == 0
+    assert apply_overrides({"aggregate": None}, ["aggregate.epochs=3"]) == {"aggregate": {"epochs": 3}}
+
+
 def test_short_manifest_aggregates_with_default_weights(outroot, capsys):
     # a manifest short of a failed client still aggregates and probes
     cfg = write_cfg(outroot, TINY_GRID)
@@ -259,6 +280,7 @@ BAD_FIT_SETTINGS = [
     (["train.eval_every=1.7"], "train"),
     (["aggregate.eval_every=2.5"], "aggregate"),
     (["loss.epsilon=2"], "loss.epsilon"),  # the clients' exploration weight
+    (["clients.n=true"], "clients.n"),  # a YAML boolean is an int to Python, not a count
 ]
 
 
@@ -473,6 +495,7 @@ def test_client_sweep_the_config_cannot_run_is_config_error_before_any_cell(
         ("noise", 0.0, -0.01),
         ("noise", 0.0, float("nan")),
         ("clients", 2, 2.5),
+        ("seeds", 1, True),
     ],
 )
 def test_bad_sweep_value_is_config_error_before_any_cell(outroot, capsys, monkeypatch, axis, good, bad):
@@ -482,9 +505,12 @@ def test_bad_sweep_value_is_config_error_before_any_cell(outroot, capsys, monkey
     monkeypatch.setattr(cli_module, "train_local", cell)
     monkeypatch.setattr(cli_module, "_pipeline_final_l1", cell)
     doc = json.loads(json.dumps(TINY_MULTISET))
-    doc["sweep"] = {"axis": axis, "values": [good, bad], "seeds": [1]}
+    if axis == "seeds":  # a YAML boolean is an int to Python, not a seed
+        doc["sweep"] = {"axis": "loss", "values": ["CB"], "seeds": [good, bad]}
+    else:
+        doc["sweep"] = {"axis": axis, "values": [good, bad], "seeds": [1]}
     assert main(["sweep", "--config", write_cfg(outroot, doc)]) == 2
-    assert "sweep.values" in capsys.readouterr().err
+    assert f"sweep.{'seeds' if axis == 'seeds' else 'values'}" in capsys.readouterr().err
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

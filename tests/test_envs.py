@@ -29,7 +29,6 @@ from tests.conftest import (
     reference_key_walk,
     reference_levels,
 )
-from tests.test_aggregate import RewardCallCounter
 
 ALL_ENV_FIXTURES = ["grid3", "mset33", "seq22", "phylo4"]
 
@@ -358,32 +357,6 @@ def test_features_on_a_lazy_space_equal_the_per_key_encodings(env, rng):
     for part in np.array_split(idx, 3):  # later calls meet rows an earlier one filled
         want = np.array([per_key_features(env, space.keys[i]) for i in part])
         assert_same_bytes(space.features(part), want)
-
-
-class FeaturizeCounter(RewardCallCounter):
-    """The delegating test wrapper, which overrides the public `featurize`
-    and gives no batch form; here it also counts its calls and doubles the
-    base's features."""
-
-    def __init__(self, base):
-        super().__init__(base)
-        self.featurized = 0
-
-    def featurize(self, s):
-        self.featurized += 1
-        return super().featurize(s) * 2.0
-
-
-def test_a_wrapper_that_overrides_featurize_is_read_key_by_key():
-    env = FeaturizeCounter(SequenceEnv(pos_scores=(0.1,) * 3, token_scores=(0.2,) * 2))
-    space = StateSpace.enumerated(env)
-    idx = np.array([3, 1, 3, 0, 9])
-    got = space.features(idx)
-    assert env.featurized == 4  # one call per distinct missing state
-    want = np.array([2.0 * per_key_features(env.base, space.keys[i]) for i in idx])
-    assert_same_bytes(got, want)
-    assert_same_bytes(space.features(idx), want)
-    assert env.featurized == 4
 
 
 def test_space_view_rejects_other_dag():

@@ -36,13 +36,13 @@ from gfnpool.policy import (
     FORWARD_CHUNK,
     MlpPolicy,
     TabularPolicy,
-    action_distribution,
     balanced_tabular_policy,
     policy_rows,
     replay_log_pb,
     replay_log_pf,
 )
 from tests.conftest import (
+    action_distribution,
     random_tabular,
     reference_effective_target,
     reference_exact_pT,

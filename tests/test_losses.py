@@ -18,7 +18,6 @@ from gfnpool.evaluation import count_trajectories, enumerate_trajectory_batches
 from gfnpool.policy import (
     MlpPolicy,
     TabularPolicy,
-    action_distribution,
     apply_log_pf_grad,
     balanced_tabular_policy,
     masked_log_softmax,
@@ -28,7 +27,15 @@ from gfnpool.policy import (
     sample_batch,
     step_log_pf,
 )
-from tests.conftest import RECORD_CASES, mlp_flow, one_row_batch, paths, random_tabular, record_case
+from tests.conftest import (
+    RECORD_CASES,
+    action_distribution,
+    mlp_flow,
+    one_row_batch,
+    paths,
+    random_tabular,
+    record_case,
+)
 
 
 def oracle_log_pf(policy, space, env, path):

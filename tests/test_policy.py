@@ -12,7 +12,6 @@ from gfnpool.policy import (
     MlpPolicy,
     _count_below,
     TabularPolicy,
-    action_distribution,
     balanced_tabular_policy,
     load_snapshot,
     masked_log_softmax,
@@ -25,10 +24,12 @@ from gfnpool.policy import (
     snapshot_bytes,
     snapshot_doc,
     snapshot_params,
+    step_log_pf,
 )
 from gfnpool.nn import mlp_backward, mlp_forward
 from tests.conftest import (
     RECORD_CASES,
+    action_distribution,
     counting_rewards,
     mlp_flow,
     one_row_batch,
@@ -116,8 +117,9 @@ def test_epsilon_zero_deterministic_policy(grid3, grid3_space):
 
 def test_sampled_paths_validate_against_children(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 64, 0.3, rng)
-    assert np.all(np.isfinite(tb.log_pf.sum(axis=1)))
+    steps = sample_batch(pol, grid3_space, 64, 0.3, rng, want_steps=True)
+    tb = steps.tb
+    assert np.all(np.isfinite(step_log_pf(steps)))
     for states, actions in paths(grid3_space, tb):
         for s, s2, a in zip(states, states[1:], actions):
             assert (a, s2, False) in grid3.children(s)
@@ -148,9 +150,10 @@ def test_uniform_backward_normalizes(grid3, grid3_space):
 
 def test_recorded_vs_recomputed_log_pf(grid3, grid3_space, rng):
     pol = random_tabular(grid3_space, rng)
-    tb = sample_batch(pol, grid3_space, 32, 0.4, rng)
+    steps = sample_batch(pol, grid3_space, 32, 0.4, rng, want_steps=True)
+    tb = steps.tb
     recomputed = replay_log_pf(pol, grid3_space, tb)
-    assert np.max(np.abs(recomputed - tb.log_pf.sum(axis=1))) <= 1e-12
+    assert np.array_equal(recomputed, step_log_pf(steps))  # gathers of one table: the same bits
     for k in (0, 7, 31):
         assert replay_log_pf(pol, grid3_space, tb.subset([k]))[0] == pytest.approx(
             float(recomputed[k]), abs=1e-12
@@ -400,6 +403,7 @@ MALFORMED_SNAPSHOTS = {
     "int-widths": lambda d: _with_arch(d, widths=5),
     "int-params": lambda d: {**d, "params_b64": 5},
     "list-arch": lambda d: {**d, "arch": [1, 2]},
+    "list-meta": lambda d: {**d, "meta": [1]},
     "null-backward": lambda d: {**d, "backward": None},
     "list-document": lambda d: [d],
     "string-slope": lambda d: _with_arch(d, negative_slope="x"),

@@ -16,6 +16,7 @@ from gfnpool.policy import (
     replay_log_pb,
     replay_log_pf,
     sample_batch,
+    step_log_pf,
 )
 from tests.conftest import (
     assert_key_matrix,
@@ -120,10 +121,10 @@ def test_sampled_trajectories_consistent(env, seed):
     rng = np.random.default_rng(seed)
     space = StateSpace.enumerated(env)
     pol = TabularPolicy(space, rng.normal(0, 2, (space.n_states, space.arity)))
-    tb = sample_batch(pol, space, 8, float(rng.uniform(0, 1)), rng)
-    # recorded on-policy log-probs equal recomputation; backward too
-    assert np.max(np.abs(replay_log_pf(pol, space, tb) - tb.log_pf.sum(axis=1))) <= 1e-12
-    assert np.max(np.abs(replay_log_pb(space, tb) - tb.log_pb.sum(axis=1))) <= 1e-12
+    steps = sample_batch(pol, space, 8, float(rng.uniform(0, 1)), rng, want_steps=True)
+    tb = steps.tb
+    # the sampler's on-policy record equals recomputation, bit for bit
+    assert np.array_equal(replay_log_pf(pol, space, tb), step_log_pf(steps))
     # replayed backward log-probs equal the parent counts of the env itself
     oracle = [
         -sum(np.log(len(env.parents(space.keys[i]))) for i in tb.states[k, 1:n])
