@@ -25,10 +25,9 @@ from .policy import (
     ForwardPolicy,
     TabularPolicy,
     load_snapshot,
+    read_snapshot,
     save_snapshot,
     snapshot_bytes,
-    snapshot_doc,
-    snapshot_params,
 )
 from .train import FitConfig, FitResult, build_space, fit
 
@@ -96,13 +95,12 @@ def fedavg_average(snapshots: list[bytes]) -> bytes:
     required). A correctness-free baseline; metadata marks its provenance."""
     if not snapshots:
         raise SnapshotError("nothing to average")
-    docs = [snapshot_doc(b) for b in snapshots]
+    docs, stacks = zip(*map(read_snapshot, snapshots))
     head = docs[0]
     for d in docs[1:]:
         for key in ("version", "env_fingerprint", "backend", "arch", "backward"):
             if d.get(key) != head.get(key):
                 raise SnapshotError(f"snapshot mismatch on {key!r}; cannot average")
-    stacks = [snapshot_params(d) for d in docs]
     if len({s.size for s in stacks}) != 1:
         raise SnapshotError("parameter payload sizes differ")
     meta = {"baseline": "fedavg", "n_locals": len(docs)}

@@ -110,6 +110,9 @@ def cmd_train_clients(args) -> int:
     manifest_lines = []
     for k, res in enumerate(results):
         if not res.ok:
+            # an earlier run's outputs would read as this run's
+            _snapshot_path(out, k).unlink(missing_ok=True)
+            (out / f"client{k}.metrics.csv").unlink(missing_ok=True)
             failed.append((k, res.error))
             continue
         _snapshot_path(out, k).write_bytes(res.snapshot)

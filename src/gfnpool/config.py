@@ -163,6 +163,8 @@ class RunConfig:
             pn = _get(self.doc, "env.phylo.clients")
             if n is None and pn is None:
                 raise ConfigError("clients.n", "client count missing (or set env.phylo.clients)")
+            if pn is not None and not (_whole(pn) and pn >= 1):
+                raise ConfigError("env.phylo.clients", f"expected a positive integer, got {pn!r}")
             if n is not None and pn is not None and n != pn:
                 raise ConfigError("env.phylo.clients", f"disagrees with clients.n ({pn} != {n})")
             n = n if n is not None else pn

@@ -51,18 +51,20 @@ theorem checks) goes through `policy_probs`, which keeps no cache: an MLP
 runs its forward in `FORWARD_CHUNK`-sized parts and keeps only their
 outputs, so the memory of a read is bounded by the part, not the call.
 
-A snapshot (version 2) is sorted, compact JSON: the version, the
-environment fingerprint, the backend, its `arch`, the backward mode, free
-`meta`, and `params_b64`, the base64 of the flat parameters as
-little-endian float64. A tabular payload has one value per legal edge in
-row-major (state, slot) order, and its arch holds `n_states`, `arity` and
-`n_edges`; an MLP payload is its flat vector, and its arch holds `widths`
-and `negative_slope`. A snapshot of any other version is refused.
+A snapshot (version 3) is one line of sorted, compact JSON, then the flat
+parameters as raw little-endian float64. The header holds the version, the
+environment fingerprint, the backend, its `arch`, the backward mode and
+free `meta`; `json.dumps` escapes control characters, so the first newline
+ends it. A tabular payload has one value per legal edge in row-major
+(state, slot) order, and its arch holds `n_states`, `arity` and `n_edges`;
+an MLP payload is its flat vector, and its arch holds `widths` and
+`negative_slope`. A snapshot of any other version is refused; the text
+snapshots of versions 1 and 2 were one JSON line, so they read as a header
+of their version.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import InitVar, dataclass
@@ -80,7 +82,7 @@ from .errors import (
 )
 from .nn import MlpSpec, mlp_backward, mlp_forward, mlp_init, mlp_stack_caches
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 # rows per MLP forward in a cache-free read. A call of n rows runs as
 # ceil(n / FORWARD_CHUNK) near-equal parts, never as full parts plus a small
 # remainder: with OpenBLAS 0.3.31 (Haswell, one thread), forwards over parts
@@ -576,7 +578,7 @@ def balanced_tabular_policy(space: StateSpace, log_r: np.ndarray | None = None) 
 
 
 def save_snapshot(policy: ForwardPolicy, env: Environment, meta: dict | None = None) -> bytes:
-    """Serialize a policy to the text envelope exchanged with the server."""
+    """Serialize a policy to the snapshot exchanged with the server."""
     doc = {
         "version": SNAPSHOT_VERSION,
         "env_fingerprint": env.fingerprint(),
@@ -589,35 +591,33 @@ def save_snapshot(policy: ForwardPolicy, env: Environment, meta: dict | None = N
 
 
 def snapshot_bytes(doc: dict, params: np.ndarray) -> bytes:
-    """The snapshot of `doc` with `params` as its little-endian float64
-    payload, as sorted, compact JSON; the inverse of `snapshot_doc` and
-    `snapshot_params`."""
-    payload = base64.b64encode(np.asarray(params, dtype="<f8").tobytes()).decode()
-    return (json.dumps({**doc, "params_b64": payload}, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """The snapshot of header `doc` and `params`: sorted, compact JSON, a
+    newline, then the parameters as little-endian float64; the inverse of
+    `read_snapshot`."""
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return header + b"\n" + np.asarray(params, dtype="<f8").tobytes()
 
 
-def snapshot_doc(blob: bytes) -> dict:
-    """The JSON object of a snapshot of the known version; `SnapshotError`
-    for anything else."""
+def read_snapshot(blob: bytes) -> tuple[dict, np.ndarray]:
+    """The header and the read-only parameter view of a snapshot of the
+    known version; `SnapshotError` for anything else."""
+    cut = blob.find(b"\n")
     try:
-        doc = json.loads(blob.decode())
+        doc = json.loads((blob if cut < 0 else blob[:cut]).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"undecodable snapshot: {exc}") from exc
+        raise SnapshotError(f"undecodable snapshot header: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SnapshotError("a snapshot must be a JSON object")
+        raise SnapshotError("a snapshot header must be a JSON object")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"unsupported snapshot version {doc.get('version')!r}: this reader supports version {SNAPSHOT_VERSION} only"
         )
-    return doc
-
-
-def snapshot_params(doc: dict) -> np.ndarray:
-    """The flat parameter vector of a snapshot document."""
-    try:
-        return np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").astype(np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"bad parameter payload: {exc}") from exc
+    if cut < 0:
+        raise SnapshotError("a snapshot needs a newline after its header")
+    size = len(blob) - cut - 1
+    if size % 8:
+        raise SnapshotError(f"parameter payload of {size} bytes is not a whole number of float64")
+    return doc, np.frombuffer(blob, dtype="<f8", offset=cut + 1)
 
 
 def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None):
@@ -627,7 +627,7 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
     Pass the environment's enumerated StateSpace to avoid re-enumerating for
     tabular policies.
     """
-    doc = snapshot_doc(blob)
+    doc, payload = read_snapshot(blob)
     if doc.get("env_fingerprint") != env.fingerprint():
         raise FingerprintMismatchError(
             f"snapshot fingerprint {doc.get('env_fingerprint')!r} != environment {env.fingerprint()!r}"
@@ -635,7 +635,7 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
     backward = doc.get("backward")
     if not isinstance(backward, dict) or backward.get("mode") != "uniform":
         raise SnapshotError("unsupported backward-policy mode")
-    params = snapshot_params(doc)
+    params = payload.astype(np.float64)  # an aligned, writable copy the policy owns
     if not np.all(np.isfinite(params)):
         raise SnapshotError("non-finite parameter in the payload")
     arch, meta = doc.get("arch"), doc.get("meta", {})

@@ -1,4 +1,6 @@
+import base64
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -200,6 +202,24 @@ def action_distribution(policy, space, key):
     from gfnpool.policy import policy_probs
 
     return policy_probs(policy, space, np.array([space.index[key]]))[2][0]
+
+
+def text_snapshot(doc, params) -> bytes:
+    """The one-line text snapshot of versions 1 and 2: `doc` with the base64
+    of the little-endian float64 `params` as `params_b64`, as sorted,
+    compact JSON."""
+    payload = base64.b64encode(np.asarray(params, dtype="<f8").tobytes()).decode()
+    return (json.dumps({**doc, "params_b64": payload}, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def rewritten_snapshot(blob, **changes) -> bytes:
+    """`blob` with the header keys in `changes` replaced; a `params` key
+    replaces the payload."""
+    from gfnpool.policy import read_snapshot, snapshot_bytes
+
+    doc, params = read_snapshot(blob)
+    params = changes.pop("params", params)
+    return snapshot_bytes({**doc, **changes}, params)
 
 
 def pcvi_read(path):

@@ -259,7 +259,10 @@ def test_fedavg_architecture_mismatch(grid3, grid3_space, rng):
         )
 
 
-@pytest.mark.parametrize("blob", [b"[1]", b'{"version":1}', b'{"version":2}', b"\xff", b"not json"])
+@pytest.mark.parametrize(
+    "blob",
+    [b"[1]", b'{"version":1}', b'{"version":2}', b"\xff", b"not json", b'{"version":3}', b'{"version":3}\n\x00'],
+)
 def test_fedavg_rejects_malformed_snapshots(grid3, grid3_space, rng, blob):
     good = save_snapshot(random_tabular(grid3_space, rng), grid3)
     for blobs in ([blob], [good, blob], [blob, good]):

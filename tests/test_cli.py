@@ -10,11 +10,13 @@ import yaml
 
 import gfnpool.aggregate as agg_module
 import gfnpool.cli as cli_module
+import gfnpool.train as train_module
 from gfnpool import evaluation
 from gfnpool.cli import main
 from gfnpool.config import RunConfig, apply_overrides, load_config
 from gfnpool.envs import DEFAULT_STATE_GUARD, MultisetEnv, StateSpace
 from gfnpool.errors import ConfigError
+from tests.conftest import rewritten_snapshot
 
 TINY_GRID = {
     "name": "tiny",
@@ -169,11 +171,11 @@ def test_aggregate_of_a_version_1_snapshot_is_a_snapshot_error(outroot, capsys):
     cfg = write_cfg(outroot, TINY_GRID)
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
     path = outroot / "out" / "tiny" / "client1.gfnpolicy"
-    path.write_bytes(path.read_bytes().replace(b'"version":2', b'"version":1'))
+    path.write_bytes(rewritten_snapshot(path.read_bytes(), version=1))  # the header alone changes
     capsys.readouterr()
     assert main(["aggregate", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "version 1" in err and "version 2" in err
+    assert err.startswith("error:") and "version 1" in err and "version 3" in err
 
 
 def test_baselines_with_a_missing_client_snapshot_is_config_error(outroot, capsys):
@@ -185,6 +187,52 @@ def test_baselines_with_a_missing_client_snapshot_is_config_error(outroot, capsy
     assert main(["baselines", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "client1.gfnpolicy" in err
+
+
+def test_a_failed_client_leaves_no_earlier_snapshot(outroot, capsys, monkeypatch):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5", "--set", "seed=3"]) == 0
+    out = outroot / "out" / "tiny"
+    real = train_module.train_local
+
+    def flaky(env, cfg, space=None):
+        if tuple(env.beacons) == ((2, 0),):  # client 1
+            raise FloatingPointError("diverged")
+        return real(env, cfg, space)
+
+    monkeypatch.setattr(train_module, "train_local", flaky)
+    assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5", "--set", "seed=4"]) == 3
+    assert (out / "client0.gfnpolicy").exists() and (out / "client0.metrics.csv").exists()
+    assert not (out / "client1.gfnpolicy").exists() and not (out / "client1.metrics.csv").exists()
+    assert (out / "clients.manifest").read_text() == "client0.gfnpolicy\n"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["models"]) == ["client0"]
+    assert main(["baselines", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "client1.gfnpolicy" in err
+
+
+# a phylo config's client count comes from clients.n or env.phylo.clients;
+# the error names the key that holds the bad value
+PHYLO_CLIENT_COUNTS = {
+    "phylo-true": (["env.phylo.clients=true"], "env.phylo.clients"),
+    "phylo-zero": (["env.phylo.clients=0"], "env.phylo.clients"),
+    "phylo-true-n-1": (["env.phylo.clients=true", "clients.n=1"], "env.phylo.clients"),
+    "phylo-float-n-2": (["env.phylo.clients=2.0", "clients.n=2"], "env.phylo.clients"),
+    "phylo-2-n-3": (["env.phylo.clients=2", "clients.n=3"], "env.phylo.clients"),
+    "n-true": (["clients.n=true"], "clients.n"),
+}
+
+
+@pytest.mark.parametrize("overrides, key", PHYLO_CLIENT_COUNTS.values(), ids=PHYLO_CLIENT_COUNTS.keys())
+def test_a_bad_phylo_client_count_names_its_key(overrides, key):
+    doc = load_config(CONFIGS / "phylo.yaml")
+    del doc["clients"], doc["env"]["phylo"]["clients"]
+    with pytest.raises(ConfigError) as err:
+        RunConfig(apply_overrides(doc, overrides))
+    assert err.value.key == key
 
 
 def test_config_weights_must_match_manifest(outroot, capsys):
@@ -216,7 +264,7 @@ def test_evaluate_refuses_a_snapshot_whose_meta_is_not_an_object(outroot, capsys
     assert main(["train-clients", "--config", cfg, "--set", "train.epochs=5"]) == 0
     assert main(["aggregate", "--config", cfg, "--set", "aggregate.epochs=5"]) == 0
     path = outroot / "out" / "tiny" / "global.gfnpolicy"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "meta": [1]}))
+    path.write_bytes(rewritten_snapshot(path.read_bytes(), meta=[1]))
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg]) == 1
     err = capsys.readouterr().err

@@ -2,10 +2,12 @@
 
 The ROADMAP rule is that, with fixed seeds, snapshots stay byte-identical:
 a change that alters any hash below must say why in CHANGES.md and update
-the hash in the same change. Each snapshot is also rewritten in the
-version 1 layout (a dense tabular payload), whose hashes are the ones
-pinned before the version 2 format: a format change that moves no trained
-value keeps them. Each run is a few AdamW steps on grid 3x3,
+the hash in the same change. The version 3 hashes pin the bytes written
+today. Each snapshot is also rewritten in the text layouts of versions 2
+and 1 (sorted, compact JSON with the base64 payload in `params_b64`;
+version 1 with a dense tabular payload), whose hashes are the ones pinned
+before each later format: a format change that moves no trained value
+keeps them. Each run is a few AdamW steps on grid 3x3,
 through `train_local` for every local loss and both backends, and through
 `aggregate_ab` for both backends. Between them they cover log Z (TB), the
 flow group (DB), MLP weight decay, the exploration mixture and the AB loss;
@@ -19,9 +21,29 @@ import pytest
 from gfnpool.aggregate import AggregateConfig, aggregate_ab
 from gfnpool.losses import LossSpec
 from gfnpool.envs import GridEnv
-from gfnpool.policy import load_snapshot, snapshot_bytes, snapshot_doc, snapshot_params
+from gfnpool.policy import load_snapshot, read_snapshot
 from gfnpool.train import TrainConfig, train_local
+from tests.conftest import text_snapshot
 
+CLIENT_SHA256_V3 = {
+    ("TB", "tabular"): "0efe0bf5dec6bc5f9cc1d89337aeed7646798e2dbc48d4fa254206e3f7c03a1f",
+    ("DB", "tabular"): "41af3b974e956b2ccd6657c26a9d4576b5e26792c9e8aff7d56d954b17c49cce",
+    ("DBC", "tabular"): "fb180b20494d297bdf052045899b7c21d21d85e9bd7f424b63053ac9ce15397f",
+    ("CB", "tabular"): "6bae5182821c39923d7a1bbeb7d98705fd527fefb4c8f037d7991c5bf82b32a1",
+    ("VL", "tabular"): "9a7dce2983e2142cdaf81ef45cc2fbc3f0081d953d07f88e9cbf05515a8d85ad",
+    ("TB", "mlp"): "7a95edf8d77f4338c293300f9d88fdf7d32662d4a94552352ab9277dc32daa0b",
+    ("DB", "mlp"): "df9fc8eecdd7f21511a88a5f0cac72ac01508eb3036872053c3727460556b81c",
+    ("DBC", "mlp"): "08c73d80501f30a84c522a88f78f4c48f963ea13ac0bb0e3a6342ab37f0c022f",
+    ("CB", "mlp"): "4ac4507f861f9708b54757bedce0bc4cd321783aed9c95cbe3c420d1c50106aa",
+    ("VL", "mlp"): "11d96b66deceaa8e11683d822b385530a3afc8640f9265a29e1f81a52214aedd",
+}
+
+GLOBAL_SHA256_V3 = {
+    "tabular": "6bf8b3a9a74f37ce22d412cb86f748c37be51d46c068593f7f88241f35ad0f15",
+    "mlp": "a8d5eb1f782923288ed1ad6a0d6d86f1334d43c62d9ab03b52755c547f7acbb8",
+}
+
+# the same runs as version 2 wrote them
 CLIENT_SHA256 = {
     ("TB", "tabular"): "c5281e01369ed3398a870e6c08c789a03deefc458b72f0f08c628980449eb684",
     ("DB", "tabular"): "8731112d80380b231b8b530054dbf4f23e511b1eb6425e3c19bd1a11ad3b96df",
@@ -64,17 +86,21 @@ def _sha(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _v2_layout(blob: bytes) -> bytes:
+    """A snapshot rewritten as version 2 wrote it."""
+    doc, params = read_snapshot(blob)
+    return text_snapshot({**doc, "version": 2}, params)
+
+
 def _v1_layout(blob: bytes, env, space) -> bytes:
     """A snapshot rewritten as version 1 wrote it: a tabular payload is the
     dense `.table`, and its arch has no edge count; an MLP payload is
     unchanged."""
-    doc = snapshot_doc(blob)
-    params = snapshot_params(doc)
+    doc, params = read_snapshot(blob)
     if doc["backend"] == "tabular":
         params = load_snapshot(blob, env, space)[0].table
         del doc["arch"]["n_edges"]
-    del doc["params_b64"]
-    return snapshot_bytes({**doc, "version": 1}, params)
+    return text_snapshot({**doc, "version": 1}, params)
 
 
 def _client_cfg(kind, backend, seed, eval_every):
@@ -92,7 +118,8 @@ def _client_cfg(kind, backend, seed, eval_every):
 @pytest.mark.parametrize("kind, backend", sorted(CLIENT_SHA256))
 def test_client_snapshot_bytes_are_pinned(grid3, grid3_space, kind, backend):
     res = train_local(grid3, _client_cfg(kind, backend, seed=7, eval_every=2), grid3_space)
-    assert _sha(res.snapshot) == CLIENT_SHA256[(kind, backend)]
+    assert _sha(res.snapshot) == CLIENT_SHA256_V3[(kind, backend)]
+    assert _sha(_v2_layout(res.snapshot)) == CLIENT_SHA256[(kind, backend)]
     assert _sha(_v1_layout(res.snapshot, grid3, grid3_space)) == CLIENT_SHA256_V1[(kind, backend)]
 
 
@@ -105,5 +132,6 @@ def test_global_snapshot_bytes_are_pinned(grid3_space, backend):
     ]
     cfg = AggregateConfig(epochs=8, batch=16, seed=13, backend=backend, hidden=(8, 8), eval_every=2)
     res = aggregate_ab(envs[0], snaps, cfg, space=grid3_space)
-    assert _sha(res.snapshot) == GLOBAL_SHA256[backend]
+    assert _sha(res.snapshot) == GLOBAL_SHA256_V3[backend]
+    assert _sha(_v2_layout(res.snapshot)) == GLOBAL_SHA256[backend]
     assert _sha(_v1_layout(res.snapshot, envs[0], grid3_space)) == GLOBAL_SHA256_V1[backend]

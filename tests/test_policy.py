@@ -1,4 +1,3 @@
-import base64
 import json
 
 import numpy as np
@@ -15,15 +14,13 @@ from gfnpool.policy import (
     balanced_tabular_policy,
     load_snapshot,
     masked_log_softmax,
+    read_snapshot,
     replay_log_pb,
     replay_log_pf,
     replay_steps,
     row_sums,
     sample_batch,
     save_snapshot,
-    snapshot_bytes,
-    snapshot_doc,
-    snapshot_params,
     step_log_pf,
 )
 from gfnpool.nn import mlp_backward, mlp_forward
@@ -36,6 +33,8 @@ from tests.conftest import (
     paths,
     random_tabular,
     record_case,
+    rewritten_snapshot,
+    text_snapshot,
 )
 
 
@@ -345,12 +344,10 @@ def test_snapshot_roundtrip_idempotent(grid3, grid3_space, rng):
     blob = save_snapshot(pol, grid3, meta={"loss": "CB"})
     loaded, meta = load_snapshot(blob, grid3, grid3_space)
     assert save_snapshot(loaded, grid3, meta=meta) == blob
-    assert json.loads(blob)["backward"] == {"mode": "uniform"} and meta["loss"] == "CB"
+    assert read_snapshot(blob)[0]["backward"] == {"mode": "uniform"} and meta["loss"] == "CB"
     # only the uniform backward policy loads
-    doc = json.loads(blob)
-    doc["backward"]["mode"] = "learned"
     with pytest.raises(SnapshotError, match="backward"):
-        load_snapshot(json.dumps(doc).encode(), grid3, grid3_space)
+        load_snapshot(rewritten_snapshot(blob, backward={"mode": "learned"}), grid3, grid3_space)
 
 
 def test_snapshot_distributions_bit_exact(rng):
@@ -376,80 +373,94 @@ def test_snapshot_corruption_detected(grid3, grid3_space, rng):
     blob = save_snapshot(random_tabular(grid3_space, rng), grid3)
     with pytest.raises(SnapshotError):
         load_snapshot(blob[: len(blob) // 2], grid3, grid3_space)
-    doc = json.loads(blob)
-    doc["version"] = 99
     with pytest.raises(SnapshotError):
-        load_snapshot(json.dumps(doc).encode(), grid3, grid3_space)
-    doc = json.loads(blob)
-    doc["params_b64"] = doc["params_b64"][: len(doc["params_b64"]) // 2]
+        load_snapshot(rewritten_snapshot(blob, version=99), grid3, grid3_space)
+    params = read_snapshot(blob)[1]
     with pytest.raises(SnapshotError):
-        load_snapshot(json.dumps(doc).encode(), grid3, grid3_space)
+        load_snapshot(rewritten_snapshot(blob, params=params[: params.size // 2]), grid3, grid3_space)
 
 
 def _with_arch(doc, **arch):
     return {**doc, "arch": {**doc["arch"], **arch}}
 
 
-def _with_nan_param(doc):
-    params = np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").copy()
+def _with_nan_param(doc, params):
+    params = params.copy()
     params[3] = np.nan
-    return {**doc, "params_b64": base64.b64encode(params.tobytes()).decode()}
+    return doc, params.tobytes()
 
 
+# each case maps a snapshot's (header, parameters) to a (header, payload bytes)
 MALFORMED_SNAPSHOTS = {
-    "no-arch": lambda d: {k: v for k, v in d.items() if k != "arch"},
-    "empty-widths": lambda d: _with_arch(d, widths=[]),
-    "zero-width": lambda d: _with_arch(d, widths=[d["arch"]["widths"][0], 0, d["arch"]["widths"][-1]]),
-    "int-widths": lambda d: _with_arch(d, widths=5),
-    "int-params": lambda d: {**d, "params_b64": 5},
-    "list-arch": lambda d: {**d, "arch": [1, 2]},
-    "list-meta": lambda d: {**d, "meta": [1]},
-    "null-backward": lambda d: {**d, "backward": None},
-    "list-document": lambda d: [d],
-    "string-slope": lambda d: _with_arch(d, negative_slope="x"),
+    "no-arch": lambda d, p: ({k: v for k, v in d.items() if k != "arch"}, p.tobytes()),
+    "empty-widths": lambda d, p: (_with_arch(d, widths=[]), p.tobytes()),
+    "zero-width": lambda d, p: (_with_arch(d, widths=[d["arch"]["widths"][0], 0, d["arch"]["widths"][-1]]), p.tobytes()),
+    "int-widths": lambda d, p: (_with_arch(d, widths=5), p.tobytes()),
+    "int-params": lambda d, p: (d, np.arange(5, dtype="<i4").tobytes()),
+    "list-arch": lambda d, p: ({**d, "arch": [1, 2]}, p.tobytes()),
+    "list-meta": lambda d, p: ({**d, "meta": [1]}, p.tobytes()),
+    "null-backward": lambda d, p: ({**d, "backward": None}, p.tobytes()),
+    "list-document": lambda d, p: ([d], p.tobytes()),
+    "string-slope": lambda d, p: (_with_arch(d, negative_slope="x"), p.tobytes()),
     "nan-param": _with_nan_param,
 }
 
 
+def _malformed(blob, case):
+    doc, payload = MALFORMED_SNAPSHOTS[case](*read_snapshot(blob))
+    return json.dumps(doc).encode() + b"\n" + payload
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
 def test_malformed_snapshot_is_a_snapshot_error(case, grid3, grid3_space, rng):
-    doc = json.loads(save_snapshot(MlpPolicy.create(grid3, (4,), rng), grid3))
-    blob = json.dumps(MALFORMED_SNAPSHOTS[case](doc)).encode()
+    blob = save_snapshot(MlpPolicy.create(grid3, (4,), rng), grid3)
     with pytest.raises(SnapshotError):
-        load_snapshot(blob, grid3, grid3_space)
+        load_snapshot(_malformed(blob, case), grid3, grid3_space)
     if case == "nan-param":  # a tabular payload is checked the same way
-        doc = json.loads(save_snapshot(random_tabular(grid3_space, rng), grid3))
+        blob = save_snapshot(random_tabular(grid3_space, rng), grid3)
         with pytest.raises(SnapshotError):
-            load_snapshot(json.dumps(_with_nan_param(doc)).encode(), grid3, grid3_space)
+            load_snapshot(_malformed(blob, case), grid3, grid3_space)
 
 
-def _rewritten(blob, **changes):
-    """`blob` with the document keys in `changes` replaced; a `params` key
-    replaces the payload."""
-    doc = snapshot_doc(blob)
-    params = changes.pop("params", snapshot_params(doc))
-    del doc["params_b64"]
-    return snapshot_bytes({**doc, **changes}, params)
-
-
-def test_snapshot_loading_is_strict_about_version_2(mset33, mset33_space, rng):
+def test_snapshot_loading_is_strict_about_version_3(mset33, mset33_space, rng):
     space = mset33_space
     pol = random_tabular(space, rng)
     blob = save_snapshot(pol, mset33)
-    arch = snapshot_doc(blob)["arch"]
-    assert arch == {"n_states": space.n_states, "arity": space.arity, "n_edges": space.n_edges}
+    doc, params = read_snapshot(blob)
+    assert doc["arch"] == {"n_states": space.n_states, "arity": space.arity, "n_edges": space.n_edges}
+    header = blob[: blob.index(b"\n")]
     cases = {
-        r"version 1\b.*version 2": _rewritten(blob, version=1),
-        "dense layout of version 1": _rewritten(blob, params=pol.table),
-        f"holds {space.n_edges - 1} values, not one per legal edge": _rewritten(blob, params=pol.params[:-1]),
-        "n_edges": _rewritten(blob, arch={**arch, "n_edges": space.n_edges + 1}),
+        r"version 1\b.*version 3": rewritten_snapshot(blob, version=1),
+        r"version 2\b.*version 3": text_snapshot({**doc, "version": 2}, params),
+        "dense layout of version 1": rewritten_snapshot(blob, params=pol.table),
+        f"holds {space.n_edges - 1} values, not one per legal edge": rewritten_snapshot(blob, params=pol.params[:-1]),
+        "n_edges": rewritten_snapshot(blob, arch={**doc["arch"], "n_edges": space.n_edges + 1}),
+        "undecodable snapshot header": header[: len(header) // 2],
+        "not a whole number of float64": blob[:-3],
+        "newline after its header": header,
     }
     for cause, bad in cases.items():
         with pytest.raises(SnapshotError, match=cause):
             load_snapshot(bad, mset33, space)
     mlp = save_snapshot(MlpPolicy.create(mset33, (4,), rng), mset33)
-    with pytest.raises(SnapshotError, match=r"version 1\b.*version 2"):
-        load_snapshot(_rewritten(mlp, version=1), mset33, space)
+    with pytest.raises(SnapshotError, match=r"version 1\b.*version 3"):
+        load_snapshot(rewritten_snapshot(mlp, version=1), mset33, space)
+    with pytest.raises(SnapshotError, match="not a whole number of float64"):
+        load_snapshot(mlp[:-4], mset33, space)
+
+
+@pytest.mark.parametrize("backend", ["tabular", "mlp"])
+def test_snapshot_file_is_its_header_and_its_float64s(backend, mset33, mset33_space, rng, tmp_path):
+    if backend == "tabular":
+        pol = random_tabular(mset33_space, rng)
+    else:
+        pol = MlpPolicy.create(mset33, (4,), rng)
+    path = tmp_path / "p.gfnpolicy"
+    path.write_bytes(save_snapshot(pol, mset33, meta={"note": "a\nb"}))  # a newline in meta is escaped
+    doc, params = read_snapshot(path.read_bytes())
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert path.stat().st_size == len(header) + 1 + 8 * pol.n_params
+    assert np.array_equal(params, pol.get_params()) and doc["meta"] == {"note": "a\nb"}
 
 
 # -- tabular parameters on legal edges ------------------------------------------
@@ -496,8 +507,7 @@ def test_tabular_policy_on_edges_keeps_the_dense_rows_and_gradients(name, reques
     assert flow.n_params == n and np.array_equal(flow.table, col)
     assert np.array_equal(flow.logits_rows(space, idx)[0], col[idx])
     # the snapshot payload is one float64 per legal edge
-    doc = snapshot_doc(save_snapshot(pol, space.env))
-    assert len(base64.b64decode(doc["params_b64"])) == 8 * space.n_edges
+    assert read_snapshot(save_snapshot(pol, space.env))[1].size == space.n_edges
     assert np.array_equal(load_snapshot(save_snapshot(pol, space.env), space.env, space)[0].table, pol.table)
 
 
