@@ -83,6 +83,13 @@ def _probe_target(envs, space, cfg, weights) -> evaluation.DistributionTable | N
 # subcommands
 
 
+def _forget_client(out: Path, k: int) -> None:
+    """Delete a failed client's snapshot and metrics CSV: an earlier run's
+    outputs would read as this run's."""
+    _snapshot_path(out, k).unlink(missing_ok=True)
+    (out / f"client{k}.metrics.csv").unlink(missing_ok=True)
+
+
 def cmd_train_local(args) -> int:
     run = _load_run(args)
     envs = run.client_envs()
@@ -90,8 +97,12 @@ def cmd_train_local(args) -> int:
     k = args.client
     if not 0 <= k < len(envs):
         raise ConfigError("clients.n", f"client index {k} out of range")
-    res = train_local(envs[k], cfgs[k])
     out = run.out_dir()
+    try:
+        res = train_local(envs[k], cfgs[k])
+    except Exception:
+        _forget_client(out, k)
+        raise
     out.mkdir(parents=True, exist_ok=True)
     _snapshot_path(out, k).write_bytes(res.snapshot)
     write_metrics_csv(out / f"client{k}.metrics.csv", res.metrics)
@@ -110,9 +121,7 @@ def cmd_train_clients(args) -> int:
     manifest_lines = []
     for k, res in enumerate(results):
         if not res.ok:
-            # an earlier run's outputs would read as this run's
-            _snapshot_path(out, k).unlink(missing_ok=True)
-            (out / f"client{k}.metrics.csv").unlink(missing_ok=True)
+            _forget_client(out, k)
             failed.append((k, res.error))
             continue
         _snapshot_path(out, k).write_bytes(res.snapshot)

@@ -303,7 +303,12 @@ class RunConfig:
         gamma = _number(d, "env.phylo.gamma", default=2.0)
         sites_file = _get(d, "env.phylo.sites_file")
         if sites_file:
-            sites = read_sites(sites_file)
+            if not isinstance(sites_file, str):
+                raise ConfigError("env.phylo.sites_file", f"expected a path, got {sites_file!r}")
+            try:
+                sites = read_sites(sites_file)
+            except (OSError, ValueError) as exc:
+                raise ConfigError("env.phylo.sites_file", f"{sites_file}: {exc}") from exc
             if sites.shape[0] != leaves:
                 raise ConfigError("env.phylo.sites_file", f"{sites.shape[0]} rows for {leaves} leaves")
         else:

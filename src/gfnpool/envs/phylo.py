@@ -6,6 +6,23 @@ Trees are encoded as canonical strings - a leaf is its decimal index, an
 internal node is "(a,b)" with the children's encodings in lexicographic
 order - and a forest is the sorted tuple of its tree strings. This makes
 keys invariant to child order and tree insertion order.
+
+Rewards are computed a batch at a time (`_log_rewards`; `log_reward` is its
+one-key batch), in two steps:
+
+- The walk reads each distinct subtree string of the batch once, through a
+  memo from string to (node id, leaf bitmask). A leaf is exactly `str(i)`
+  for a leaf i; "(a,b)" splits at its comma of depth 1 and needs disjoint
+  canonical a < b. Each subtree is numbered after its children, with its
+  children's ids and its height. `validate_key` runs the same walk, so one
+  function decides what a canonical tree is.
+- The pass is Felsenstein pruning over the walked subtrees, one height at a
+  time: every subtree another one joins, at one height, is one stacked
+  product of its children's messages trans @ lik, a per-site maximum, a
+  rescale and a log-scale update. These are the operations of a recursion
+  over one tree, in its order, so every reward keeps the bits that
+  recursion gives. Complete trees are not stored: each goes straight to
+  its site sum. No memo outlives the call.
 """
 
 from __future__ import annotations
@@ -45,23 +62,6 @@ def parse_tree(s: str):
     raise MalformedStateError(f"unbalanced tree encoding: {s!r}")
 
 
-def _node_leaves(node) -> list[int]:
-    """Leaf labels of a parsed tree, one per leaf occurrence."""
-    out: list[int] = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, int):
-            out.append(n)
-        else:
-            stack.extend(n)
-    return out
-
-
-def tree_leaves(s: str) -> set[int]:
-    return set(_node_leaves(parse_tree(s)))
-
-
 def pair_action_id(i: int, j: int, n: int) -> int:
     """Lexicographic index of the pair (i, j), i < j, among pairs over range(n)."""
     return i * n - i * (i + 1) // 2 + (j - i - 1)
@@ -92,32 +92,100 @@ def jc69_transition(mu: float, b: float) -> np.ndarray:
     return np.full((4, 4), 0.25 * (1.0 - e)) + e * np.eye(4)
 
 
-def _conditionals(node, sites: np.ndarray, trans: np.ndarray, memo: dict):
-    """Rescaled post-order conditionals (lik, log scale) of one subtree,
-    memoised in `memo` by subtree. A module-level recursion, not a closure
-    over `memo`, so no reference cycle keeps a batch's arrays alive."""
-    out = memo.get(node)
-    if out is None:
-        if isinstance(node, int):
-            out = (sites[node][None, :] == np.arange(4)[:, None]).astype(np.float64), np.zeros(sites.shape[1])
-        else:
-            (ll, sl), (lr, sr) = (_conditionals(child, sites, trans, memo) for child in node)
-            v = (trans @ ll) * (trans @ lr)
-            c = v.max(axis=0)
-            out = v / c, sl + sr + np.log(c)
-        memo[node] = out
-    return out
+# Values (subtrees x 4 states x sites) a stacked pruning step holds at once.
+PRUNE_CHUNK = 1 << 16
 
 
-def _site_logliks(tree, sites: np.ndarray, trans: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Log P(site | tree) for every column, via post-order pruning.
+def _leaf_memo(n_leaves: int) -> tuple[dict, list]:
+    """The walk's starting memo, leaf string -> (node id, leaf bitmask), and
+    its node list, one (left id, right id, height) per node; leaf i is node i."""
+    return {str(i): (i, 1 << i) for i in range(n_leaves)}, [(-1, -1, 0)] * n_leaves
 
-    Conditionals are rescaled by their per-site maximum at every internal
-    node so that thousands of sites stay clear of underflow. Trees that
-    share subtrees can share one `memo`; the result is the same bits.
+
+def _walk(s: str, memo: dict, nodes: list, depth: int) -> tuple[int, int]:
+    """(node id, leaf bitmask) of the canonical tree string `s`, read once
+    per memo: a subtree is numbered after its children, and recorded in
+    `nodes`. Raises MalformedStateError unless `s` is a leaf of the memo or
+    "(a,b)" with a and b disjoint canonical trees and a < b, nested at most
+    `depth` deep. A module-level recursion, not a closure, so no reference
+    cycle outlives a batch."""
+    got = memo.get(s)
+    if got is not None:
+        return got
+    if depth < 1 or s[:1] != "(" or s[-1:] != ")":
+        raise MalformedStateError(f"undecodable tree: {s!r}")
+    if s[-2] != ")":  # a leaf on the right follows the last comma
+        i = s.rfind(",")
+    else:  # else the first comma at depth 1
+        i = s.find(",")
+        while i != -1 and s.count("(", 1, i) != s.count(")", 1, i):
+            i = s.find(",", i + 1)
+    if i == -1:
+        raise MalformedStateError(f"unbalanced tree encoding: {s!r}")
+    a, b = s[1:i], s[i + 1 : -1]
+    (na, ma), (nb, mb) = _walk(a, memo, nodes, depth - 1), _walk(b, memo, nodes, depth - 1)
+    if ma & mb:
+        raise MalformedStateError(f"duplicated leaves in tree: {s!r}")
+    if not a < b:
+        raise MalformedStateError(f"tree not canonical: {s!r}")
+    memo[s] = got = len(nodes), ma | mb
+    nodes.append((na, nb, 1 + max(nodes[na][2], nodes[nb][2])))
+    return got
+
+
+def _join(up: np.ndarray, scale: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Rescaled conditionals (lik, log scale) of the subtrees joining the
+    table rows `left` and `right`: the children's messages multiplied, then
+    divided by their per-site maximum, whose log joins the children's log
+    scales. In place on fresh gathers, which keeps the recursion's bits."""
+    lik = up[left]
+    lik *= up[right]
+    c = lik.max(axis=1)
+    lik /= c[:, None]
+    s = scale[left]
+    s += scale[right]
+    s += np.log(c, out=c)
+    return lik, s
+
+
+def _prune(sites: np.ndarray, trans: np.ndarray, nodes: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Log P(sites | tree) of every complete tree in `roots`, by post-order
+    pruning over the walked `nodes`, one height at a time.
+
+    A table row holds the message trans @ lik that a subtree sends to its
+    parent, and its log scale; it is kept for the leaves and every subtree
+    another one joins. Complete trees are reduced straight to their site
+    sums. Each step stacks at most `PRUNE_CHUNK` values.
     """
-    lik, scale = _conditionals(tree, sites, trans, {} if memo is None else memo)
-    return np.log(0.25 * lik.sum(axis=0)) + scale  # uniform root prior
+    n, m = sites.shape
+    left, right, height = nodes.T
+    kept = np.ones(len(nodes), dtype=bool)
+    kept[roots] = False
+    order = np.flatnonzero(kept)
+    order = order[np.argsort(height[order], kind="stable")]  # the leaves first
+    row = np.empty(len(nodes), dtype=np.int64)
+    row[order] = np.arange(len(order))
+    up = np.empty((len(order), 4, m))
+    up[:n] = trans[:, sites].transpose(1, 0, 2)  # trans @ the one-hot leaf
+    scale = np.zeros((len(order), m))
+    step = max(1, PRUNE_CHUNK // (4 * m))
+    cuts = np.searchsorted(height[order], np.arange(1, height.max() + 2))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):  # the rows of one height
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            ids = order[a:b]
+            lik, s = _join(up, scale, row[left[ids]], row[right[ids]])
+            np.matmul(trans, lik, out=up[a:b])
+            scale[a:b] = s
+    out = np.empty(len(roots))
+    for a in range(0, len(roots), step):
+        ids = roots[a : a + step]
+        lik, s = _join(up, scale, row[left[ids]], row[right[ids]])
+        site = lik.sum(axis=1)
+        site *= 0.25  # uniform root prior
+        s += np.log(site, out=site)
+        out[a : a + step] = s.sum(axis=1)
+    return out
 
 
 def simulate_sites(truth: StateKey, n_leaves: int, m: int, mu: float, b: float, rng: np.random.Generator) -> np.ndarray:
@@ -153,10 +221,17 @@ def write_sites(path, sites: np.ndarray) -> None:
 
 
 def read_sites(path) -> np.ndarray:
-    lookup = {c: i for i, c in enumerate(NUCLEOBASES)}
+    """The site matrix `write_sites` wrote: one line of ACGT per leaf, blank
+    lines skipped. Raises ValueError on another letter or on ragged rows."""
     with open(path) as fh:
-        rows = [[lookup[c] for c in line.strip()] for line in fh if line.strip()]
-    return np.asarray(rows, dtype=np.int64)
+        rows = [line.strip() for line in fh if line.strip()]
+    bad = set("".join(rows)) - set(NUCLEOBASES)
+    if bad:
+        raise ValueError(f"site letters outside {NUCLEOBASES}: {''.join(sorted(bad))!r}")
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(f"rows of unequal length {sorted(set(map(len, rows)))}")
+    lookup = {c: i for i, c in enumerate(NUCLEOBASES)}
+    return np.array([[lookup[c] for c in row] for row in rows], dtype=np.int64)
 
 
 def random_topology(n_leaves: int, rng: np.random.Generator) -> StateKey:
@@ -214,19 +289,14 @@ class PhyloEnv(Environment):
             raise MalformedStateError(f"not a forest: {s!r}")
         if tuple(sorted(s)) != s:
             raise MalformedStateError(f"forest not in canonical order: {s!r}")
-        seen: set[int] = set()
-        try:
-            for t in s:
-                node = parse_tree(t)
-                if encode_tree(node) != t:
-                    raise MalformedStateError(f"tree not canonical: {t!r}")
-                leaves = _node_leaves(node)
-                if len(set(leaves)) < len(leaves) or seen.intersection(leaves):
-                    raise MalformedStateError(f"duplicated leaves in forest: {s!r}")
-                seen.update(leaves)
-        except (ValueError, IndexError) as exc:
-            raise MalformedStateError(f"undecodable forest: {s!r}") from exc
-        if seen != set(range(self.n_leaves)):
+        memo, nodes = _leaf_memo(self.n_leaves)
+        seen = 0
+        for t in s:
+            mask = _walk(t, memo, nodes, self.n_leaves - 1)[1]
+            if seen & mask:
+                raise MalformedStateError(f"duplicated leaves in forest: {s!r}")
+            seen |= mask
+        if seen != (1 << self.n_leaves) - 1:
             raise MalformedStateError(f"forest does not cover all leaves: {s!r}")
 
     def _children(self, s: StateKey) -> list:
@@ -261,29 +331,26 @@ class PhyloEnv(Environment):
     def _is_terminal(self, s: StateKey) -> bool:
         return len(s) == 1
 
-    def data_loglik(self, s: StateKey) -> float:
-        """Untempered log likelihood of all sites."""
-        if len(s) != 1:
-            raise NotTerminalError("likelihood needs a single complete tree")
-        trans = jc69_transition(self.mu, self.branch_length)
-        return float(_site_logliks(parse_tree(s[0]), self.sites, trans).sum())
-
     def log_reward(self, s: StateKey) -> float:
-        if not self.is_terminal(s):
-            raise NotTerminalError("reward is defined on complete trees only")
-        log_prior = -np.log(num_topologies(self.n_leaves))
-        return self.gamma * self.data_loglik(s) + log_prior / self.n_clients
+        return self._log_rewards([s])[0]
 
     def _log_rewards(self, keys: list) -> np.ndarray:
-        # the terminal trees of a batch share subtrees; each subtree's
-        # conditionals are computed once
-        if not all(map(self.is_terminal, keys)):
-            return None
+        # one walk over the batch's tree strings, then one pruning pass
+        memo, nodes = _leaf_memo(self.n_leaves)
+        full = (1 << self.n_leaves) - 1
+        roots = np.empty(len(keys), dtype=np.int64)
+        for k, s in enumerate(keys):
+            if not (isinstance(s, tuple) and len(s) == 1 and isinstance(s[0], str)):
+                self.validate_key(s)
+                raise NotTerminalError("reward is defined on complete trees only")
+            roots[k], mask = _walk(s[0], memo, nodes, self.n_leaves - 1)
+            if mask != full:
+                raise MalformedStateError(f"forest does not cover all leaves: {s!r}")
+        unique, inverse = np.unique(roots, return_inverse=True)
         trans = jc69_transition(self.mu, self.branch_length)
-        memo: dict = {}
-        data = [float(_site_logliks(parse_tree(s[0]), self.sites, trans, memo).sum()) for s in keys]
+        data = _prune(self.sites, trans, np.array(nodes, dtype=np.int64), unique)[inverse]
         log_prior = -np.log(num_topologies(self.n_leaves))
-        return self.gamma * np.array(data, dtype=np.float64) + log_prior / self.n_clients
+        return self.gamma * data + log_prior / self.n_clients
 
     def n_states_estimate(self) -> int:
         return num_forests(self.n_leaves)

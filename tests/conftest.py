@@ -212,6 +212,43 @@ def text_snapshot(doc, params) -> bytes:
     return (json.dumps({**doc, "params_b64": payload}, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def reference_site_logliks(tree, sites, trans, memo=None):
+    """Log P(site | tree) for every column of `sites`, by the recursive
+    post-order pruning `PhyloEnv` ran before its batch kernel: a parsed
+    tree (an int leaf or a (left, right) pair), each internal node's
+    conditionals rescaled by their per-site maximum, trees that share
+    subtrees sharing one `memo`. The reference the kernel must equal bit
+    for bit."""
+    memo = {} if memo is None else memo
+
+    def conditionals(node):
+        out = memo.get(node)
+        if out is None:
+            if isinstance(node, int):
+                out = (sites[node][None, :] == np.arange(4)[:, None]).astype(np.float64), np.zeros(sites.shape[1])
+            else:
+                (ll, sl), (lr, sr) = (conditionals(child) for child in node)
+                v = (trans @ ll) * (trans @ lr)
+                c = v.max(axis=0)
+                out = v / c, sl + sr + np.log(c)
+            memo[node] = out
+        return out
+
+    lik, scale = conditionals(tree)
+    return np.log(0.25 * lik.sum(axis=0)) + scale  # uniform root prior
+
+
+def reference_log_rewards(env, keys):
+    """`env.log_rewards(keys)` of complete trees by `reference_site_logliks`,
+    one memo over the batch, tempered as the scalar reward always was."""
+    from gfnpool.envs import jc69_transition, num_topologies, parse_tree
+
+    trans, memo = jc69_transition(env.mu, env.branch_length), {}
+    data = [float(reference_site_logliks(parse_tree(s[0]), env.sites, trans, memo).sum()) for s in keys]
+    log_prior = -np.log(num_topologies(env.n_leaves))
+    return env.gamma * np.array(data, dtype=np.float64) + log_prior / env.n_clients
+
+
 def rewritten_snapshot(blob, **changes) -> bytes:
     """`blob` with the header keys in `changes` replaced; a `params` key
     replaces the payload."""

@@ -15,7 +15,7 @@ from gfnpool import evaluation
 from gfnpool.cli import main
 from gfnpool.config import RunConfig, apply_overrides, load_config
 from gfnpool.envs import DEFAULT_STATE_GUARD, MultisetEnv, StateSpace
-from gfnpool.errors import ConfigError
+from gfnpool.errors import ConfigError, NumericError
 from tests.conftest import rewritten_snapshot
 
 TINY_GRID = {
@@ -212,6 +212,49 @@ def test_a_failed_client_leaves_no_earlier_snapshot(outroot, capsys, monkeypatch
     assert main(["baselines", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "client1.gfnpolicy" in err
+
+
+def test_a_failed_train_local_leaves_no_earlier_output(outroot, capsys, monkeypatch):
+    cfg = write_cfg(outroot, TINY_GRID)
+    assert main(["train-local", "--config", cfg, "--client", "1", "--set", "train.epochs=5"]) == 0
+    out = outroot / "out" / "tiny"
+    assert (out / "client1.gfnpolicy").exists() and (out / "client1.metrics.csv").exists()
+
+    real = cli_module.train_local
+
+    def diverged(env, cfg, space=None):
+        raise NumericError("non-finite loss")
+
+    monkeypatch.setattr(cli_module, "train_local", diverged)
+    argv = ["train-local", "--config", cfg, "--client", "1", "--set", "train.epochs=5", "--set", "seed=4"]
+    assert main(argv) == 3
+    assert not (out / "client1.gfnpolicy").exists() and not (out / "client1.metrics.csv").exists()
+    monkeypatch.setattr(cli_module, "train_local", real)
+    assert main(["train-local", "--config", cfg, "--client", "0", "--set", "train.epochs=5"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 0
+    assert sorted(json.loads((out / "report.json").read_text())["models"]) == ["client0"]
+
+
+# a site file that is not one ACGT row per leaf, all of one length, and a
+# sites_file that is no path
+BAD_SITE_FILES = {
+    "letter": ("ACGT\nACGX\nACGT\nACGT\n", "{}"),
+    "ragged": ("ACGT\nACG\nACGT\nACGT\n", "{}"),
+    "missing": (None, "{}"),
+    "not-a-path": ("ACGT\nACGT\nACGT\nACGT\n", "[{}]"),
+}
+
+
+@pytest.mark.parametrize("text, value", BAD_SITE_FILES.values(), ids=BAD_SITE_FILES.keys())
+def test_a_bad_site_file_is_a_config_error(outroot, capsys, text, value):
+    sites = outroot / "sites.txt"
+    if text is not None:
+        sites.write_text(text)
+    argv = ["train-clients", "--config", str(CONFIGS / "phylo.yaml"), "--set", "env.phylo.leaves=4"]
+    argv += ["--set", f"env.phylo.sites_file={value.format(sites)}", "--set", "train.epochs=2"]
+    assert main(argv) == 2
+    assert "config error: env.phylo.sites_file: " in capsys.readouterr().err
 
 
 # a phylo config's client count comes from clients.n or env.phylo.clients;

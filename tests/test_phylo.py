@@ -1,12 +1,16 @@
+import hashlib
 import itertools
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from gfnpool.config import RunConfig, load_config
 from gfnpool.envs import PhyloEnv, StateSpace
 from gfnpool.envs.phylo import (
-    _site_logliks,
     encode_tree,
     jc69_transition,
     num_forests,
@@ -17,10 +21,13 @@ from gfnpool.envs.phylo import (
     read_sites,
     simulate_sites,
     split_sites,
-    tree_leaves,
     write_sites,
 )
 from gfnpool.errors import MalformedStateError, ShardError
+from gfnpool.evaluation import terminal_log_rewards
+from tests.conftest import reference_log_rewards, reference_site_logliks
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def all_rooted_topologies(leaves):
@@ -93,57 +100,145 @@ def test_counts():
     assert num_forests(5) == 266
 
 
+def site_logliks(trees, sites, b=0.1, mu=1.0):
+    """Untempered log P(site | tree) through `PhyloEnv`'s batch reward, one
+    row per tree (nested pairs) and one column per site: each column is its
+    own one-site env, with the log prior added back."""
+    keys = [(encode_tree(t),) for t in trees]
+    out = []
+    for j in range(sites.shape[1]):
+        env = PhyloEnv(n_leaves=sites.shape[0], sites=sites[:, j : j + 1], branch_length=b, mu=mu, gamma=1.0)
+        out.append(env.log_rewards(keys) + np.log(num_topologies(env.n_leaves)))
+    return np.array(out).T
+
+
 def test_single_leaf_site_loglik_is_quarter():
-    sites = np.array([[2]])
-    ll = _site_logliks(0, sites, jc69_transition(1.0, 0.1))
+    # one leaf is no PhyloEnv tree, so the reference recursion is checked
+    ll = reference_site_logliks(0, np.array([[2]]), jc69_transition(1.0, 0.1))
     assert ll[0] == pytest.approx(np.log(0.25), abs=1e-15)
 
 
-def test_long_branch_limit_two_leaves():
-    sites = np.array([[0], [3]])
-    ll = _site_logliks((0, 1), sites, jc69_transition(1.0, 1e9))
-    assert ll[0] == pytest.approx(np.log(1.0 / 16.0), abs=1e-12)
+def test_long_branch_limit_three_leaves():
+    # every base is equally likely at every leaf, whatever the tree
+    sites = np.array([[0], [3], [1]])
+    ll = site_logliks([((0, 1), 2), ((0, 2), 1), ((1, 2), 0)], sites, b=1e9)
+    assert np.all(np.abs(ll - np.log(1.0 / 64.0)) <= 1e-12)
 
 
-def test_two_leaf_cherry_same_base_closed_form():
+def test_three_leaves_same_base_closed_form():
     mu, b = 1.0, 0.1
-    trans = jc69_transition(mu, b)
-    sites = np.array([[1], [1]])
-    # sum over root r of 1/4 P(r->1)^2
-    expected = np.log(sum(0.25 * trans[r, 1] ** 2 for r in range(4)))
-    assert _site_logliks((0, 1), sites, trans)[0] == pytest.approx(expected, abs=1e-13)
+    e = np.exp(-mu * b)
+    stay, move = 0.25 + 0.75 * e, 0.25 - 0.25 * e
+    sites = np.array([[1], [1], [1]])
+    # the cherry's parent u and the root r: 1/4 sum_r P(r->1) sum_u P(r->u) P(u->1)^2
+    below_same = stay**3 + 3 * move**3  # u summed with r = 1
+    below_other = move * stay**2 + stay * move**2 + 2 * move**3  # with r != 1
+    expected = np.log(0.25 * (stay * below_same + 3 * move * below_other))
+    assert site_logliks([((0, 1), 2)], sites, b=b, mu=mu)[0, 0] == pytest.approx(expected, abs=1e-13)
 
 
 def test_three_leaf_tree_vs_exhaustive_assignment(rng):
     trans = jc69_transition(1.0, 0.1)
     tree = ((0, 1), 2)
-    for _ in range(5):
-        site = rng.integers(0, 4, size=3)
-        got = _site_logliks(tree, site.reshape(-1, 1), trans)[0]
-        want = np.log(brute_force_site_lik(tree, site, trans))
-        assert got == pytest.approx(want, rel=1e-12)
+    sites = rng.integers(0, 4, size=(3, 5))
+    got = site_logliks([tree], sites)[0]
+    for m in range(5):
+        want = np.log(brute_force_site_lik(tree, sites[:, m], trans))
+        assert got[m] == pytest.approx(want, rel=1e-12)
 
 
 def test_felsenstein_all_four_leaf_topologies(rng):
-    # acceptance oracle: recursion == exhaustive latent-state summation
+    # acceptance oracle: pruning == exhaustive latent-state summation
     trans = jc69_transition(1.0, 0.1)
     topologies = all_rooted_topologies(range(4))
     # remove mirror duplicates via canonical encoding
     unique = {encode_tree(t): t for t in topologies if not isinstance(t, int)}
     assert len(unique) == 15
     sites = rng.integers(0, 4, size=(4, 20))
-    for tree in unique.values():
-        got = _site_logliks(tree, sites, trans)
+    got = site_logliks(list(unique.values()), sites)
+    for tree, row in zip(unique.values(), got):
         for m in range(20):
             want = np.log(brute_force_site_lik(tree, sites[:, m], trans))
-            assert abs(got[m] - want) / max(abs(want), 1e-12) <= 1e-12
+            assert abs(row[m] - want) / max(abs(want), 1e-12) <= 1e-12
 
 
 def test_log_reward_tempering_and_prior(phylo4):
-    key = (encode_tree(((0, 1), (2, 3))),)
-    ll = phylo4.data_loglik(key)
+    tree = ((0, 1), (2, 3))
+    trans = jc69_transition(phylo4.mu, phylo4.branch_length)
+    ll = reference_site_logliks(tree, phylo4.sites, trans).sum()
     expected = phylo4.gamma * ll - np.log(num_topologies(4)) / phylo4.n_clients
-    assert phylo4.log_reward(key) == pytest.approx(expected, rel=1e-12)
+    assert phylo4.log_reward((encode_tree(tree),)) == pytest.approx(expected, rel=1e-12)
+
+
+def _all_trees(n_leaves, m, b, seed):
+    sites = np.random.default_rng(seed).integers(0, 4, size=(n_leaves, m))
+    env = PhyloEnv(n_leaves=n_leaves, sites=sites, branch_length=b, gamma=1.7, n_clients=3)
+    space = StateSpace.enumerated(env)
+    return env, [space.keys[i] for i in space.terminal_indices()]
+
+
+@pytest.mark.parametrize("n_leaves", [4, 5, 6])
+@pytest.mark.parametrize("m, b", [(1, 0.1), (37, 0.1), (37, 1e9)])
+def test_batch_scalar_and_reference_agree_bit_for_bit(n_leaves, m, b):
+    env, keys = _all_trees(n_leaves, m, b, seed=n_leaves * 100 + m)
+    got = env.log_rewards(keys)
+    assert np.array_equal(got, reference_log_rewards(env, keys))
+    assert np.array_equal(got, [env.log_reward(k) for k in keys])
+    # repeated keys in any order keep each key's bits
+    order = np.random.default_rng(m).permutation(len(keys))[: len(keys) // 2]
+    again = [keys[i] for i in order] * 2
+    assert np.array_equal(env.log_rewards(again), np.tile(got[order], 2))
+
+
+def test_phylo_config_rewards_keep_their_bits():
+    # configs/phylo.yaml: 3 clients x 105 trees, as the recursive pruning gave them
+    run = RunConfig(load_config(CONFIGS / "phylo.yaml"))
+    envs = run.client_envs()
+    space = StateSpace.enumerated(envs[0])
+    blob = b"".join(terminal_log_rewards(env, space).tobytes() for env in envs)
+    assert hashlib.sha256(blob).hexdigest() == "da8c851fb3f2840df130315492c625ed2aa6d74250286c5b352f98a1978a4e66"
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reward_pass_peaks_within_the_reference():
+    env, keys = _all_trees(6, 500, 0.1, seed=6)
+    want = reference_log_rewards(env, keys)
+    assert np.array_equal(env.log_rewards(keys), want)
+    assert _traced_peak(lambda: env.log_rewards(keys)) <= _traced_peak(lambda: reference_log_rewards(env, keys))
+
+
+NOT_CANONICAL = [
+    "((0,1),(2,3)",  # unbalanced
+    "(0,1),(2,3))",
+    "((0,1)(2,3))",  # no comma at depth 1
+    "((0,1),(2,3))x",
+    "((0,1),(2,03))",  # a leaf is exactly its index
+    "((0,1),(2,+3))",
+    "((0,1),(2, 3))",
+    "((0,1),(2,4))",  # no such leaf
+    "((2,3),(0,1))",  # children out of order
+    "(((0,1),2),3),",
+    "((0,1),(2,3),)",
+    "()",
+    pytest.param("", id="empty"),
+    pytest.param("(" * 3000 + "0" + ",1)" * 3000, id="nested-3000-deep"),  # deeper than any tree
+]
+
+
+@pytest.mark.parametrize("tree", NOT_CANONICAL)
+def test_a_tree_that_is_not_canonical_is_malformed(phylo4, tree):
+    with pytest.raises(MalformedStateError):
+        phylo4.validate_key((tree,))
+    with pytest.raises(MalformedStateError):
+        phylo4.log_rewards([("((0,1),(2,3))",), (tree,)])
 
 
 def test_canonical_key_invariance(rng):
@@ -238,7 +333,8 @@ def test_split_sites_even_and_prior_exponent(phylo4):
     assert all(s.n_clients == 5 for s in shards)
     # prior exponent shows up as a 1/N scaling of the log prior
     key = truth
-    full_ll = shards[0].gamma * shards[0].data_loglik(key)
+    trans = jc69_transition(shards[0].mu, shards[0].branch_length)
+    full_ll = shards[0].gamma * reference_site_logliks(parse_tree(key[0]), shards[0].sites, trans).sum()
     assert shards[0].log_reward(key) == pytest.approx(
         full_ll - np.log(num_topologies(5)) / 5, rel=1e-12
     )
@@ -268,5 +364,5 @@ def test_sites_text_roundtrip(tmp_path, rng):
 
 def test_tree_leaves_and_parse_roundtrip(rng):
     key = random_topology(6, rng)[0]
-    assert tree_leaves(key) == set(range(6))
+    assert sorted(map(int, re.findall(r"\d+", key))) == list(range(6))
     assert encode_tree(parse_tree(key)) == key
