@@ -72,11 +72,23 @@ def _read_manifest(path: Path) -> list[bytes]:
     return blobs
 
 
-def _probe_target(envs, space, cfg, weights) -> evaluation.DistributionTable | None:
-    """The product target, built only when aggregation probes will read it."""
-    if cfg.eval_every == 0 or not space.complete:
+def _probe_target(views: list[StateSpace], cfg, weights) -> evaluation.DistributionTable | None:
+    """The product of the clients' view tables, built only when aggregation
+    probes will read it."""
+    if cfg.eval_every == 0:
         return None
-    return evaluation.reward_table(envs, space, weights)
+    term = views[0].terminal_indices()
+    log_r = evaluation.pooled_log_rewards(views[0], [v.log_rewards(term) for v in views], weights)
+    return evaluation.target_table(views[0], log_r)
+
+
+def _client_views(space: StateSpace | None, run: RunConfig) -> list[StateSpace]:
+    """One view per client of the run, of `space` or, if None, of an
+    enumeration built under the run's guard."""
+    envs = run.client_envs()
+    if space is None:
+        space = StateSpace.enumerated(envs[0], run.aggregate_config().state_guard)
+    return [space.for_env(e) for e in envs]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +160,7 @@ def cmd_aggregate(args) -> int:
         raise ConfigError("loss.weights", f"{len(weights)} weights for the {len(blobs)} snapshots of {manifest}")
     cfg = run.aggregate_config()
     space = build_space(envs[0], cfg)
-    target = _probe_target(envs, space, cfg, weights)
+    target = _probe_target([space.for_env(e) for e in envs], cfg, weights) if space.complete else None
     res = agg.aggregate_ab(envs[0], blobs, cfg, eval_target=target, space=space, weights=weights)
     out.mkdir(parents=True, exist_ok=True)
     (out / "global.gfnpolicy").write_bytes(res.snapshot)
@@ -247,21 +259,21 @@ def cmd_baselines(args) -> int:
     return 0
 
 
-def _pipeline_final_l1(run: RunConfig, envs, space: StateSpace | None = None) -> tuple[list[dict], float]:
+def _pipeline_final_l1(run: RunConfig, views: list[StateSpace]) -> tuple[list[dict], float]:
     """Train clients, aggregate, return aggregation metrics and final L1.
-    Both run on one enumeration: `space` if given, else one built here."""
+    `views` holds one complete view per client of one enumeration: each
+    client trains on its view's rewards, and the server on that DAG."""
     cfg = run.aggregate_config()
-    if space is None:
-        space = StateSpace.enumerated(envs[0], cfg.state_guard)
-    cfgs = run.client_train_configs()
-    results = train_clients(list(zip(envs, cfgs, strict=True)), parallelism=1, space=space)
+    envs = [v.env for v in views]
+    jobs = list(zip(envs, run.client_train_configs(), strict=True))
+    results = train_clients(jobs, views=views)
     bad = [r for r in results if not r.ok]
     if bad:
         raise NumericError(f"client failure during sweep: {bad[0].error}")
     weights = run.loss_spec.weights
-    target = _probe_target(envs, space, cfg, weights)
+    target = _probe_target(views, cfg, weights)
     snapshots = [r.snapshot for r in results]
-    res = agg.aggregate_ab(envs[0], snapshots, cfg, eval_target=target, space=space, weights=weights)
+    res = agg.aggregate_ab(envs[0], snapshots, cfg, eval_target=target, space=views[0], weights=weights)
     finals = [r["l1"] for r in res.metrics if np.isfinite(r["l1"])]
     return res.metrics, finals[-1] if finals else float("nan")
 
@@ -307,22 +319,17 @@ def cmd_sweep(args) -> int:
                         doc["env"]["phylo"]["clients"] = int(value)
                 cell_run = RunConfig(doc, path=run.path)
                 if axis == "clients":
-                    metrics, _ = _pipeline_final_l1(cell_run, cell_run.client_envs(), space=space)
+                    metrics, _ = _pipeline_final_l1(cell_run, _client_views(space, cell_run))
                 elif axis == "noise":
-                    envs = cell_run.client_envs()
-                    # the wrap would enumerate under the default guard, not the run's
-                    guard = cell_run.aggregate_config().state_guard
-                    noise_space = space if space is not None else StateSpace.enumerated(envs[0], guard)
-                    noisy = [
-                        evaluation.noisy_reward_wrap(
-                            e,
-                            float(value),
-                            np.random.default_rng(np.random.SeedSequence([seed, 55, k])),
-                            space=noise_space,
-                        )
-                        for k, e in enumerate(envs)
-                    ]
-                    metrics, _ = _pipeline_final_l1(cell_run, noisy, space=noise_space)
+                    # each client's frozen offsets, drawn over the terminals in index order
+                    noisy = []
+                    for k, view in enumerate(_client_views(space, cell_run)):
+                        term = view.terminal_indices()
+                        rng = np.random.default_rng(np.random.SeedSequence([seed, 55, k]))
+                        table = np.full(view.n_states, np.nan)
+                        table[term] = view.log_rewards(term) + rng.normal(0.0, np.sqrt(value), term.size)
+                        noisy.append(view.with_log_rewards(table))
+                    metrics, _ = _pipeline_final_l1(cell_run, noisy)
                 elif axis == "logz_lr":
                     envs = cell_run.client_envs()
                     cfg = cell_run.client_train_configs()[0]

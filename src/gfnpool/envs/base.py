@@ -128,8 +128,9 @@ class Environment(ABC):
     # `_log_rewards` is then `int_key_matrix`, the key checks, and this row
     # form. A level-walked state space hands its key rows straight to it,
     # exactly where `log_rewards` would take the batch form (see
-    # `reward_rows`); every other env, override or patched class is given
-    # keys, so anything that counts them still sees every evaluation.
+    # `reward_rows`). A class that overrides `log_rewards`, say to count the
+    # keys it is given, or whose `log_reward` is overridden or patched, is
+    # given keys, so anything that counts them still sees every evaluation.
     _log_reward_rows = None
 
     def __init_subclass__(cls, **kwargs):
@@ -180,10 +181,9 @@ class Environment(ABC):
 def reward_rows(env):
     """`env._log_reward_rows` where `env.log_rewards` would take its batch
     form, else None: the class's `log_rewards` must be `Environment`'s and
-    its `log_reward` the one defined beside `_log_rewards`. Both are read
-    off the class first, because a wrapper that forwards attributes to its
-    base (`NoisyRewardEnv`) would hand out the base's row form, which lacks
-    the wrapper's own terms."""
+    its `log_reward` the one defined beside `_log_rewards`. A subclass that
+    overrides `log_rewards`, as the tests' `counting_rewards` does to count
+    the keys it is given, is thus given keys and not rows."""
     cls = type(env)
     if cls.log_rewards is not Environment.log_rewards or cls.log_reward is not cls._batched_log_reward:
         return None

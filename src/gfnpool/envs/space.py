@@ -87,7 +87,7 @@ class StateSpace:
         self._featurized = np.zeros(cap, dtype=bool)
         self.complete = False
         # keys, index and edge map; some are built on first use, and views
-        # from `for_env` share this dict
+        # from `for_env` and `with_log_rewards` share this dict
         self._shared: dict = {"keys": [], "index": {}}
         self._initial = env.initial_key()
         self.root = self._register(self._initial, depth=0)
@@ -215,27 +215,27 @@ class StateSpace:
         return self._feats[idx]
 
     def log_rewards(self, idx: np.ndarray) -> np.ndarray:
-        """Cached log-rewards; the states not cached yet take one
-        `log_rewards_of` batch, which a level-walked space computes from
-        its key matrix without building its keys."""
+        """Cached log-rewards, bit for bit equal to `env.log_rewards` of the
+        states' keys. The states not cached yet take one batch: a
+        level-walked space passes the rows of its key matrix to the env's
+        row form, where `reward_rows` gives one and every state is terminal;
+        otherwise the keys go to `env.log_rewards`, so an override sees each
+        of them and a non-terminal key raises the scalar's error."""
         idx = np.asarray(idx)
-        missing = np.unique(idx[np.isnan(self._logr[idx])])
+        missing = idx[np.isnan(self._logr[idx])]
         if missing.size:
-            self._logr[missing] = self.log_rewards_of(self.env, missing)
+            # each state once, in index order: a mask, as `np.unique` of a
+            # whole space's terminals costs more than their rewards
+            need = np.zeros(self._logr.shape[0], dtype=bool)
+            need[missing] = True
+            missing = np.flatnonzero(need)
+            rows_form = reward_rows(self.env)
+            if rows_form is not None and self._rows is not None and self._terminal[missing].all():
+                self._logr[missing] = rows_form(self._rows[missing], self._lengths[missing])
+            else:
+                keys = self.keys
+                self._logr[missing] = self.env.log_rewards([keys[i] for i in missing])
         return self._logr[idx]
-
-    def log_rewards_of(self, env: Environment, idx: np.ndarray) -> np.ndarray:
-        """log R of `env` at the states `idx`, not cached, bit for bit equal
-        to `env.log_rewards` of their keys. A level-walked space passes the
-        rows of its key matrix to the env's row form, where `reward_rows`
-        gives one and every state is terminal; otherwise the keys go to
-        `env.log_rewards`, so an override sees each of them and a
-        non-terminal key raises the scalar's error."""
-        rows_form = reward_rows(env)
-        if rows_form is not None and self._rows is not None and self._terminal[idx].all():
-            return rows_form(self._rows[idx], self._lengths[idx])
-        keys = self.keys
-        return env.log_rewards([keys[i] for i in idx])
 
     # -- enumeration ---------------------------------------------------------
 
@@ -342,9 +342,26 @@ class StateSpace:
             raise FingerprintMismatchError(
                 f"space of {self.env.fingerprint()!r} cannot serve environment {env.fingerprint()!r}"
             )
+        return self._view(env, np.full(self.n_states, np.nan))
+
+    def with_log_rewards(self, table: np.ndarray) -> "StateSpace":
+        """A view of this complete space, for the same env, whose reward
+        cache is a copy of `table`: the (n_states,) log-rewards it holds at
+        the terminals, where it must not be NaN. Its reward reads never call
+        the env, and off the terminals they raise the env's error."""
+        self.require_complete()
+        logr = np.array(table, dtype=np.float64)
+        terminal = self._terminal[: self.n_states]
+        if logr.shape != (self.n_states,) or np.isnan(logr[terminal]).any():
+            raise ValueError(f"need a log-reward at each terminal of {self.n_states} states")
+        logr[~terminal] = np.nan
+        return self._view(self.env, logr)
+
+    def _view(self, env: Environment, logr: np.ndarray) -> "StateSpace":
+        """A shallow copy for `env` with the reward cache `logr`."""
         view = copy.copy(self)
         view.env = env
-        view._logr = np.full(self.n_states, np.nan)
+        view._logr = logr
         view.features = self.features  # one lazily allocated feature buffer
         return view
 
@@ -352,7 +369,7 @@ class StateSpace:
         """(n_states, arity) parameter id of each (state, slot): the legal
         slots, stop included, are numbered 0..n_edges-1 in row-major order,
         and every illegal slot holds n_edges, one past the last id. Built on
-        the first call and kept; views from `for_env` share it."""
+        the first call and kept; every view of the space shares it."""
         self.require_complete()
         if "ids" not in self._shared:
             legal = self._children[: self.n_states] != CHILD_ILLEGAL

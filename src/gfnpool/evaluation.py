@@ -126,8 +126,9 @@ def sample_terminals(policy: ForwardPolicy, space: StateSpace, n: int, rng: np.r
 
 def terminal_log_rewards(env: Environment, space: StateSpace) -> np.ndarray:
     """log R(x) of one env at every enumerated terminal, in `terminal_indices`
-    order, from one `StateSpace.log_rewards_of` batch."""
-    return space.log_rewards_of(env, space.terminal_indices())
+    order, read through the env's view of `space` (the space itself if it
+    belongs to `env`), so its cache serves every later read."""
+    return space.for_env(env).log_rewards(space.terminal_indices())
 
 
 def pooled_log_rewards(space: StateSpace, per_client: list[np.ndarray], weights=None) -> np.ndarray:
@@ -362,48 +363,3 @@ def cb_kl_gradient_identity_check(
     _, grads = pair_loss(policy, space, pairs, pair_weights=p_tau[rep] * p_tau[til])
     rhs = grads["policy"] / 4.0
     return float(np.max(np.abs(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
-# noisy-reward wrapper
-
-
-@Environment.register
-class NoisyRewardEnv:
-    """Base environment with frozen i.i.d. Gaussian offsets on the terminal
-    log-rewards. Every other attribute is the base's, so the structure (and
-    therefore the fingerprint) is unchanged."""
-
-    def __init__(self, base: Environment, offsets: dict):
-        self.base = base
-        self.offsets = offsets
-
-    def __getattr__(self, name):
-        if name == "base":  # not set yet while unpickling
-            raise AttributeError(name)
-        return getattr(self.base, name)
-
-    def log_reward(self, s):
-        return self.base.log_reward(s) + self.offsets[s]
-
-    def log_rewards(self, keys) -> np.ndarray:
-        # defined here: the base's batch, reached through __getattr__, has no offsets
-        keys = list(keys)
-        return self.base.log_rewards(keys) + np.array([self.offsets[k] for k in keys], dtype=np.float64)
-
-
-def noisy_reward_wrap(
-    env: Environment, sigma2: float, rng: np.random.Generator, space: StateSpace | None = None
-) -> NoisyRewardEnv:
-    """Materialize one Gaussian log-reward offset per terminal state.
-    `space`, if given, is a complete space of the env's DAG and is used
-    instead of enumerating it."""
-    if not (np.isfinite(sigma2) and sigma2 >= 0):
-        raise ValueError(f"noise variance must be finite and >= 0, got {sigma2!r}")
-    space = StateSpace.enumerated(env) if space is None else space.for_env(env)
-    sd = float(np.sqrt(sigma2))
-    offsets = {
-        space.keys[i]: float(rng.normal(0.0, sd)) if sd > 0 else 0.0
-        for i in space.terminal_indices()
-    }
-    return NoisyRewardEnv(env, offsets)

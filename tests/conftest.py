@@ -296,6 +296,31 @@ def counting_rewards(env):
     return counted(*(getattr(env, f) for f in env.__dataclass_fields__)), seen
 
 
+def noise_cell_views(tmp_path, monkeypatch, doc, values, seed=1) -> list:
+    """The client views each cell of a noise sweep of `doc` over `values`
+    (variances) at sweep seed `seed` would train on, one list per cell in
+    value order; nothing is trained."""
+    import yaml
+
+    import gfnpool.cli
+
+    seen = []
+
+    def cell(run, views):
+        seen.append(views)
+        return [], float("nan")
+
+    monkeypatch.setattr(gfnpool.cli, "_pipeline_final_l1", cell)
+    monkeypatch.setenv("GFNPOOL_OUTPUT_ROOT", str(tmp_path / "out"))
+    path = tmp_path / "noise.yaml"
+    path.write_text(yaml.safe_dump({**doc, "sweep": {"axis": "noise", "values": values, "seeds": [seed]}}))
+    assert gfnpool.cli.main(["sweep", "--config", str(path)]) == 0
+    errors = tmp_path / "out" / doc["name"] / "sweep_errors.json"
+    assert not errors.exists(), errors.read_text()
+    assert len(seen) == len(values)
+    return seen
+
+
 def count_replays(monkeypatch) -> list:
     """Patch every module's reference to the replay entry points
     (`replay_log_pf`, `replay_steps`) with one that records the policy it

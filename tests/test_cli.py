@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -16,7 +18,7 @@ from gfnpool.cli import main
 from gfnpool.config import RunConfig, apply_overrides, load_config
 from gfnpool.envs import DEFAULT_STATE_GUARD, MultisetEnv, StateSpace
 from gfnpool.errors import ConfigError, NumericError
-from tests.conftest import rewritten_snapshot
+from tests.conftest import noise_cell_views, rewritten_snapshot
 
 TINY_GRID = {
     "name": "tiny",
@@ -487,20 +489,27 @@ def test_enumeration_guard_exit_code(outroot):
     assert rc == 4
 
 
-def test_sweep_noise_zero_matches_direct_run(outroot):
+def test_sweep_noise_zero_matches_direct_run(outroot, monkeypatch):
     doc = json.loads(json.dumps(TINY_MULTISET))
     doc["sweep"] = {"axis": "noise", "values": [0.0], "seeds": [5]}
     cfg = write_cfg(outroot, doc)
+    pipeline, cells = cli_module._pipeline_final_l1, []
+
+    def recorded(run, views):
+        cells.append(pipeline(run, views))
+        return cells[-1]
+
+    monkeypatch.setattr(cli_module, "_pipeline_final_l1", recorded)
     assert main(["sweep", "--config", cfg]) == 0
     rows = read_csv_rows(outroot / "out" / "tinymset" / "sweep.csv")
     assert rows and all(r["axis"] == "noise" for r in rows)
-    final_sweep = float(rows[-1]["l1"])
-    # direct pipeline at the same seed must agree (zero noise is a no-op)
-    from gfnpool.cli import _pipeline_final_l1
-
+    # direct pipeline at the same seed must agree bit for bit (zero noise is a no-op)
     run = RunConfig(doc)
-    _, final_direct = _pipeline_final_l1(run, run.client_envs())
-    assert final_sweep == pytest.approx(final_direct, abs=1e-6)
+    metrics, final_direct = pipeline(run, cli_module._client_views(None, run))
+    ((swept, final_sweep),) = cells
+    assert final_sweep == final_direct and rows[-1]["l1"] == f"{final_direct:.6f}"
+    assert [m["loss"] for m in swept] == [m["loss"] for m in metrics]
+    assert np.array_equal([m["l1"] for m in swept], [m["l1"] for m in metrics], equal_nan=True)
 
 
 def _count_enumerations(monkeypatch) -> list:
@@ -650,6 +659,86 @@ def test_sweep_clients_trains_and_pools_value_clients(outroot, monkeypatch, conf
     assert {int(r["value"]) for r in read_csv_rows(out / "sweep.csv")} == set(values)
 
 
+# sha256 of each client's terminal log-rewards in a noise sweep of
+# TINY_MULTISET at sweep seed 1, by variance; the same bits as the
+# per-terminal scalar draws of earlier versions
+NOISY_TABLE_SHA256 = {
+    0.01: [
+        "2aa7363e707af3c06e236e1abef9f3a6dc9f61d50de6139a4156815a601034a3",
+        "961c4d40cd46da5abfc4b4e66afa5b5e0ed93143549f01bbf43ebe8b7ce8e712",
+    ],
+    0.5: [
+        "33c0c3067dd4047607b696d5381c853882e87159cee0345d43cb7fe68d826f87",
+        "d50bc3cd5c735d8a679efad05e1a06b8344b279041963e40c845fc51d0bee138",
+    ],
+}
+
+
+def test_noise_sweep_tables_keep_their_bits(tmp_path, monkeypatch):
+    cells = noise_cell_views(tmp_path, monkeypatch, TINY_MULTISET, sorted(NOISY_TABLE_SHA256))
+    got = {
+        value: [hashlib.sha256(v.log_rewards(v.terminal_indices()).tobytes()).hexdigest() for v in views]
+        for value, views in zip(sorted(NOISY_TABLE_SHA256), cells)
+    }
+    assert got == NOISY_TABLE_SHA256
+
+
+SHRUNK_NOISE_SWEEP = [
+    "train.epochs=20",
+    "aggregate.epochs=20",
+    "train.eval_every=10",
+    "aggregate.eval_every=10",
+    "sweep.values=[0.0, 0.01]",
+    "sweep.seeds=[1]",
+]
+
+
+def test_shipped_noise_sweep_keeps_its_bits(outroot):
+    argv = ["sweep", "--config", str(CONFIGS / "multiset.yaml")]
+    for item in SHRUNK_NOISE_SWEEP:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    out = outroot / "out" / "multiset_default"
+    assert not (out / "sweep_errors.json").exists()
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "d7d9827533bebf766e454d8d6ed4a6012e24c30fc325f8eb8e03ae6084dda2d4"
+
+
+# The paper's claim in miniature: EP's L1 to the product target is below
+# every baseline's. Each case: config, env overrides, and the margin, half
+# the smallest gap of its recorded run (multiset: EP 6.84e-4 against FedAvg
+# 0.387, PCVI 0.494, naive product 1.073; grid: EP 3.0e-7 against FedAvg
+# 0.149, PCVI 0.038, naive product 0.307).
+CLAIM_CASES = {
+    "multiset6x4": ("multiset.yaml", ["env.multiset.dict_size=6", "env.multiset.target_size=4", "clients.n=3"], 0.19),
+    "grid3x3": ("grid.yaml", ["env.grid.size=3", "env.grid.beacons=[[[1, 1]], [[2, 0]]]"], 0.019),
+}
+CLAIM_BUDGET = [
+    "train.epochs=300",
+    "aggregate.epochs=300",
+    "train.batch=128",
+    "aggregate.batch=128",
+    "train.lr=0.05",
+    "aggregate.lr=0.05",
+    "eval.samples=2000",
+]
+
+
+@pytest.mark.parametrize("case", sorted(CLAIM_CASES))
+def test_ep_beats_every_baseline(outroot, case):
+    config, env_sets, margin = CLAIM_CASES[case]
+    argv = ["--config", str(CONFIGS / config)]
+    for item in env_sets + CLAIM_BUDGET:
+        argv += ["--set", item]
+    for command in ("train-clients", "aggregate", "baselines"):
+        assert main([command, *argv]) == 0
+    name = load_config(CONFIGS / config)["name"]
+    report = json.loads((outroot / "out" / name / "baselines.json").read_text())
+    assert set(report["baselines"]) == {"fedavg", "pcvi", "naive_policy_product"}
+    for baseline, row in report["baselines"].items():
+        assert row["l1"] - report["ep_l1"] >= margin, baseline
+
+
 def test_one_enumeration_and_one_reward_pass_per_command(outroot, monkeypatch):
     doc = json.loads(json.dumps(TINY_MULTISET))
     doc["train"]["eval_every"] = 0
@@ -712,6 +801,32 @@ def test_batched_reward_rows_per_command(outroot, monkeypatch):
     assert 0 < seen["train-clients"] <= len(envs) * n_terminals
     assert seen["aggregate"] == 0
     assert seen["evaluate"] == len(envs) * n_terminals
+
+
+def test_probes_read_each_client_reward_once(outroot, monkeypatch):
+    doc = json.loads(json.dumps(TINY_MULTISET))
+    assert doc["train"]["eval_every"] > 0 and doc["aggregate"]["eval_every"] > 0
+    cfg = write_cfg(outroot, doc)
+    envs = RunConfig(doc).client_envs()
+    n_terminals = StateSpace.enumerated(envs[0]).terminal_indices().size
+    rows = [0]
+    log_rewards = MultisetEnv.log_rewards
+
+    def counted_rows(self, keys):
+        keys = list(keys)
+        rows[0] += len(keys)
+        return log_rewards(self, keys)
+
+    monkeypatch.setattr(MultisetEnv, "log_rewards", counted_rows)
+    seen = {}
+    for command in ("train-clients", "aggregate"):
+        rows[0] = 0
+        assert main([command, "--config", cfg]) == 0
+        seen[command] = rows[0]
+    # a client's probe target and its loss read one cache
+    assert 0 < seen["train-clients"] <= len(envs) * n_terminals
+    # the server's probe target is the product of every client's rewards
+    assert seen["aggregate"] == len(envs) * n_terminals
 
 
 def test_identity_checks_pass(outroot, capsys):

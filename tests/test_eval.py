@@ -1,6 +1,5 @@
 import hashlib
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -11,8 +10,9 @@ import pytest
 
 import gfnpool
 
+from gfnpool.cli import _check_sweep_values
 from gfnpool.envs import GridEnv, MultisetEnv, SequenceEnv, StateSpace
-from gfnpool.errors import EnumerationGuardError, FingerprintMismatchError
+from gfnpool.errors import ConfigError, EnumerationGuardError, FingerprintMismatchError, NotTerminalError
 from gfnpool.evaluation import (
     DEFAULT_TRAJ_GUARD,
     DistributionTable,
@@ -24,14 +24,13 @@ from gfnpool.evaluation import (
     jeffrey,
     kl,
     l1,
-    noisy_reward_wrap,
     product_log_rewards,
     reward_table,
     robustness_bound_check,
     sample_terminals,
     topk_avg_log_reward,
 )
-from gfnpool.losses import PooledLocals
+from gfnpool.losses import LossSpec, PooledLocals
 from gfnpool.policy import (
     FORWARD_CHUNK,
     MlpPolicy,
@@ -41,8 +40,10 @@ from gfnpool.policy import (
     replay_log_pb,
     replay_log_pf,
 )
+from gfnpool.train import TrainConfig, train_local
 from tests.conftest import (
     action_distribution,
+    noise_cell_views,
     random_tabular,
     reference_effective_target,
     reference_exact_pT,
@@ -315,24 +316,25 @@ def _brute_effective_target(pols, envs, space, weights):
 
 
 @pytest.mark.parametrize(
-    "env",
+    "make",
     [
-        GridEnv(side=3, beacons=((1, 1),)),
-        MultisetEnv(values=(0.2, -0.4, 0.9, 0.1), target_size=4),
-        SequenceEnv(pos_scores=(1.0, 0.5, -0.5), token_scores=(0.3, -0.2, 0.1)),
+        lambda g: GridEnv(side=3, beacons=(tuple(g.integers(0, 3, 2).tolist()),), kappa=g.uniform(0.5, 2.0)),
+        lambda g: MultisetEnv(values=tuple(g.normal(0, 1, 4)), target_size=4),
+        lambda g: SequenceEnv(pos_scores=tuple(g.normal(0, 1, 3)), token_scores=tuple(g.normal(0, 1, 3))),
     ],
     ids=["grid3x3", "multiset4x4", "sequence3x3"],
 )
-def test_dag_passes_match_trajectory_enumeration(env, rng):
-    space = StateSpace.enumerated(env)
-    pols = [random_tabular(space, rng) for _ in range(3)]
-    envs = [noisy_reward_wrap(env, 0.5, rng, space=space) for _ in pols]  # same DAG, new rewards
+def test_dag_passes_match_trajectory_enumeration(make, rng):
+    envs = [make(rng) for _ in range(3)]  # same DAG, each client its own reward parameters
+    space = StateSpace.enumerated(envs[0])
+    pols = [random_tabular(space, rng) for _ in envs]
     omega = (0.5, 1.0, 2.0)
     brute, lo, hi = _brute_effective_target(pols, envs, space, omega)
     assert np.max(np.abs(effective_target(pols, space, omega).p - brute)) <= 1e-12
     chk = robustness_bound_check(pols, envs, space)
     assert np.max(np.abs(chk.alphas - (1.0 - np.exp(lo)))) <= 1e-12
-    assert np.max(np.abs(chk.betas - (np.exp(hi) - 1.0))) <= 1e-12
+    # beta = exp(hi) - 1 reaches thousands here, so it is compared as its log
+    assert np.max(np.abs(np.log1p(chk.betas) - hi)) <= 1e-12
 
 
 def test_effective_target_runs_where_enumeration_cannot(rng):
@@ -478,61 +480,88 @@ def test_ab_kl_identity_with_weighted_pool(grid2_space, rng):
         assert cb_kl_gradient_identity_check(random_tabular(space, rng), space, pooled) <= 1e-10
 
 
-# -- noisy rewards ------------------------------------------------------------------
+# -- noisy rewards: a client view's own table -------------------------------------
+
+NOISE_DOC = {
+    "name": "noise",
+    "seed": 5,
+    "env": {"kind": "multiset", "multiset": {"dict_size": 3, "target_size": 2, "values_seed": 7}},
+    "clients": {"n": 2},
+}
 
 
-def test_noisy_wrap_zero_variance_identity(mset33, mset33_space, rng):
-    noisy = noisy_reward_wrap(mset33, 0.0, rng)
-    for i in mset33_space.terminal_indices()[:20]:
-        k = mset33_space.keys[i]
-        assert noisy.log_reward(k) == mset33.log_reward(k)
-    assert noisy.fingerprint() == mset33.fingerprint()
+def _offset_view(space, sd, gen):
+    """A view of `space` whose terminal log-rewards carry Gaussian offsets,
+    and the offsets, in `terminal_indices` order."""
+    term = space.terminal_indices()
+    offsets = gen.normal(0.0, sd, term.size)
+    table = np.full(space.n_states, np.nan)
+    table[term] = space.log_rewards(term) + offsets
+    return space.with_log_rewards(table), offsets
 
 
-def test_noisy_wrap_gaussian_sanity():
-    env = MultisetEnv(values=tuple(np.linspace(0, 1, 9)), target_size=8)
-    space = StateSpace.enumerated(env)
-    n_term = space.terminal_indices().size
-    assert n_term >= 10_000
+def test_noisy_wrap_zero_variance_identity(tmp_path, monkeypatch):
+    (views,) = noise_cell_views(tmp_path, monkeypatch, NOISE_DOC, [0.0])
+    term = views[0].terminal_indices()
+    tables = [v.log_rewards(term).tobytes() for v in views]
+    assert tables == [StateSpace.enumerated(v.env).log_rewards(term).tobytes() for v in views]
+    assert tables[0] != tables[1]  # each client keeps its own rewards
+
+
+def test_noisy_wrap_gaussian_sanity(tmp_path, monkeypatch):
+    env = {"kind": "multiset", "multiset": {"dict_size": 9, "target_size": 8, "values_seed": 7}}
+    doc = {**NOISE_DOC, "env": env, "clients": {"n": 1}}
     sigma2 = 0.01
-    noisy = noisy_reward_wrap(env, sigma2, np.random.default_rng(17))
-    deltas = np.array(
-        [noisy.log_reward(space.keys[i]) - env.log_reward(space.keys[i]) for i in space.terminal_indices()]
-    )
+    ((view,),) = noise_cell_views(tmp_path, monkeypatch, doc, [sigma2], seed=17)
+    term = view.terminal_indices()
+    assert term.size >= 10_000
+    deltas = view.log_rewards(term) - StateSpace.enumerated(view.env).log_rewards(term)
     sd = np.sqrt(sigma2)
     assert np.max(np.abs(deltas)) <= 5 * sd
-    assert abs(deltas.mean()) <= 5 * sd / np.sqrt(n_term)
+    assert abs(deltas.mean()) <= 5 * sd / np.sqrt(term.size)
     assert deltas.var() == pytest.approx(sigma2, rel=0.1)
-    # offsets are frozen: second read is identical
-    k = space.keys[space.terminal_indices()[0]]
-    assert noisy.log_reward(k) == noisy.log_reward(k)
+    # offsets are frozen: a second read is identical
+    assert np.array_equal(view.log_rewards(term[::-1])[::-1], view.log_rewards(term))
 
 
 def test_noisy_wrap_offsets_reach_the_space(mset33, mset33_space):
-    noisy = noisy_reward_wrap(mset33, 0.01, np.random.default_rng(3))
     term = mset33_space.terminal_indices()
-    offsets = np.array([noisy.offsets[mset33_space.keys[i]] for i in term])
+    base = mset33_space.log_rewards(term).copy()
+    noisy, offsets = _offset_view(mset33_space, 0.1, np.random.default_rng(3))
     assert np.all(offsets != 0.0)
     # training reads rewards through the space, so the offsets must show there
-    got = mset33_space.for_env(noisy).log_rewards(term)
-    assert np.array_equal(got, mset33_space.log_rewards(term) + offsets)
-    clone = pickle.loads(pickle.dumps(noisy))
-    assert clone.fingerprint() == mset33.fingerprint()
-    assert [clone.log_reward(mset33_space.keys[i]) for i in term] == list(got)
+    assert np.array_equal(noisy.log_rewards(term), base + offsets)
+    assert noisy.for_env(mset33) is noisy and noisy.env is mset33
+    assert np.array_equal(mset33_space.log_rewards(term), base)  # the base keeps its own
+    # the view shares the enumeration, not the rewards
+    assert noisy._children is mset33_space._children and noisy._shared is mset33_space._shared
+    inner = np.flatnonzero(~mset33_space.terminal_mask(np.arange(mset33_space.n_states)))
+    with pytest.raises(NotTerminalError):
+        noisy.log_rewards(inner[:1])
+    for bad in (np.full(mset33_space.n_states, np.nan), np.zeros(mset33_space.n_states + 1)):
+        with pytest.raises(ValueError, match="log-reward at each terminal"):
+            mset33_space.with_log_rewards(bad)
 
 
 @pytest.mark.parametrize("sigma2", [-0.01, float("nan"), float("inf")])
-def test_noisy_wrap_rejects_bad_variance(mset33, sigma2):
-    with pytest.raises(ValueError, match="variance"):
-        noisy_reward_wrap(mset33, sigma2, np.random.default_rng(0))
+def test_noisy_wrap_rejects_bad_variance(sigma2):
+    # the sweep checks each variance before any cell draws an offset
+    with pytest.raises(ConfigError, match="noise"):
+        _check_sweep_values("noise", [0.0, sigma2])
 
 
 def test_noisy_wrap_trains_like_an_env(rng):
     env = MultisetEnv(values=(0.3, 0.7), target_size=2)
-    noisy = noisy_reward_wrap(env, 0.005, rng)
-    space = StateSpace.enumerated(noisy)
-    pol = balanced_tabular_policy(space)
-    assert l1(exact_pT(pol, space), reward_table([noisy], space)) <= 1e-10
+    space = StateSpace.enumerated(env)
+    noisy, _ = _offset_view(space, np.sqrt(0.005), rng)
+    pol = balanced_tabular_policy(noisy)
+    assert l1(exact_pT(pol, noisy), reward_table([env], noisy)) <= 1e-10
+    assert l1(exact_pT(pol, noisy), reward_table([env], space)) > 1e-3
+    # a client trains on its view's table, and probes against it
+    cfg = TrainConfig(loss=LossSpec("CB"), epochs=30, batch=16, seed=2, eval_every=10)
+    res = train_local(env, cfg, noisy)
+    assert res.space is noisy
+    assert res.metrics[-1]["l1"] == l1(exact_pT(res.policy, noisy), reward_table([env], noisy))
 
 
 L1_PHYLO_SCRIPT = """

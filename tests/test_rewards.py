@@ -18,7 +18,7 @@ from gfnpool.envs import (
 )
 from gfnpool.aggregate import AggregateConfig, aggregate_ab
 from gfnpool.errors import MalformedStateError, NotTerminalError, UnsupportedFeaturizationError
-from gfnpool.evaluation import noisy_reward_wrap, reward_table, terminal_log_rewards
+from gfnpool.evaluation import reward_table, terminal_log_rewards
 from gfnpool.losses import LossSpec
 from gfnpool.train import TrainConfig, train_local
 
@@ -132,11 +132,16 @@ def test_every_override_of_log_reward_is_counted(monkeypatch):
 def test_noisy_batch_keeps_its_offsets():
     env = _multiset(4, 8)
     space = StateSpace.enumerated(env)
-    noisy = noisy_reward_wrap(env, 0.1, np.random.default_rng(0), space)
-    keys = _terminal_keys(space)
-    got = noisy.log_rewards(keys)
-    assert np.array_equal(got, [noisy.log_reward(k) for k in keys])
-    assert not np.array_equal(got, env.log_rewards(keys))
+    term = space.terminal_indices()
+    table = np.full(space.n_states, np.nan)
+    table[term] = space.log_rewards(term) + np.random.default_rng(0).normal(0.0, 0.1, term.size)
+    want = table[term].copy()
+    noisy = space.with_log_rewards(table)
+    table[term] = 0.0  # the view holds a copy
+    got = noisy.log_rewards(term[::-1])[::-1]
+    assert np.array_equal(got, want) and np.array_equal(noisy.log_rewards(term), want)
+    assert not np.array_equal(got, space.log_rewards(term))
+    assert noisy.for_env(env) is noisy and space.for_env(env) is space
 
 
 def test_phylo_batch_leaves_no_reference_cycle():
@@ -235,17 +240,16 @@ def test_every_override_sees_every_key_of_a_level_walked_space(name, monkeypatch
     space = StateSpace.enumerated(env)
     term = space.terminal_indices()
     keys = _terminal_keys(space)
-    # the wrapper's own batch form adds the offsets; its base's rows would not
-    noisy = noisy_reward_wrap(env, 0.1, np.random.default_rng(0), space)
-    want = _bytes_of_scalars(noisy, keys)
-    assert terminal_log_rewards(noisy, space).tobytes() == want
-    assert space.for_env(noisy).log_rewards(term).tobytes() == want
-    assert want != _bytes_of_scalars(env, keys)
     # a subclass that overrides log_reward counts every terminal
     counted, calls = _counting_env(env)
     assert terminal_log_rewards(counted, space).tobytes() == _bytes_of_scalars(env, keys)
     assert calls[0] == len(keys)
-    assert space.for_env(counted).log_rewards(term).tobytes() == _bytes_of_scalars(env, keys)
+    view = space.for_env(counted)
+    assert view.log_rewards(term).tobytes() == _bytes_of_scalars(env, keys)
+    assert calls[0] == 2 * len(keys)
+    # a view given its table reads no key
+    table = np.zeros(space.n_states)
+    assert not view.with_log_rewards(table).log_rewards(term).any()
     assert calls[0] == 2 * len(keys)
     # and so does a patched class attribute, as the bench tracer sets one
     scalar, seen = type(env).log_reward, [0]

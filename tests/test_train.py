@@ -10,7 +10,7 @@ from gfnpool.envs import (
     simulate_sites,
     split_sites,
 )
-from gfnpool.evaluation import exact_pT, l1, noisy_reward_wrap, reward_table
+from gfnpool.evaluation import exact_pT, l1, reward_table
 from gfnpool.losses import LossSpec, db_loss_batch
 from gfnpool.policy import load_snapshot, sample_batch
 from gfnpool.train import (
@@ -107,16 +107,25 @@ def test_client_fanout_order_failures_and_seeds(mset33):
 
 
 def test_parallelism_does_not_change_bytes(mset33):
-    noisy = [noisy_reward_wrap(mset33, 0.01, np.random.default_rng(k)) for k in range(3)]
-    for envs in ([mset33] * 3, noisy):
-        jobs = list(zip(envs, client_configs(small_cfg(epochs=60), 4, 3), strict=True))
-        seq = train_clients(jobs, parallelism=1)
-        par = train_clients(jobs, parallelism=3)
-        assert all(r.ok for r in seq)
-        assert [r.snapshot for r in seq] == [r.snapshot for r in par]
-        assert [m["loss"] for r in seq for m in r.metrics] == [
-            m["loss"] for r in par for m in r.metrics
-        ]
+    jobs = list(zip([mset33] * 3, client_configs(small_cfg(epochs=60), 4, 3), strict=True))
+    seq = train_clients(jobs, parallelism=1)
+    par = train_clients(jobs, parallelism=3)
+    assert all(r.ok for r in seq)
+    assert [r.snapshot for r in seq] == [r.snapshot for r in par]
+    assert [m["loss"] for r in seq for m in r.metrics] == [m["loss"] for r in par for m in r.metrics]
+
+
+def test_views_train_in_process_only(mset33, mset33_space):
+    gen = np.random.default_rng(4)
+    envs = [mset33, MultisetEnv(values=tuple(gen.uniform(0, 1, 3)), target_size=3)]
+    jobs = list(zip(envs, client_configs(small_cfg(epochs=20), 4, 2), strict=True))
+    views = [mset33_space.for_env(e) for e in envs]
+    by_view = train_clients(jobs, views=views)
+    assert [r.snapshot for r in by_view] == [r.snapshot for r in train_clients(jobs)]
+    with pytest.raises(ValueError, match="in process only"):
+        train_clients(jobs, parallelism=2, views=views)
+    with pytest.raises(ValueError, match="its job's env"):
+        train_clients(jobs, views=views[::-1])
 
 
 def test_clients_share_one_enumeration(monkeypatch):
