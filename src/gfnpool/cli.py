@@ -22,7 +22,7 @@ from .envs import GridEnv, MultisetEnv, StateSpace
 from .errors import ConfigError, EnumerationGuardError, GfnError, NumericError
 from .losses import LossSpec, PooledLocals
 from .policy import balanced_tabular_policy, load_snapshot, replay_log_pb, replay_log_pf
-from .train import build_space, enumerate_or_none, train_clients, train_local
+from .train import _client_worker, build_space, enumerate_or_none, train_clients, train_local
 
 
 TIME_COLUMNS = ("wall_ms", "sample_ms", "loss_ms", "step_ms", "eval_ms")
@@ -72,11 +72,8 @@ def _read_manifest(path: Path) -> list[bytes]:
     return blobs
 
 
-def _probe_target(views: list[StateSpace], cfg, weights) -> evaluation.DistributionTable | None:
-    """The product of the clients' view tables, built only when aggregation
-    probes will read it."""
-    if cfg.eval_every == 0:
-        return None
+def _probe_target(views: list[StateSpace], weights) -> evaluation.DistributionTable:
+    """The product of the clients' view tables, which aggregation probes read."""
     term = views[0].terminal_indices()
     log_r = evaluation.pooled_log_rewards(views[0], [v.log_rewards(term) for v in views], weights)
     return evaluation.target_table(views[0], log_r)
@@ -160,7 +157,10 @@ def cmd_aggregate(args) -> int:
         raise ConfigError("loss.weights", f"{len(weights)} weights for the {len(blobs)} snapshots of {manifest}")
     cfg = run.aggregate_config()
     space = build_space(envs[0], cfg)
-    target = _probe_target([space.for_env(e) for e in envs], cfg, weights) if space.complete else None
+    target = None
+    if cfg.eval_every > 0 and space.complete:
+        # fresh views, so the server's space keeps an empty reward cache
+        target = _probe_target([space.view(e) for e in envs], weights)
     res = agg.aggregate_ab(envs[0], blobs, cfg, eval_target=target, space=space, weights=weights)
     out.mkdir(parents=True, exist_ok=True)
     (out / "global.gfnpolicy").write_bytes(res.snapshot)
@@ -262,18 +262,18 @@ def cmd_baselines(args) -> int:
 def _pipeline_final_l1(run: RunConfig, views: list[StateSpace]) -> tuple[list[dict], float]:
     """Train clients, aggregate, return aggregation metrics and final L1.
     `views` holds one complete view per client of one enumeration: each
-    client trains on its view's rewards, and the server on that DAG."""
+    client trains on its view's rewards, and the server on a fresh view,
+    whose reward cache no client filled."""
     cfg = run.aggregate_config()
-    envs = [v.env for v in views]
-    jobs = list(zip(envs, run.client_train_configs(), strict=True))
-    results = train_clients(jobs, views=views)
+    results = [_client_worker((v.env, c, v)) for v, c in zip(views, run.client_train_configs(), strict=True)]
     bad = [r for r in results if not r.ok]
     if bad:
         raise NumericError(f"client failure during sweep: {bad[0].error}")
     weights = run.loss_spec.weights
-    target = _probe_target(views, cfg, weights)
+    target = _probe_target(views, weights) if cfg.eval_every > 0 else None
     snapshots = [r.snapshot for r in results]
-    res = agg.aggregate_ab(envs[0], snapshots, cfg, eval_target=target, space=views[0], weights=weights)
+    server = views[0].view(views[0].env)
+    res = agg.aggregate_ab(server.env, snapshots, cfg, eval_target=target, space=server, weights=weights)
     finals = [r["l1"] for r in res.metrics if np.isfinite(r["l1"])]
     return res.metrics, finals[-1] if finals else float("nan")
 

@@ -87,7 +87,7 @@ class StateSpace:
         self._featurized = np.zeros(cap, dtype=bool)
         self.complete = False
         # keys, index and edge map; some are built on first use, and views
-        # from `for_env` and `with_log_rewards` share this dict
+        # of the space share this dict
         self._shared: dict = {"keys": [], "index": {}}
         self._initial = env.initial_key()
         self.root = self._register(self._initial, depth=0)
@@ -222,13 +222,11 @@ class StateSpace:
         otherwise the keys go to `env.log_rewards`, so an override sees each
         of them and a non-terminal key raises the scalar's error."""
         idx = np.asarray(idx)
-        missing = idx[np.isnan(self._logr[idx])]
+        missing = np.sort(idx[np.isnan(self._logr[idx])])
         if missing.size:
-            # each state once, in index order: a mask, as `np.unique` of a
-            # whole space's terminals costs more than their rewards
-            need = np.zeros(self._logr.shape[0], dtype=bool)
-            need[missing] = True
-            missing = np.flatnonzero(need)
+            # each state once, in index order, in time set by the batch:
+            # `np.unique` of a whole space's terminals costs more than their rewards
+            missing = missing[np.concatenate(([True], missing[1:] != missing[:-1]))]
             rows_form = reward_rows(self.env)
             if rows_form is not None and self._rows is not None and self._terminal[missing].all():
                 self._logr[missing] = rows_form(self._rows[missing], self._lengths[missing])
@@ -337,6 +335,12 @@ class StateSpace:
         """
         if env is self.env:
             return self
+        return self.view(env)
+
+    def view(self, env: Environment) -> "StateSpace":
+        """A view of this complete space for `env`, which must have the same
+        DAG, with an empty reward cache of its own, even where `env` is this
+        space's: a server handed one reads no reward a client cached."""
         self.require_complete()
         if env.fingerprint() != self.env.fingerprint():
             raise FingerprintMismatchError(

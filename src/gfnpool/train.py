@@ -265,30 +265,18 @@ def enumerate_or_none(env: Environment, guard: int) -> StateSpace | None:
         return None
 
 
-def train_clients(
-    jobs: list[tuple[Environment, TrainConfig]], parallelism: int = 1, views: list[StateSpace] | None = None
-) -> list[ClientResult]:
+def train_clients(jobs: list[tuple[Environment, TrainConfig]], parallelism: int = 1) -> list[ClientResult]:
     """Train every client, fanning out across processes; output order matches
     input order and is byte-identical at any parallelism level.
 
     In process, the state space is enumerated once per distinct (DAG, guard)
-    among the jobs, and each client trains on its own view of it. `views`,
-    if given, holds one complete view per job, of the job's env, and each
-    client trains on its view and the rewards it holds instead. Views serve
-    in process only: a worker would enumerate its own space and lose their
-    rewards, so with `parallelism > 1` they raise ValueError. Worker
+    among the jobs, and each client trains on its own view of it. Worker
     processes enumerate their own: a pickled multiset 10x8 space is 5.8 MB,
     most of it the child table, and its pickle round trip takes ~6 ms
     against ~30 ms to build it (sequence 6x6: 5.4 MB, ~5 ms against ~10 ms;
     one core), so shipping one per job would save some tens of milliseconds
     per worker.
     """
-    if views is not None:
-        if parallelism > 1:
-            raise ValueError("space views train in process only; a worker would lose their rewards")
-        if any(view.env is not env for (env, _), view in zip(jobs, views, strict=True)):
-            raise ValueError("each view must belong to its job's env")
-        return [_client_worker((env, cfg, view)) for (env, cfg), view in zip(jobs, views)]
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(_client_worker, [(env, cfg, None) for env, cfg in jobs]))

@@ -635,18 +635,21 @@ SMALL_SWEEP = [
     ],
 )
 def test_sweep_clients_trains_and_pools_value_clients(outroot, monkeypatch, config, extra, values):
-    jobs_seen, snaps_seen = [], []
-    train, aggregate = cli_module.train_clients, agg_module.aggregate_ab
+    trained, jobs_seen, snaps_seen = [0], [], []
+    worker, aggregate = cli_module._client_worker, agg_module.aggregate_ab
 
-    def counted_train(jobs, parallelism=1, **kw):
-        jobs_seen.append(len(jobs))
-        return train(jobs, parallelism=parallelism, **kw)
+    def counted_worker(job):
+        trained[0] += 1
+        return worker(job)
 
     def counted_aggregate(env, snapshots, cfg, **kw):
+        # the clients a cell trained, read when it pools them
+        jobs_seen.append(trained[0])
+        trained[0] = 0
         snaps_seen.append(len(snapshots))
         return aggregate(env, snapshots, cfg, **kw)
 
-    monkeypatch.setattr(cli_module, "train_clients", counted_train)
+    monkeypatch.setattr(cli_module, "_client_worker", counted_worker)
     monkeypatch.setattr(agg_module, "aggregate_ab", counted_aggregate)
     sets = SMALL_SWEEP + extra + [f"sweep.values={values}"]
     argv = ["sweep", "--config", str(CONFIGS / config)]
@@ -818,6 +821,14 @@ def test_probes_read_each_client_reward_once(outroot, monkeypatch):
         return log_rewards(self, keys)
 
     monkeypatch.setattr(MultisetEnv, "log_rewards", counted_rows)
+    aggregate, servers = agg_module.aggregate_ab, []
+
+    def kept_server(*args, **kwargs):
+        res = aggregate(*args, **kwargs)
+        servers.append(res.space)
+        return res
+
+    monkeypatch.setattr(agg_module, "aggregate_ab", kept_server)
     seen = {}
     for command in ("train-clients", "aggregate"):
         rows[0] = 0
@@ -827,6 +838,11 @@ def test_probes_read_each_client_reward_once(outroot, monkeypatch):
     assert 0 < seen["train-clients"] <= len(envs) * n_terminals
     # the server's probe target is the product of every client's rewards
     assert seen["aggregate"] == len(envs) * n_terminals
+    # read through views of their own: the server's cache stays empty, in
+    # `aggregate` and in a sweep cell, so a reward it read would be counted
+    run = RunConfig(doc)
+    cli_module._pipeline_final_l1(run, cli_module._client_views(None, run))
+    assert len(servers) == 2 and all(np.isnan(space._logr).all() for space in servers)
 
 
 def test_identity_checks_pass(outroot, capsys):

@@ -280,6 +280,32 @@ def test_space_views_share_structure_not_rewards():
     assert np.array_equal(got_b, [b.log_reward(space.keys[i]) for i in term])
     assert np.array_equal(got_a, [a.log_reward(space.keys[i]) for i in term])
     assert not np.array_equal(got_a, got_b)
+    # a fresh view of the space's own env starts with an empty cache
+    fresh = space.view(a)
+    assert fresh is not space and fresh.env is a and np.isnan(fresh._logr).all()
+    assert np.array_equal(fresh.log_rewards(term), got_a)
+
+
+def test_space_reads_each_missing_reward_once_in_index_order(rng):
+    batches = []
+
+    class Recorded(MultisetEnv):
+        def log_rewards(self, keys):
+            batches.append(list(keys))
+            return super().log_rewards(keys)
+
+    env = Recorded(values=(0.1, 0.5, 0.9), target_size=4)
+    space = StateSpace.enumerated(env)
+    term = space.terminal_indices()
+    idx = rng.choice(term, 3 * term.size)  # unsorted and repeated
+    cached: set = set()
+    for part in np.array_split(idx, 3):  # later calls meet rewards an earlier one cached
+        new = sorted(set(part.tolist()) - cached)
+        got = space.log_rewards(part)
+        assert batches == [[space.keys[i] for i in new]]
+        assert np.array_equal(got, [MultisetEnv.log_reward(env, space.keys[i]) for i in part])
+        batches.clear()
+        cached.update(new)
 
 
 @pytest.mark.parametrize("view", [False, True])

@@ -115,19 +115,6 @@ def test_parallelism_does_not_change_bytes(mset33):
     assert [m["loss"] for r in seq for m in r.metrics] == [m["loss"] for r in par for m in r.metrics]
 
 
-def test_views_train_in_process_only(mset33, mset33_space):
-    gen = np.random.default_rng(4)
-    envs = [mset33, MultisetEnv(values=tuple(gen.uniform(0, 1, 3)), target_size=3)]
-    jobs = list(zip(envs, client_configs(small_cfg(epochs=20), 4, 2), strict=True))
-    views = [mset33_space.for_env(e) for e in envs]
-    by_view = train_clients(jobs, views=views)
-    assert [r.snapshot for r in by_view] == [r.snapshot for r in train_clients(jobs)]
-    with pytest.raises(ValueError, match="in process only"):
-        train_clients(jobs, parallelism=2, views=views)
-    with pytest.raises(ValueError, match="its job's env"):
-        train_clients(jobs, views=views[::-1])
-
-
 def test_clients_share_one_enumeration(monkeypatch):
     gen = np.random.default_rng(8)
     envs = [MultisetEnv(values=tuple(gen.uniform(0, 1, 3)), target_size=3) for _ in range(3)]
