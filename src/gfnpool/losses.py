@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs.space import StateSpace
+from .envs.space import StateSpace, unique_ints
 from .errors import RewardSupportError, UnsupportedLossError
 from .policy import (
     ForwardPolicy,
@@ -188,7 +188,7 @@ class PooledLocals:
             self._table = np.concatenate([self._table, np.zeros((cap - self._filled.size, self.space.arity))])
             self._filled = np.concatenate([self._filled, np.zeros(cap - self._filled.size, dtype=bool)])
         if self._lazy:
-            missing = np.unique(idx[~self._filled[idx]])
+            missing = unique_ints(idx[~self._filled[idx]])
             if missing.size:
                 for policy, w in self._lazy:
                     self._table[missing] += w * policy_probs(policy, self.space, missing)[1]

@@ -8,7 +8,11 @@ then bias, for each layer in order), so snapshots and parameter averaging are
 trivial.
 
 The optimizer keeps dense moments, one float64 per parameter, and steps every
-parameter at every step, in place, with no parameter-sized temporaries.
+parameter at every step, in place. It runs its elementwise operations one
+block of at most `ADAMW_BLOCK` parameters at a time, so the arrays a block
+reads and writes stay in cache, and its only temporaries are two
+block-sized workspace rows. Every operation is elementwise, so the blocked
+step keeps the bits of the same operations over whole arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
+
+# parameters per AdamW block: a block's six float64 arrays (params, grad, m, v
+# and the two workspace rows) take 1.5 MiB, within a 2 MiB L2 cache. Of
+# 8,192 to 65,536, it gave the fastest steady-state step on multiset 10x8.
+ADAMW_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -143,8 +152,8 @@ class AdamWState:
     """Moments and hyperparameters for decoupled-weight-decay Adam.
 
     `m` and `v` hold one moment per parameter of the flat vector, and
-    `workspace` two rows of the same length that `adamw_step` reuses for
-    its temporaries."""
+    `workspace` two rows of `min(n_params, ADAMW_BLOCK)` floats that
+    `adamw_step` reuses, block after block, for its temporaries."""
 
     groups: list[ParamGroup]
     lr: float = 3e-3
@@ -155,7 +164,7 @@ class AdamWState:
     step: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
-    workspace: np.ndarray = field(init=False, repr=False)  # two rows of temporaries for adamw_step
+    workspace: np.ndarray = field(init=False, repr=False)  # two block-sized rows of temporaries for adamw_step
 
     def __post_init__(self):
         def need(ok: bool, what: str) -> None:
@@ -169,13 +178,16 @@ class AdamWState:
         need(0 <= self.beta1 < 1, "beta1 must be in [0, 1)")
         need(0 <= self.beta2 < 1, "beta2 must be in [0, 1)")
         for g in self.groups:
+            # a size < 1 would shift every later group's slice onto the wrong parameters
+            need(isinstance(g.size, (int, np.integer)) and g.size >= 1,
+                 f"group {g.name}: size must be an integer >= 1")
             lr, wd = self.settings(g)
             need(math.isfinite(lr) and lr > 0, f"group {g.name}: lr must be a finite number > 0")
             need(math.isfinite(wd) and wd >= 0, f"group {g.name}: weight_decay must be a finite number >= 0")
         n = sum(g.size for g in self.groups)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
-        self.workspace = np.empty((2, n))
+        self.workspace = np.empty((2, min(n, ADAMW_BLOCK)))
 
     @property
     def n_params(self) -> int:
@@ -195,37 +207,45 @@ class AdamWState:
 
 def adamw_step(state: AdamWState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """One AdamW update in place: mutates the moments and `params`, and
-    returns `params`. It allocates no parameter-sized temporaries: its
-    arithmetic runs in the state's workspace. Per group, the decoupled decay
-    is taken from the parameters before the Adam step and subtracted after
-    it. A non-finite gradient entry is refused before anything changes."""
+    returns `params`. It runs group by group, and within a group one block
+    of at most `ADAMW_BLOCK` parameters at a time, with the block's
+    temporaries in the state's workspace, so it allocates no
+    parameter-sized array. Per group, the decoupled decay is taken from the
+    parameters before the Adam step and subtracted after it. A non-finite
+    gradient entry is refused before anything changes: a first pass over
+    the blocks checks them all."""
     if params.shape != (state.n_params,) or grad.shape != (state.n_params,):
         raise ValueError("parameter/gradient shape does not match optimizer state")
-    if not np.isfinite(grad).all():
-        raise NumericError("non-finite gradient passed to adamw_step")
+    n, block = state.n_params, ADAMW_BLOCK
+    for lo in range(0, n, block):
+        if not np.isfinite(grad[lo:lo + block]).all():
+            raise NumericError("non-finite gradient passed to adamw_step")
     state.step += 1
     t = state.step
-    m, v, (a, b) = state.m, state.v, state.workspace
-    np.multiply(grad, 1 - state.beta1, out=a)
-    m *= state.beta1
-    m += a
-    np.multiply(grad, 1 - state.beta2, out=a)
-    a *= grad
-    v *= state.beta2
-    v += a
-    c1, c2 = 1 - state.beta1**t, 1 - state.beta2**t
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    c1, c2 = 1 - b1**t, 1 - b2**t
     for g, sl in state.group_slices():
         lr, wd = state.settings(g)
-        p, step, denom = params[sl], a[sl], b[sl]
-        np.divide(v[sl], c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m[sl], c1, out=step)
-        step *= lr
-        step /= denom
-        if wd:
-            np.multiply(p, lr * wd, out=denom)
-        p -= step
-        if wd:
-            p -= denom
+        for lo in range(sl.start, sl.stop, block):
+            blk = slice(lo, min(lo + block, sl.stop))
+            gb, m, v, p = grad[blk], state.m[blk], state.v[blk], params[blk]
+            step, denom = state.workspace[:, : blk.stop - lo]
+            np.multiply(gb, 1 - b1, out=step)
+            m *= b1
+            m += step
+            np.multiply(gb, 1 - b2, out=step)
+            step *= gb
+            v *= b2
+            v += step
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            np.divide(m, c1, out=step)
+            step *= lr
+            step /= denom
+            if wd:
+                np.multiply(p, lr * wd, out=denom)
+            p -= step
+            if wd:
+                p -= denom
     return params

@@ -73,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .envs.base import Environment
-from .envs.space import CHILD_ILLEGAL, CHILD_STOP, StateSpace
+from .envs.space import CHILD_ILLEGAL, CHILD_STOP, StateSpace, unique_ints
 from .errors import (
     FingerprintMismatchError,
     MalformedStateError,
@@ -282,7 +282,7 @@ class MlpPolicy(ForwardPolicy):
         back through the inverse index: a state's row does not depend on how
         it was reached. The cache is (forward cache, inverse index, distinct
         states)."""
-        uniq, inv = np.unique(idx, return_inverse=True)
+        uniq, inv = unique_ints(idx, return_inverse=True)
         out, cache = mlp_forward(self.spec, self.params, space.features(uniq))
         return out[inv], (cache, inv, uniq)
 
@@ -451,7 +451,7 @@ def sample_batch(
     while alive.size:
         if t >= horizon:
             raise NumericError("trajectory step budget exceeded; DAG integrity suspect")
-        uniq, inv = np.unique(states[alive, t], return_inverse=True)
+        uniq, inv = unique_ints(states[alive, t], return_inverse=True)
         rows, logp, p, bc = policy_rows(policy, space, uniq)
         record.append((logp, p, bc))
         dist, pick = p, inv

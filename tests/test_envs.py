@@ -19,7 +19,7 @@ from gfnpool.errors import (
     NotTerminalError,
     UnsupportedFeaturizationError,
 )
-from gfnpool.envs.space import _key_codes
+from gfnpool.envs.space import _key_codes, unique_ints
 from tests.conftest import (
     _with,
     assert_key_matrix,
@@ -306,6 +306,20 @@ def test_space_reads_each_missing_reward_once_in_index_order(rng):
         assert np.array_equal(got, [MultisetEnv.log_reward(env, space.keys[i]) for i in part])
         batches.clear()
         cached.update(new)
+
+
+def test_unique_ints_equals_np_unique(rng):
+    arrays = [np.array([], dtype=np.int64), np.array([7]), np.full(9, -3), np.full(2000, 11)]
+    for size in (2, 512, 5000):
+        for high in (3, size, 10**12):
+            arrays.append(rng.integers(-high, high, size))
+    arrays.append(rng.integers(0, 40, (30, 20)))  # the inverse keeps the input's shape
+    for a in arrays:
+        want, want_inv = np.unique(a, return_inverse=True)
+        got, got_inv = unique_ints(a, return_inverse=True)
+        assert got.dtype == want.dtype and got_inv.dtype == want_inv.dtype and got_inv.shape == want_inv.shape
+        assert np.array_equal(got, want) and np.array_equal(got_inv, want_inv)
+        assert np.array_equal(unique_ints(a), want)
 
 
 @pytest.mark.parametrize("view", [False, True])

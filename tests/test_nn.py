@@ -3,8 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gfnpool import train
+from gfnpool.envs import MultisetEnv
 from gfnpool.errors import NumericError
-from gfnpool.nn import AdamWState, MlpSpec, ParamGroup, adamw_step, mlp_backward, mlp_forward, mlp_init
+from gfnpool.losses import LossSpec
+from gfnpool.nn import (
+    ADAMW_BLOCK, AdamWState, MlpSpec, ParamGroup, adamw_step, mlp_backward, mlp_forward, mlp_init,
+)
+from gfnpool.policy import TabularPolicy
+from gfnpool.train import TrainConfig
 
 
 def test_spec_validation():
@@ -211,12 +218,12 @@ ONCE = np.r_[0:3, 43]  # nonzero at step 1 only
 TINY = np.array([20, 21])  # first reached at step 5 by 1e-170, whose square underflows to 0
 
 
-def _sparse_grad(rng, t):
-    g = np.where(rng.random(60) < 0.15, rng.normal(0, 1, 60), 0.0)
-    g[rng.random(60) < 0.1] = -0.0
-    g[NEVER] = (0.0, -0.0) * (NEVER.size // 2) + (0.0,) * (NEVER.size % 2)
-    g[ONCE] = rng.normal(0, 1, ONCE.size) if t == 1 else 0.0
-    g[TINY] = 0.0 if t < 5 else (1e-170, -1e-170)[t % 2]
+def _sparse_grad(rng, t, n=60, never=NEVER, once=ONCE, tiny=TINY):
+    g = np.where(rng.random(n) < 0.15, rng.normal(0, 1, n), 0.0)
+    g[rng.random(n) < 0.1] = -0.0
+    g[never] = (0.0, -0.0) * (never.size // 2) + (0.0,) * (never.size % 2)
+    g[once] = rng.normal(0, 1, once.size) if t == 1 else 0.0
+    g[tiny] = 0.0 if t < 5 else (1e-170, -1e-170)[t % 2]
     return g
 
 
@@ -254,25 +261,97 @@ def test_adamw_refuses_a_nonfinite_entry_before_any_change(rng, bad):
             adamw_step(state, params, bad_g)
         assert state.step == 3
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (params, state.m, state.v)))
+    # the same over blocks: a bad entry in the last block stops the step before the first block moves
+    state = AdamWState(BLOCK_GROUPS, lr=3e-3)
+    params = rng.normal(0, 1, BLOCK_N)
+    adamw_step(state, params, _block_grad(rng, 1))
+    before = params.copy(), state.m.copy(), state.v.copy()
+    bad_g = _block_grad(rng, 2)
+    bad_g[-1] = bad
+    with pytest.raises(NumericError):
+        adamw_step(state, params, bad_g)
+    assert state.step == 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (params, state.m, state.v)))
+
+
+# Four groups over more than two blocks: the first ends one short of a block
+# edge, log Z (one parameter, its own lr) sits where that edge falls, a
+# decaying group crosses its own block edge, and a two-parameter tail ends it.
+B = ADAMW_BLOCK
+BLOCK_N = 2 * B + 3
+BLOCK_GROUPS = [ParamGroup("policy", B - 1), ParamGroup("logz", 1, lr=0.1), ParamGroup("mlp", B + 1, weight_decay=0.2),
+                ParamGroup("tail", 2)]
+BLOCK_SLICES = [(slice(0, B - 1), 3e-3, 0.0), (slice(B - 1, B), 0.1, 0.0), (slice(B, 2 * B + 1), 3e-3, 0.2),
+                (slice(2 * B + 1, BLOCK_N), 3e-3, 0.0)]
+BLOCK_NEVER = np.array([B - 3, B - 2, B, 2 * B - 1, 2 * B, BLOCK_N - 1])  # at each edge, either side
+BLOCK_ONCE = np.array([0, B - 1, 2 * B + 1])
+BLOCK_TINY = np.array([B + 1, 2 * B - 2])
+
+
+def _block_grad(rng, t):
+    return _sparse_grad(rng, t, BLOCK_N, BLOCK_NEVER, BLOCK_ONCE, BLOCK_TINY)
+
+
+def test_adamw_blocks_keep_the_textbook_bits_at_their_edges(rng):
+    state = AdamWState(BLOCK_GROUPS, lr=3e-3)
+    params = rng.normal(0, 1, BLOCK_N)
+    params[BLOCK_TINY] = 0.0
+    start = params.copy()
+    ref, m, v = params.copy(), np.zeros(BLOCK_N), np.zeros(BLOCK_N)
+    for t in range(1, 11):
+        g = _block_grad(rng, t)
+        adamw_step(state, params, g)
+        ref, m, v = _textbook_adamw(ref, m, v, g, t, BLOCK_SLICES)
+        assert params.tobytes() == ref.tobytes(), t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
+    # decay moves the unreached parameters of the decaying group only
+    never_decayed = BLOCK_NEVER[(BLOCK_NEVER < B) | (BLOCK_NEVER > 2 * B)]
+    assert params[never_decayed].tobytes() == start[never_decayed].tobytes()
+    assert np.all(params[BLOCK_TINY] != 0.0) and np.all(params[BLOCK_ONCE] != start[BLOCK_ONCE])
+
+
+def _textbook_step(state, params, grad):
+    """`adamw_step` as the textbook update over whole arrays."""
+    state.step += 1
+    groups = [(sl, *state.settings(g)) for g, sl in state.group_slices()]
+    new, state.m[:], state.v[:] = _textbook_adamw(
+        params, state.m, state.v, grad, state.step, groups, state.beta1, state.beta2, state.eps
+    )
+    params[:] = new
+    return params
+
+
+def test_blocked_training_writes_the_textbook_snapshot(monkeypatch):
+    # multiset 10x8 has 218,790 legal edges, several blocks, and TB adds log Z after them
+    env = MultisetEnv(values=tuple(np.linspace(-1.0, 1.0, 10)), target_size=8)
+    cfg = TrainConfig(epochs=4, batch=64, seed=3, lr=0.1, eval_every=0, loss=LossSpec("TB"))
+    space = train.build_space(env, cfg)
+    assert TabularPolicy.size(space, env.max_arity) > 2 * ADAMW_BLOCK
+    blocked = train.train_local(env, cfg, space).snapshot
+    monkeypatch.setattr(train, "adamw_step", _textbook_step)
+    assert train.train_local(env, cfg, space).snapshot == blocked
 
 
 def test_adamw_step_allocates_no_parameter_sized_array(rng):
-    n = 200_000
-    state = _opt(n, lr=3e-3)
-    params = rng.normal(0, 1, n)
-    grads = rng.normal(0, 1, (3, n))
-    held = state.m, state.v, state.workspace
-    adamw_step(state, params, grads[0])  # numpy's first call may cache small objects
-    tracemalloc.start()
-    try:
-        for g in grads[1:]:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            adamw_step(state, params, g)
-            assert tracemalloc.get_traced_memory()[1] - base < 8 * n
-    finally:
-        tracemalloc.stop()
-    assert all(a is b for a, b in zip(held, (state.m, state.v, state.workspace)))
+    # the bound is a quarter of one block's float64, the same at both sizes
+    for n in (4 * ADAMW_BLOCK + 5, 16 * ADAMW_BLOCK + 5):
+        groups = [ParamGroup("a", n // 2), ParamGroup("logz", 1, lr=0.1), ParamGroup("b", n - n // 2 - 1, weight_decay=0.1)]
+        state = AdamWState(groups, lr=3e-3)
+        assert state.workspace.size <= 2 * ADAMW_BLOCK
+        params = rng.normal(0, 1, n)
+        grads = rng.normal(0, 1, (3, n))
+        held = state.m, state.v, state.workspace
+        adamw_step(state, params, grads[0])  # numpy's first call may cache small objects
+        tracemalloc.start()
+        try:
+            for g in grads[1:]:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                adamw_step(state, params, g)
+                assert tracemalloc.get_traced_memory()[1] - base < 2 * ADAMW_BLOCK, n
+        finally:
+            tracemalloc.stop()
+        assert all(a is b for a, b in zip(held, (state.m, state.v, state.workspace)))
 
 
 @pytest.mark.parametrize(
@@ -292,12 +371,15 @@ def test_adamw_rejects_bad_hyperparameters(kw):
 
 @pytest.mark.parametrize(
     "group", [ParamGroup("p", 3, lr=0.0), ParamGroup("p", 3, lr=np.inf), ParamGroup("p", 3, weight_decay=-0.1),
-              ParamGroup("p", 3, weight_decay=np.nan)],
-    ids=["lr=0", "lr=inf", "weight_decay=-0.1", "weight_decay=nan"],
+              ParamGroup("p", 3, weight_decay=np.nan), ParamGroup("p", -2), ParamGroup("p", 0), ParamGroup("p", 2.5)],
+    ids=["lr=0", "lr=inf", "weight_decay=-0.1", "weight_decay=nan", "size=-2", "size=0", "size=2.5"],
 )
 def test_adamw_rejects_bad_group_settings(group):
     with pytest.raises(ValueError, match="group p"):
         AdamWState([group])
+    # after a valid group too: a negative size would shrink the earlier group's slice
+    with pytest.raises(ValueError, match="group p"):
+        AdamWState([ParamGroup("a", 5), group])
 
 
 def test_adamw_accepts_the_edges():
