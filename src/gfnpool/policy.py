@@ -66,7 +66,6 @@ of their version.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
@@ -661,12 +660,10 @@ def load_snapshot(blob: bytes, env: Environment, space: StateSpace | None = None
             )
         policy: ForwardPolicy = TabularPolicy(space, params=params)
     elif doc.get("backend") == "mlp":
-        widths, slope = arch.get("widths"), arch.get("negative_slope", 0.01)
-        try:  # `type(...) is int` also turns away JSON booleans
-            if not (all(type(w) is int for w in widths) and type(slope) in (int, float) and math.isfinite(slope)):
-                raise ValueError(f"widths {widths!r} or negative_slope {slope!r} has the wrong type")
-            spec = MlpSpec(tuple(widths), slope)
-        except (TypeError, ValueError, OverflowError) as exc:
+        widths = arch.get("widths")
+        try:
+            spec = MlpSpec(tuple(widths), arch.get("negative_slope", 0.01))
+        except (TypeError, ValueError) as exc:
             raise SnapshotError(f"bad MLP arch: {exc}") from exc
         if widths[0] != env.feature_dim or widths[-1] != env.max_arity:
             raise SnapshotError("MLP spec does not fit the environment")

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfnpool import train
-from gfnpool.envs import MultisetEnv
+from gfnpool import policy, train
+from gfnpool.aggregate import AggregateConfig, aggregate_ab
+from gfnpool.envs import MultisetEnv, SequenceEnv
 from gfnpool.errors import NumericError
 from gfnpool.losses import LossSpec
 from gfnpool.nn import (
@@ -21,6 +22,15 @@ def test_spec_validation():
         MlpSpec((3, 0, 2))
     spec = MlpSpec((2, 4, 3))
     assert spec.n_params == (4 * 2 + 4) + (3 * 4 + 3)
+    # the forward and backward keep the `np.where` bits only for a slope in [0, 1]
+    for slope in (2.0, 1.5, -0.5, -0.0, float("nan"), float("inf"), True, "0.01", None):
+        with pytest.raises(ValueError, match="negative_slope"):
+            MlpSpec((43, 64, 7), negative_slope=slope)
+    for widths in ((2, True, 3), (2, 4.0, 3), (2, np.float64(4), 3), (2.0, 4, 3), (2, "4", 3)):
+        with pytest.raises(ValueError, match="widths"):
+            MlpSpec(widths)
+    for slope in (0, 0.0, 0.01, 1, 1.0, np.float64(0.5)):
+        assert MlpSpec((2, np.int64(4), 3), slope).negative_slope == slope
 
 
 def test_zero_params_zero_output():
@@ -50,7 +60,84 @@ def test_forward_matches_dense_algebra_oracle(rng):
     h1 = np.where(z1 > 0, z1, 0.01 * z1)
     expected = h1 @ w2.T + b2
     out, _ = mlp_forward(spec, params, x)
-    assert np.max(np.abs(out - expected)) <= 1e-14
+    assert out.tobytes() == expected.tobytes()
+
+
+def _textbook_forward(spec, params, x):
+    """`mlp_forward` with the LeakyReLU as `np.where`."""
+    h = np.atleast_2d(x)
+    inputs, preacts = [], []
+    for li, (w, b, fan_in, fan_out) in enumerate(spec.layer_slices()):
+        inputs.append(h)
+        z = h @ params[w].reshape(fan_out, fan_in).T + params[b]
+        last = li == len(spec.widths) - 2
+        preacts.append(None if last else z)
+        h = z if last else np.where(z > 0, z, spec.negative_slope * z)
+    return (h[0] if x.ndim == 1 else h), (inputs, preacts)
+
+
+def _textbook_backward(spec, params, cache, dout):
+    """`mlp_backward` with the LeakyReLU's derivative as `np.where`."""
+    inputs, preacts = cache
+    g = np.atleast_2d(dout)
+    grad = np.zeros(spec.n_params)
+    for li, (w, b, fan_in, fan_out) in reversed(list(enumerate(spec.layer_slices()))):
+        if preacts[li] is not None:
+            g = g * np.where(preacts[li] > 0, 1.0, spec.negative_slope)
+        grad[w] = (g.T @ inputs[li]).ravel()
+        grad[b] = g.sum(axis=0)
+        g = g @ params[w].reshape(fan_out, fan_in)
+    return grad, (g[0] if dout.ndim == 1 else g)
+
+
+# signed zeros, the smallest subnormals, values whose a*z underflows at some
+# slope, the largest magnitudes and the infinities
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-322, -1e-322, 3e-320, -3e-320, 2.2e-308, -2.2e-308,
+                  1e308, -1e308, np.inf, -np.inf])
+
+
+def _with_edges(rng, shape):
+    a = rng.normal(0, 1, shape).ravel()
+    at = rng.choice(a.size, size=a.size // 4, replace=False)
+    a[at] = EDGES[np.arange(at.size) % EDGES.size]
+    return a.reshape(shape)
+
+
+def _bits(*arrays):
+    return [a.view(np.uint64).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+def test_leaky_relu_keeps_the_where_bits_at_its_edges(rng, slope):
+    spec = MlpSpec((1, 64, 64, 8), slope)
+    params = rng.normal(0, 1, spec.n_params)
+    (w1, b1, _, _), *_ = spec.layer_slices()
+    # z1 = x * 2^k - 0.0 is exact, so the first layer's pre-activations hold every
+    # edge but -0.0, which no matmul gives: its sums start at +0.0
+    params[w1] = 2.0 ** rng.integers(-3, 4, 64)
+    params[b1] = -0.0
+    x = _with_edges(rng, (1024, 1))
+    dout = rng.normal(0, 1, (1024, 8))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf
+        want, cache = _textbook_forward(spec, params, x)
+        z1, h1 = cache[1][0], cache[0][1]
+        assert all(np.isin(EDGES[EDGES != 0], z1))
+        assert slope == 1 or np.any(np.signbit(h1) & (h1 == 0))  # a*z underflows to -0.0
+        if slope == 0:
+            # 0 * inf is NaN where `np.where` keeps +inf; either way the row's output is not finite
+            inf = np.isposinf(z1).any(axis=1)
+            assert inf.any() and not np.isfinite(want[inf]).any()
+            assert not np.isfinite(mlp_forward(spec, params, x[inf])[0]).any()
+            x = x[~inf]
+            want, cache = _textbook_forward(spec, params, x)
+        got, got_cache = mlp_forward(spec, params, x)
+        assert _bits(got, *got_cache[0], *got_cache[1][:2]) == _bits(want, *cache[0], *cache[1][:2])
+        g = dout[: len(x)]
+        assert _bits(*mlp_backward(spec, params, got_cache, g)) == _bits(*_textbook_backward(spec, params, cache, g))
+    # the backward at every edge, -0.0 and +inf included, through a cache built by hand
+    inputs = [rng.normal(0, 1, (1024, 1)), rng.normal(0, 1, (1024, 64)), rng.normal(0, 1, (1024, 64))]
+    cache = (inputs, [_with_edges(rng, (1024, 64)), _with_edges(rng, (1024, 64)), None])
+    assert _bits(*mlp_backward(spec, params, cache, dout)) == _bits(*_textbook_backward(spec, params, cache, dout))
 
 
 def test_backward_matches_finite_differences(rng):
@@ -330,6 +417,36 @@ def test_blocked_training_writes_the_textbook_snapshot(monkeypatch):
     blocked = train.train_local(env, cfg, space).snapshot
     monkeypatch.setattr(train, "adamw_step", _textbook_step)
     assert train.train_local(env, cfg, space).snapshot == blocked
+
+
+def test_mlp_training_at_scale_writes_the_textbook_snapshots(monkeypatch):
+    # sequence 6x6 at batch 512 runs ~900 distinct states per forward, against
+    # at most 9 rows in the grid 3x3 goldens
+    gen = np.random.default_rng(13)
+    envs = [SequenceEnv(pos_scores=tuple(gen.uniform(0, 1, 6)), token_scores=tuple(gen.uniform(-1, 1, 6)))
+            for _ in range(2)]
+    cfgs = [TrainConfig(epochs=8, batch=512, seed=s, lr=0.005, backend="mlp", hidden=(64, 64), eval_every=0,
+                        loss=LossSpec("CB")) for s in (1, 2)]
+    agg_cfg = AggregateConfig(epochs=8, batch=512, seed=3, lr=0.005, backend="mlp", hidden=(64, 64), eval_every=0)
+    space = train.build_space(envs[0], cfgs[0])
+
+    def run():
+        clients = [train.train_local(env, cfg, space).snapshot for env, cfg in zip(envs, cfgs)]
+        return clients, aggregate_ab(envs[0], clients, agg_cfg, space=space).snapshot
+
+    snapshots = run()
+    calls = []
+
+    def counted(textbook):
+        def call(*args):
+            calls.append(textbook)
+            return textbook(*args)
+        return call
+
+    monkeypatch.setattr(policy, "mlp_forward", counted(_textbook_forward))
+    monkeypatch.setattr(policy, "mlp_backward", counted(_textbook_backward))
+    assert run() == snapshots
+    assert set(calls) == {_textbook_forward, _textbook_backward}
 
 
 def test_adamw_step_allocates_no_parameter_sized_array(rng):

@@ -390,6 +390,12 @@ def _with_nan_param(doc, params):
     return doc, params.tobytes()
 
 
+def _with_bool_width(doc, params):
+    # the payload fits the network that the arch would be if True meant 1
+    fan_in, *_, fan_out = doc["arch"]["widths"]
+    return _with_arch(doc, widths=[fan_in, True, fan_out]), np.zeros(fan_in + 1 + 2 * fan_out).tobytes()
+
+
 # each case maps a snapshot's (header, parameters) to a (header, payload bytes)
 MALFORMED_SNAPSHOTS = {
     "no-arch": lambda d, p: ({k: v for k, v in d.items() if k != "arch"}, p.tobytes()),
@@ -402,6 +408,9 @@ MALFORMED_SNAPSHOTS = {
     "null-backward": lambda d, p: ({**d, "backward": None}, p.tobytes()),
     "list-document": lambda d, p: ([d], p.tobytes()),
     "string-slope": lambda d, p: (_with_arch(d, negative_slope="x"), p.tobytes()),
+    "slope-above-one": lambda d, p: (_with_arch(d, negative_slope=1.5), p.tobytes()),
+    "negative-slope": lambda d, p: (_with_arch(d, negative_slope=-0.5), p.tobytes()),
+    "bool-width": _with_bool_width,
     "nan-param": _with_nan_param,
 }
 
